@@ -2,9 +2,9 @@
 
 from .cloud import (LabeledCloud, PointCloud, default_palette, downsample_random,
                     export_labeled_ply, load_cloud, normalize, save_cloud)
-from .clustering import (CostMatrix, Prototypes, SoftLabels, SolverConfig,
-                         TransportPlan, assign_l2_labels, assign_soft_labels,
-                         compute_cost, compute_prototypes, sinkhorn)
+from .clustering import (Prototypes, SoftLabels, SolverConfig, TransportPlan,
+                         assign_l2_labels, assign_soft_labels, compute_cost,
+                         compute_prototypes, sinkhorn)
 from .encoder import (EncoderConfig, EncoderParams, ForwardTrace, backward, forward,
                       init_params, load_checkpoint, save_checkpoint)
 from .errors import (CheckpointError, ConfigError, DivisibilityError, EmptyCloudError,

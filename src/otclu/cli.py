@@ -44,7 +44,7 @@ _CLOUD_SUFFIXES = (".off", ".ply", ".xyz")
 _CONFIG_SECTIONS = {
     "train": {"epochs", "batch_size", "lr", "lr_decay", "decay_every", "weight_decay",
               "beta1", "beta2", "adam_eps", "seed", "eta", "checkpoint_every"},
-    "solver": {"epsilon", "iters", "tol", "lambda", "learn_lambda", "num_clusters"},
+    "solver": {"epsilon", "iters", "tol", "lambda", "num_clusters"},
     "encoder": {"hidden_sizes", "feature_dim", "global_context"},
     "data": {"num_points", "normalize"},
 }

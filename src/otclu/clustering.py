@@ -28,7 +28,6 @@ class SolverConfig:
     iters: int = 20
     tol: float = 1e-6
     lam: float = 0.5
-    learn_lambda: bool = False
     num_clusters: int = 64
 
     def __post_init__(self):
@@ -48,14 +47,6 @@ class Prototypes:
 
     geo: np.ndarray
     feat: np.ndarray
-
-
-@dataclass
-class CostMatrix:
-    """Blended squared-distance cost, values (N, J), lam in [0, 1]."""
-
-    values: np.ndarray
-    lam: float
 
 
 @dataclass
@@ -118,20 +109,15 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def compute_cost(cloud, features: np.ndarray, protos: Prototypes, lam: float) -> CostMatrix:
-    """Blend geometric and feature squared distances: lam*geo + (1-lam)*feat."""
+def compute_cost(cloud, features: np.ndarray, protos: Prototypes, lam: float) -> np.ndarray:
+    """Blend geometric and feature squared distances: lam*geo + (1-lam)*feat, (N, J)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     points = _points_of(cloud)
     features = np.asarray(features, dtype=np.float64)
     d_geo = _sq_dists(points, protos.geo)
     d_feat = _sq_dists(features, protos.feat)
-    return CostMatrix(values=lam * d_geo + (1.0 - lam) * d_feat, lam=lam)
-
-
-def _cost_values(cost) -> np.ndarray:
-    values = getattr(cost, "values", cost)
-    return np.asarray(values, dtype=np.float64)
+    return lam * d_geo + (1.0 - lam) * d_feat
 
 
 def sinkhorn(cost, epsilon: float = 1e-3, iters: int = 20,
@@ -147,7 +133,7 @@ def sinkhorn(cost, epsilon: float = 1e-3, iters: int = 20,
     Raises NumericalError when a scaling denominator underflows to zero,
     which signals that epsilon is too small for the spread of the costs.
     """
-    d = _cost_values(cost)
+    d = np.asarray(cost, dtype=np.float64)
     if d.ndim != 2:
         raise ShapeError(f"cost must be a matrix, got shape {d.shape}")
     if epsilon <= 0:
@@ -198,7 +184,7 @@ def assign_l2_labels(cost, temperature: float) -> SoftLabels:
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    d = _cost_values(cost)
+    d = np.asarray(cost, dtype=np.float64)
     logits = -d / temperature
     logits -= logits.max(axis=1, keepdims=True)
     expd = np.exp(logits)

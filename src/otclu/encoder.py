@@ -19,7 +19,7 @@ from .cloud import PointCloud
 from .errors import CheckpointError, ConfigError, ShapeError
 
 CHECKPOINT_MAGIC = b"OTCLUCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 IN_DIM = 3
 
@@ -52,12 +52,7 @@ class EncoderConfig:
 
 @dataclass
 class EncoderParams:
-    """Named parameter tensors plus the architecture they belong to.
-
-    `lambda_raw` is the pre-sigmoid value of the geometry/feature blending
-    weight; it only participates in training when the solver config asks
-    for a learned blend.
-    """
+    """Named parameter tensors plus the architecture they belong to."""
 
     config: EncoderConfig
     tensors: dict[str, np.ndarray]
@@ -67,10 +62,6 @@ class EncoderParams:
 
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-    @property
-    def lam(self) -> float:
-        return float(1.0 / (1.0 + np.exp(-self.tensors["lambda_raw"])))
 
 
 @dataclass
@@ -101,7 +92,6 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     bound = 1.0 / np.sqrt(config.head_in_dim)
     tensors["head.w"] = rng.uniform(-bound, bound, size=(config.head_in_dim, config.num_clusters))
     tensors["head.b"] = np.zeros(config.num_clusters)
-    tensors["lambda_raw"] = np.asarray(0.0)
     return EncoderParams(config=config, tensors=tensors)
 
 
@@ -236,31 +226,45 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
-    """Read a checkpoint written by save_checkpoint; returns (params, meta)."""
+    """Read a checkpoint written by save_checkpoint; returns (params, meta).
+
+    A file that is short, damaged or of another format version raises
+    CheckpointError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        prefix = fh.read(12)
+        if len(prefix) != 12:
+            raise CheckpointError(f"{path}: truncated before the header")
+        version, header_len = struct.unpack("<IQ", prefix)
         if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode())
+            raise CheckpointError(f"{path}: unsupported format version {version} "
+                                  f"(expected {CHECKPOINT_VERSION})")
+        header_bytes = fh.read(header_len)
         data = fh.read()
-    cfg = header["config"]
-    config = EncoderConfig(
-        hidden_sizes=tuple(cfg["hidden_sizes"]),
-        feature_dim=cfg["feature_dim"],
-        num_clusters=cfg["num_clusters"],
-        global_context=cfg["global_context"],
-    )
-    tensors = {}
-    for entry in header["tensors"]:
-        raw = data[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
-        tensors[entry["name"]] = arr
+    try:
+        header = json.loads(header_bytes.decode())
+        cfg = header["config"]
+        config = EncoderConfig(
+            hidden_sizes=tuple(cfg["hidden_sizes"]),
+            feature_dim=cfg["feature_dim"],
+            num_clusters=cfg["num_clusters"],
+            global_context=cfg["global_context"],
+        )
+        tensors = {}
+        for entry in header["tensors"]:
+            raw = data[entry["offset"]:entry["offset"] + entry["nbytes"]]
+            if len(raw) != entry["nbytes"]:
+                raise CheckpointError(f"{path}: tensor {entry['name']} is truncated")
+            arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+            tensors[entry["name"]] = arr
+        meta = header["meta"]
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: damaged header: {exc!r}") from None
     expected = {f"mlp{i}.{p}" for i in range(len(config.layer_sizes) - 1) for p in ("w", "b")}
-    expected |= {"head.w", "head.b", "lambda_raw"}
+    expected |= {"head.w", "head.b"}
     if set(tensors) != expected:
         raise CheckpointError(f"{path}: tensor set does not match architecture")
-    return EncoderParams(config=config, tensors=tensors), header["meta"]
+    return EncoderParams(config=config, tensors=tensors), meta

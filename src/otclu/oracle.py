@@ -33,11 +33,6 @@ class ExactPlan:
     objective: float
 
 
-def _cost_array(cost) -> np.ndarray:
-    values = getattr(cost, "values", cost)
-    return np.asarray(values, dtype=np.float64)
-
-
 def _northwest_corner(n: int, m: int):
     """Initial basic feasible solution with exactly n + m - 1 basic cells.
 
@@ -130,7 +125,7 @@ def exact_ot(cost) -> ExactPlan:
     transportation simplex; Bland's rule on the entering cell prevents
     cycling through degenerate pivots.
     """
-    cost = _cost_array(cost)
+    cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
     if n > MAX_OT_POINTS or m > MAX_OT_CLUSTERS:
         raise SizeError(f"exact_ot supports at most {MAX_OT_POINTS}x{MAX_OT_CLUSTERS}, got {n}x{m}")
@@ -176,7 +171,7 @@ def balanced_hard_assign(cost) -> np.ndarray:
     Exhaustive search over all balanced label vectors; ties resolve to the
     lexicographically smallest label vector.
     """
-    cost = _cost_array(cost)
+    cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
     if n > MAX_ASSIGN_POINTS or m > MAX_ASSIGN_CLUSTERS:
         raise SizeError(

@@ -92,8 +92,7 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig) -> EStepResult:
     """
     trace = enc.forward(params, cloud)
     protos = compute_prototypes(cloud, trace.features, trace.scores)
-    lam = params.lam if solver.learn_lambda else solver.lam
-    cost = compute_cost(cloud, trace.features, protos, lam)
+    cost = compute_cost(cloud, trace.features, protos, solver.lam)
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol)
     gamma = assign_soft_labels(plan, trace.scores.shape[0])
     return EStepResult(trace=trace, protos=protos, gamma=gamma,
@@ -134,14 +133,11 @@ def _adamw_update(state: TrainState, grads: dict) -> None:
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
     for name, theta in state.params.tensors.items():
-        if name == "lambda_raw" and not cfg.solver.learn_lambda:
-            continue
         g = grads[name]
         state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
         state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
         update = (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + cfg.adam_eps)
-        decay = 0.0 if name == "lambda_raw" else cfg.weight_decay * theta
-        state.params.tensors[name] = theta - state.lr * (update + decay)
+        state.params.tensors[name] = theta - state.lr * (update + cfg.weight_decay * theta)
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:

@@ -1,22 +1,27 @@
-"""Self-verification suite backing the CLI `verify` command.
+"""The check registry behind `otclu verify` and the acceptance suite.
 
 Each check cross-validates a production code path against an independent
 oracle (exact LP, exhaustive balanced assignment, finite differences) or
-asserts a structural invariant on seeded random instances. `fast` runs a
-reduced instance count; `full` runs everything.
+asserts a structural invariant on one seeded family of instances. The
+`full` level runs every family at its full size and fails a check that
+overruns its time budget; `fast` runs a prefix of each family and skips
+the checks whose fast size is 0.
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import cloud as pc
 from . import encoder as enc
 from . import oracle
-from .clustering import (SolverConfig, assign_l2_labels, assign_soft_labels,
+from .clustering import (Prototypes, SolverConfig, assign_l2_labels, assign_soft_labels,
                          compute_cost, compute_prototypes, prototypes_backward, sinkhorn)
 from .losses import total_loss
 from .trainer import TrainConfig, e_step, pretrain
@@ -91,15 +96,8 @@ def convergent_sinkhorn(cost, epsilon: float, tol: float = 1e-7,
     return sinkhorn(cost, epsilon=epsilon, iters=max_iters, tol=tol)
 
 
-def plan_residual(matrix: np.ndarray) -> float:
-    n, m = matrix.shape
-    row = np.abs(matrix.sum(axis=1) - 1.0 / n).max()
-    col = np.abs(matrix.sum(axis=0) - 1.0 / m).max()
-    return float(max(row, col))
-
-
 # ---------------------------------------------------------------------------
-# end-to-end gradient path (shared with the acceptance suite)
+# end-to-end gradient path
 
 def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8):
     """A seeded cloud, params, and constant soft labels for gradient checks."""
@@ -132,49 +130,29 @@ def analytic_param_grads(params: enc.EncoderParams, cloud, gamma, eta: float = 0
     return enc.backward(trace, params, d_scores + ds_p, df_p)
 
 
-def end_to_end_grad_report(seed: int = 7, n: int = 16, num_clusters: int = 4,
-                           dim: int = 8, h: float = 1e-5,
-                           rel_tol: float = 1e-4) -> oracle.GradCheckReport:
-    cloud, params, _, result = toy_problem(seed, n, num_clusters, dim)
-    gamma = result.gamma
-    grads = analytic_param_grads(params, cloud, gamma)
-
-    def closure(tensors):
-        return total_loss_of_params(
-            enc.EncoderParams(params.config, tensors), cloud, gamma)
-
-    return oracle.grad_check(closure, params.tensors, grads, h=h, rel_tol=rel_tol)
-
-
 # ---------------------------------------------------------------------------
-# individual checks
+# checks: each takes the number of instances of its family to run
 
-def check_sinkhorn_feasibility(fast: bool) -> tuple[bool, str]:
+def check_sinkhorn_feasibility(count: int) -> tuple[bool, str]:
     # Cost spread a few multiples of epsilon: fixed-iteration feasibility
     # degrades as spread/epsilon grows, which is what the convergent mode
     # is for. 5x epsilon keeps 20 iterations within the 1e-3 contract.
-    rng = np.random.default_rng(11)
-    grid = [(8, 2), (8, 8), (64, 8), (64, 64)] if fast else \
-        [(n, j) for n in (8, 64, 512) for j in (2, 8, 64)]
-    count = 3 if fast else 12
+    rng = np.random.default_rng(101)
+    grid = [(n, m) for n in (8, 64, 512) for m in (2, 8, 64)]
     worst_conv, worst_20 = 0.0, 0.0
-    for n, m in grid:
-        for _ in range(count):
-            d = random_cost(rng, n, m, scale=5e-3)
-            conv = convergent_sinkhorn(d, 1e-3).matrix
-            worst_conv = max(worst_conv, plan_residual(conv))
-            fixed = sinkhorn(d, epsilon=1e-3, iters=20).matrix
-            worst_20 = max(worst_20, plan_residual(fixed))
+    for i in range(count):
+        d = random_cost(rng, *grid[i % len(grid)], scale=5e-3)
+        worst_conv = max(worst_conv, convergent_sinkhorn(d, 1e-3).marginal_residual())
+        worst_20 = max(worst_20, sinkhorn(d, epsilon=1e-3, iters=20).marginal_residual())
     ok = worst_conv < 1e-6 and worst_20 < 1e-3
-    return ok, f"converged residual {worst_conv:.2e} (<1e-6), 20-iter {worst_20:.2e} (<1e-3)"
+    return ok, (f"{count} instances: converged residual {worst_conv:.2e} (<1e-6), "
+                f"20-iter {worst_20:.2e} (<1e-3)")
 
 
-def check_lp_gap(fast: bool) -> tuple[bool, str]:
-    rng = np.random.default_rng(23)
-    trials = 10 if fast else 50
-    worst_excess = -np.inf
-    monotone = True
-    for _ in range(trials):
+def check_lp_gap(count: int) -> tuple[bool, str]:
+    rng = np.random.default_rng(202)
+    bound_ok, monotone, worst = True, True, 0.0
+    for _ in range(count):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 5))
         d = random_cost(rng, n, m, scale=0.05)
@@ -183,75 +161,120 @@ def check_lp_gap(fast: bool) -> tuple[bool, str]:
         for eps in (1e-1, 1e-2, 1e-3):
             plan = convergent_sinkhorn(d, eps).matrix
             gaps.append(float((plan * d).sum()) - best.objective)
-        if gaps[2] > 1e-3 * np.log(n * m) + 1e-6:
-            worst_excess = max(worst_excess, gaps[2])
-        if not (gaps[0] + 1e-9 >= gaps[1] >= gaps[2] - 1e-9):
-            monotone = False
-    ok = worst_excess == -np.inf and monotone
-    return ok, f"gap bound {'ok' if worst_excess == -np.inf else 'violated'}, monotone={monotone}"
+        bound_ok = bound_ok and gaps[2] <= 1e-3 * np.log(n * m) + 1e-6
+        monotone = monotone and gaps[0] + 1e-9 >= gaps[1] >= gaps[2] - 1e-9
+        worst = max(worst, gaps[2])
+    return bound_ok and monotone, (f"{count} instances: gap <= eps*log(NJ) at eps=1e-3 "
+                                   f"{bound_ok} (worst {worst:.2e}), monotone={monotone}")
 
 
-def check_gradients(fast: bool) -> tuple[bool, str]:
-    report = end_to_end_grad_report()
-    return report.passed, f"max rel error {report.max_rel_error:.2e} at {report.worst_param}"
+def check_gradients(count: int) -> tuple[bool, str]:
+    cloud, params, _, result = toy_problem()
+    gamma = result.gamma
+
+    def closure(tensors):
+        return total_loss_of_params(enc.EncoderParams(params.config, tensors), cloud, gamma)
+
+    report = oracle.grad_check(closure, params.tensors,
+                               analytic_param_grads(params, cloud, gamma), h=1e-5, rel_tol=1e-4)
+    return report.passed, f"max rel error {report.max_rel_error:.2e} (<1e-4) at {report.worst_param}"
 
 
-def check_equipartition(fast: bool) -> tuple[bool, str]:
-    rng = np.random.default_rng(37)
+def check_equipartition(count: int) -> tuple[bool, str]:
+    rng = np.random.default_rng(404)
     cfg = enc.EncoderConfig(hidden_sizes=(16,), feature_dim=16, num_clusters=8)
     # epsilon 2e-3: random untrained-encoder costs on generic clouds can
     # spread past what exp(-cost/1e-3) survives; the equipartition contract
     # itself is epsilon-independent.
     solver = SolverConfig(num_clusters=8, epsilon=2e-3)
     worst = 0.0
-    for trial in range(5 if fast else 20):
-        params = enc.init_params(cfg, 100 + trial)
+    for trial in range(count):
+        params = enc.init_params(cfg, 400 + trial)
         cloud = pc.normalize(ball_cloud(rng, 96))
-        result = e_step(params, cloud, solver)
-        g = result.gamma.matrix
+        g = e_step(params, cloud, solver).gamma.matrix
         n, m = g.shape
         worst = max(worst, np.abs(g.sum(axis=0) - n / m).max() / n)
-    return worst < 1e-5, f"max |colsum(labels) - N/J| / N = {worst:.2e} (<1e-5)"
+    return worst < 1e-5, f"{count} clouds: max |colsum(labels) - N/J| / N = {worst:.2e} (<1e-5)"
 
 
-def check_blob_purity(fast: bool) -> tuple[bool, str]:
-    rng = np.random.default_rng(41)
+def check_blob_purity(count: int) -> tuple[bool, str]:
+    rng = np.random.default_rng(505)
     details = []
     ok = True
-    for j in (2, 4):
+    for j in (2, 4)[:count]:
         cloud, membership = blob_cloud(rng, j, 12 // j)
         cloud = pc.normalize(cloud)
         cfg = enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8, num_clusters=j)
-        params = enc.init_params(cfg, 3)
+        params = enc.init_params(cfg, 50 + j)
         solver = SolverConfig(num_clusters=j, lam=1.0, iters=500, tol=1e-9)
-        result = e_step(params, cloud, solver)
-        hard = result.gamma.hard()
+        hard = e_step(params, cloud, solver).gamma.hard()
         p = purity(hard, membership)
         trace = enc.forward(params, cloud)
         protos = compute_prototypes(cloud, trace.features, trace.scores)
-        cost = compute_cost(cloud, trace.features, protos, 1.0)
-        ref = oracle.balanced_hard_assign(cost.values)
+        ref = oracle.balanced_hard_assign(compute_cost(cloud, trace.features, protos, 1.0))
         agree = bool(np.array_equal(hard, ref))
         ok = ok and p == 1.0 and agree
         details.append(f"J={j}: purity {p:.2f}, matches oracle: {agree}")
     return ok, "; ".join(details)
 
 
-def check_l2_vs_ot(fast: bool) -> tuple[bool, str]:
-    rng = np.random.default_rng(53)
+def check_learning_signal(count: int) -> tuple[bool, str]:
+    # Committed oracle run (data seed 606, train seed 17, lr 0.01,
+    # epsilon 2e-3): l_total 2.157 -> 0.072 (96.6% reduction), l_orth
+    # 11.63 -> 7.07. The contract requires >= 30% and a lower final l_orth.
+    rng = np.random.default_rng(606)
+    clouds = [pc.normalize(blob_cloud(rng, 8, 32, radius=0.06)[0]) for _ in range(64)]
+    config = TrainConfig(
+        epochs=20, batch_size=32, lr=0.01, seed=17, eta=0.01,
+        solver=SolverConfig(num_clusters=8, epsilon=2e-3),
+        encoder=enc.EncoderConfig(hidden_sizes=(32,), feature_dim=32, num_clusters=8),
+    )
+    history = pretrain(clouds, config).history
+    first, last = history[0], history[-1]
+    reduction = 1.0 - last["l_total"] / first["l_total"]
+    ok = reduction >= 0.30 and last["l_orth"] < first["l_orth"]
+    return ok, (f"l_total {first['l_total']:.4f} -> {last['l_total']:.4f} "
+                f"({100 * reduction:.1f}% >= 30%), l_orth {first['l_orth']:.3f} -> "
+                f"{last['l_orth']:.3f}")
+
+
+def check_ablation_mechanics(count: int) -> tuple[bool, str]:
+    rng = np.random.default_rng(707)
+
+    # (a) unconstrained softmax assignment piles mass on a cheap cluster
     n, m = 60, 4
-    # one cheap cluster: the unconstrained assignment dumps everything there
     d = rng.uniform(0.2, 0.4, size=(n, m))
     d[:, 0] = rng.uniform(0.0, 0.02, size=n)
     l2 = assign_l2_labels(d, temperature=1e-3).matrix
     ot = assign_soft_labels(convergent_sinkhorn(d, 1e-3), n).matrix
     l2_dev = np.abs(l2.sum(axis=0) - n / m).max() / n
     ot_dev = np.abs(ot.sum(axis=0) - n / m).max() / n
-    ok = l2_dev > 10 * 1e-6 and ot_dev < 1e-5
-    return ok, f"L2 colsum deviation {l2_dev:.2e} (>1e-5), OT {ot_dev:.2e} (<1e-5)"
+    part_a = l2_dev > 10 * 1e-6 and ot_dev < 1e-5
+
+    # (b) two geometric halves with identical feature multisets: the true
+    # feature prototypes coincide, so a feature-only cost cannot separate
+    # the halves while an even geometric blend can.
+    per_half = 12
+    offsets = rng.normal(scale=0.1, size=(per_half, 3))
+    offsets[:, 0] = 0.0
+    points = np.concatenate([offsets + [-0.5, 0.0, 0.0], offsets + [0.5, 0.0, 0.0]])
+    membership = np.repeat([0, 1], per_half)
+    pair_feats = rng.normal(scale=0.15, size=(per_half, 4))
+    feats = np.concatenate([pair_feats, pair_feats])
+    protos = Prototypes(geo=np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+                        feat=np.tile(feats.mean(axis=0), (2, 1)))
+    purities = {}
+    for lam in (0.0, 0.5):
+        plan = convergent_sinkhorn(compute_cost(points, feats, protos, lam), 1e-3)
+        purities[lam] = purity(assign_soft_labels(plan, 2 * per_half).hard(), membership)
+    part_b = purities[0.0] < 0.6 and purities[0.5] >= 0.99
+
+    return part_a and part_b, (
+        f"(a) L2 colsum deviation {l2_dev:.2e} (>1e-5), OT {ot_dev:.2e} (<1e-5); "
+        f"(b) purity lam=0 {purities[0.0]:.2f} (<0.6), lam=0.5 {purities[0.5]:.2f} (>=0.99)")
 
 
-def check_cost_shift(fast: bool) -> tuple[bool, str]:
+def check_cost_shift(count: int) -> tuple[bool, str]:
     rng = np.random.default_rng(61)
     d = random_cost(rng, 12, 5)
     base = sinkhorn(d, 1e-2, iters=200).matrix
@@ -260,7 +283,7 @@ def check_cost_shift(fast: bool) -> tuple[bool, str]:
     return diff < 1e-9, f"max plan change under constant cost shift: {diff:.2e}"
 
 
-def check_lambda_endpoints(fast: bool) -> tuple[bool, str]:
+def check_lambda_endpoints(count: int) -> tuple[bool, str]:
     rng = np.random.default_rng(67)
     n, d_feat = 24, 6
     points = rng.normal(size=(n, 3))
@@ -279,7 +302,7 @@ def check_lambda_endpoints(fast: bool) -> tuple[bool, str]:
     return ok, f"feature perturbation at lam=1: {geo_only:.1e}; point perturbation at lam=0: {feat_only:.1e}"
 
 
-def check_permutation_equivariance(fast: bool) -> tuple[bool, str]:
+def check_permutation_equivariance(count: int) -> tuple[bool, str]:
     rng = np.random.default_rng(71)
     cfg = enc.EncoderConfig(hidden_sizes=(10,), feature_dim=6, num_clusters=4)
     params = enc.init_params(cfg, 5)
@@ -292,9 +315,7 @@ def check_permutation_equivariance(fast: bool) -> tuple[bool, str]:
     return df < 1e-12 and ds < 1e-12, f"feature mismatch {df:.1e}, score mismatch {ds:.1e}"
 
 
-def check_io_round_trip(fast: bool, tmp_dir=None) -> tuple[bool, str]:
-    import tempfile
-    from pathlib import Path
+def check_io_round_trip(count: int) -> tuple[bool, str]:
     rng = np.random.default_rng(73)
     cloud = pc.PointCloud(rng.uniform(-1, 1, size=(50, 3)))
     worst = 0.0
@@ -312,7 +333,7 @@ def check_io_round_trip(fast: bool, tmp_dir=None) -> tuple[bool, str]:
     return worst < 1e-6, f"max round-trip coordinate error {worst:.2e} (<1e-6)"
 
 
-def check_normalize(fast: bool) -> tuple[bool, str]:
+def check_normalize(count: int) -> tuple[bool, str]:
     rng = np.random.default_rng(79)
     cloud = pc.PointCloud(rng.normal(size=(100, 3)) * 4 + 2)
     once = pc.normalize(cloud)
@@ -324,7 +345,7 @@ def check_normalize(fast: bool) -> tuple[bool, str]:
     return ok, f"centroid {centroid:.1e}, max norm err {abs(max_norm-1):.1e}, idempotence {idem:.1e}"
 
 
-def check_determinism(fast: bool) -> tuple[bool, str]:
+def check_determinism(count: int) -> tuple[bool, str]:
     rng = np.random.default_rng(83)
     cloud = pc.PointCloud(rng.normal(size=(64, 3)))
     a = pc.downsample_random(cloud, 32, seed=9).points
@@ -345,35 +366,50 @@ def check_determinism(fast: bool) -> tuple[bool, str]:
     return ok, f"downsample={np.array_equal(a, b)}, init={same_params}, pretrain={same_train}"
 
 
-_FAST_CHECKS = [
-    ("sinkhorn-feasibility", check_sinkhorn_feasibility),
-    ("sinkhorn-vs-lp", check_lp_gap),
-    ("gradient-exactness", check_gradients),
-    ("equipartition", check_equipartition),
-    ("blob-purity", check_blob_purity),
-    ("l2-vs-ot", check_l2_vs_ot),
+@dataclass(frozen=True)
+class Check:
+    """One seeded instance family: `run(count)` checks its first `count` instances."""
+
+    name: str
+    run: Callable[[int], tuple[bool, str]]
+    fast: int           # instances at the fast level; 0 skips the check there
+    full: int           # instances at the full level
+    budget: float       # seconds the full level may take
+
+    def size(self, level: str) -> int:
+        return self.full if level == "full" else self.fast
+
+
+CHECKS = [
+    Check("sinkhorn-feasibility", check_sinkhorn_feasibility, 18, 100, 10.0),
+    Check("sinkhorn-vs-lp", check_lp_gap, 10, 50, 30.0),
+    Check("gradient-exactness", check_gradients, 1, 1, 60.0),
+    Check("equipartition", check_equipartition, 5, 20, 10.0),
+    Check("blob-purity", check_blob_purity, 2, 2, 10.0),
+    Check("learning-signal", check_learning_signal, 0, 1, 300.0),
+    Check("ablation-mechanics", check_ablation_mechanics, 1, 1, 10.0),
+    Check("cost-shift-invariance", check_cost_shift, 0, 1, 10.0),
+    Check("lambda-endpoints", check_lambda_endpoints, 0, 1, 10.0),
+    Check("permutation-equivariance", check_permutation_equivariance, 0, 1, 10.0),
+    Check("io-round-trip", check_io_round_trip, 0, 1, 10.0),
+    Check("normalize", check_normalize, 0, 1, 10.0),
+    Check("determinism", check_determinism, 0, 1, 10.0),
 ]
 
-_FULL_CHECKS = _FAST_CHECKS + [
-    ("cost-shift-invariance", check_cost_shift),
-    ("lambda-endpoints", check_lambda_endpoints),
-    ("permutation-equivariance", check_permutation_equivariance),
-    ("io-round-trip", check_io_round_trip),
-    ("normalize", check_normalize),
-    ("determinism", check_determinism),
-]
+
+def run_check(check: Check, level: str) -> CheckResult:
+    start = time.perf_counter()
+    try:
+        passed, detail = check.run(check.size(level))
+    except Exception as exc:  # a crashed check is a failed check
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
+    if level == "full" and seconds >= check.budget:
+        passed, detail = False, f"{detail}; took {seconds:.1f}s, budget {check.budget:g}s"
+    return CheckResult(check.name, passed, detail, seconds)
 
 
 def run_checks(level: str = "fast") -> list[CheckResult]:
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    checks = _FAST_CHECKS if level == "fast" else _FULL_CHECKS
-    results = []
-    for name, fn in checks:
-        start = time.perf_counter()
-        try:
-            passed, detail = fn(level == "fast")
-        except Exception as exc:  # a crashed check is a failed check
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
-    return results
+    return [run_check(check, level) for check in CHECKS if check.size(level) > 0]

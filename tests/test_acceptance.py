@@ -1,220 +1,21 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: every check of the verify registry at its full size.
 
-Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines. Random-instance families are seeded and sized so the entropic
-solver operates inside its documented envelope (cost spread compatible
-with the epsilon in use); the committed values noted inline come from the
-recorded oracle runs of this repository.
+Run with `pytest tests/test_acceptance.py -s` to see one PASS/FAIL line per
+criterion. `otclu verify --level full` runs the same checks; the seeds,
+instance counts, bounds and time budgets live next to each check in
+`otclu.verify.CHECKS`.
 """
 
-import json
-import time
+import pytest
 
-import numpy as np
-
-from otclu import cli
-from otclu import cloud as pc
-from otclu import encoder as enc
-from otclu.clustering import (SolverConfig, assign_l2_labels, assign_soft_labels,
-                              compute_cost, Prototypes, sinkhorn)
-from otclu.oracle import balanced_hard_assign, exact_ot
-from otclu.trainer import TrainConfig, e_step, pretrain
-from otclu.verify import (ball_cloud, blob_cloud, convergent_sinkhorn,
-                          end_to_end_grad_report, plan_residual, purity)
-
-from conftest import two_blob_points
+from otclu.verify import CHECKS, run_check
 
 
-def report(number, name, ok, detail):
-    print(f"\nACCEPTANCE {number} {'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    assert ok, f"criterion {number} ({name}): {detail}"
-
-
-def test_c1_sinkhorn_feasibility():
-    start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    grid = [(n, j) for n in (8, 64, 512) for j in (2, 8, 64)]
-    worst_conv, worst_20 = 0.0, 0.0
-    count = 0
-    while count < 100:
-        n, j = grid[count % len(grid)]
-        d = rng.uniform(0.0, 5e-3, size=(n, j))
-        worst_conv = max(worst_conv, plan_residual(convergent_sinkhorn(d, 1e-3).matrix))
-        worst_20 = max(worst_20, plan_residual(sinkhorn(d, 1e-3, iters=20).matrix))
-        count += 1
-    elapsed = time.perf_counter() - start
-    ok = worst_conv < 1e-6 and worst_20 < 1e-3 and elapsed < 10.0
-    report(1, "sinkhorn feasibility",
-           ok, f"100 instances: converged {worst_conv:.2e} (<1e-6), "
-               f"20-iter {worst_20:.2e} (<1e-3), {elapsed:.1f}s (<10s)")
-
-
-def test_c2_lp_oracle_equivalence():
-    start = time.perf_counter()
-    rng = np.random.default_rng(202)
-    bound_ok, monotone_ok = True, True
-    worst_gap_detail = 0.0
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        j = int(rng.integers(2, 5))
-        d = rng.uniform(0.0, 0.05, size=(n, j))
-        best = exact_ot(d)
-        gaps = []
-        for eps in (1e-1, 1e-2, 1e-3):
-            plan = convergent_sinkhorn(d, eps).matrix
-            gaps.append(float((plan * d).sum()) - best.objective)
-        if gaps[2] > 1e-3 * np.log(n * j) + 1e-6:
-            bound_ok = False
-        if not (gaps[0] + 1e-9 >= gaps[1] >= gaps[2] - 1e-9):
-            monotone_ok = False
-        worst_gap_detail = max(worst_gap_detail, gaps[2])
-    elapsed = time.perf_counter() - start
-    ok = bound_ok and monotone_ok and elapsed < 30.0
-    report(2, "LP-oracle equivalence",
-           ok, f"50 instances: gap bound ok={bound_ok} (worst {worst_gap_detail:.2e}), "
-               f"monotone={monotone_ok}, {elapsed:.1f}s (<30s)")
-
-
-def test_c3_gradient_exactness():
-    start = time.perf_counter()
-    result = end_to_end_grad_report(seed=7, n=16, num_clusters=4, dim=8,
-                                    h=1e-5, rel_tol=1e-4)
-    elapsed = time.perf_counter() - start
-    ok = result.passed and elapsed < 60.0
-    report(3, "gradient exactness",
-           ok, f"max rel error {result.max_rel_error:.2e} (<1e-4) at "
-               f"{result.worst_param}, {elapsed:.1f}s (<60s)")
-
-
-def test_c4_equipartition_contract():
-    rng = np.random.default_rng(404)
-    cfg = enc.EncoderConfig(hidden_sizes=(16,), feature_dim=16, num_clusters=8)
-    solver = SolverConfig(num_clusters=8, epsilon=2e-3)
-    worst = 0.0
-    for trial in range(20):
-        params = enc.init_params(cfg, 400 + trial)
-        cloud = pc.normalize(ball_cloud(rng, 96))
-        g = e_step(params, cloud, solver).gamma.matrix
-        n, j = g.shape
-        worst = max(worst, np.abs(g.sum(axis=0) - n / j).max() / n)
-    ok = worst < 1e-5
-    report(4, "equipartition hard contract",
-           ok, f"20 random clouds: max |colsum - N/J|/N = {worst:.2e} (<1e-5)")
-
-
-def test_c5_blob_clustering_purity():
-    start = time.perf_counter()
-    rng = np.random.default_rng(505)
-    all_ok = True
-    details = []
-    for j in (2, 4):
-        cloud, membership = blob_cloud(rng, j, 12 // j)
-        cloud = pc.normalize(cloud)
-        cfg = enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8, num_clusters=j)
-        params = enc.init_params(cfg, 50 + j)
-        solver = SolverConfig(num_clusters=j, lam=1.0, iters=500, tol=1e-9)
-        hard = e_step(params, cloud, solver).gamma.hard()
-        p = purity(hard, membership)
-        trace = enc.forward(params, cloud)
-        from otclu.clustering import compute_prototypes
-        protos = compute_prototypes(cloud, trace.features, trace.scores)
-        ref = balanced_hard_assign(compute_cost(cloud, trace.features, protos, 1.0).values)
-        matches = bool(np.array_equal(hard, ref))
-        all_ok = all_ok and p == 1.0 and matches
-        details.append(f"J={j} purity={p:.2f} oracle={matches}")
-    elapsed = time.perf_counter() - start
-    ok = all_ok and elapsed < 10.0
-    report(5, "clustering sanity at lambda=1",
-           ok, f"{'; '.join(details)}, {elapsed:.1f}s (<10s)")
-
-
-def test_c6_learning_signal():
-    # Committed oracle run (data seed 606, train seed 17, lr 0.01,
-    # epsilon 2e-3): l_total 2.157 -> 0.072 (96.6% reduction), l_orth
-    # 11.63 -> 7.07. The contract requires >= 30% and a lower final l_orth.
-    start = time.perf_counter()
-    rng = np.random.default_rng(606)
-    clouds = [pc.normalize(blob_cloud(rng, 8, 32, radius=0.06)[0]) for _ in range(64)]
-    config = TrainConfig(
-        epochs=20, batch_size=32, lr=0.01, seed=17, eta=0.01,
-        solver=SolverConfig(num_clusters=8, epsilon=2e-3),
-        encoder=enc.EncoderConfig(hidden_sizes=(32,), feature_dim=32, num_clusters=8),
-    )
-    state = pretrain(clouds, config)
-    elapsed = time.perf_counter() - start
-    first, last = state.history[0], state.history[-1]
-    reduction = 1.0 - last["l_total"] / first["l_total"]
-    ok = (reduction >= 0.30 and last["l_orth"] < first["l_orth"] and elapsed < 300.0)
-    report(6, "learning signal",
-           ok, f"l_total {first['l_total']:.4f} -> {last['l_total']:.4f} "
-               f"({100 * reduction:.1f}% >= 30%), l_orth {first['l_orth']:.3f} -> "
-               f"{last['l_orth']:.3f}, {elapsed:.1f}s (<300s)")
-
-
-def test_c7_ablation_mechanics():
-    rng = np.random.default_rng(707)
-
-    # (a) unconstrained softmax assignment piles mass on a cheap cluster
-    n, j = 60, 4
-    d = rng.uniform(0.2, 0.4, size=(n, j))
-    d[:, 0] = rng.uniform(0.0, 0.02, size=n)
-    l2_dev = np.abs(assign_l2_labels(d, 1e-3).matrix.sum(axis=0) - n / j).max()
-    ot_dev = np.abs(
-        assign_soft_labels(convergent_sinkhorn(d, 1e-3), n).matrix.sum(axis=0) - n / j
-    ).max()
-    tol_mass = n * 1e-6
-    part_a = l2_dev > 10 * tol_mass and ot_dev < n * 1e-5
-
-    # (b) two geometric halves with identical feature multisets: the true
-    # feature prototypes coincide, so a feature-only cost cannot separate
-    # the halves while an even geometric blend can.
-    per_half = 12
-    offsets = rng.normal(scale=0.1, size=(per_half, 3))
-    offsets[:, 0] = 0.0
-    left = offsets + [-0.5, 0.0, 0.0]
-    right = offsets + [0.5, 0.0, 0.0]
-    points = np.concatenate([left, right])
-    membership = np.repeat([0, 1], per_half)
-    pair_feats = rng.normal(scale=0.15, size=(per_half, 4))
-    feats = np.concatenate([pair_feats, pair_feats])
-    protos = Prototypes(geo=np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]),
-                        feat=np.tile(feats.mean(axis=0), (2, 1)))
-
-    purities = {}
-    for lam in (0.0, 0.5):
-        cost = compute_cost(points, feats, protos, lam)
-        gamma = assign_soft_labels(convergent_sinkhorn(cost, 1e-3), 2 * per_half)
-        purities[lam] = purity(gamma.hard(), membership)
-    part_b = purities[0.0] < 0.6 and purities[0.5] >= 0.99
-
-    ok = part_a and part_b
-    report(7, "ablation mechanics",
-           ok, f"(a) L2 colsum dev {l2_dev:.2f} > {10 * tol_mass:.0e}, OT {ot_dev:.1e}; "
-               f"(b) purity lam=0 {purities[0.0]:.2f} (<0.6) vs lam=0.5 "
-               f"{purities[0.5]:.2f} (>=0.99)")
-
-
-def test_c8_pretrain_determinism(tmp_path):
-    rng = np.random.default_rng(808)
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    for i in range(6):
-        pts, _ = two_blob_points(rng, 16)
-        pc.save_cloud(pc.PointCloud(pts), data_dir / f"c{i}.xyz", "XYZ")
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({
-        "train": {"epochs": 2, "batch_size": 4, "lr": 0.01, "seed": 3},
-        "solver": {"num_clusters": 2, "epsilon": 2e-3},
-        "encoder": {"hidden_sizes": [8], "feature_dim": 8},
-        "data": {"num_points": 24},
-    }))
-    codes = [
-        cli.main(["pretrain", str(config_path), str(data_dir), str(tmp_path / run),
-                  "--threads", "1"])
-        for run in ("run_a", "run_b")
-    ]
-    a = (tmp_path / "run_a" / "checkpoint_final.otck").read_bytes()
-    b = (tmp_path / "run_b" / "checkpoint_final.otck").read_bytes()
-    ok = codes == [0, 0] and a == b
-    report(8, "pretrain determinism",
-           ok, f"exit codes {codes}, final checkpoints byte-identical: {a == b}")
+@pytest.mark.parametrize("number, check", enumerate(CHECKS, start=1),
+                         ids=[check.name for check in CHECKS])
+def test_acceptance(number, check):
+    result = run_check(check, "full")
+    ok = result.passed and result.seconds < check.budget
+    print(f"\nACCEPTANCE {number} {'PASS' if ok else 'FAIL'}  {check.name}: "
+          f"{result.detail}, {result.seconds:.1f}s (<{check.budget:g}s)")
+    assert ok, f"criterion {number} ({check.name}): {result.detail}"

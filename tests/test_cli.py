@@ -5,7 +5,7 @@ import pytest
 
 from otclu import cli
 from otclu.cloud import PointCloud, load_cloud, save_cloud
-from otclu.encoder import load_checkpoint
+from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from otclu.verify import CheckResult
 
 from conftest import two_blob_points
@@ -77,9 +77,11 @@ class TestPretrainCommand:
 
     def test_unknown_config_key_exits_2(self, tmp_path, blob_dataset, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"train": {"epochz": 2}}))
-        assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
-        assert "epochz" in capsys.readouterr().err
+        for raw, key in (({"train": {"epochz": 2}}, "epochz"),
+                         ({"solver": {"learn_lambda": False}}, "learn_lambda")):
+            config.write_text(json.dumps(raw))
+            assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
+            assert key in capsys.readouterr().err
 
     def test_invalid_value_exits_2(self, tmp_path, blob_dataset):
         config = write_config(tmp_path / "config.json", train={"lr": -1.0})
@@ -122,13 +124,20 @@ class TestClusterCommand:
                          str(cloud_path), str(tmp_path / "x.ply"), "--clusters", "8"])
         assert code == 5
 
-    def test_corrupt_checkpoint_exits_5(self, tmp_path):
-        bad = tmp_path / "bad.otck"
-        bad.write_bytes(b"garbage" * 10)
+    def test_corrupt_checkpoint_exits_5(self, tmp_path, capsys):
+        good = tmp_path / "good.otck"
+        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                                  num_clusters=2), seed=0), good)
+        whole = good.read_bytes()
         (tmp_path / "c.xyz").write_text("0 0 0\n1 1 1\n")
-        code = cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"),
-                         str(tmp_path / "x.ply")])
-        assert code == 5
+        bad = tmp_path / "bad.otck"
+        # garbage, a file cut 16 bytes short, and one cut inside the fixed header
+        for blob in (b"garbage" * 10, whole[:-16], whole[:10]):
+            bad.write_bytes(blob)
+            code = cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"),
+                             str(tmp_path / "x.ply")])
+            assert code == 5
+            assert "checkpoint error" in capsys.readouterr().err
 
     def test_missing_cloud_exits_3(self, trained_run, tmp_path):
         out_dir, _ = trained_run
@@ -187,7 +196,7 @@ class TestVerifyCommand:
         from otclu.clustering import TransportPlan
 
         def flipped(cost, epsilon=1e-3, iters=20, tol=None):
-            d = np.asarray(getattr(cost, "values", cost), dtype=float)
+            d = np.asarray(cost, dtype=float)
             gamma = np.exp((d / epsilon) - (d / epsilon).max())
             gamma /= gamma.sum()
             n, m = gamma.shape
@@ -197,5 +206,5 @@ class TestVerifyCommand:
             return TransportPlan(matrix=gamma)
 
         monkeypatch.setattr(verify, "sinkhorn", flipped)
-        passed, _ = verify.check_lp_gap(fast=True)
-        assert not passed
+        lp = next(check for check in verify.CHECKS if check.name == "sinkhorn-vs-lp")
+        assert not verify.run_check(lp, "fast").passed

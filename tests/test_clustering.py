@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from otclu.clustering import (CostMatrix, Prototypes, assign_l2_labels,
-                              assign_soft_labels, compute_cost, compute_prototypes,
-                              prototypes_backward, sinkhorn)
+from otclu.clustering import (Prototypes, assign_l2_labels, assign_soft_labels,
+                              compute_cost, compute_prototypes, prototypes_backward,
+                              sinkhorn)
 from otclu.errors import NumericalError, ShapeError
 from otclu.oracle import exact_ot
 
@@ -58,12 +58,12 @@ class TestComputeCost:
         feats = np.array([[4.0, 5]])
         protos = Prototypes(geo=pts.copy(), feat=feats.copy())
         cost = compute_cost(pts, feats, protos, 0.5)
-        assert cost.values[0, 0] == 0.0
+        assert cost[0, 0] == 0.0
 
     def test_pure_geometric_squared_norm(self):
         protos = Prototypes(geo=np.array([[3.0, 4, 0]]), feat=np.array([[100.0]]))
         cost = compute_cost(np.zeros((1, 3)), np.zeros((1, 1)), protos, 1.0)
-        assert cost.values[0, 0] == pytest.approx(25.0, abs=1e-12)
+        assert cost[0, 0] == pytest.approx(25.0, abs=1e-12)
 
     def test_matches_double_loop(self, rng):
         pts = rng.normal(size=(5, 3))
@@ -76,7 +76,7 @@ class TestComputeCost:
                 expected = (lam * sum((pts[i, k] - protos.geo[j, k]) ** 2 for k in range(3))
                             + (1 - lam) * sum((feats[i, k] - protos.feat[j, k]) ** 2
                                               for k in range(4)))
-                assert cost.values[i, j] == pytest.approx(expected, abs=1e-12)
+                assert cost[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_lambda_out_of_range(self, rng):
         protos = Prototypes(geo=np.zeros((2, 3)), feat=np.zeros((2, 2)))
@@ -133,12 +133,6 @@ class TestSinkhorn:
             sinkhorn(np.zeros((2, 2)), epsilon=0.0)
         with pytest.raises(ValueError):
             sinkhorn(np.zeros((2, 2)), epsilon=1e-3, iters=0)
-
-    def test_accepts_cost_matrix_wrapper(self, rng):
-        values = rng.uniform(0, 0.01, size=(4, 2))
-        wrapped = sinkhorn(CostMatrix(values=values, lam=0.5), 1e-3, iters=30)
-        bare = sinkhorn(values, 1e-3, iters=30)
-        np.testing.assert_array_equal(wrapped.matrix, bare.matrix)
 
 
 class TestAssignLabels:

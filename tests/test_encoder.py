@@ -28,12 +28,10 @@ class TestInit:
         assert np.abs(params.tensors["mlp0.w"]).max() <= 1 / np.sqrt(3)
         assert np.abs(params.tensors["mlp1.w"]).max() <= 1 / np.sqrt(64)
 
-    def test_biases_zero_lambda_raw_zero(self):
+    def test_biases_zero(self):
         params = init_params(SMALL, seed=3)
         assert not params.tensors["mlp0.b"].any()
         assert not params.tensors["head.b"].any()
-        assert float(params.tensors["lambda_raw"]) == 0.0
-        assert params.lam == pytest.approx(0.5)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -203,6 +201,15 @@ class TestCheckpoint:
         path = tmp_path / "bad.otck"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.otck"
+        save_checkpoint(init_params(SMALL, seed=8), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="version 1 "):
             load_checkpoint(path)
 
     def test_truncated_tensor_set_rejected(self, tmp_path):

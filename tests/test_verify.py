@@ -3,13 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from otclu import cloud as pc
 from otclu import encoder as enc
 from otclu.clustering import SolverConfig
-from otclu.trainer import TrainConfig, TrainState, e_step, m_step
+from otclu.trainer import TrainConfig
 from otclu.verify import purity, run_checks
-
-from conftest import ball_points
 
 
 class TestDefaults:
@@ -19,7 +16,6 @@ class TestDefaults:
         assert solver.iters == 20
         assert solver.tol == 1e-6
         assert solver.lam == 0.5
-        assert solver.learn_lambda is False
         assert solver.num_clusters == 64
 
     def test_train_defaults(self):
@@ -37,31 +33,6 @@ class TestDefaults:
         assert cfg.layer_sizes == (3, 64, 128, 128)
         assert cfg.num_clusters == 64
         assert cfg.global_context is True
-
-
-class TestLearnLambda:
-    def test_blend_follows_raw_parameter(self):
-        params = enc.init_params(enc.EncoderConfig(hidden_sizes=(4,), feature_dim=4,
-                                                   num_clusters=2), seed=0)
-        assert params.lam == pytest.approx(0.5)
-        params.tensors["lambda_raw"] = np.asarray(2.0)
-        assert params.lam == pytest.approx(1 / (1 + np.exp(-2.0)))
-
-    def test_no_gradient_path_keeps_raw_fixed(self, rng):
-        # The solver input is a constant, so lambda_raw receives no
-        # gradient; with decay excluded it must not drift even when the
-        # learn flag is on.
-        config = TrainConfig(
-            epochs=1, batch_size=2, lr=0.01, seed=2,
-            solver=SolverConfig(num_clusters=2, epsilon=2e-3, learn_lambda=True),
-            encoder=enc.EncoderConfig(hidden_sizes=(4,), feature_dim=4, num_clusters=2),
-        )
-        state = TrainState.initial(config)
-        state.lr = config.lr
-        cloud = pc.normalize(pc.PointCloud(ball_points(rng, 16)))
-        for _ in range(3):
-            m_step(state, [e_step(state.params, cloud, config.solver)])
-        assert float(state.params.tensors["lambda_raw"]) == 0.0
 
 
 class TestRunChecks:
