@@ -105,8 +105,16 @@ def compute_prototypes(cloud, features: np.ndarray, scores: np.ndarray) -> Proto
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """Squared distances (N, J) as |x|^2 - 2 x.c + |c|^2, clamped at 0.
+
+    The clamp removes the small negative values cancellation can leave
+    where a point coincides with a center.
+    """
+    sq = x @ centers.T
+    sq *= -2.0
+    sq += np.einsum("ik,ik->i", x, x)[:, None]
+    sq += np.einsum("jk,jk->j", centers, centers)[None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def compute_cost(cloud, features: np.ndarray, protos: Prototypes, lam: float) -> np.ndarray:
@@ -151,9 +159,10 @@ def sinkhorn(cost, epsilon: float = 1e-3, iters: int = 20,
 
     row_target = 1.0 / n
     col_target = 1.0 / m
+    rows = gamma.sum(axis=1)
     with np.errstate(divide="ignore", over="ignore"):
         for _ in range(iters):
-            row_scale = row_target / gamma.sum(axis=1)
+            row_scale = row_target / rows
             if not np.all(np.isfinite(row_scale)):
                 raise NumericalError("row scaling underflowed; epsilon too small for cost scale")
             gamma *= row_scale[:, None]
@@ -161,10 +170,9 @@ def sinkhorn(cost, epsilon: float = 1e-3, iters: int = 20,
             if not np.all(np.isfinite(col_scale)):
                 raise NumericalError("column scaling underflowed; epsilon too small for cost scale")
             gamma *= col_scale[None, :]
-            if tol is not None:
-                residual = np.abs(gamma.sum(axis=1) - row_target).max()
-                if residual < tol:
-                    break
+            rows = gamma.sum(axis=1)
+            if tol is not None and np.abs(rows - row_target).max() < tol:
+                break
     if not np.all(np.isfinite(gamma)):
         raise NumericalError("transport plan became non-finite")
     return TransportPlan(matrix=gamma)
@@ -210,16 +218,16 @@ def prototypes_backward(cloud, features: np.ndarray, scores: np.ndarray,
     empty = weights < EMPTY_CLUSTER_EPS
     safe = np.where(empty, 1.0, weights)
 
-    live = ~empty
-    d_scores = np.zeros_like(scores)
-    d_features = np.zeros_like(features)
-    if live.any():
-        # geometric side: (N,J) contributions of each prototype's gradient
-        geo_term = np.einsum("ik,jk->ij", points, d_geo) - np.einsum("jk,jk->j", protos.geo, d_geo)[None, :]
-        feat_term = np.einsum("ik,jk->ij", features, d_feat) - np.einsum("jk,jk->j", protos.feat, d_feat)[None, :]
-        contrib = (geo_term + feat_term) / safe[None, :]
-        d_scores[:, live] = contrib[:, live]
-        d_features += scores[:, live] @ (d_feat[live] / safe[live, None])
+    proto_dot = (protos.geo * d_geo).sum(axis=1) + (protos.feat * d_feat).sum(axis=1)
+    d_scores = points @ d_geo.T
+    d_scores += features @ d_feat.T
+    d_scores -= proto_dot[None, :]
+    d_scores /= safe[None, :]
+    per_weight = d_feat / safe[:, None]
+    fallback = 0.0
     if empty.any():
-        d_features += d_feat[empty].sum(axis=0) / n
+        d_scores[:, empty] = 0.0
+        per_weight[empty] = 0.0
+        fallback = d_feat[empty].sum(axis=0) / n
+    d_features = scores @ per_weight + fallback
     return d_scores, d_features

@@ -1,11 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from otclu import encoder as enc
 from otclu.clustering import (Prototypes, assign_l2_labels, assign_soft_labels,
                               compute_cost, compute_prototypes, prototypes_backward,
                               sinkhorn)
 from otclu.errors import NumericalError, ShapeError
 from otclu.oracle import exact_ot
+
+from conftest import ball_points
+
+
+def paper_shape_inputs(seed=0):
+    """Points, features (d=128), scores (J=64) and prototypes of a seeded
+    default-encoder forward on a 2048-point cloud: the paper's E-step shape."""
+    points = ball_points(np.random.default_rng(seed), 2048)
+    trace = enc.forward(enc.init_params(enc.EncoderConfig(), seed), points)
+    protos = compute_prototypes(points, trace.features, trace.scores)
+    return points, trace.features, trace.scores, protos
+
+
+def broadcast_sq_dists(x, centers):
+    """Squared distances through the (N, J, d) difference tensor."""
+    diff = x[:, None, :] - centers[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 class TestComputePrototypes:
@@ -53,12 +73,21 @@ class TestComputePrototypes:
 
 
 class TestComputeCost:
-    def test_zero_distance(self):
+    def test_zero_distance(self, rng):
         pts = np.array([[1.0, 2, 3]])
         feats = np.array([[4.0, 5]])
         protos = Prototypes(geo=pts.copy(), feat=feats.copy())
         cost = compute_cost(pts, feats, protos, 0.5)
         assert cost[0, 0] == 0.0
+
+        # |x|^2 ~ 1e6: the expanded form cancels to within rounding of
+        # |x|^2 and must be clamped so the cost is never below zero.
+        feats = rng.normal(size=(1, 128))
+        feats *= 1e3 / np.linalg.norm(feats)
+        pts = rng.normal(size=(1, 3))
+        protos = Prototypes(geo=pts.copy(), feat=feats.copy())
+        cost = compute_cost(pts, feats, protos, 0.5)
+        assert 0.0 <= cost[0, 0] <= 1e-9
 
     def test_pure_geometric_squared_norm(self):
         protos = Prototypes(geo=np.array([[3.0, 4, 0]]), feat=np.array([[100.0]]))
@@ -77,6 +106,25 @@ class TestComputeCost:
                             + (1 - lam) * sum((feats[i, k] - protos.feat[j, k]) ** 2
                                               for k in range(4)))
                 assert cost[i, j] == pytest.approx(expected, abs=1e-12)
+
+        # the paper's shape, against the broadcast-difference form
+        points, feats, _, protos = paper_shape_inputs()
+        cost = compute_cost(points, feats, protos, lam)
+        expected = (lam * broadcast_sq_dists(points, protos.geo)
+                    + (1 - lam) * broadcast_sq_dists(feats, protos.feat))
+        assert cost.shape == (2048, 64)
+        assert np.abs(cost - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_paper_shape_builds_no_difference_tensor(self):
+        # An (N, J, d) float64 tensor at N=2048, J=64, d=128 is 134 MB.
+        points, feats, _, protos = paper_shape_inputs()
+        tracemalloc.start()
+        try:
+            compute_cost(points, feats, protos, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_lambda_out_of_range(self, rng):
         protos = Prototypes(geo=np.zeros((2, 3)), feat=np.zeros((2, 2)))
@@ -214,3 +262,20 @@ class TestPrototypesBackward:
                                                 np.zeros((2, 3)), d_feat)
         np.testing.assert_allclose(d_scores[:, 1], 0.0, atol=1e-15)
         np.testing.assert_allclose(d_feats, np.tile([[0.2, 0.4]], (n, 1)), atol=1e-15)
+
+    def test_matches_einsum_at_paper_shape(self):
+        points, feats, scores, protos = paper_shape_inputs()
+        rng = np.random.default_rng(5)
+        d_geo = rng.normal(size=protos.geo.shape)
+        d_feat = rng.normal(size=protos.feat.shape)
+        d_scores, d_feats = prototypes_backward(points, feats, scores, protos, d_geo, d_feat)
+
+        weights = scores.sum(axis=0)
+        geo_term = (np.einsum("ik,jk->ij", points, d_geo)
+                    - np.einsum("jk,jk->j", protos.geo, d_geo)[None, :])
+        feat_term = (np.einsum("ik,jk->ij", feats, d_feat)
+                     - np.einsum("jk,jk->j", protos.feat, d_feat)[None, :])
+        ref_scores = (geo_term + feat_term) / weights[None, :]
+        ref_feats = np.einsum("ij,jk->ik", scores, d_feat / weights[:, None])
+        for got, ref in ((d_scores, ref_scores), (d_feats, ref_feats)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

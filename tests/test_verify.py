@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -43,6 +44,9 @@ class TestRunChecks:
         failures = [f"{r.name}: {r.detail}" for r in results if not r.passed]
         assert not failures, failures
         assert elapsed < 60.0
+        details = {r.name: r.detail for r in results}
+        for name in ("sinkhorn-feasibility", "sinkhorn-vs-lp", "ablation-mechanics"):
+            assert re.search(r"\d+ of \d+ solves stopped above tol", details[name]), details[name]
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
