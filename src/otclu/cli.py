@@ -175,8 +175,7 @@ def cmd_pretrain(args) -> int:
 
         try:
             pretrain(clouds, config, checkpoint_dir=out_dir,
-                     checkpoint_meta={"config_hash": digest}, on_epoch=on_epoch,
-                     threads=args.threads)
+                     checkpoint_meta={"config_hash": digest}, on_epoch=on_epoch)
         except NumericalError as exc:
             print(f"numerical abort: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -297,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON run configuration")
     p.add_argument("data_dir", help="directory of .off/.ply/.xyz files")
     p.add_argument("out_dir", help="output directory (env OTCLU_OUT_DIR overrides)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="E-step worker threads; 1 guarantees bit-reproducibility")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("cluster", help="soft-cluster one cloud with a trained checkpoint")

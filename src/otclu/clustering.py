@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
 from .errors import NumericalError, ShapeError
 
 EMPTY_CLUSTER_EPS = 1e-12
@@ -73,18 +72,15 @@ class SoftLabels:
         return self.matrix.argmax(axis=1)
 
 
-def _points_of(cloud) -> np.ndarray:
-    return cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
-
-
-def compute_prototypes(cloud, features: np.ndarray, scores: np.ndarray) -> Prototypes:
+def compute_prototypes(points: np.ndarray, features: np.ndarray,
+                       scores: np.ndarray) -> Prototypes:
     """Score-weighted centroids of coordinates and features.
 
     Column j of the score matrix weights point i by scores[i, j]. A cluster
     whose score column sums below 1e-12 falls back to the unweighted mean,
     so downstream costs stay finite while scores are near-degenerate.
     """
-    points = _points_of(cloud)
+    points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     n = points.shape[0]
@@ -117,11 +113,12 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def compute_cost(cloud, features: np.ndarray, protos: Prototypes, lam: float) -> np.ndarray:
+def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
+                 lam: float) -> np.ndarray:
     """Blend geometric and feature squared distances: lam*geo + (1-lam)*feat, (N, J)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    points = _points_of(cloud)
+    points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     d_geo = _sq_dists(points, protos.geo)
     d_feat = _sq_dists(features, protos.feat)
@@ -180,8 +177,7 @@ def sinkhorn(cost, epsilon: float = 1e-3, iters: int = 20,
 
 def assign_soft_labels(plan: TransportPlan, n: int) -> SoftLabels:
     """Scale a transport plan to per-point distributions: labels = N * plan."""
-    matrix = plan.matrix if isinstance(plan, TransportPlan) else np.asarray(plan)
-    return SoftLabels(matrix=float(n) * matrix)
+    return SoftLabels(matrix=float(n) * plan.matrix)
 
 
 def assign_l2_labels(cost, temperature: float) -> SoftLabels:
@@ -199,7 +195,7 @@ def assign_l2_labels(cost, temperature: float) -> SoftLabels:
     return SoftLabels(matrix=expd / expd.sum(axis=1, keepdims=True))
 
 
-def prototypes_backward(cloud, features: np.ndarray, scores: np.ndarray,
+def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.ndarray,
                         protos: Prototypes, d_geo: np.ndarray,
                         d_feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chain loss gradients at the prototypes back to scores and features.
@@ -210,7 +206,7 @@ def prototypes_backward(cloud, features: np.ndarray, scores: np.ndarray,
     Clusters that hit the empty-cluster fallback (mean of all inputs) pass
     gradient to every feature equally and none to the scores.
     """
-    points = _points_of(cloud)
+    points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     n = points.shape[0]

@@ -2,15 +2,15 @@
 
 E-step: run the encoder, build prototypes and the blended cost, and solve
 the balanced transport problem for soft labels (on a constant copy of the
-cost; no gradient flows through the solver or the labels). M-step: average
-the loss gradients over a batch of clouds and apply one AdamW update with
-decoupled weight decay. Learning rate follows a step-decay schedule.
+cost; no gradient flows through the solver or the labels). Each cloud's
+loss gradient is taken right after its E-step and only the batch's running
+gradient sum is kept. M-step: one AdamW update with decoupled weight decay
+from the batch-mean gradient. Learning rate follows a step-decay schedule.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .clustering import (SolverConfig, SoftLabels, Prototypes, assign_soft_label
                          compute_cost, compute_prototypes, prototypes_backward, sinkhorn)
 from .encoder import EncoderConfig, EncoderParams, ForwardTrace
 from .errors import ConfigError, NumericalError
-from .losses import total_loss
+from .losses import LossReport, total_loss
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class TrainState:
     epoch: int = 0
     lr: float = 0.0
     history: list = field(default_factory=list)
-    epoch_reports: list = field(default_factory=list)
 
     @classmethod
     def initial(cls, config: TrainConfig) -> "TrainState":
@@ -91,43 +90,30 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig) -> EStepResult:
     returned labels carry no gradient information.
     """
     trace = enc.forward(params, cloud)
-    protos = compute_prototypes(cloud, trace.features, trace.scores)
-    cost = compute_cost(cloud, trace.features, protos, solver.lam)
+    protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
+    cost = compute_cost(trace.inputs, trace.features, protos, solver.lam)
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol)
     gamma = assign_soft_labels(plan, trace.scores.shape[0])
     return EStepResult(trace=trace, protos=protos, gamma=gamma,
                        marginal_residual=plan.marginal_residual())
 
 
-def m_step(state: TrainState, batch: list[EStepResult]) -> TrainState:
+def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport, dict]:
+    """The loss on one cloud's E-step labels and its exact parameter gradient."""
+    report, d_scores, d_geo, d_feat = total_loss(
+        result.gamma, result.trace.scores, result.protos, eta=state.config.eta)
+    if not np.isfinite(report.l_total):
+        raise NumericalError(
+            f"non-finite loss at step {state.step}, epoch {state.epoch}: "
+            f"l_soft={report.l_soft} l_orth={report.l_orth}")
+    ds_proto, df_proto = prototypes_backward(
+        result.trace.inputs, result.trace.features, result.trace.scores,
+        result.protos, d_geo, d_feat)
+    return report, enc.backward(result.trace, state.params, d_scores + ds_proto, df_proto)
+
+
+def m_step(state: TrainState, grads: dict) -> TrainState:
     """One AdamW update from the batch-mean loss gradient."""
-    if not batch:
-        raise ValueError("m_step needs a non-empty batch")
-    cfg = state.config
-    grads = state.params.zeros_like()
-    scale = 1.0 / len(batch)
-    for item in batch:
-        report, d_scores, d_geo, d_feat = total_loss(
-            item.gamma, item.trace.scores, item.protos, eta=cfg.eta)
-        if not np.isfinite(report.l_total):
-            raise NumericalError(
-                f"non-finite loss at step {state.step}, epoch {state.epoch}: "
-                f"l_soft={report.l_soft} l_orth={report.l_orth}")
-        ds_proto, df_proto = prototypes_backward(
-            item.trace.inputs, item.trace.features, item.trace.scores,
-            item.protos, d_geo, d_feat)
-        cloud_grads = enc.backward(item.trace, state.params,
-                                   d_scores + ds_proto, df_proto)
-        for name, g in cloud_grads.items():
-            grads[name] += scale * g
-        state.epoch_reports.append(report)
-
-    _adamw_update(state, grads)
-    state.step += 1
-    return state
-
-
-def _adamw_update(state: TrainState, grads: dict) -> None:
     cfg = state.config
     t = state.step + 1
     bc1 = 1.0 - cfg.beta1 ** t
@@ -138,6 +124,8 @@ def _adamw_update(state: TrainState, grads: dict) -> None:
         state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
         update = (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + cfg.adam_eps)
         state.params.tensors[name] = theta - state.lr * (update + cfg.weight_decay * theta)
+    state.step += 1
+    return state
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
@@ -146,14 +134,13 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 
 def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
-             checkpoint_meta: dict | None = None, on_epoch=None,
-             threads: int = 1) -> TrainState:
+             checkpoint_meta: dict | None = None, on_epoch=None) -> TrainState:
     """Run the full EM loop over a dataset of prepared point clouds.
 
-    Clouds are shuffled every epoch under the run seed. E-steps within a
-    batch may run on `threads` workers (results are ordered, and identical
-    to the single-threaded run); the M-step update is sequential. With
-    threads=1 the whole run is bit-reproducible for a fixed seed.
+    Clouds are shuffled every epoch under the run seed. Each cloud of a
+    batch runs its E-step and then its backward, and only the running sum
+    of gradients is kept, so memory does not grow with `batch_size`. The
+    run is bit-reproducible for a fixed seed.
 
     `on_epoch` is called with the metrics dict after each epoch. When
     `checkpoint_dir` is set, checkpoints are written every
@@ -167,21 +154,21 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     for epoch in range(config.epochs):
         state.epoch = epoch
         state.lr = lr_at_epoch(config, epoch)
-        state.epoch_reports = []
         order = shuffle_rng.permutation(len(clouds))
-        residuals = []
+        reports, residuals = [], []
         for start in range(0, len(order), config.batch_size):
-            chunk = [clouds[i] for i in order[start:start + config.batch_size]]
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    batch = list(pool.map(
-                        lambda c: e_step(state.params, c, config.solver), chunk))
-            else:
-                batch = [e_step(state.params, c, config.solver) for c in chunk]
-            residuals.extend(item.marginal_residual for item in batch)
-            m_step(state, batch)
+            chunk = order[start:start + config.batch_size]
+            scale = 1.0 / len(chunk)
+            grads = state.params.zeros_like()
+            for i in chunk:
+                result = e_step(state.params, clouds[i], config.solver)
+                residuals.append(result.marginal_residual)
+                report, cloud_grads = cloud_gradients(state, result)
+                reports.append(report)
+                for name, g in cloud_grads.items():
+                    grads[name] += scale * g
+            m_step(state, grads)
 
-        reports = state.epoch_reports
         metrics = {
             "epoch": epoch,
             "l_soft": float(np.mean([r.l_soft for r in reports])),

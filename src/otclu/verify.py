@@ -22,9 +22,9 @@ from . import cloud as pc
 from . import encoder as enc
 from . import oracle
 from .clustering import (Prototypes, SolverConfig, assign_l2_labels, assign_soft_labels,
-                         compute_cost, compute_prototypes, prototypes_backward, sinkhorn)
+                         compute_cost, compute_prototypes, sinkhorn)
 from .losses import total_loss
-from .trainer import TrainConfig, e_step, pretrain
+from .trainer import TrainConfig, TrainState, cloud_gradients, e_step, pretrain
 
 
 @dataclass
@@ -109,34 +109,26 @@ def misses_detail(residuals: list[float]) -> str:
 # end-to-end gradient path
 
 def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8):
-    """A seeded cloud, params, and constant soft labels for gradient checks."""
+    """A seeded cloud, a fresh training state, and its E-step for gradient checks."""
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, 3))
     cloud = pc.normalize(pc.PointCloud(raw))
-    cfg = enc.EncoderConfig(hidden_sizes=(12,), feature_dim=dim,
-                            num_clusters=num_clusters, global_context=True)
-    params = enc.init_params(cfg, seed)
-    solver = SolverConfig(num_clusters=num_clusters, epsilon=1e-2, iters=200, tol=1e-9)
-    result = e_step(params, cloud, solver)
-    return cloud, params, solver, result
+    config = TrainConfig(
+        seed=seed,
+        solver=SolverConfig(num_clusters=num_clusters, epsilon=1e-2, iters=200, tol=1e-9),
+        encoder=enc.EncoderConfig(hidden_sizes=(12,), feature_dim=dim,
+                                  num_clusters=num_clusters, global_context=True))
+    state = TrainState.initial(config)
+    return cloud, state, e_step(state.params, cloud, config.solver)
 
 
-def total_loss_of_params(params: enc.EncoderParams, cloud, gamma, eta: float = 0.01) -> float:
+def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma,
+                         eta: float) -> float:
     """L_tot as a function of the parameters with labels held constant."""
-    trace = enc.forward(params, cloud)
-    protos = compute_prototypes(cloud, trace.features, trace.scores)
+    trace = enc.forward(params, points)
+    protos = compute_prototypes(points, trace.features, trace.scores)
     report, _, _, _ = total_loss(gamma, trace.scores, protos, eta=eta)
     return report.l_total
-
-
-def analytic_param_grads(params: enc.EncoderParams, cloud, gamma, eta: float = 0.01):
-    """Exact dL_tot/dtheta along the same stop-gradient convention."""
-    trace = enc.forward(params, cloud)
-    protos = compute_prototypes(cloud, trace.features, trace.scores)
-    _, d_scores, d_geo, d_feat = total_loss(gamma, trace.scores, protos, eta=eta)
-    ds_p, df_p = prototypes_backward(trace.inputs, trace.features, trace.scores,
-                                     protos, d_geo, d_feat)
-    return enc.backward(trace, params, d_scores + ds_p, df_p)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +173,16 @@ def check_lp_gap(count: int) -> tuple[bool, str]:
 
 
 def check_gradients(count: int) -> tuple[bool, str]:
-    cloud, params, _, result = toy_problem()
-    gamma = result.gamma
+    # The analytic side is the trainer's own per-cloud gradient chain.
+    cloud, state, result = toy_problem()
+    _, grads = cloud_gradients(state, result)
+    params = state.params
 
     def closure(tensors):
-        return total_loss_of_params(enc.EncoderParams(params.config, tensors), cloud, gamma)
+        return total_loss_of_params(enc.EncoderParams(params.config, tensors), cloud.points,
+                                    result.gamma, eta=state.config.eta)
 
-    report = oracle.grad_check(closure, params.tensors,
-                               analytic_param_grads(params, cloud, gamma), h=1e-5, rel_tol=1e-4)
+    report = oracle.grad_check(closure, params.tensors, grads, h=1e-5, rel_tol=1e-4)
     return report.passed, f"max rel error {report.max_rel_error:.2e} (<1e-4) at {report.worst_param}"
 
 
@@ -222,8 +216,8 @@ def check_blob_purity(count: int) -> tuple[bool, str]:
         hard = e_step(params, cloud, solver).gamma.hard()
         p = purity(hard, membership)
         trace = enc.forward(params, cloud)
-        protos = compute_prototypes(cloud, trace.features, trace.scores)
-        ref = oracle.balanced_hard_assign(compute_cost(cloud, trace.features, protos, 1.0))
+        protos = compute_prototypes(cloud.points, trace.features, trace.scores)
+        ref = oracle.balanced_hard_assign(compute_cost(cloud.points, trace.features, protos, 1.0))
         agree = bool(np.array_equal(hard, ref))
         ok = ok and p == 1.0 and agree
         details.append(f"J={j}: purity {p:.2f}, matches oracle: {agree}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from otclu import encoder as enc
 from otclu.clustering import SoftLabels, SolverConfig
 from otclu.errors import ConfigError, NumericalError
 from otclu.oracle import balanced_hard_assign
-from otclu.trainer import (TrainConfig, TrainState, e_step, lr_at_epoch, m_step,
-                           pretrain)
+from otclu.trainer import (TrainConfig, TrainState, cloud_gradients, e_step, lr_at_epoch,
+                           m_step, pretrain)
 
 from conftest import ball_points, two_blob_points
 
@@ -38,8 +40,8 @@ class TestEStep:
         # and exactly the balanced-assignment optimum on the same cost
         from otclu.clustering import compute_cost, compute_prototypes
         trace = enc.forward(params, cloud)
-        protos = compute_prototypes(cloud, trace.features, trace.scores)
-        cost = compute_cost(cloud, trace.features, protos, 1.0)
+        protos = compute_prototypes(cloud.points, trace.features, trace.scores)
+        cost = compute_cost(cloud.points, trace.features, protos, 1.0)
         np.testing.assert_array_equal(hard, balanced_hard_assign(cost))
 
     def test_column_sums_meet_quota(self, rng):
@@ -82,7 +84,8 @@ class TestMStep:
                               gamma=SoftLabels(result.trace.scores.copy()),
                               marginal_residual=0.0)
         before = {k: v.copy() for k, v in state.params.tensors.items()}
-        m_step(state, [result])
+        _, grads = cloud_gradients(state, result)
+        m_step(state, grads)
         for name, old in before.items():
             expected = old - config.lr * (config.weight_decay * old)
             np.testing.assert_array_equal(state.params.tensors[name], expected)
@@ -94,7 +97,8 @@ class TestMStep:
         cloud = pc.normalize(pc.PointCloud(ball_points(rng, 16)))
         result = e_step(state.params, cloud, config.solver)
         before = {k: v.copy() for k, v in state.params.tensors.items()}
-        m_step(state, [result])
+        _, grads = cloud_gradients(state, result)
+        m_step(state, grads)
         for name, old in before.items():
             np.testing.assert_array_equal(state.params.tensors[name], old)
         assert any(state.m[k].any() for k in state.m)
@@ -111,14 +115,10 @@ class TestMStep:
         losses = []
         for _ in range(50):
             result = e_step(state.params, cloud, config.solver)
-            m_step(state, [result])
-            losses.append(state.epoch_reports[-1].l_soft)
+            report, grads = cloud_gradients(state, result)
+            m_step(state, grads)
+            losses.append(report.l_soft)
         assert losses[-1] <= 0.7 * losses[0]
-
-    def test_empty_batch_rejected(self):
-        state = TrainState.initial(toy_config())
-        with pytest.raises(ValueError):
-            m_step(state, [])
 
     def test_nonfinite_loss_aborts(self, rng):
         config = toy_config()
@@ -128,8 +128,9 @@ class TestMStep:
         bad = type(result)(trace=result.trace, protos=result.protos,
                            gamma=SoftLabels(result.gamma.matrix * np.inf),
                            marginal_residual=0.0)
-        with pytest.raises(NumericalError):
-            m_step(state, [bad])
+        state.step, state.epoch = 5, 2
+        with pytest.raises(NumericalError, match="at step 5, epoch 2"):
+            cloud_gradients(state, bad)
 
 
 class TestSchedule:
@@ -182,14 +183,6 @@ class TestPretrain:
         for k in s1.params.tensors:
             np.testing.assert_array_equal(s1.params.tensors[k], s2.params.tensors[k])
 
-    def test_threads_match_single_thread(self, rng):
-        config = toy_config(epochs=1)
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16))) for _ in range(6)]
-        s1 = pretrain(clouds, config, threads=1)
-        s2 = pretrain(clouds, config, threads=3)
-        for k in s1.params.tensors:
-            np.testing.assert_array_equal(s1.params.tensors[k], s2.params.tensors[k])
-
     def test_checkpoint_interval(self, rng, tmp_path):
         config = toy_config(epochs=4, checkpoint_every=2)
         clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16)))]
@@ -213,6 +206,21 @@ class TestPretrain:
         clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16)))]
         with pytest.raises(NumericalError):
             pretrain(clouds, config)
+
+    def test_memory_does_not_grow_with_batch_size(self, rng):
+        # Each cloud's backward runs right after its E-step and only the
+        # gradient sum is kept, so the peak is one cloud's work at any batch size.
+        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 512))) for _ in range(8)]
+        peaks = {}
+        for batch_size in (8, 1):
+            config = TrainConfig(epochs=1, batch_size=batch_size)
+            tracemalloc.start()
+            try:
+                pretrain(clouds, config)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.25 * peaks[1]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
