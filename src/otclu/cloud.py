@@ -7,6 +7,8 @@ kept. Export writes ASCII PLY with per-vertex colors.
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,8 +81,11 @@ class LabeledCloud:
 
 def _tokenize(path: Path):
     """Yield (line_number, tokens) for non-empty, non-comment lines."""
-    with open(path, "r") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            # surrogateescape maps each byte that is not UTF-8 to U+DC80..U+DCFF
+            if not raw.isascii() and any("\udc80" <= c <= "\udcff" for c in raw):
+                raise ParseError("line is not UTF-8 text", path, lineno)
             line = raw.split("#", 1)[0].strip()
             if line:
                 yield lineno, line.split()
@@ -93,6 +98,40 @@ def _parse_floats(tokens, count, path, lineno):
         return [float(t) for t in tokens[:count]]
     except ValueError:
         raise ParseError(f"non-numeric field in {tokens[:count]}", path, lineno) from None
+
+
+def _read_block(path: Path, skip: int = 0, count: int | None = None, n_fields: int | None = None) -> np.ndarray:
+    """Parse `count` rows (all when None) after physical line `skip` with one np.loadtxt call.
+
+    With `n_fields`, each row holds exactly that many numbers, all returned;
+    otherwise the first three of each row are returned. On a bad block the
+    tokenizer re-reads it to raise ParseError at the first bad physical line.
+    """
+    width = n_fields or 3
+    if count == 0:
+        return np.empty((0, width))
+    error = ""
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns about blank or comment lines inside a max_rows
+            # block and about a block with no data; neither is a fault here.
+            warnings.simplefilter("ignore", UserWarning)
+            block = np.loadtxt(path, comments="#", skiprows=skip, max_rows=count,
+                               usecols=None if n_fields else (0, 1, 2), ndmin=2, encoding="utf-8")
+        if (count is None or len(block) == count) and block.shape[1] == width:
+            return block
+    except ValueError as exc:  # includes UnicodeDecodeError
+        error = str(exc)  # not exc, whose traceback would pin this frame and its open file
+    lines = ((n, tokens) for n, tokens in _tokenize(path) if n > skip)
+    lineno, seen = skip, 0
+    for seen, (lineno, tokens) in enumerate(itertools.islice(lines, count), start=1):
+        if n_fields is not None and len(tokens) != n_fields:
+            raise ParseError(f"expected {n_fields} fields, got {len(tokens)}", path, lineno)
+        _parse_floats(tokens, width, path, lineno)
+    if count is not None and seen < count:
+        raise ParseError(f"expected {count} vertices, file ended after {seen}", path, lineno)
+    # Tokens that Python's float() accepts but loadtxt does not, such as "1_0".
+    raise ParseError(f"unreadable vertex data: {error}", path)
 
 
 def _load_off(path: Path) -> np.ndarray:
@@ -111,26 +150,10 @@ def _load_off(path: Path) -> np.ndarray:
             raise ParseError("missing vertex/face counts", path, lineno) from None
     if len(counts) < 2:
         raise ParseError("count line needs at least vertex and face counts", path, lineno)
-    try:
-        n_vertices = int(counts[0])
-    except ValueError:
-        raise ParseError(f"bad vertex count {counts[0]!r}", path, lineno) from None
-    vertices = np.empty((n_vertices, 3), dtype=np.float64)
-    for i in range(n_vertices):
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {n_vertices} vertices, file ended after {i}", path, lineno) from None
-        vertices[i] = _parse_floats(tokens, 3, path, lineno)
-    # Remaining lines are faces; discarded.
-    return vertices
-
-
-def _load_xyz(path: Path) -> np.ndarray:
-    rows = []
-    for lineno, tokens in _tokenize(path):
-        rows.append(_parse_floats(tokens, 3, path, lineno))
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    if not counts[0].isdecimal():
+        raise ParseError(f"bad vertex count {counts[0]!r}", path, lineno)
+    # Lines after the vertices are faces; never read.
+    return _read_block(path, lineno, int(counts[0]))
 
 
 def _load_ply_ascii(path: Path) -> np.ndarray:
@@ -142,8 +165,8 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
     if tokens != ["ply"]:
         raise ParseError("missing 'ply' magic line", path, lineno)
 
-    # elements in declaration order: (name, count, n_properties)
-    elements: list[list] = []
+    # elements in declaration order: (name, count)
+    elements: list[tuple[str, int]] = []
     vertex_props: list[str] = []
     saw_format = False
     for lineno, tokens in lines:
@@ -157,23 +180,18 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
         elif key == "element":
             if len(tokens) != 3:
                 raise ParseError("malformed element declaration", path, lineno)
-            try:
-                count = int(tokens[2])
-            except ValueError:
-                raise ParseError(f"bad element count {tokens[2]!r}", path, lineno) from None
-            elements.append([tokens[1], count, 0])
+            if not tokens[2].isdecimal():
+                raise ParseError(f"bad element count {tokens[2]!r}", path, lineno)
+            elements.append((tokens[1], int(tokens[2])))
         elif key == "property":
             if not elements:
                 raise ParseError("property before any element", path, lineno)
-            if tokens[1] == "list":
-                if elements[-1][0] == "vertex":
+            if len(tokens) < 3:
+                raise ParseError("malformed property declaration", path, lineno)
+            if elements[-1][0] == "vertex":
+                if tokens[1] == "list":
                     raise ParseError("list properties are not supported on vertices", path, lineno)
-                elements[-1][2] = -1  # variable-length rows, token count checked loosely
-            else:
-                if elements[-1][2] >= 0:
-                    elements[-1][2] += 1
-                if elements[-1][0] == "vertex":
-                    vertex_props.append(tokens[2])
+                vertex_props.append(tokens[2])
         elif key == "end_header":
             break
         else:
@@ -183,36 +201,27 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
 
     if not saw_format:
         raise ParseError("missing format declaration", path, lineno)
-    vertex_elements = [e for e in elements if e[0] == "vertex"]
-    if not vertex_elements:
+    if not any(e[0] == "vertex" for e in elements):
         raise ParseError("no vertex element declared", path, lineno)
     for axis in ("x", "y", "z"):
         if axis not in vertex_props:
             raise ParseError(f"vertex element lacks property {axis!r}", path, lineno)
     cols = [vertex_props.index(a) for a in ("x", "y", "z")]
 
-    vertices = None
-    for name, count, n_props in elements:
+    # Skip the rows of elements declared before the vertices; later rows are never read.
+    for name, count in elements:
         if name == "vertex":
-            vertices = np.empty((count, 3), dtype=np.float64)
-            for i in range(count):
-                try:
-                    lineno, tokens = next(lines)
-                except StopIteration:
-                    raise ParseError(f"expected {count} vertices, file ended after {i}", path, lineno) from None
-                if len(tokens) != n_props:
-                    raise ParseError(f"expected {n_props} fields, got {len(tokens)}", path, lineno)
-                vertices[i] = [float(tokens[c]) for c in cols]
-        else:
-            for _ in range(count):
-                try:
-                    lineno, tokens = next(lines)
-                except StopIteration:
-                    raise ParseError(f"data for element {name!r} ended early", path, lineno) from None
-    return vertices
+            # C order, as downstream float results depend on the memory layout
+            return np.ascontiguousarray(_read_block(path, lineno, count, len(vertex_props))[:, cols])
+        for _ in range(count):
+            try:
+                lineno, tokens = next(lines)
+            except StopIteration:
+                raise ParseError(f"data for element {name!r} ended early", path, lineno) from None
 
 
-_LOADERS = {"OFF": _load_off, "PLY_ASCII": _load_ply_ascii, "XYZ": _load_xyz}
+# An XYZ file is one vertex block.
+_LOADERS = {"OFF": _load_off, "PLY_ASCII": _load_ply_ascii, "XYZ": _read_block}
 
 
 def detect_format(path: str | Path) -> str:
@@ -279,21 +288,24 @@ def default_palette(n: int) -> list[tuple[int, int, int]]:
     return palette
 
 
+_PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
+               "property float x\nproperty float y\nproperty float z\n{extra}end_header\n")
+
+
+def _write_rows(path: str | Path, header: str, row_format: str, rows: np.ndarray) -> None:
+    """Write `header`, then every row with one %-format over the flattened array."""
+    with open(path, "w") as fh:
+        fh.write(header + (row_format * len(rows)) % tuple(rows.ravel().tolist()))
+
+
 def export_labeled_ply(labeled: LabeledCloud, path: str | Path, palette) -> None:
     """Write an ASCII PLY with vertex i colored palette[labels[i]]."""
     n_clusters = labeled.num_clusters
     if len(palette) < n_clusters:
         raise ShapeError(f"palette has {len(palette)} colors but labels use {n_clusters}")
-    pts = labeled.cloud.points
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write(f"element vertex {pts.shape[0]}\n")
-        fh.write("property float x\nproperty float y\nproperty float z\n")
-        fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        fh.write("end_header\n")
-        for p, label in zip(pts, labeled.labels):
-            r, g, b = palette[label]
-            fh.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {int(r)} {int(g)} {int(b)}\n")
+    rows = np.column_stack([labeled.cloud.points, np.asarray(palette)[labeled.labels]])
+    color_props = "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    _write_rows(path, _PLY_HEADER.format(n=len(rows), extra=color_props), "%.6f %.6f %.6f %d %d %d\n", rows)
 
 
 def save_cloud(cloud: PointCloud, path: str | Path, format: str | None = None) -> None:
@@ -301,21 +313,8 @@ def save_cloud(cloud: PointCloud, path: str | Path, format: str | None = None) -
     path = Path(path)
     if format is None:
         format = detect_format(path)
-    pts = cloud.points
-    with open(path, "w") as fh:
-        if format == "OFF":
-            fh.write(f"OFF\n{pts.shape[0]} 0 0\n")
-            for p in pts:
-                fh.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}\n")
-        elif format == "PLY_ASCII":
-            fh.write("ply\nformat ascii 1.0\n")
-            fh.write(f"element vertex {pts.shape[0]}\n")
-            fh.write("property float x\nproperty float y\nproperty float z\n")
-            fh.write("end_header\n")
-            for p in pts:
-                fh.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}\n")
-        elif format == "XYZ":
-            for p in pts:
-                fh.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}\n")
-        else:
-            raise ParseError(f"unknown format {format!r}; expected one of {FORMATS}", path)
+    n = cloud.n_points
+    headers = {"OFF": f"OFF\n{n} 0 0\n", "PLY_ASCII": _PLY_HEADER.format(n=n, extra=""), "XYZ": ""}
+    if format not in headers:
+        raise ParseError(f"unknown format {format!r}; expected one of {FORMATS}", path)
+    _write_rows(path, headers[format], "%.6f %.6f %.6f\n", cloud.points)

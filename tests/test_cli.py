@@ -166,9 +166,14 @@ class TestExportCommand:
         assert out.n_points == 40
         assert np.linalg.norm(out.points, axis=1).max() <= 1 + 1e-6
 
-    def test_missing_input_exits_3(self, tmp_path):
+    def test_missing_input_exits_3(self, tmp_path, capsys):
         assert cli.main(["export", str(tmp_path / "nope.xyz"),
                          str(tmp_path / "out.ply")]) == 3
+        # a malformed file exits 3 as well, with the line in the message
+        src = tmp_path / "bad.off"
+        src.write_text("OFF\n-2 0 0\n")
+        assert cli.main(["export", str(src), str(tmp_path / "out.ply")]) == 3
+        assert "bad.off:2" in capsys.readouterr().err
 
     def test_unknown_output_extension_exits_2(self, tmp_path):
         src = tmp_path / "a.xyz"

@@ -9,8 +9,16 @@ from conftest import ball_points
 
 
 def write(path, text):
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return path
+
+
+PLY_XYZ_RED = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+               "property float x\nproperty float y\nproperty float z\nproperty uchar red\n"
+               "end_header\n")  # vertex rows start on line 9
 
 
 class TestLoadOff:
@@ -34,15 +42,26 @@ class TestLoadOff:
             load_cloud(path, "OFF")
 
     def test_malformed_vertex_reports_line(self, tmp_path):
-        path = write(tmp_path / "a.off", "OFF\n2 0 0\n0 0 0\n1 oops 0\n")
-        with pytest.raises(ParseError) as err:
-            load_cloud(path, "OFF")
-        assert err.value.line == 4
+        # (text, physical line of the fault)
+        cases = [
+            ("OFF\n2 0 0\n0 0 0\n1 oops 0\n", 4),
+            ("OFF\n3 0 0\n0 0 0\n# note\n\n1 oops 0\n0 1 0\n", 6),  # after a comment and a blank line
+            ("OFF\n3 0 0\n0 0 0\n# note\n1 0 0\n", 5),  # ends before the declared count
+            (b"OFF\n2 0 0\n0 0 0\n1 1 1 # caf\xe9\n", 4),  # not UTF-8
+        ]
+        for text, line in cases:
+            with pytest.raises(ParseError) as err:
+                load_cloud(write(tmp_path / "a.off", text), "OFF")
+            assert err.value.line == line, text
 
     def test_missing_header(self, tmp_path):
-        path = write(tmp_path / "a.off", "3 1 0\n0 0 0\n1 0 0\n0 1 0\n")
-        with pytest.raises(ParseError):
-            load_cloud(path, "OFF")
+        # (text, line of the fault): no OFF line, a negative count, bytes that are not UTF-8
+        cases = [("3 1 0\n0 0 0\n1 0 0\n0 1 0\n", 1), ("OFF\n-2 0 0\n", 2),
+                 (b"OFF # caf\xe9\n1 0 0\n0 0 0\n", 1)]
+        for text, line in cases:
+            with pytest.raises(ParseError) as err:
+                load_cloud(write(tmp_path / "a.off", text), "OFF")
+            assert err.value.line == line, text
 
 
 class TestLoadXyz:
@@ -62,10 +81,15 @@ class TestLoadXyz:
         np.testing.assert_array_equal(load_cloud(path, "XYZ").points, [[1, 2, 3]])
 
     def test_short_line(self, tmp_path):
-        path = write(tmp_path / "a.xyz", "1 2\n")
-        with pytest.raises(ParseError) as err:
-            load_cloud(path, "XYZ")
-        assert err.value.line == 1
+        # (text, physical line of the fault)
+        cases = [("1 2\n", 1),
+                 ("# header\n0 0 0\n\n1 2\n", 4),  # after a blank line
+                 ("# header\n0 0 0\n# note\n\n1 2 oops\n", 5),  # non-numeric
+                 (b"0 0 0\n1 1 \xff\n", 2)]  # not UTF-8
+        for text, line in cases:
+            with pytest.raises(ParseError) as err:
+                load_cloud(write(tmp_path / "a.xyz", text), "XYZ")
+            assert err.value.line == line, text
 
 
 class TestLoadPly:
@@ -84,17 +108,31 @@ class TestLoadPly:
         assert np.linalg.norm(cloud.points, axis=1).max() <= 1 + 1e-6
 
     def test_extra_properties_and_faces(self, tmp_path):
-        text = (
-            "ply\nformat ascii 1.0\ncomment made by hand\n"
-            "element vertex 2\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-            "element face 1\nproperty list uchar int vertex_indices\n"
-            "end_header\n"
-            "0 0 0 255 0 0\n1 1 1 0 255 0\n3 0 1 0\n"
-        )
-        cloud = load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
-        np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 1, 1]])
+        vertex = ("element vertex 2\n"
+                  "property float x\nproperty float y\nproperty float z\n"
+                  "property uchar red\nproperty uchar green\nproperty uchar blue\n")
+        face = "element face 1\nproperty list uchar int vertex_indices\n"
+        head = "ply\nformat ascii 1.0\ncomment made by hand\n"
+        vertex_rows, face_rows = "0 0 0 255 0 0\n1 1 1 0 255 0\n", "3 0 1 0\n"
+        # faces declared after the vertices, then before them
+        for text in (head + vertex + face + "end_header\n" + vertex_rows + face_rows,
+                     head + face + vertex + "end_header\n" + face_rows + "# note\n\n" + vertex_rows):
+            cloud = load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
+            np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 1, 1]])
+
+    def test_malformed_vertex_reports_line(self, tmp_path):
+        # (vertex rows starting on line 9, physical line of the fault)
+        cases = [
+            ("0 0 0 1\n1 1 1\n2 2 2 3\n", 10),  # a row with too few fields
+            ("0 0 0 1\n# note\n\n1 1 1 2 5\n2 2 2 3\n", 12),  # too many, after a comment and a blank line
+            ("0 0 0 1\n1 oops 1 2\n2 2 2 3\n", 10),
+            ("0 0 0 1\n1 1 1 oops\n2 2 2 3\n", 10),  # a non-coordinate column must be numeric too
+            ("0 0 0 1\n\n1 1 1 2\n", 11),  # ends before the declared count
+        ]
+        for rows, line in cases:
+            with pytest.raises(ParseError) as err:
+                load_cloud(write(tmp_path / "a.ply", PLY_XYZ_RED + rows), "PLY_ASCII")
+            assert err.value.line == line, rows
 
     def test_binary_rejected(self, tmp_path):
         text = "ply\nformat binary_little_endian 1.0\nelement vertex 1\nend_header\n"
@@ -106,6 +144,40 @@ class TestLoadPly:
                 "property float x\nproperty float y\nend_header\n0 0\n")
         with pytest.raises(ParseError):
             load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
+        # other malformed headers, with the line of the fault: a negative
+        # count, a truncated property line, bytes that are not UTF-8
+        xyz = "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n"
+        cases = [("ply\nformat ascii 1.0\nelement vertex -1\n" + xyz, 3),
+                 ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n" + xyz, 4),
+                 (b"ply\nformat ascii 1.0\ncomment caf\xe9\nelement vertex 1\n" + xyz.encode(), 3)]
+        for text, line in cases:
+            with pytest.raises(ParseError) as err:
+                load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
+            assert err.value.line == line, text
+
+
+class TestLoadBitEquality:
+    @pytest.mark.parametrize("fmt", ["OFF", "PLY_ASCII", "XYZ"])
+    def test_matches_float_reference(self, tmp_path, rng, fmt):
+        # %.9f rows with extra columns, CRLF endings, and comment and blank
+        # lines inside the vertex block, against Python's float() per token.
+        pts = rng.normal(size=(500, 3)) * rng.uniform(1e-3, 1e3, size=(500, 1))
+        extra = rng.uniform(size=(500, 3))
+        rows = [f"{p[0]:.9f} {p[1]:.9f} {p[2]:.9f} {e[0]:.4f} {e[1]:.4f} {e[2]:.4f}"
+                for p, e in zip(pts, extra)]
+        for i in range(len(rows) - 1, 0, -97):
+            rows[i:i] = ["# block comment", ""]
+        head = {"OFF": ["OFF", "# counts follow", "500 0 0"],
+                "PLY_ASCII": ["ply", "format ascii 1.0", "element vertex 500", "property float x",
+                              "property float y", "property float z", "property float nx",
+                              "property float ny", "property float nz", "end_header"],
+                "XYZ": ["# x y z nx ny nz"]}[fmt]
+        path = tmp_path / "c.txt"
+        path.write_bytes("\r\n".join(head + rows + [""]).encode())
+        reference = [[float(t) for t in row.split()[:3]] for row in rows if row and row[0] != "#"]
+        got = load_cloud(path, fmt).points
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == np.array(reference, dtype=np.float64).tobytes()
 
 
 class TestNormalize:
