@@ -80,6 +80,11 @@ def load_config(path) -> tuple[TrainConfig, dict]:
     encoder_keys = dict(raw.get("encoder", {}))
     data = {"num_points": 2048, "normalize": True}
     data.update(raw.get("data", {}))
+    num_points = data["num_points"]
+    if isinstance(num_points, bool) or not isinstance(num_points, int) or num_points < 1:
+        raise ConfigError(f"data.num_points must be a positive integer, got {num_points!r}")
+    if not isinstance(data["normalize"], bool):
+        raise ConfigError(f"data.normalize must be true or false, got {data['normalize']!r}")
 
     if "lambda" in solver_keys:
         solver_keys["lam"] = solver_keys.pop("lambda")
@@ -241,6 +246,7 @@ def cmd_cluster(args) -> int:
         "cluster_counts": counts.tolist(),
         "mean_confidence": float(labeled.confidences.mean()),
         "marginal_residual": result.marginal_residual,
+        "iterations": result.iterations,
         "checkpoint_meta": meta,
     }
     sidecar_path = out_ply.with_suffix(".json")
@@ -306,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expected cluster count; must match the checkpoint head")
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--iters", type=int, default=20)
+    p.add_argument("--iters", type=int, default=SolverConfig.iters,
+                   help="Sinkhorn iteration cap; the solver stops earlier at its tol")
     p.add_argument("--points", type=int, default=None, help="downsample to this many points")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_cluster)

@@ -34,7 +34,8 @@ class PointCloud:
     name: str | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        # C order: float results downstream (BLAS products) depend on the memory layout
+        pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ShapeError(f"points must have shape (N, 3), got {pts.shape}")
         if pts.shape[0] < 1:
@@ -211,8 +212,7 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
     # Skip the rows of elements declared before the vertices; later rows are never read.
     for name, count in elements:
         if name == "vertex":
-            # C order, as downstream float results depend on the memory layout
-            return np.ascontiguousarray(_read_block(path, lineno, count, len(vertex_props))[:, cols])
+            return _read_block(path, lineno, count, len(vertex_props))[:, cols]
         for _ in range(count):
             try:
                 lineno, tokens = next(lines)

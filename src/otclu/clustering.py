@@ -10,6 +10,8 @@ assignment is kept as a baseline; it carries no such guarantee.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,20 +26,26 @@ class SolverConfig:
     """Assignment solver settings."""
 
     epsilon: float = 1e-3
-    iters: int = 20
+    iters: int = 1000   # cap; the solver stops earlier once it reaches tol
     tol: float = 1e-6
     lam: float = 0.5
     num_clusters: int = 64
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
+        _check_solver_args(self.epsilon, self.iters, self.tol)
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         if self.num_clusters < 2:
             raise ValueError(f"need at least 2 clusters, got {self.num_clusters}")
+
+
+def _check_solver_args(epsilon, iters, tol) -> None:
+    """Raise ValueError unless epsilon and tol are positive and finite and iters >= 1."""
+    for name, value in (("epsilon", epsilon), ("tol", tol)):
+        if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not isinstance(iters, numbers.Integral) or iters < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass
@@ -50,9 +58,10 @@ class Prototypes:
 
 @dataclass
 class TransportPlan:
-    """Coupling matrix (N, J) with total mass 1."""
+    """Coupling matrix (N, J) with total mass 1, and the Sinkhorn iterations it took."""
 
     matrix: np.ndarray
+    iterations: int
 
     def marginal_residual(self) -> float:
         """Max deviation of row sums from 1/N and column sums from 1/J."""
@@ -125,54 +134,46 @@ def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
     return lam * d_geo + (1.0 - lam) * d_feat
 
 
-def sinkhorn(cost, epsilon: float = 1e-3, iters: int = 20,
-             tol: float | None = None) -> TransportPlan:
-    """Entropically regularized balanced transport via alternating scaling.
+def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverConfig.iters,
+             tol: float = SolverConfig.tol) -> TransportPlan:
+    """Entropically regularized balanced transport by Sinkhorn scaling.
 
-    The plan is initialized proportional to exp(-cost/epsilon) (stabilized
-    by shifting cost/epsilon so its minimum is zero before exponentiation,
-    then normalized to total mass 1). Each iteration rescales rows to sum
-    to 1/N and then columns to sum to 1/J. When `tol` is given, iteration
-    stops early once the max marginal residual drops below it.
+    The kernel is built once on a shifted cost, K = exp((f_i + g_j - C_ij)/eps)
+    with f the row minima of C and g the column minima of C - f, so every
+    row and every column of K holds an exact 1 and no row can underflow
+    (Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 4.4); the
+    shifts do not change the plan. The scaling vectors iterate
+    u = a / (K v), v = b / (K^T u) until max |u * (K v) - 1/N| < `tol`.
+    `iters` only caps the count: a solve that reaches it returns its plan
+    with the residual it reached.
 
-    Raises NumericalError when a scaling denominator underflows to zero,
-    which signals that epsilon is too small for the spread of the costs.
+    Raises NumericalError if the plan is not finite: the scaling vectors
+    overflow once the cost spread is of the order of 1e4 * epsilon.
     """
     d = np.asarray(cost, dtype=np.float64)
     if d.ndim != 2:
         raise ShapeError(f"cost must be a matrix, got shape {d.shape}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    _check_solver_args(epsilon, iters, tol)
     n, m = d.shape
 
-    scaled = d / epsilon
-    gamma = np.exp(-(scaled - scaled.min()))
-    total = gamma.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise NumericalError("transport kernel collapsed; epsilon too small for cost scale")
-    gamma /= total
-
-    row_target = 1.0 / n
-    col_target = 1.0 / m
-    rows = gamma.sum(axis=1)
-    with np.errstate(divide="ignore", over="ignore"):
-        for _ in range(iters):
-            row_scale = row_target / rows
-            if not np.all(np.isfinite(row_scale)):
-                raise NumericalError("row scaling underflowed; epsilon too small for cost scale")
-            gamma *= row_scale[:, None]
-            col_scale = col_target / gamma.sum(axis=0)
-            if not np.all(np.isfinite(col_scale)):
-                raise NumericalError("column scaling underflowed; epsilon too small for cost scale")
-            gamma *= col_scale[None, :]
-            rows = gamma.sum(axis=1)
-            if tol is not None and np.abs(rows - row_target).max() < tol:
+    shifted = d - d.min(axis=1, keepdims=True)
+    shifted -= shifted.min(axis=0)
+    kernel = np.exp(shifted / -epsilon)
+    a, b = 1.0 / n, 1.0 / m
+    kv = kernel.sum(axis=1)
+    with np.errstate(all="ignore"):  # an overflow must reach the check below
+        for iterations in range(1, iters + 1):
+            u = a / kv
+            v = b / (u @ kernel)
+            kv = kernel @ v
+            if np.abs(u * kv - a).max() < tol:
                 break
-    if not np.all(np.isfinite(gamma)):
-        raise NumericalError("transport plan became non-finite")
-    return TransportPlan(matrix=gamma)
+        plan = u[:, None] * kernel * v[None, :]
+    if not np.all(np.isfinite(plan)):
+        raise NumericalError(
+            f"transport plan became non-finite after {iterations} Sinkhorn iterations; "
+            f"epsilon {epsilon:g} is too small for the cost spread")
+    return TransportPlan(matrix=plan, iterations=iterations)
 
 
 def assign_soft_labels(plan: TransportPlan, n: int) -> SoftLabels:

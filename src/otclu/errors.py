@@ -33,7 +33,7 @@ class ConfigError(OtcluError):
 
 
 class NumericalError(OtcluError):
-    """A numerical contract was violated (underflow, non-finite loss, ...)."""
+    """A numerical contract was violated (non-finite transport plan or loss, ...)."""
 
 
 class SizeError(OtcluError):

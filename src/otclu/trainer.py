@@ -63,6 +63,7 @@ class EStepResult:
     protos: Prototypes
     gamma: SoftLabels
     marginal_residual: float
+    iterations: int      # Sinkhorn iterations the solve took
 
 
 @dataclass
@@ -95,7 +96,8 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig) -> EStepResult:
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol)
     gamma = assign_soft_labels(plan, trace.scores.shape[0])
     return EStepResult(trace=trace, protos=protos, gamma=gamma,
-                       marginal_residual=plan.marginal_residual())
+                       marginal_residual=plan.marginal_residual(),
+                       iterations=plan.iterations)
 
 
 def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport, dict]:
@@ -155,7 +157,7 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
         state.epoch = epoch
         state.lr = lr_at_epoch(config, epoch)
         order = shuffle_rng.permutation(len(clouds))
-        reports, residuals = [], []
+        reports, residuals, iterations = [], [], []
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
             scale = 1.0 / len(chunk)
@@ -163,6 +165,7 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
             for i in chunk:
                 result = e_step(state.params, clouds[i], config.solver)
                 residuals.append(result.marginal_residual)
+                iterations.append(result.iterations)
                 report, cloud_grads = cloud_gradients(state, result)
                 reports.append(report)
                 for name, g in cloud_grads.items():
@@ -176,6 +179,9 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
             "l_total": float(np.mean([r.l_total for r in reports])),
             "lr": state.lr,
             "max_marginal_residual": float(max(residuals)),
+            "sinkhorn_iters_max": max(iterations),
+            # a solve can end above tol only by reaching the iteration cap
+            "capped_solves": sum(r >= config.solver.tol for r in residuals),
         }
         state.history.append(metrics)
         if on_epoch is not None:

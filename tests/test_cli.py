@@ -5,6 +5,7 @@ import pytest
 
 from otclu import cli
 from otclu.cloud import PointCloud, load_cloud, save_cloud
+from otclu.clustering import SolverConfig
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from otclu.verify import CheckResult
 
@@ -56,7 +57,8 @@ class TestPretrainCommand:
         assert len(lines) == 2  # one record per epoch
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "l_soft", "l_orth", "l_total", "lr",
-                               "max_marginal_residual"}
+                               "max_marginal_residual", "sinkhorn_iters_max",
+                               "capped_solves"}
         params, meta = load_checkpoint(out_dir / "checkpoint_final.otck")
         assert meta["config_hash"] == manifest["config_hash"]
 
@@ -83,9 +85,17 @@ class TestPretrainCommand:
             assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
             assert key in capsys.readouterr().err
 
-    def test_invalid_value_exits_2(self, tmp_path, blob_dataset):
-        config = write_config(tmp_path / "config.json", train={"lr": -1.0})
-        assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
+    def test_invalid_value_exits_2(self, tmp_path, blob_dataset, capsys):
+        for section, keys in (("train", {"lr": -1.0}),
+                              ("solver", {"tol": None}), ("solver", {"tol": -1e-6}),
+                              ("solver", {"iters": 2.5}),
+                              ("data", {"num_points": "abc"}), ("data", {"num_points": 2.5}),
+                              ("data", {"num_points": True}), ("data", {"num_points": 0}),
+                              ("data", {"normalize": "no"})):
+            config = write_config(tmp_path / "config.json", **{section: keys})
+            code = cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")])
+            assert code == 2, (section, keys)
+            assert "config error" in capsys.readouterr().err
 
     def test_out_dir_env_override(self, blob_dataset, tmp_path, monkeypatch):
         config = write_config(tmp_path / "config.json", train={"epochs": 1})
@@ -110,6 +120,7 @@ class TestClusterCommand:
         sidecar = json.loads(out_ply.with_suffix(".json").read_text())
         assert sidecar["cluster_counts"] == [12, 12]
         assert sidecar["marginal_residual"] < 1e-5
+        assert 1 <= sidecar["iterations"] <= SolverConfig().iters
         assert 0.0 <= sidecar["mean_confidence"] <= 1.0
         back = load_cloud(out_ply)
         assert back.n_points == 24
@@ -200,7 +211,7 @@ class TestVerifyCommand:
         import otclu.verify as verify
         from otclu.clustering import TransportPlan
 
-        def flipped(cost, epsilon=1e-3, iters=20, tol=None):
+        def flipped(cost, epsilon=1e-3, iters=1000, tol=1e-6):
             d = np.asarray(cost, dtype=float)
             gamma = np.exp((d / epsilon) - (d / epsilon).max())
             gamma /= gamma.sum()
@@ -208,7 +219,7 @@ class TestVerifyCommand:
             for _ in range(200):
                 gamma *= (1.0 / n) / gamma.sum(axis=1, keepdims=True)
                 gamma *= (1.0 / m) / gamma.sum(axis=0, keepdims=True)
-            return TransportPlan(matrix=gamma)
+            return TransportPlan(matrix=gamma, iterations=200)
 
         monkeypatch.setattr(verify, "sinkhorn", flipped)
         lp = next(check for check in verify.CHECKS if check.name == "sinkhorn-vs-lp")

@@ -7,7 +7,7 @@ from otclu import encoder as enc
 from otclu.clustering import (Prototypes, assign_l2_labels, assign_soft_labels,
                               compute_cost, compute_prototypes, prototypes_backward,
                               sinkhorn)
-from otclu.errors import NumericalError, ShapeError
+from otclu.errors import ShapeError
 from otclu.oracle import exact_ot
 
 from conftest import ball_points
@@ -161,7 +161,9 @@ class TestSinkhorn:
     def test_marginals_converge(self, rng):
         cost = rng.uniform(0, 0.01, size=(32, 8))
         plan = sinkhorn(cost, 1e-3, iters=100_000, tol=1e-8)
-        assert plan.marginal_residual() < 1e-6
+        assert plan.marginal_residual() < 1e-8
+        assert plan.iterations < 1000  # stopped at tol, far below the cap
+        assert sinkhorn(cost, 1e-3, iters=3, tol=1e-8).iterations == 3
 
     def test_cost_shift_invariance(self, rng):
         cost = rng.uniform(0, 0.02, size=(10, 4))
@@ -169,18 +171,28 @@ class TestSinkhorn:
         b = sinkhorn(cost + 5.0, 1e-3, iters=50).matrix
         assert np.abs(a - b).max() < 1e-9
 
-    def test_underflow_raises(self):
-        # Second row sits 2000 epsilons above the minimum: its kernel row
-        # is exactly zero, so scaling must fail loudly.
-        cost = np.array([[0.0, 0.0], [2.0, 2.0]])
-        with pytest.raises(NumericalError):
-            sinkhorn(cost, 1e-3, iters=20)
+    def test_wide_cost_spread_stays_finite(self):
+        # A row (then a column) sits 2000 epsilons above the rest: its part of
+        # exp(-cost/eps) underflows, but the shifted kernel keeps a 1 in it.
+        for cost in ([[0.0, 0.0], [2.0, 2.0]], [[0.0, 2.0], [0.0, 2.0]]):
+            plan = sinkhorn(np.array(cost), 1e-3)
+            np.testing.assert_allclose(plan.matrix, 0.25, atol=1e-15)
+
+        # Entry (1, 1) underflows and the plan must drive entry (0, 0) to 0,
+        # which scaling only approaches: the cap stops it, finite and flagged.
+        plan = sinkhorn(np.array([[0.0, 1.0], [0.0, 2.0]]), 1e-3, iters=1000, tol=1e-6)
+        assert np.all(np.isfinite(plan.matrix))
+        assert plan.iterations == 1000
+        assert plan.marginal_residual() >= 1e-6
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             sinkhorn(np.zeros((2, 2)), epsilon=0.0)
         with pytest.raises(ValueError):
             sinkhorn(np.zeros((2, 2)), epsilon=1e-3, iters=0)
+        for tol in (0.0, -1e-6, float("nan"), float("inf"), None):
+            with pytest.raises(ValueError):
+                sinkhorn(np.zeros((2, 2)), epsilon=1e-3, tol=tol)
 
 
 class TestAssignLabels:

@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,10 +64,13 @@ class TestEStep:
         config = toy_config()
         params = enc.init_params(config.encoder, 5)
         cloud = pc.normalize(pc.PointCloud(ball_points(rng, 32)))
+        # a Fortran-ordered copy of the same values is stored in C order
+        fortran = pc.PointCloud(np.asfortranarray(cloud.points))
         a = e_step(params, cloud, config.solver)
-        b = e_step(params, cloud, config.solver)
-        np.testing.assert_array_equal(a.gamma.matrix, b.gamma.matrix)
-        np.testing.assert_array_equal(a.trace.scores, b.trace.scores)
+        for other in (cloud, fortran):
+            b = e_step(params, other, config.solver)
+            np.testing.assert_array_equal(a.gamma.matrix, b.gamma.matrix)
+            np.testing.assert_array_equal(a.trace.scores, b.trace.scores)
 
 
 class TestMStep:
@@ -80,9 +85,8 @@ class TestMStep:
         cloud = pc.normalize(pc.PointCloud(ball_points(rng, 16)))
         result = e_step(state.params, cloud, config.solver)
         assert np.all(result.trace.scores == 0.5)
-        result = type(result)(trace=result.trace, protos=result.protos,
-                              gamma=SoftLabels(result.trace.scores.copy()),
-                              marginal_residual=0.0)
+        result = replace(result, gamma=SoftLabels(result.trace.scores.copy()),
+                         marginal_residual=0.0)
         before = {k: v.copy() for k, v in state.params.tensors.items()}
         _, grads = cloud_gradients(state, result)
         m_step(state, grads)
@@ -125,9 +129,8 @@ class TestMStep:
         state = TrainState.initial(config)
         cloud = pc.normalize(pc.PointCloud(ball_points(rng, 8)))
         result = e_step(state.params, cloud, config.solver)
-        bad = type(result)(trace=result.trace, protos=result.protos,
-                           gamma=SoftLabels(result.gamma.matrix * np.inf),
-                           marginal_residual=0.0)
+        bad = replace(result, gamma=SoftLabels(result.gamma.matrix * np.inf),
+                      marginal_residual=0.0)
         state.step, state.epoch = 5, 2
         with pytest.raises(NumericalError, match="at step 5, epoch 2"):
             cloud_gradients(state, bad)
@@ -170,7 +173,8 @@ class TestPretrain:
         assert [m["epoch"] for m in state.history] == [0, 1, 2]
         for record in state.history:
             assert set(record) == {"epoch", "l_soft", "l_orth", "l_total", "lr",
-                                   "max_marginal_residual"}
+                                   "max_marginal_residual", "sinkhorn_iters_max",
+                                   "capped_solves"}
 
     def test_bit_reproducible(self, rng, tmp_path):
         config = toy_config(epochs=2)
@@ -202,10 +206,32 @@ class TestPretrain:
         assert state.history[-1]["l_total"] < state.history[0]["l_total"]
 
     def test_numerical_abort_propagates(self, rng):
-        config = toy_config(epsilon=1e-9)
+        # At epsilon 1e-9 the kernel is a 0/1 pattern with no balanced plan
+        # on its support, so the scaling vectors grow without bound. Under
+        # the default cap they stay finite and every solve is flagged; a cap
+        # twenty times larger lets them overflow, and the abort must surface.
         clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16)))]
-        with pytest.raises(NumericalError):
-            pretrain(clouds, config)
+        history = pretrain(clouds, toy_config(epsilon=1e-9)).history
+        assert all(m["capped_solves"] == 1 for m in history)
+        assert all(m["sinkhorn_iters_max"] == SolverConfig().iters for m in history)
+        solver = SolverConfig(num_clusters=2, epsilon=1e-9, iters=20_000)
+        with pytest.raises(NumericalError, match="non-finite"):
+            pretrain(clouds, toy_config(solver=solver))
+
+    def test_default_solver_trains_fifty_steps(self, rng):
+        # The default solver and encoder at the paper's N=2048. 50 steps at
+        # lr 4e-4 move the parameters as far as the default 20 epochs at lr
+        # 1e-3 with one step per epoch. Training longer makes the cost
+        # spread grow until solves reach the cap (ROADMAP item 2).
+        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 2048))) for _ in range(2)]
+        config = TrainConfig(epochs=25, batch_size=1, lr=4e-4)
+        start = time.perf_counter()
+        state = pretrain(clouds, config)
+        assert time.perf_counter() - start < 30.0
+        assert state.step == 50
+        for record in state.history:
+            assert record["max_marginal_residual"] <= config.solver.tol
+            assert record["capped_solves"] == 0
 
     def test_memory_does_not_grow_with_batch_size(self, rng):
         # Each cloud's backward runs right after its E-step and only the

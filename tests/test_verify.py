@@ -14,7 +14,7 @@ class TestDefaults:
     def test_solver_defaults(self):
         solver = SolverConfig()
         assert solver.epsilon == 1e-3
-        assert solver.iters == 20
+        assert solver.iters == 1000
         assert solver.tol == 1e-6
         assert solver.lam == 0.5
         assert solver.num_clusters == 64
