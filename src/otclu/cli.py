@@ -45,7 +45,7 @@ _CONFIG_SECTIONS = {
     "train": {"epochs", "batch_size", "lr", "lr_decay", "decay_every", "weight_decay",
               "beta1", "beta2", "adam_eps", "seed", "eta", "checkpoint_every"},
     "solver": {"epsilon", "iters", "tol", "lambda", "num_clusters"},
-    "encoder": {"hidden_sizes", "feature_dim", "global_context"},
+    "encoder": {"hidden_sizes", "feature_dim"},
     "data": {"num_points", "normalize"},
 }
 
@@ -290,6 +290,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otclu",
@@ -310,11 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_ply")
     p.add_argument("--clusters", type=int, default=None,
                    help="expected cluster count; must match the checkpoint head")
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=SolverConfig.lam)
     p.add_argument("--iters", type=int, default=SolverConfig.iters,
                    help="Sinkhorn iteration cap; the solver stops earlier at its tol")
-    p.add_argument("--points", type=int, default=None, help="downsample to this many points")
+    p.add_argument("--points", type=positive_int, default=None,
+                   help="downsample to this many points")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_cluster)
 
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=pc.FORMATS, default=None,
                    help="output format (default: inferred from extension)")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_export)
 

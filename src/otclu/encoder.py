@@ -1,17 +1,17 @@
 """Per-point feature encoder and segmentation head with exact gradients.
 
-The encoder is a weight-shared MLP applied to every point (PointNet-style),
-optionally concatenated with a max-pooled global feature before a single
-linear head that produces per-cluster logits. Forward retains every
-intermediate needed for an analytic backward pass; no autodiff framework
-is involved, which keeps gradients exact and runs bit-reproducible.
+The encoder is a weight-shared MLP applied to every point (PointNet-style).
+A linear head sees each point's feature next to the max-pooled global
+feature and produces per-cluster logits. Forward keeps what the analytic
+backward pass reads; no autodiff framework is involved, which keeps
+gradients exact and runs bit-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class EncoderConfig:
     hidden_sizes: tuple[int, ...] = (64, 128)
     feature_dim: int = 128
     num_clusters: int = 64
-    global_context: bool = True
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.hidden_sizes)
@@ -46,8 +45,12 @@ class EncoderConfig:
         return (IN_DIM, *self.hidden_sizes, self.feature_dim)
 
     @property
-    def head_in_dim(self) -> int:
-        return self.feature_dim * (2 if self.global_context else 1)
+    def linear_maps(self) -> list[tuple[str, int, int]]:
+        """(name, fan_in, fan_out) of every weight; head.w stacks the weights
+        on the point feature over those on the pooled feature."""
+        sizes = self.layer_sizes
+        return [*((f"mlp{i}", sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)),
+                ("head", 2 * self.feature_dim, self.num_clusters)]
 
 
 @dataclass
@@ -57,25 +60,19 @@ class EncoderParams:
     config: EncoderConfig
     tensors: dict[str, np.ndarray]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, kept for backward."""
+    """What backward and the E-step read of one forward pass."""
 
     inputs: np.ndarray                 # (N, 3)
-    pre_acts: list                     # per MLP layer, (N, out)
     acts: list                         # per MLP layer after activation
     features: np.ndarray               # (N, d)
-    pooled: np.ndarray | None          # (d,) max over points, if context on
-    pool_rows: np.ndarray | None       # argmax row per feature dim
-    head_input: np.ndarray             # (N, d) or (N, 2d)
-    logits: np.ndarray                 # (N, J)
+    pooled: np.ndarray                 # (d,) max over points
+    pool_rows: np.ndarray              # argmax row per feature dim
     scores: np.ndarray                 # (N, J), rows sum to 1
 
 
@@ -83,15 +80,10 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    sizes = config.layer_sizes
-    for i in range(len(sizes) - 1):
-        fan_in, fan_out = sizes[i], sizes[i + 1]
+    for name, fan_in, fan_out in config.linear_maps:
         bound = 1.0 / np.sqrt(fan_in)
-        tensors[f"mlp{i}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        tensors[f"mlp{i}.b"] = np.zeros(fan_out)
-    bound = 1.0 / np.sqrt(config.head_in_dim)
-    tensors["head.w"] = rng.uniform(-bound, bound, size=(config.head_in_dim, config.num_clusters))
-    tensors["head.b"] = np.zeros(config.num_clusters)
+        tensors[f"{name}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        tensors[f"{name}.b"] = np.zeros(fan_out)
     return EncoderParams(config=config, tensors=tensors)
 
 
@@ -104,45 +96,32 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 def forward(params: EncoderParams, cloud) -> ForwardTrace:
     """Run the encoder and head; returns scores with rows summing to 1.
 
-    Hidden layers use ReLU; the final feature layer is linear. With global
-    context on, the head sees each point's feature concatenated with the
-    per-dimension max over all points (ties at the max resolve to the
-    lowest row index when gradients are routed back).
+    Hidden layers use ReLU; the final feature layer is linear. The head
+    sees each point's feature f_i next to the per-dimension max over all
+    points, p, so its logits are f_i·W[:d] + p·W[d:] + b. The pooled term
+    is one row shared by every point and is computed once. Ties at the max
+    resolve to the lowest row index when gradients are routed back.
     """
     x = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != IN_DIM:
         raise ShapeError(f"expected (N, {IN_DIM}) input, got {x.shape}")
-    cfg = params.config
     t = params.tensors
 
-    pre_acts, acts = [], []
-    a = x
-    n_layers = len(cfg.layer_sizes) - 1
+    acts, a = [], x
+    n_layers = len(params.config.layer_sizes) - 1
     for i in range(n_layers):
         z = a @ t[f"mlp{i}.w"] + t[f"mlp{i}.b"]
-        pre_acts.append(z)
         a = np.maximum(z, 0.0) if i < n_layers - 1 else z
         acts.append(a)
     features = a
+    d = features.shape[1]
 
-    if cfg.global_context:
-        pool_rows = features.argmax(axis=0)
-        pooled = features[pool_rows, np.arange(features.shape[1])]
-        head_input = np.concatenate(
-            [features, np.broadcast_to(pooled, features.shape)], axis=1
-        )
-    else:
-        pool_rows = None
-        pooled = None
-        head_input = features
-
-    logits = head_input @ t["head.w"] + t["head.b"]
-    scores = _softmax_rows(logits)
-    return ForwardTrace(
-        inputs=x, pre_acts=pre_acts, acts=acts, features=features,
-        pooled=pooled, pool_rows=pool_rows, head_input=head_input,
-        logits=logits, scores=scores,
-    )
+    pool_rows = features.argmax(axis=0)
+    pooled = features[pool_rows, np.arange(d)]
+    w = t["head.w"]
+    scores = _softmax_rows(features @ w[:d] + (pooled @ w[d:] + t["head.b"]))
+    return ForwardTrace(inputs=x, acts=acts, features=features, pooled=pooled,
+                        pool_rows=pool_rows, scores=scores)
 
 
 def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
@@ -151,36 +130,34 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
 
     d_scores and d_features are the loss gradients at the score matrix and
     the feature matrix. The max-pool subgradient routes each pooled
-    dimension's gradient to the argmax row recorded in the trace.
+    dimension's gradient to the argmax row recorded in the trace. The
+    pooled term of the logits is shared by every point, so its gradients
+    need only the column sums of d_logits.
     """
-    cfg = params.config
     t = params.tensors
-    n, d = trace.features.shape
+    d = trace.features.shape[1]
     if d_scores.shape != trace.scores.shape:
         raise ShapeError(f"d_scores shape {d_scores.shape} != scores shape {trace.scores.shape}")
     if d_features.shape != trace.features.shape:
         raise ShapeError(f"d_features shape {d_features.shape} != features shape {trace.features.shape}")
 
-    grads = params.zeros_like()
     s = trace.scores
     d_logits = s * (d_scores - (d_scores * s).sum(axis=1, keepdims=True))
+    d_logits_sum = d_logits.sum(axis=0)
+    w = t["head.w"]
+    grads = {"head.w": np.vstack([trace.features.T @ d_logits,
+                                  np.outer(trace.pooled, d_logits_sum)]),
+             "head.b": d_logits_sum}
 
-    grads["head.w"] = trace.head_input.T @ d_logits
-    grads["head.b"] = d_logits.sum(axis=0)
-    d_head_input = d_logits @ t["head.w"].T
-
-    if cfg.global_context:
-        d_feat = d_head_input[:, :d].copy()
-        d_pooled = d_head_input[:, d:].sum(axis=0)
-        d_feat[trace.pool_rows, np.arange(d)] += d_pooled
-    else:
-        d_feat = d_head_input.copy()
+    d_feat = d_logits @ w[:d].T
+    d_feat[trace.pool_rows, np.arange(d)] += w[d:] @ d_logits_sum
     d_feat += d_features
 
-    n_layers = len(cfg.layer_sizes) - 1
+    n_layers = len(trace.acts)
     d_a = d_feat
     for i in reversed(range(n_layers)):
-        d_z = d_a if i == n_layers - 1 else d_a * (trace.pre_acts[i] > 0.0)
+        # acts[i] > 0 exactly where the ReLU's input was > 0
+        d_z = d_a if i == n_layers - 1 else d_a * (trace.acts[i] > 0.0)
         below = trace.inputs if i == 0 else trace.acts[i - 1]
         grads[f"mlp{i}.w"] = below.T @ d_z
         grads[f"mlp{i}.b"] = d_z.sum(axis=0)
@@ -206,12 +183,7 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
         offset += len(raw)
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": {
-            "hidden_sizes": list(params.config.hidden_sizes),
-            "feature_dim": params.config.feature_dim,
-            "num_clusters": params.config.num_clusters,
-            "global_context": params.config.global_context,
-        },
+        "config": asdict(params.config),
         "meta": meta or {},
         "tensors": entries,
     }
@@ -228,8 +200,9 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, meta).
 
-    A file that is short, damaged or of another format version raises
-    CheckpointError.
+    A file that is short, damaged or of another format version, or whose
+    tensor names or shapes differ from those its architecture implies,
+    raises CheckpointError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -247,12 +220,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     try:
         header = json.loads(header_bytes.decode())
         cfg = header["config"]
-        config = EncoderConfig(
-            hidden_sizes=tuple(cfg["hidden_sizes"]),
-            feature_dim=cfg["feature_dim"],
-            num_clusters=cfg["num_clusters"],
-            global_context=cfg["global_context"],
-        )
+        config = EncoderConfig(**{f.name: cfg[f.name] for f in fields(EncoderConfig)})
         tensors = {}
         for entry in header["tensors"]:
             raw = data[entry["offset"]:entry["offset"] + entry["nbytes"]]
@@ -263,8 +231,12 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         meta = header["meta"]
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: damaged header: {exc!r}") from None
-    expected = {f"mlp{i}.{p}" for i in range(len(config.layer_sizes) - 1) for p in ("w", "b")}
-    expected |= {"head.w", "head.b"}
-    if set(tensors) != expected:
-        raise CheckpointError(f"{path}: tensor set does not match architecture")
+    shapes = {name: arr.shape for name, arr in tensors.items()}
+    expected = {}
+    for name, fan_in, fan_out in config.linear_maps:
+        expected.update({f"{name}.w": (fan_in, fan_out), f"{name}.b": (fan_out,)})
+    for name in sorted(shapes.keys() | expected.keys()):
+        if shapes.get(name) != expected.get(name):
+            raise CheckpointError(f"{path}: tensor {name} has shape {shapes.get(name)}, "
+                                  f"the architecture needs {expected.get(name)}")
     return EncoderParams(config=config, tensors=tensors), meta

@@ -110,7 +110,7 @@ def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8)
         seed=seed,
         solver=SolverConfig(num_clusters=num_clusters, epsilon=1e-2, iters=200, tol=1e-9),
         encoder=enc.EncoderConfig(hidden_sizes=(12,), feature_dim=dim,
-                                  num_clusters=num_clusters, global_context=True))
+                                  num_clusters=num_clusters))
     state = TrainState.initial(config)
     return cloud, state, e_step(state.params, cloud, config.solver)
 

@@ -80,7 +80,8 @@ class TestPretrainCommand:
     def test_unknown_config_key_exits_2(self, tmp_path, blob_dataset, capsys):
         config = tmp_path / "config.json"
         for raw, key in (({"train": {"epochz": 2}}, "epochz"),
-                         ({"solver": {"learn_lambda": False}}, "learn_lambda")):
+                         ({"solver": {"learn_lambda": False}}, "learn_lambda"),
+                         ({"encoder": {"global_context": True}}, "global_context")):
             config.write_text(json.dumps(raw))
             assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
             assert key in capsys.readouterr().err
@@ -136,19 +137,40 @@ class TestClusterCommand:
         assert code == 5
 
     def test_corrupt_checkpoint_exits_5(self, tmp_path, capsys):
+        params = init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                           num_clusters=2), seed=0)
         good = tmp_path / "good.otck"
-        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
-                                                  num_clusters=2), seed=0), good)
+        save_checkpoint(params, good)
         whole = good.read_bytes()
+        # a head without the pooled-feature rows, as a context-off encoder had
+        params.tensors["head.w"] = params.tensors["head.w"][:4]
+        save_checkpoint(params, good)
+        narrow_head = good.read_bytes()
         (tmp_path / "c.xyz").write_text("0 0 0\n1 1 1\n")
         bad = tmp_path / "bad.otck"
-        # garbage, a file cut 16 bytes short, and one cut inside the fixed header
-        for blob in (b"garbage" * 10, whole[:-16], whole[:10]):
+        # garbage, a file cut 16 bytes short, one cut inside the fixed header,
+        # and a well-formed file whose head.w shape does not fit its config
+        for blob in (b"garbage" * 10, whole[:-16], whole[:10], narrow_head):
             bad.write_bytes(blob)
             code = cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"),
                              str(tmp_path / "x.ply")])
             assert code == 5
-            assert "checkpoint error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "checkpoint error" in err
+        assert "head.w has shape (4, 2)" in err and "(8, 2)" in err
+
+    def test_points_below_one_is_an_argument_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "p.otck"
+        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                                  num_clusters=2), seed=0), ckpt)
+        src = tmp_path / "c.xyz"
+        src.write_text("0 0 0\n1 1 1\n")
+        for argv in (["cluster", str(ckpt), str(src), str(tmp_path / "x.ply")],
+                     ["export", str(src), str(tmp_path / "y.xyz")]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--points", "0"])
+            assert exc.value.code == 2, argv
+            assert "--points: must be >= 1, got 0" in capsys.readouterr().err
 
     def test_missing_cloud_exits_3(self, trained_run, tmp_path):
         out_dir, _ = trained_run

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ class TestForward:
         params = init_params(EncoderConfig(hidden_sizes=(16,), feature_dim=128,
                                            num_clusters=64), seed=0)
         trace = forward(params, rng.normal(size=(10, 3)))
-        assert trace.logits.shape == (10, 64)
+        assert trace.scores.shape == (10, 64)
         assert trace.features.shape == (10, 128)
 
     def test_score_rows_sum_to_one(self, rng):
@@ -64,10 +66,8 @@ class TestForward:
             np.testing.assert_array_equal(trace.features[row], trace.features[0])
             np.testing.assert_array_equal(trace.scores[row], trace.scores[0])
 
-    @pytest.mark.parametrize("context", [True, False])
-    def test_permutation_equivariance(self, rng, context):
-        params = init_params(EncoderConfig(hidden_sizes=(6,), feature_dim=4,
-                                           num_clusters=3, global_context=context), seed=0)
+    def test_permutation_equivariance(self, rng):
+        params = init_params(SMALL, seed=0)
         x = rng.normal(size=(12, 3))
         perm = rng.permutation(12)
         a = forward(params, x)
@@ -91,10 +91,10 @@ class TestBackward:
             assert not np.asarray(g).any(), name
 
     def test_single_point_linear_encoder_hand_chain(self, rng):
-        # One point, one linear layer (3 -> 1), head 1 -> 2, no context:
-        # every gradient can be written in closed form.
-        cfg = EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2,
-                            global_context=False)
+        # One point, one linear layer (3 -> 1), head 2 -> 2: with N=1 the
+        # pooled feature is the point's own feature, so every gradient can
+        # be written in closed form.
+        cfg = EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2)
         params = init_params(cfg, seed=5)
         x = rng.normal(size=(1, 3))
         d_scores = rng.normal(size=(1, 2))
@@ -104,27 +104,26 @@ class TestBackward:
         grads = backward(trace, params, d_scores, d_feats)
 
         w0 = params.tensors["mlp0.w"]          # (3, 1)
-        wh = params.tensors["head.w"]          # (1, 2)
+        wh = params.tensors["head.w"]          # (2, 2): point row, pooled row
         f = float((x @ w0 + params.tensors["mlp0.b"]).item())
-        z = f * wh[0] + params.tensors["head.b"]
+        z = f * (wh[0] + wh[1]) + params.tensors["head.b"]
         e = np.exp(z - z.max())
         s = e / e.sum()
         dz = s * (d_scores[0] - float(d_scores[0] @ s))
-        d_wh = f * dz
+        d_wh = np.stack([f * dz, f * dz])
         d_bh = dz
-        df = float(dz @ wh[0]) + float(d_feats.item())
+        df = float(dz @ (wh[0] + wh[1])) + float(d_feats.item())
         d_w0 = x[0] * df
         d_b0 = df
 
-        np.testing.assert_allclose(grads["head.w"], d_wh[None, :], atol=1e-12)
+        np.testing.assert_allclose(trace.scores[0], s, atol=1e-12)
+        np.testing.assert_allclose(grads["head.w"], d_wh, atol=1e-12)
         np.testing.assert_allclose(grads["head.b"], d_bh, atol=1e-12)
         np.testing.assert_allclose(grads["mlp0.w"], d_w0[:, None], atol=1e-12)
         np.testing.assert_allclose(grads["mlp0.b"], [d_b0], atol=1e-12)
 
-    @pytest.mark.parametrize("context", [True, False])
-    def test_matches_finite_differences(self, rng, context):
-        cfg = EncoderConfig(hidden_sizes=(5,), feature_dim=4, num_clusters=3,
-                            global_context=context)
+    def test_matches_finite_differences(self, rng):
+        cfg = EncoderConfig(hidden_sizes=(5,), feature_dim=4, num_clusters=3)
         params = init_params(cfg, seed=11)
         x = rng.normal(size=(9, 3))
         a = rng.normal(size=(9, 3))  # fixed weights on scores
@@ -144,8 +143,7 @@ class TestBackward:
         # Rows 0 and 1 tie at the pooled maximum; the pooled gradient must
         # land on row 0, which is observable in the layer-weight gradient
         # because the tied points have different coordinates.
-        cfg = EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2,
-                            global_context=True)
+        cfg = EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2)
         params = init_params(cfg, seed=2)
         params.tensors["mlp0.w"] = np.array([[1.0], [0.0], [0.0]])
         params.tensors["mlp0.b"] = np.zeros(1)
@@ -177,6 +175,72 @@ class TestBackward:
         trace = forward(params, rng.normal(size=(4, 3)))
         with pytest.raises(ShapeError):
             backward(trace, params, np.zeros((4, 2)), np.zeros((4, 4)))
+
+
+def concatenated_head_reference(params, x, d_scores, d_features):
+    """Scores and gradients with the head input built as the (N, 2d) matrix
+    [F, pooled repeated N times], independent of forward/backward."""
+    t = params.tensors
+    n_layers = len(params.config.layer_sizes) - 1
+    pre, acts, a = [], [], x
+    for i in range(n_layers):
+        z = a @ t[f"mlp{i}.w"] + t[f"mlp{i}.b"]
+        pre.append(z)
+        a = np.maximum(z, 0.0) if i < n_layers - 1 else z
+        acts.append(a)
+    n, d = a.shape
+    rows = a.argmax(axis=0)
+    head_input = np.concatenate([a, np.tile(a[rows, np.arange(d)], (n, 1))], axis=1)
+    logits = head_input @ t["head.w"] + t["head.b"]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+
+    dz = s * (d_scores - (d_scores * s).sum(axis=1, keepdims=True))
+    grads = {"head.w": head_input.T @ dz, "head.b": dz.sum(axis=0)}
+    d_head_input = dz @ t["head.w"].T
+    d_a = d_head_input[:, :d] + d_features
+    d_a[rows, np.arange(d)] += d_head_input[:, d:].sum(axis=0)
+    for i in reversed(range(n_layers)):
+        d_z = d_a if i == n_layers - 1 else d_a * (pre[i] > 0.0)
+        grads[f"mlp{i}.w"] = (x if i == 0 else acts[i - 1]).T @ d_z
+        grads[f"mlp{i}.b"] = d_z.sum(axis=0)
+        d_a = d_z @ t[f"mlp{i}.w"].T
+    return s, grads
+
+
+class TestPaperShapeHead:
+    """N=2048 points, d=128 features, J=64 clusters: the paper's shape."""
+
+    def test_rank1_head_matches_concatenated_input(self, rng):
+        params = init_params(EncoderConfig(), seed=4)
+        x = rng.uniform(-1.0, 1.0, size=(2048, 3))
+        d_scores = rng.normal(size=(2048, 64))
+        d_features = rng.normal(size=(2048, 128))
+
+        trace = forward(params, x)
+        grads = backward(trace, params, d_scores, d_features)
+        ref_scores, ref_grads = concatenated_head_reference(params, x, d_scores, d_features)
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        assert rel(trace.scores, ref_scores) <= 1e-12
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape, name
+            assert rel(grads[name], ref) <= 1e-12, name
+
+    def test_forward_trace_memory(self, rng):
+        params = init_params(EncoderConfig(), seed=4)
+        x = rng.uniform(-1.0, 1.0, size=(2048, 3))
+        tracemalloc.start()
+        try:
+            trace = forward(params, x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.scores.shape == (2048, 64)
+        assert held <= 8 * 2**20, f"{held / 2**20:.1f} MiB"
 
 
 class TestCheckpoint:
@@ -217,5 +281,5 @@ class TestCheckpoint:
         path = tmp_path / "p.otck"
         del params.tensors["head.b"]
         save_checkpoint(params, path)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="head.b"):
             load_checkpoint(path)

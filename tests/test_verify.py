@@ -33,7 +33,6 @@ class TestDefaults:
         cfg = enc.EncoderConfig()
         assert cfg.layer_sizes == (3, 64, 128, 128)
         assert cfg.num_clusters == 64
-        assert cfg.global_context is True
 
 
 class TestRunChecks:
