@@ -8,6 +8,14 @@ Commands:
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 data error, 4 numerical abort, 5 checkpoint/config mismatch.
+
+Commands only raise. `main` maps each failure to its code through
+`EXIT_CODES`, the one table of that policy, and prints "<prefix>: <cause>":
+a ConfigError, an unreadable config file included, exits 2; a
+NumericalError 4; a CheckpointError 5; any other package error, or an
+OSError from a file or directory that cannot be read or written (the
+message names the path), exits 3. A bad command-line argument exits 2
+from argparse.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from . import __version__
 from . import cloud as pc
 from . import encoder as enc
 from .clustering import SolverConfig
-from .errors import (CheckpointError, ConfigError, EmptyCloudError, NumericalError,
-                     OtcluError, ParseError)
+from .errors import (CheckpointError, ConfigError, NumericalError, OtcluError, ParseError,
+                     check_int)
 from .trainer import TrainConfig, e_step, pretrain
 from .verify import run_checks
 
@@ -38,6 +46,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 EXIT_MISMATCH = 5
+
+# (exception kinds, exit code, message prefix); the first matching row wins.
+EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (NumericalError, EXIT_NUMERICAL, "numerical abort"),
+    (CheckpointError, EXIT_MISMATCH, "checkpoint error"),
+    ((OtcluError, OSError), EXIT_DATA, "data error"),
+)
 
 _CLOUD_SUFFIXES = (".off", ".ply", ".xyz")
 
@@ -55,15 +71,16 @@ def load_config(path) -> tuple[TrainConfig, dict]:
 
     Unknown sections or keys are rejected so a typo cannot silently fall
     back to a default. The cluster count lives in the solver section and
-    also sizes the encoder head.
+    also sizes the encoder head. Any failure, reading the file included,
+    raises ConfigError.
     """
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for section, keys in raw.items():
@@ -80,9 +97,7 @@ def load_config(path) -> tuple[TrainConfig, dict]:
     encoder_keys = dict(raw.get("encoder", {}))
     data = {"num_points": 2048, "normalize": True}
     data.update(raw.get("data", {}))
-    num_points = data["num_points"]
-    if isinstance(num_points, bool) or not isinstance(num_points, int) or num_points < 1:
-        raise ConfigError(f"data.num_points must be a positive integer, got {num_points!r}")
+    check_int("data.num_points", data["num_points"], 1)
     if not isinstance(data["normalize"], bool):
         raise ConfigError(f"data.normalize must be true or false, got {data['normalize']!r}")
 
@@ -90,11 +105,9 @@ def load_config(path) -> tuple[TrainConfig, dict]:
         solver_keys["lam"] = solver_keys.pop("lambda")
     try:
         solver = SolverConfig(**solver_keys)
-        if "hidden_sizes" in encoder_keys:
-            encoder_keys["hidden_sizes"] = tuple(encoder_keys["hidden_sizes"])
         encoder_cfg = enc.EncoderConfig(num_clusters=solver.num_clusters, **encoder_keys)
         config = TrainConfig(solver=solver, encoder=encoder_cfg, **train)
-    except (ValueError, TypeError, ConfigError) as exc:
+    except (ValueError, TypeError) as exc:  # a value of the wrong type fails a comparison
         raise ConfigError(str(exc)) from None
     return config, data
 
@@ -118,42 +131,26 @@ def _out_dir(arg: str) -> Path:
     return Path(os.environ.get("OTCLU_OUT_DIR", arg))
 
 
-def _scan_data_dir(data_dir: Path) -> list[Path]:
-    files = sorted(p for p in data_dir.iterdir()
-                   if p.suffix.lower() in _CLOUD_SUFFIXES) if data_dir.is_dir() else []
-    return files
-
-
 def cmd_pretrain(args) -> int:
-    try:
-        config, data = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config, data = load_config(args.config)
 
     data_dir = Path(args.data_dir)
-    files = _scan_data_dir(data_dir)
+    files = sorted(p for p in data_dir.iterdir() if p.suffix.lower() in _CLOUD_SUFFIXES)
     if not files:
-        print(f"data error: found 0 cloud files (*.off, *.ply, *.xyz) in {data_dir}",
-              file=sys.stderr)
-        return EXIT_DATA
+        raise FileNotFoundError(f"found 0 cloud files (*.off, *.ply, *.xyz) in {data_dir}")
 
     out_dir = _out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     clouds = []
-    try:
-        for i, path in enumerate(files):
-            cloud = pc.load_cloud(path)
-            if data["normalize"]:
-                cloud = pc.normalize(cloud)
-            if cloud.n_points != data["num_points"]:
-                cloud = pc.downsample_random(cloud, data["num_points"],
-                                             seed=config.seed * 100003 + i)
-            clouds.append(cloud)
-    except (ParseError, EmptyCloudError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    for i, path in enumerate(files):
+        cloud = pc.load_cloud(path)
+        if data["normalize"]:
+            cloud = pc.normalize(cloud)
+        if cloud.n_points != data["num_points"]:
+            cloud = pc.downsample_random(cloud, data["num_points"],
+                                         seed=config.seed * 100003 + i)
+        clouds.append(cloud)
 
     resolved = resolved_config_dict(config, data)
     digest = config_hash(resolved)
@@ -178,12 +175,8 @@ def cmd_pretrain(args) -> int:
                   f"l_soft {metrics['l_soft']:.6f}  l_orth {metrics['l_orth']:.6f}  "
                   f"lr {metrics['lr']:.6g}")
 
-        try:
-            pretrain(clouds, config, checkpoint_dir=out_dir,
-                     checkpoint_meta={"config_hash": digest}, on_epoch=on_epoch)
-        except NumericalError as exc:
-            print(f"numerical abort: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        pretrain(clouds, config, checkpoint_dir=out_dir,
+                 checkpoint_meta={"config_hash": digest}, on_epoch=on_epoch)
 
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -192,50 +185,22 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    try:
-        params, meta = enc.load_checkpoint(args.checkpoint)
-    except FileNotFoundError:
-        print(f"data error: checkpoint not found: {args.checkpoint}", file=sys.stderr)
-        return EXIT_DATA
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-
+    params, meta = enc.load_checkpoint(args.checkpoint)
     head_width = params.config.num_clusters
     if args.clusters is not None and args.clusters != head_width:
-        print(f"checkpoint mismatch: head is sized for {head_width} clusters; "
-              f"refusing to re-initialize it for {args.clusters}", file=sys.stderr)
-        return EXIT_MISMATCH
+        raise CheckpointError(f"{args.checkpoint}: head is sized for {head_width} clusters; "
+                              f"refusing to re-initialize it for {args.clusters}")
 
-    try:
-        cloud = pc.load_cloud(args.cloud)
-    except (ParseError, EmptyCloudError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    cloud = pc.normalize(cloud)
+    cloud = pc.normalize(pc.load_cloud(args.cloud))
     if args.points is not None:
         cloud = pc.downsample_random(cloud, args.points, seed=args.seed)
-
-    try:
-        solver = SolverConfig(num_clusters=head_width, epsilon=args.epsilon,
-                              lam=args.lam, iters=args.iters)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = e_step(params, cloud, solver)
-    except NumericalError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    solver = SolverConfig(num_clusters=head_width, epsilon=args.epsilon,
+                          lam=args.lam, iters=args.iters)
+    result = e_step(params, cloud, solver)
 
     labeled = pc.LabeledCloud.from_soft_labels(cloud, result.gamma.matrix)
     out_ply = Path(args.out_ply)
-    try:
-        pc.export_labeled_ply(labeled, out_ply, pc.default_palette(head_width))
-    except OSError as exc:
-        print(f"data error: cannot write {out_ply}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    pc.export_labeled_ply(labeled, out_ply, pc.default_palette(head_width))
 
     counts = np.bincount(labeled.labels, minlength=head_width)
     sidecar = {
@@ -257,22 +222,15 @@ def cmd_cluster(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        cloud = pc.load_cloud(args.input)
-    except (ParseError, EmptyCloudError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        output_format = args.format or pc.detect_format(args.output)
+    except ParseError as exc:  # the output name is an argument, not data
+        raise ConfigError(str(exc)) from None
+    cloud = pc.load_cloud(args.input)
     if args.normalize:
         cloud = pc.normalize(cloud)
     if args.points is not None:
         cloud = pc.downsample_random(cloud, args.points, seed=args.seed)
-    try:
-        pc.save_cloud(cloud, args.output, args.format)
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"data error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    pc.save_cloud(cloud, args.output, output_format)
     print(f"wrote {args.output} ({cloud.n_points} points)")
     return EXIT_OK
 
@@ -290,10 +248,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+def int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=SolverConfig.lam)
     p.add_argument("--iters", type=int, default=SolverConfig.iters,
                    help="Sinkhorn iteration cap; the solver stops earlier at its tol")
-    p.add_argument("--points", type=positive_int, default=None,
+    p.add_argument("--points", type=int_at_least(1), default=None,
                    help="downsample to this many points")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("export", help="convert/prepare a point-cloud file")
@@ -331,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=pc.FORMATS, default=None,
                    help="output format (default: inferred from extension)")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--points", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", type=int_at_least(1), default=None)
+    p.add_argument("--seed", type=int_at_least(0), default=0)
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("verify", help="run the oracle-backed self-check suite")
@@ -345,9 +307,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OtcluError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (OtcluError, OSError) as exc:
+        code, prefix = next((code, prefix) for kinds, code, prefix in EXIT_CODES
+                            if isinstance(exc, kinds))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

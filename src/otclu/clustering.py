@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError, check_int
 
 EMPTY_CLUSTER_EPS = 1e-12
 
@@ -34,18 +34,16 @@ class SolverConfig:
     def __post_init__(self):
         _check_solver_args(self.epsilon, self.iters, self.tol)
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.num_clusters < 2:
-            raise ValueError(f"need at least 2 clusters, got {self.num_clusters}")
+            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
+        check_int("num_clusters", self.num_clusters, 2)
 
 
 def _check_solver_args(epsilon, iters, tol) -> None:
-    """Raise ValueError unless epsilon and tol are positive and finite and iters >= 1."""
+    """Raise ConfigError unless epsilon and tol are positive and finite and iters >= 1."""
     for name, value in (("epsilon", epsilon), ("tol", tol)):
         if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if not isinstance(iters, numbers.Integral) or iters < 1:
-        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    check_int("iters", iters, 1)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ShapeError, check_int
 
 CHECKPOINT_MAGIC = b"OTCLUCKP"
 CHECKPOINT_VERSION = 2
@@ -33,12 +33,10 @@ class EncoderConfig:
     num_clusters: int = 64
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.hidden_sizes)
-        object.__setattr__(self, "hidden_sizes", sizes)
-        if any(s <= 0 for s in sizes) or self.feature_dim <= 0:
-            raise ConfigError(f"layer sizes must be positive, got {sizes} -> {self.feature_dim}")
-        if self.num_clusters < 2:
-            raise ConfigError(f"need at least 2 clusters, got {self.num_clusters}")
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        for size in (*self.hidden_sizes, self.feature_dim):
+            check_int("layer size", size, 1)
+        check_int("num_clusters", self.num_clusters, 2)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -229,7 +227,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
             arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
             tensors[entry["name"]] = arr
         meta = header["meta"]
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError
         raise CheckpointError(f"{path}: damaged header: {exc!r}") from None
     shapes = {name: arr.shape for name, arr in tensors.items()}
     expected = {}

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-setting check."""
+
+import numbers
 
 
 class OtcluError(Exception):
@@ -28,7 +30,7 @@ class ShapeError(OtcluError):
     """Array arguments have inconsistent dimensions."""
 
 
-class ConfigError(OtcluError):
+class ConfigError(OtcluError, ValueError):
     """Invalid configuration value."""
 
 
@@ -46,3 +48,9 @@ class DivisibilityError(OtcluError):
 
 class CheckpointError(OtcluError):
     """Checkpoint file is corrupt or incompatible with the requested use."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless `value` is an integer, not a bool, and >= `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -20,7 +20,7 @@ from . import encoder as enc
 from .clustering import (SolverConfig, SoftLabels, Prototypes, assign_soft_labels,
                          compute_cost, compute_prototypes, prototypes_backward, sinkhorn)
 from .encoder import EncoderConfig, EncoderParams, ForwardTrace
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_int
 from .losses import LossReport, total_loss
 
 
@@ -42,17 +42,17 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, minimum in (("epochs", 0), ("batch_size", 1), ("decay_every", 1),
+                              ("seed", 0), ("checkpoint_every", 0)):
+            check_int(name, getattr(self, name), minimum)
         for name in ("lr", "lr_decay", "beta1", "beta2", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.decay_every < 1:
-            raise ConfigError(f"decay_every must be >= 1, got {self.decay_every}")
         if self.weight_decay < 0 or self.eta < 0:
             raise ConfigError("weight_decay and eta must be non-negative")
+        if self.solver.num_clusters != self.encoder.num_clusters:
+            raise ConfigError(f"solver.num_clusters {self.solver.num_clusters} differs from "
+                              f"encoder.num_clusters {self.encoder.num_clusters}")
 
 
 @dataclass

@@ -7,6 +7,7 @@ from otclu import cli
 from otclu.cloud import PointCloud, load_cloud, save_cloud
 from otclu.clustering import SolverConfig
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
+from otclu.errors import CheckpointError, ConfigError, NumericalError, ParseError, ShapeError
 from otclu.verify import CheckResult
 
 from conftest import two_blob_points
@@ -92,7 +93,12 @@ class TestPretrainCommand:
                               ("solver", {"iters": 2.5}),
                               ("data", {"num_points": "abc"}), ("data", {"num_points": 2.5}),
                               ("data", {"num_points": True}), ("data", {"num_points": 0}),
-                              ("data", {"normalize": "no"})):
+                              ("data", {"normalize": "no"}),
+                              ("train", {"seed": -1}), ("train", {"seed": 1.5}),
+                              ("train", {"epochs": 2.5}), ("train", {"batch_size": 2.5}),
+                              ("train", {"checkpoint_every": "x"}),
+                              ("solver", {"num_clusters": 2.5}),
+                              ("encoder", {"feature_dim": 2.5})):
             config = write_config(tmp_path / "config.json", **{section: keys})
             code = cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")])
             assert code == 2, (section, keys)
@@ -171,6 +177,10 @@ class TestClusterCommand:
                 cli.main([*argv, "--points", "0"])
             assert exc.value.code == 2, argv
             assert "--points: must be >= 1, got 0" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--seed", "-1"])
+            assert exc.value.code == 2, argv
+            assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_missing_cloud_exits_3(self, trained_run, tmp_path):
         out_dir, _ = trained_run
@@ -212,6 +222,52 @@ class TestExportCommand:
         src = tmp_path / "a.xyz"
         src.write_text("0 0 0\n")
         assert cli.main(["export", str(src), str(tmp_path / "out.bin")]) == 2
+        # the output name is checked before the input is read
+        assert cli.main(["export", str(tmp_path / "nope.xyz"), str(tmp_path / "out.bin")]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (ConfigError("bad value"), 2, "config error"),
+        (NumericalError("plan not finite"), 4, "numerical abort"),
+        (CheckpointError("damaged header"), 5, "checkpoint error"),
+        (ParseError("bad row", "a.off", 3), 3, "data error"),
+        (ShapeError("wrong width"), 3, "data error"),
+        (IsADirectoryError(21, "Is a directory", "some/dir"), 3, "data error"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_each_failure_kind_maps_to_its_code(self, monkeypatch, capsys, exc, code, prefix):
+        def failing_command(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_verify", failing_command)
+        assert cli.main(["verify"]) == code
+        assert capsys.readouterr().err == f"{prefix}: {exc}\n"
+
+    def test_unusable_paths_exit_with_their_code(self, blob_dataset, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        cloud = tmp_path / "c.xyz"
+        cloud.write_text("0 0 0\n1 1 1\n")
+        metrics = tmp_path / "m" / "metrics.jsonl"
+        final = tmp_path / "f" / "checkpoint_final.otck"
+        for blocked in (metrics, final):
+            blocked.mkdir(parents=True)
+
+        def pretrain(config, out_dir):
+            return ["pretrain", str(config), str(blob_dataset), str(out_dir)]
+
+        for argv, code, path in (
+                (pretrain(config, a_file), 3, a_file),
+                (pretrain(a_dir, tmp_path / "o"), 2, a_dir),
+                (["cluster", str(a_dir), str(cloud), str(tmp_path / "x.ply")], 3, a_dir),
+                (pretrain(config, metrics.parent), 3, metrics),
+                (pretrain(config, final.parent), 3, final)):
+            assert cli.main(argv) == code, argv
+            err = capsys.readouterr().err
+            assert err.startswith({2: "config error: ", 3: "data error: "}[code]), err
+            assert str(path) in err, err
 
 
 class TestVerifyCommand:

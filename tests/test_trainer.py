@@ -154,6 +154,8 @@ class TestSchedule:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=-1.0)
+        with pytest.raises(ConfigError, match="num_clusters"):
+            TrainConfig(solver=SolverConfig(num_clusters=8))
 
 
 class TestPretrain:
