@@ -2,7 +2,7 @@
 
 from .cloud import (LabeledCloud, PointCloud, default_palette, downsample_random,
                     export_labeled_ply, load_cloud, normalize, save_cloud)
-from .clustering import (Prototypes, SoftLabels, SolverConfig, TransportPlan,
+from .clustering import (Prototypes, SolverConfig, TransportPlan,
                          assign_l2_labels, assign_soft_labels, compute_cost,
                          compute_prototypes, sinkhorn)
 from .encoder import (EncoderConfig, EncoderParams, ForwardTrace, backward, forward,

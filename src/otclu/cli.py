@@ -198,7 +198,7 @@ def cmd_cluster(args) -> int:
                           lam=args.lam, iters=args.iters)
     result = e_step(params, cloud, solver)
 
-    labeled = pc.LabeledCloud.from_soft_labels(cloud, result.gamma.matrix)
+    labeled = pc.LabeledCloud.from_soft_labels(cloud, result.gamma)
     out_ply = Path(args.out_ply)
     pc.export_labeled_ply(labeled, out_ply, pc.default_palette(head_width))
 

@@ -10,13 +10,11 @@ assignment is kept as a baseline; it carries no such guarantee.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeError, check_int
+from .errors import NumericalError, ShapeError, check_int, check_real
 
 EMPTY_CLUSTER_EPS = 1e-12
 
@@ -33,16 +31,14 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_solver_args(self.epsilon, self.iters, self.tol)
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
+        check_real("lambda", self.lam, 0.0, 1.0)
         check_int("num_clusters", self.num_clusters, 2)
 
 
 def _check_solver_args(epsilon, iters, tol) -> None:
     """Raise ConfigError unless epsilon and tol are positive and finite and iters >= 1."""
-    for name, value in (("epsilon", epsilon), ("tol", tol)):
-        if not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    check_real("epsilon", epsilon, 0.0, strict=True)
+    check_real("tol", tol, 0.0, strict=True)
     check_int("iters", iters, 1)
 
 
@@ -67,16 +63,6 @@ class TransportPlan:
         row = np.abs(self.matrix.sum(axis=1) - 1.0 / n).max()
         col = np.abs(self.matrix.sum(axis=0) - 1.0 / j).max()
         return float(max(row, col))
-
-
-@dataclass
-class SoftLabels:
-    """Per-point cluster distribution (N, J); rows sum to 1."""
-
-    matrix: np.ndarray
-
-    def hard(self) -> np.ndarray:
-        return self.matrix.argmax(axis=1)
 
 
 def compute_prototypes(points: np.ndarray, features: np.ndarray,
@@ -123,8 +109,7 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
                  lam: float) -> np.ndarray:
     """Blend geometric and feature squared distances: lam*geo + (1-lam)*feat, (N, J)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    check_real("lambda", lam, 0.0, 1.0)
     points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     d_geo = _sq_dists(points, protos.geo)
@@ -145,8 +130,9 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     `iters` only caps the count: a solve that reaches it returns its plan
     with the residual it reached.
 
-    Raises NumericalError if the plan is not finite: the scaling vectors
-    overflow once the cost spread is of the order of 1e4 * epsilon.
+    Raises NumericalError if the plan is not finite, naming the cause: NaN or
+    infinite cost entries, or scaling vectors that overflowed, which they do
+    once the cost spread is of the order of 1e4 * epsilon.
     """
     d = np.asarray(cost, dtype=np.float64)
     if d.ndim != 2:
@@ -154,12 +140,12 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     _check_solver_args(epsilon, iters, tol)
     n, m = d.shape
 
-    shifted = d - d.min(axis=1, keepdims=True)
-    shifted -= shifted.min(axis=0)
-    kernel = np.exp(shifted / -epsilon)
-    a, b = 1.0 / n, 1.0 / m
-    kv = kernel.sum(axis=1)
-    with np.errstate(all="ignore"):  # an overflow must reach the check below
+    with np.errstate(all="ignore"):  # a NaN or an overflow must reach the check below
+        shifted = d - d.min(axis=1, keepdims=True)
+        shifted -= shifted.min(axis=0)
+        kernel = np.exp(shifted / -epsilon)
+        a, b = 1.0 / n, 1.0 / m
+        kv = kernel.sum(axis=1)
         for iterations in range(1, iters + 1):
             u = a / kv
             v = b / (u @ kernel)
@@ -168,30 +154,33 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
                 break
         plan = u[:, None] * kernel * v[None, :]
     if not np.all(np.isfinite(plan)):
+        bad = d.size - np.count_nonzero(np.isfinite(d))
+        if bad:
+            raise NumericalError(f"cost matrix has {bad} non-finite entries (NaN or "
+                                 f"infinity) of {d.size}; the transport plan is not finite")
         raise NumericalError(
             f"transport plan became non-finite after {iterations} Sinkhorn iterations; "
             f"epsilon {epsilon:g} is too small for the cost spread")
     return TransportPlan(matrix=plan, iterations=iterations)
 
 
-def assign_soft_labels(plan: TransportPlan, n: int) -> SoftLabels:
-    """Scale a transport plan to per-point distributions: labels = N * plan."""
-    return SoftLabels(matrix=float(n) * plan.matrix)
+def assign_soft_labels(plan: TransportPlan, n: int) -> np.ndarray:
+    """Scale a transport plan to per-point distributions: labels (N, J) = N * plan."""
+    return float(n) * plan.matrix
 
 
-def assign_l2_labels(cost, temperature: float) -> SoftLabels:
-    """Per-row softmax over negative cost: the unconstrained baseline.
+def assign_l2_labels(cost, temperature: float) -> np.ndarray:
+    """Per-row softmax over negative cost (N, J): the unconstrained baseline.
 
     Rows sum to 1, but column sums are unconstrained, so clusters may
     receive arbitrarily unbalanced mass.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_real("temperature", temperature, 0.0, strict=True)
     d = np.asarray(cost, dtype=np.float64)
     logits = -d / temperature
     logits -= logits.max(axis=1, keepdims=True)
     expd = np.exp(logits)
-    return SoftLabels(matrix=expd / expd.sum(axis=1, keepdims=True))
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.ndarray,

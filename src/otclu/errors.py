@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer-setting check."""
+"""Exception types shared across the package, and the integer and real setting checks."""
 
+import math
 import numbers
 
 
@@ -54,3 +55,15 @@ def check_int(name: str, value, minimum: int) -> None:
     """Raise ConfigError unless `value` is an integer, not a bool, and >= `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf,
+               strict: bool = False) -> None:
+    """Raise ConfigError unless `value` is a real number, not a bool, that is finite
+    and in [low, high], or in (low, high) when `strict`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+            or not (low < value < high if strict else low <= value <= high)):
+        left, right = ("(", ")") if strict else ("[", ")" if high == math.inf else "]")
+        raise ConfigError(f"{name} must be a finite real number in "
+                          f"{left}{low:g}, {high:g}{right}, got {value!r}")

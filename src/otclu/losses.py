@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Prototypes, SoftLabels
-from .errors import NumericalError, ShapeError
+from .clustering import Prototypes
+from .errors import NumericalError, ShapeError, check_real
 
 ZERO_NORM_EPS = 1e-12
 
@@ -26,17 +26,12 @@ class LossReport:
     eta: float
 
 
-def _labels_matrix(gamma) -> np.ndarray:
-    matrix = gamma.matrix if isinstance(gamma, SoftLabels) else np.asarray(gamma)
-    return np.asarray(matrix, dtype=np.float64)
-
-
 def soft_ce_loss(gamma, scores: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy -(1/N) sum_ij gamma_ij log s_ij and dL/dS.
 
     gamma is a constant target: no gradient flows into it.
     """
-    g = _labels_matrix(gamma)
+    g = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
     if g.shape != s.shape:
         raise ShapeError(f"soft labels {g.shape} and scores {s.shape} must match")
@@ -84,8 +79,7 @@ def total_loss(gamma, scores: np.ndarray, protos: Prototypes,
     are already scaled by eta and still need chaining through the weighted
     centroids to reach scores and features (the trainer does that).
     """
-    if eta < 0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
+    check_real("eta", eta, 0.0)
     l_soft, d_scores = soft_ce_loss(gamma, scores)
     l_orth, d_geo, d_feat = orth_loss(protos)
     report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + eta * l_orth, eta=eta)

@@ -10,6 +10,7 @@ from the batch-mean gradient. Learning rate follows a step-decay schedule.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder as enc
-from .clustering import (SolverConfig, SoftLabels, Prototypes, assign_soft_labels,
+from .clustering import (SolverConfig, Prototypes, assign_soft_labels,
                          compute_cost, compute_prototypes, prototypes_backward, sinkhorn)
 from .encoder import EncoderConfig, EncoderParams, ForwardTrace
-from .errors import ConfigError, NumericalError, check_int
+from .errors import ConfigError, NumericalError, check_int, check_real
 from .losses import LossReport, total_loss
 
 
@@ -45,11 +46,12 @@ class TrainConfig:
         for name, minimum in (("epochs", 0), ("batch_size", 1), ("decay_every", 1),
                               ("seed", 0), ("checkpoint_every", 0)):
             check_int(name, getattr(self, name), minimum)
-        for name in ("lr", "lr_decay", "beta1", "beta2", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.weight_decay < 0 or self.eta < 0:
-            raise ConfigError("weight_decay and eta must be non-negative")
+        for name in ("lr", "lr_decay", "adam_eps"):
+            check_real(name, getattr(self, name), 0.0, strict=True)
+        for name in ("beta1", "beta2"):  # at 1 the bias correction 1 - beta^t is 0
+            check_real(name, getattr(self, name), 0.0, 1.0, strict=True)
+        for name in ("weight_decay", "eta"):
+            check_real(name, getattr(self, name), 0.0)
         if self.solver.num_clusters != self.encoder.num_clusters:
             raise ConfigError(f"solver.num_clusters {self.solver.num_clusters} differs from "
                               f"encoder.num_clusters {self.encoder.num_clusters}")
@@ -61,7 +63,7 @@ class EStepResult:
 
     trace: ForwardTrace
     protos: Prototypes
-    gamma: SoftLabels
+    gamma: np.ndarray    # soft labels (N, J): N times the transport plan
     marginal_residual: float
     iterations: int      # Sinkhorn iterations the solve took
 
@@ -204,6 +206,11 @@ def _write_checkpoint(state: TrainState, directory, filename: str,
     tmp = directory / (filename + ".tmp")
     full_meta = dict(meta or {})
     full_meta.update({"epoch": state.epoch, "step": state.step})
-    enc.save_checkpoint(state.params, tmp, meta=full_meta)
-    os.replace(tmp, target)
+    try:
+        enc.save_checkpoint(state.params, tmp, meta=full_meta)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):  # tmp may not exist, or be a directory
+            tmp.unlink()
+        raise
     return target

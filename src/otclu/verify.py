@@ -1,8 +1,12 @@
 """The check registry behind `otclu verify` and the acceptance suite.
 
-Each check cross-validates a production code path against an independent
-oracle (exact LP, exhaustive balanced assignment, finite differences) or
-asserts a structural invariant on one seeded family of instances. The
+Each check tests one of the numerical contracts the method rests on
+(balanced Sinkhorn labels close to the exact LP, exact loss gradients, a
+training run that lowers the loss) on one seeded family of instances,
+against an independent oracle (exact LP, exhaustive balanced assignment,
+finite differences) or a stated bound. Structural invariants (shift
+invariance, equivariance, file round trips, normalization, determinism)
+are unit tests of the modules they belong to. The
 `full` level runs every family at its full size and fails a check that
 overruns its time budget; `fast` runs a prefix of each family and skips
 the checks whose fast size is 0.
@@ -10,10 +14,8 @@ the checks whose fast size is 0.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -188,7 +190,7 @@ def check_equipartition(count: int) -> tuple[bool, str]:
     for trial in range(count):
         params = enc.init_params(cfg, 400 + trial)
         cloud = pc.normalize(ball_cloud(rng, 96))
-        g = e_step(params, cloud, solver).gamma.matrix
+        g = e_step(params, cloud, solver).gamma
         n, m = g.shape
         worst = max(worst, np.abs(g.sum(axis=0) - n / m).max() / n)
     return worst < 1e-5, f"{count} clouds: max |colsum(labels) - N/J| / N = {worst:.2e} (<1e-5)"
@@ -204,7 +206,7 @@ def check_blob_purity(count: int) -> tuple[bool, str]:
         cfg = enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8, num_clusters=j)
         params = enc.init_params(cfg, 50 + j)
         solver = SolverConfig(num_clusters=j, lam=1.0, iters=500, tol=1e-9)
-        hard = e_step(params, cloud, solver).gamma.hard()
+        hard = e_step(params, cloud, solver).gamma.argmax(axis=1)
         p = purity(hard, membership)
         trace = enc.forward(params, cloud)
         protos = compute_prototypes(cloud.points, trace.features, trace.scores)
@@ -244,9 +246,9 @@ def check_ablation_mechanics(count: int) -> tuple[bool, str]:
     n, m = 60, 4
     d = rng.uniform(0.2, 0.4, size=(n, m))
     d[:, 0] = rng.uniform(0.0, 0.02, size=n)
-    l2 = assign_l2_labels(d, temperature=1e-3).matrix
+    l2 = assign_l2_labels(d, temperature=1e-3)
     plans = [sinkhorn(d, 1e-3, iters=200_000, tol=CONVERGED_TOL)]
-    ot = assign_soft_labels(plans[0], n).matrix
+    ot = assign_soft_labels(plans[0], n)
     l2_dev = np.abs(l2.sum(axis=0) - n / m).max() / n
     ot_dev = np.abs(ot.sum(axis=0) - n / m).max() / n
     part_a = l2_dev > 10 * 1e-6 and ot_dev < 1e-5
@@ -268,105 +270,13 @@ def check_ablation_mechanics(count: int) -> tuple[bool, str]:
         plan = sinkhorn(compute_cost(points, feats, protos, lam), 1e-3, iters=200_000,
                         tol=CONVERGED_TOL)
         plans.append(plan)
-        purities[lam] = purity(assign_soft_labels(plan, 2 * per_half).hard(), membership)
+        purities[lam] = purity(assign_soft_labels(plan, 2 * per_half).argmax(axis=1), membership)
     part_b = purities[0.0] < 0.6 and purities[0.5] >= 0.99
 
     return part_a and part_b, (
         f"(a) L2 colsum deviation {l2_dev:.2e} (>1e-5), OT {ot_dev:.2e} (<1e-5); "
         f"(b) purity lam=0 {purities[0.0]:.2f} (<0.6), lam=0.5 {purities[0.5]:.2f} (>=0.99); "
         f"{misses_detail(plans)}")
-
-
-def check_cost_shift(count: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(61)
-    d = random_cost(rng, 12, 5)
-    base = sinkhorn(d, 1e-2, iters=200).matrix
-    shifted = sinkhorn(d + 0.17, 1e-2, iters=200).matrix
-    diff = np.abs(base - shifted).max()
-    return diff < 1e-9, f"max plan change under constant cost shift: {diff:.2e}"
-
-
-def check_lambda_endpoints(count: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(67)
-    n, d_feat = 24, 6
-    points = rng.normal(size=(n, 3))
-    feats = rng.normal(size=(n, d_feat))
-    scores = rng.dirichlet(np.ones(4), size=n)
-
-    def solve(lam, p, f):
-        protos = compute_prototypes(p, f, scores)
-        return sinkhorn(compute_cost(p, f, protos, lam), 5e-2, iters=300).matrix
-
-    geo_only = np.abs(solve(1.0, points, feats)
-                      - solve(1.0, points, rng.normal(size=(n, d_feat)))).max()
-    feat_only = np.abs(solve(0.0, points, feats)
-                       - solve(0.0, rng.normal(size=(n, 3)), feats)).max()
-    ok = geo_only == 0.0 and feat_only == 0.0
-    return ok, f"feature perturbation at lam=1: {geo_only:.1e}; point perturbation at lam=0: {feat_only:.1e}"
-
-
-def check_permutation_equivariance(count: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(71)
-    cfg = enc.EncoderConfig(hidden_sizes=(10,), feature_dim=6, num_clusters=4)
-    params = enc.init_params(cfg, 5)
-    x = rng.normal(size=(20, 3))
-    perm = rng.permutation(20)
-    straight = enc.forward(params, x)
-    permuted = enc.forward(params, x[perm])
-    df = np.abs(straight.features[perm] - permuted.features).max()
-    ds = np.abs(straight.scores[perm] - permuted.scores).max()
-    return df < 1e-12 and ds < 1e-12, f"feature mismatch {df:.1e}, score mismatch {ds:.1e}"
-
-
-def check_io_round_trip(count: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(73)
-    cloud = pc.PointCloud(rng.uniform(-1, 1, size=(50, 3)))
-    worst = 0.0
-    with tempfile.TemporaryDirectory() as tmp:
-        for fmt, suffix in (("OFF", ".off"), ("PLY_ASCII", ".ply"), ("XYZ", ".xyz")):
-            path = Path(tmp) / f"cloud{suffix}"
-            pc.save_cloud(cloud, path, fmt)
-            back = pc.load_cloud(path, fmt)
-            worst = max(worst, np.abs(back.points - cloud.points).max())
-        labeled = pc.LabeledCloud(cloud, rng.integers(0, 4, size=50), rng.uniform(size=50))
-        ply = Path(tmp) / "labeled.ply"
-        pc.export_labeled_ply(labeled, ply, pc.default_palette(4))
-        back = pc.load_cloud(ply)
-        worst = max(worst, np.abs(back.points - cloud.points).max())
-    return worst < 1e-6, f"max round-trip coordinate error {worst:.2e} (<1e-6)"
-
-
-def check_normalize(count: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(79)
-    cloud = pc.PointCloud(rng.normal(size=(100, 3)) * 4 + 2)
-    once = pc.normalize(cloud)
-    twice = pc.normalize(once)
-    centroid = np.abs(once.points.mean(axis=0)).max()
-    max_norm = np.linalg.norm(once.points, axis=1).max()
-    idem = np.abs(twice.points - once.points).max()
-    ok = centroid < 1e-9 and abs(max_norm - 1.0) < 1e-9 and idem < 1e-9
-    return ok, f"centroid {centroid:.1e}, max norm err {abs(max_norm-1):.1e}, idempotence {idem:.1e}"
-
-
-def check_determinism(count: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(83)
-    cloud = pc.PointCloud(rng.normal(size=(64, 3)))
-    a = pc.downsample_random(cloud, 32, seed=9).points
-    b = pc.downsample_random(cloud, 32, seed=9).points
-    cfg = enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8, num_clusters=4)
-    pa = enc.init_params(cfg, 1)
-    pb = enc.init_params(cfg, 1)
-    same_params = all(np.array_equal(pa.tensors[k], pb.tensors[k]) for k in pa.tensors)
-    clouds = [pc.normalize(ball_cloud(rng, 32)) for _ in range(4)]
-    config = TrainConfig(epochs=2, batch_size=2, seed=4,
-                         solver=SolverConfig(num_clusters=4),
-                         encoder=cfg)
-    s1 = pretrain(clouds, config)
-    s2 = pretrain(clouds, config)
-    same_train = all(np.array_equal(s1.params.tensors[k], s2.params.tensors[k])
-                     for k in s1.params.tensors)
-    ok = np.array_equal(a, b) and same_params and same_train
-    return ok, f"downsample={np.array_equal(a, b)}, init={same_params}, pretrain={same_train}"
 
 
 @dataclass(frozen=True)
@@ -391,12 +301,6 @@ CHECKS = [
     Check("blob-purity", check_blob_purity, 2, 2, 10.0),
     Check("learning-signal", check_learning_signal, 0, 1, 300.0),
     Check("ablation-mechanics", check_ablation_mechanics, 1, 1, 10.0),
-    Check("cost-shift-invariance", check_cost_shift, 0, 1, 10.0),
-    Check("lambda-endpoints", check_lambda_endpoints, 0, 1, 10.0),
-    Check("permutation-equivariance", check_permutation_equivariance, 0, 1, 10.0),
-    Check("io-round-trip", check_io_round_trip, 0, 1, 10.0),
-    Check("normalize", check_normalize, 0, 1, 10.0),
-    Check("determinism", check_determinism, 0, 1, 10.0),
 ]
 
 

@@ -98,7 +98,11 @@ class TestPretrainCommand:
                               ("train", {"epochs": 2.5}), ("train", {"batch_size": 2.5}),
                               ("train", {"checkpoint_every": "x"}),
                               ("solver", {"num_clusters": 2.5}),
-                              ("encoder", {"feature_dim": 2.5})):
+                              ("encoder", {"feature_dim": 2.5}),
+                              ("train", {"lr": float("nan")}), ("train", {"lr": float("inf")}),
+                              ("train", {"eta": float("inf")}),
+                              ("train", {"weight_decay": float("nan")}),
+                              ("train", {"beta1": 1.5}), ("train", {"beta2": 1.0})):
             config = write_config(tmp_path / "config.json", **{section: keys})
             code = cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")])
             assert code == 2, (section, keys)
@@ -268,6 +272,7 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith({2: "config error: ", 3: "data error: "}[code]), err
             assert str(path) in err, err
+        assert not (final.parent / "checkpoint_final.otck.tmp").exists()
 
 
 class TestVerifyCommand:

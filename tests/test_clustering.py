@@ -7,7 +7,7 @@ from otclu import encoder as enc
 from otclu.clustering import (Prototypes, assign_l2_labels, assign_soft_labels,
                               compute_cost, compute_prototypes, prototypes_backward,
                               sinkhorn)
-from otclu.errors import ShapeError
+from otclu.errors import NumericalError, ShapeError
 from otclu.oracle import exact_ot
 
 from conftest import ball_points
@@ -126,6 +126,21 @@ class TestComputeCost:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
+    def test_lambda_endpoints_drop_the_other_term(self, rng):
+        # Prototypes are recomputed from the perturbed input, so the term
+        # the endpoint drops changes completely; the cost must not move a bit.
+        n = 24
+        points, feats = rng.normal(size=(n, 3)), rng.normal(size=(n, 6))
+        scores = rng.dirichlet(np.ones(4), size=n)
+
+        def cost(lam, p, f):
+            return compute_cost(p, f, compute_prototypes(p, f, scores), lam)
+
+        np.testing.assert_array_equal(cost(1.0, points, feats),
+                                      cost(1.0, points, rng.normal(size=(n, 6))))
+        np.testing.assert_array_equal(cost(0.0, points, feats),
+                                      cost(0.0, rng.normal(size=(n, 3)), feats))
+
     def test_lambda_out_of_range(self, rng):
         protos = Prototypes(geo=np.zeros((2, 3)), feat=np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -171,6 +186,13 @@ class TestSinkhorn:
         b = sinkhorn(cost + 5.0, 1e-3, iters=50).matrix
         assert np.abs(a - b).max() < 1e-9
 
+    def test_non_finite_cost_is_named(self, rng):
+        cost = rng.uniform(0, 0.5, size=(64, 8))
+        cost[5, 3] = np.nan
+        with pytest.raises(NumericalError, match="cost matrix has 1 non-finite") as info:
+            sinkhorn(cost, 1e-3, iters=50)
+        assert "epsilon" not in str(info.value)
+
     def test_wide_cost_spread_stays_finite(self):
         # A row (then a column) sits 2000 epsilons above the rest: its part of
         # exp(-cost/eps) underflows, but the shifted kernel keeps a 1 in it.
@@ -199,36 +221,36 @@ class TestAssignLabels:
     def test_uniform_plan_scales(self):
         plan = sinkhorn(np.full((4, 2), 1.0), 1e-3, iters=5)
         gamma = assign_soft_labels(plan, 4)
-        np.testing.assert_allclose(gamma.matrix, 0.5, atol=1e-12)
+        np.testing.assert_allclose(gamma, 0.5, atol=1e-12)
 
     def test_diagonal_plan_scales_to_identity(self):
         plan = sinkhorn(np.array([[0.0, 10.0], [10.0, 0.0]]), 1e-3, iters=20)
         gamma = assign_soft_labels(plan, 2)
-        np.testing.assert_allclose(gamma.matrix, np.eye(2), atol=1e-9)
+        np.testing.assert_allclose(gamma, np.eye(2), atol=1e-9)
 
     def test_column_sums_hit_quota(self, rng):
         cost = rng.uniform(0, 0.01, size=(24, 4))
         gamma = assign_soft_labels(sinkhorn(cost, 1e-3, iters=200, tol=1e-9), 24)
-        np.testing.assert_allclose(gamma.matrix.sum(axis=0), 6.0, atol=24 * 1e-6)
+        np.testing.assert_allclose(gamma.sum(axis=0), 6.0, atol=24 * 1e-6)
 
     def test_l2_dominant_entry(self):
         gamma = assign_l2_labels(np.array([[0.0, 10.0]]), temperature=1e-3)
-        np.testing.assert_allclose(gamma.matrix, [[1.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(gamma, [[1.0, 0.0]], atol=1e-12)
 
     def test_l2_constant_cost_uniform(self):
         gamma = assign_l2_labels(np.full((3, 4), 7.0), temperature=0.1)
-        np.testing.assert_allclose(gamma.matrix, 0.25, atol=1e-12)
+        np.testing.assert_allclose(gamma, 0.25, atol=1e-12)
 
     def test_l2_ignores_equipartition(self, rng):
         # Random instances generically leave column sums far from N/J.
         cost = rng.uniform(0, 1, size=(40, 4))
         gamma = assign_l2_labels(cost, temperature=0.05)
-        deviation = np.abs(gamma.matrix.sum(axis=0) - 10.0).max()
+        deviation = np.abs(gamma.sum(axis=0) - 10.0).max()
         assert deviation > 10 * 1e-6 * 40
 
     def test_l2_rows_sum_to_one(self, rng):
         gamma = assign_l2_labels(rng.uniform(0, 5, size=(13, 6)), temperature=0.7)
-        np.testing.assert_allclose(gamma.matrix.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestPrototypesBackward:

@@ -7,7 +7,7 @@ import pytest
 
 from otclu import cloud as pc
 from otclu import encoder as enc
-from otclu.clustering import SoftLabels, SolverConfig
+from otclu.clustering import SolverConfig
 from otclu.errors import ConfigError, NumericalError
 from otclu.oracle import balanced_hard_assign
 from otclu.trainer import (TrainConfig, TrainState, cloud_gradients, e_step, lr_at_epoch,
@@ -35,7 +35,7 @@ class TestEStep:
         params = enc.init_params(config.encoder, 3)
         solver = SolverConfig(num_clusters=2, lam=1.0, iters=500, tol=1e-9)
         result = e_step(params, cloud, solver)
-        hard = result.gamma.hard()
+        hard = result.gamma.argmax(axis=1)
         # blob labels up to cluster naming
         assert (np.array_equal(hard, membership)
                 or np.array_equal(hard, 1 - membership))
@@ -54,9 +54,9 @@ class TestEStep:
         params = enc.init_params(config.encoder, 1)
         for _ in range(5):
             cloud = pc.normalize(pc.PointCloud(ball_points(rng, 64)))
-            g = e_step(params, cloud, config.solver).gamma.matrix
+            g = e_step(params, cloud, config.solver).gamma
             assert np.abs(g.sum(axis=0) - 16.0).max() < 64 * 1e-5
-            g = e_step(params, cloud, converged).gamma.matrix
+            g = e_step(params, cloud, converged).gamma
             assert np.abs(g.sum(axis=0) - 16.0).max() < 64 * 1e-6
             np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=64 * 1e-6)
 
@@ -69,7 +69,7 @@ class TestEStep:
         a = e_step(params, cloud, config.solver)
         for other in (cloud, fortran):
             b = e_step(params, other, config.solver)
-            np.testing.assert_array_equal(a.gamma.matrix, b.gamma.matrix)
+            np.testing.assert_array_equal(a.gamma, b.gamma)
             np.testing.assert_array_equal(a.trace.scores, b.trace.scores)
 
 
@@ -85,7 +85,7 @@ class TestMStep:
         cloud = pc.normalize(pc.PointCloud(ball_points(rng, 16)))
         result = e_step(state.params, cloud, config.solver)
         assert np.all(result.trace.scores == 0.5)
-        result = replace(result, gamma=SoftLabels(result.trace.scores.copy()),
+        result = replace(result, gamma=result.trace.scores.copy(),
                          marginal_residual=0.0)
         before = {k: v.copy() for k, v in state.params.tensors.items()}
         _, grads = cloud_gradients(state, result)
@@ -129,7 +129,7 @@ class TestMStep:
         state = TrainState.initial(config)
         cloud = pc.normalize(pc.PointCloud(ball_points(rng, 8)))
         result = e_step(state.params, cloud, config.solver)
-        bad = replace(result, gamma=SoftLabels(result.gamma.matrix * np.inf),
+        bad = replace(result, gamma=result.gamma * np.inf,
                       marginal_residual=0.0)
         state.step, state.epoch = 5, 2
         with pytest.raises(NumericalError, match="at step 5, epoch 2"):
@@ -156,6 +156,11 @@ class TestSchedule:
             TrainConfig(weight_decay=-1.0)
         with pytest.raises(ConfigError, match="num_clusters"):
             TrainConfig(solver=SolverConfig(num_clusters=8))
+        for name, value in (("lr", float("nan")), ("lr", float("inf")),
+                            ("eta", float("inf")), ("weight_decay", float("nan")),
+                            ("beta1", 1.5), ("beta2", 1.0)):
+            with pytest.raises(ConfigError, match=name):
+                TrainConfig(**{name: value})
 
 
 class TestPretrain:
