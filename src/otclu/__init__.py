@@ -1,14 +1,14 @@
 """Unsupervised point-cloud feature learning via balanced OT soft clustering."""
 
-from .cloud import (LabeledCloud, PointCloud, default_palette, downsample_random,
-                    export_labeled_ply, load_cloud, normalize, save_cloud)
+from .cloud import (PointCloud, default_palette, downsample_random, export_labeled_ply,
+                    load_cloud, normalize, save_cloud)
 from .clustering import (Prototypes, SolverConfig, TransportPlan,
                          assign_l2_labels, assign_soft_labels, compute_cost,
                          compute_prototypes, sinkhorn)
 from .encoder import (EncoderConfig, EncoderParams, ForwardTrace, backward, forward,
                       init_params, load_checkpoint, save_checkpoint)
-from .errors import (CheckpointError, ConfigError, DivisibilityError, EmptyCloudError,
-                     NumericalError, OtcluError, ParseError, ShapeError, SizeError)
+from .errors import (CheckpointError, ConfigError, DivisibilityError, NumericalError,
+                     OtcluError, ParseError, ShapeError, SizeError)
 from .losses import LossReport, orth_loss, soft_ce_loss, total_loss
 from .trainer import (EStepResult, TrainConfig, TrainState, e_step, lr_at_epoch,
                       m_step, pretrain)

@@ -61,7 +61,7 @@ _CONFIG_SECTIONS = {
     "train": {"epochs", "batch_size", "lr", "lr_decay", "decay_every", "weight_decay",
               "beta1", "beta2", "adam_eps", "seed", "eta", "checkpoint_every"},
     "solver": {"epsilon", "iters", "tol", "lambda", "num_clusters"},
-    "encoder": {"hidden_sizes", "feature_dim"},
+    "encoder": {"hidden_sizes", "feature_dim", "num_clusters"},
     "data": {"num_points", "normalize"},
 }
 
@@ -71,8 +71,9 @@ def load_config(path) -> tuple[TrainConfig, dict]:
 
     Unknown sections or keys are rejected so a typo cannot silently fall
     back to a default. The cluster count lives in the solver section and
-    also sizes the encoder head. Any failure, reading the file included,
-    raises ConfigError.
+    also sizes the encoder head; `encoder.num_clusters`, as the manifest
+    writes it, is accepted when it equals `solver.num_clusters`. Any
+    failure, reading the file included, raises ConfigError.
     """
     try:
         with open(path) as fh:
@@ -105,7 +106,7 @@ def load_config(path) -> tuple[TrainConfig, dict]:
         solver_keys["lam"] = solver_keys.pop("lambda")
     try:
         solver = SolverConfig(**solver_keys)
-        encoder_cfg = enc.EncoderConfig(num_clusters=solver.num_clusters, **encoder_keys)
+        encoder_cfg = enc.EncoderConfig(**{"num_clusters": solver.num_clusters, **encoder_keys})
         config = TrainConfig(solver=solver, encoder=encoder_cfg, **train)
     except (ValueError, TypeError) as exc:  # a value of the wrong type fails a comparison
         raise ConfigError(str(exc)) from None
@@ -131,6 +132,17 @@ def _out_dir(arg: str) -> Path:
     return Path(os.environ.get("OTCLU_OUT_DIR", arg))
 
 
+def _prepared_cloud(path, normalize: bool, points: int | None, seed: int) -> pc.PointCloud:
+    """Load a cloud, normalize it if asked, and resample it with `seed` to
+    `points` points unless it already has that many."""
+    cloud = pc.load_cloud(path)
+    if normalize:
+        cloud = pc.normalize(cloud)
+    if points is not None and points != cloud.n_points:
+        cloud = pc.downsample_random(cloud, points, seed)
+    return cloud
+
+
 def cmd_pretrain(args) -> int:
     config, data = load_config(args.config)
 
@@ -142,15 +154,8 @@ def cmd_pretrain(args) -> int:
     out_dir = _out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    clouds = []
-    for i, path in enumerate(files):
-        cloud = pc.load_cloud(path)
-        if data["normalize"]:
-            cloud = pc.normalize(cloud)
-        if cloud.n_points != data["num_points"]:
-            cloud = pc.downsample_random(cloud, data["num_points"],
-                                         seed=config.seed * 100003 + i)
-        clouds.append(cloud)
+    clouds = [_prepared_cloud(path, data["normalize"], data["num_points"], config.seed * 100003 + i)
+              for i, path in enumerate(files)]
 
     resolved = resolved_config_dict(config, data)
     digest = config_hash(resolved)
@@ -191,25 +196,23 @@ def cmd_cluster(args) -> int:
         raise CheckpointError(f"{args.checkpoint}: head is sized for {head_width} clusters; "
                               f"refusing to re-initialize it for {args.clusters}")
 
-    cloud = pc.normalize(pc.load_cloud(args.cloud))
-    if args.points is not None:
-        cloud = pc.downsample_random(cloud, args.points, seed=args.seed)
+    cloud = _prepared_cloud(args.cloud, True, args.points, args.seed)
     solver = SolverConfig(num_clusters=head_width, epsilon=args.epsilon,
                           lam=args.lam, iters=args.iters)
     result = e_step(params, cloud, solver)
 
-    labeled = pc.LabeledCloud.from_soft_labels(cloud, result.gamma)
+    labels = result.gamma.argmax(axis=1)
     out_ply = Path(args.out_ply)
-    pc.export_labeled_ply(labeled, out_ply, pc.default_palette(head_width))
+    pc.export_labeled_ply(cloud, labels, out_ply, pc.default_palette(head_width))
 
-    counts = np.bincount(labeled.labels, minlength=head_width)
+    counts = np.bincount(labels, minlength=head_width)
     sidecar = {
         "num_points": cloud.n_points,
         "num_clusters": head_width,
         "epsilon": solver.epsilon,
         "lambda": solver.lam,
         "cluster_counts": counts.tolist(),
-        "mean_confidence": float(labeled.confidences.mean()),
+        "mean_confidence": float(result.gamma.max(axis=1).mean()),
         "marginal_residual": result.marginal_residual,
         "iterations": result.iterations,
         "checkpoint_meta": meta,
@@ -225,11 +228,7 @@ def cmd_export(args) -> int:
         output_format = args.format or pc.detect_format(args.output)
     except ParseError as exc:  # the output name is an argument, not data
         raise ConfigError(str(exc)) from None
-    cloud = pc.load_cloud(args.input)
-    if args.normalize:
-        cloud = pc.normalize(cloud)
-    if args.points is not None:
-        cloud = pc.downsample_random(cloud, args.points, seed=args.seed)
+    cloud = _prepared_cloud(args.input, args.normalize, args.points, args.seed)
     pc.save_cloud(cloud, args.output, output_format)
     print(f"wrote {args.output} ({cloud.n_points} points)")
     return EXIT_OK

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyCloudError, ParseError, ShapeError
+from .errors import ParseError, ShapeError
 
 FORMATS = ("OFF", "PLY_ASCII", "XYZ")
 
@@ -31,15 +31,12 @@ class PointCloud:
     """An unordered set of 3D points, shape (N, 3)."""
 
     points: np.ndarray
-    name: str | None = None
 
     def __post_init__(self):
         # C order: float results downstream (BLAS products) depend on the memory layout
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ShapeError(f"points must have shape (N, 3), got {pts.shape}")
-        if pts.shape[0] < 1:
-            raise EmptyCloudError("point cloud has no points")
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+            raise ShapeError(f"points must have shape (N, 3) with N >= 1, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ShapeError("point coordinates must be finite")
         self.points = pts
@@ -47,37 +44,6 @@ class PointCloud:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class LabeledCloud:
-    """A point cloud together with per-point cluster labels and confidences."""
-
-    cloud: PointCloud
-    labels: np.ndarray
-    confidences: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.confidences = np.asarray(self.confidences, dtype=np.float64)
-        n = self.cloud.n_points
-        if self.labels.shape != (n,) or self.confidences.shape != (n,):
-            raise ShapeError(
-                f"labels/confidences must have shape ({n},), got "
-                f"{self.labels.shape} and {self.confidences.shape}"
-            )
-
-    @classmethod
-    def from_soft_labels(cls, cloud: PointCloud, gamma: np.ndarray) -> "LabeledCloud":
-        """Hard-assign each point to its highest-scoring cluster."""
-        gamma = np.asarray(gamma, dtype=np.float64)
-        if gamma.ndim != 2 or gamma.shape[0] != cloud.n_points:
-            raise ShapeError(f"soft labels must have shape (N, J), got {gamma.shape}")
-        return cls(cloud, gamma.argmax(axis=1), gamma.max(axis=1))
-
-    @property
-    def num_clusters(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
 def _tokenize(path: Path):
@@ -232,22 +198,17 @@ def detect_format(path: str | Path) -> str:
     return _EXTENSION_FORMATS[suffix]
 
 
-def load_cloud(path: str | Path, format: str | None = None) -> PointCloud:
-    """Load vertex positions from an OFF, ASCII-PLY, or XYZ file.
+def load_cloud(path: str | Path) -> PointCloud:
+    """Load vertex positions from an OFF, ASCII-PLY, or XYZ file, by its extension.
 
-    Faces, normals, and colors in the file are ignored. Raises ParseError
-    (with a line number) on malformed input and EmptyCloudError when the
-    file contains zero vertices.
+    Faces, normals, and colors in the file are ignored. Raises ParseError,
+    with a line number where there is one, on an unknown extension, on
+    malformed input, and when the file contains zero vertices.
     """
-    path = Path(path)
-    if format is None:
-        format = detect_format(path)
-    if format not in _LOADERS:
-        raise ParseError(f"unknown format {format!r}; expected one of {FORMATS}", path)
-    points = _LOADERS[format](path)
+    points = _LOADERS[detect_format(path)](Path(path))
     if points.shape[0] == 0:
-        raise EmptyCloudError(f"{path} contains zero vertices")
-    return PointCloud(points, name=path.stem)
+        raise ParseError("file contains zero vertices", path)
+    return PointCloud(points)
 
 
 def normalize(cloud: PointCloud) -> PointCloud:
@@ -258,8 +219,8 @@ def normalize(cloud: PointCloud) -> PointCloud:
     centered = cloud.points - cloud.points.mean(axis=0)
     scale = np.linalg.norm(centered, axis=1).max()
     if scale == 0.0:
-        return PointCloud(np.zeros_like(centered), name=cloud.name)
-    return PointCloud(centered / scale, name=cloud.name)
+        return PointCloud(np.zeros_like(centered))
+    return PointCloud(centered / scale)
 
 
 def downsample_random(cloud: PointCloud, target: int, seed: int) -> PointCloud:
@@ -273,7 +234,7 @@ def downsample_random(cloud: PointCloud, target: int, seed: int) -> PointCloud:
     rng = np.random.default_rng(seed)
     n = cloud.n_points
     idx = rng.choice(n, size=target, replace=n < target)
-    return PointCloud(cloud.points[idx], name=cloud.name)
+    return PointCloud(cloud.points[idx])
 
 
 def default_palette(n: int) -> list[tuple[int, int, int]]:
@@ -298,12 +259,16 @@ def _write_rows(path: str | Path, header: str, row_format: str, rows: np.ndarray
         fh.write(header + (row_format * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def export_labeled_ply(labeled: LabeledCloud, path: str | Path, palette) -> None:
-    """Write an ASCII PLY with vertex i colored palette[labels[i]]."""
-    n_clusters = labeled.num_clusters
+def export_labeled_ply(cloud: PointCloud, labels, path: str | Path, palette) -> None:
+    """Write an ASCII PLY with vertex i colored palette[labels[i]]; raises
+    ShapeError unless `labels` has shape (N,) and every label has a color."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (cloud.n_points,):
+        raise ShapeError(f"labels must have shape ({cloud.n_points},), got {labels.shape}")
+    n_clusters = int(labels.max()) + 1
     if len(palette) < n_clusters:
         raise ShapeError(f"palette has {len(palette)} colors but labels use {n_clusters}")
-    rows = np.column_stack([labeled.cloud.points, np.asarray(palette)[labeled.labels]])
+    rows = np.column_stack([cloud.points, np.asarray(palette)[labels]])
     color_props = "property uchar red\nproperty uchar green\nproperty uchar blue\n"
     _write_rows(path, _PLY_HEADER.format(n=len(rows), extra=color_props), "%.6f %.6f %.6f %d %d %d\n", rows)
 

@@ -150,7 +150,8 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
             u = a / kv
             v = b / (u @ kernel)
             kv = kernel @ v
-            if np.abs(u * kv - a).max() < tol:
+            # not >=, so a NaN residual stops too: the plan is then not finite
+            if not np.abs(u * kv - a).max() >= tol:
                 break
         plan = u[:, None] * kernel * v[None, :]
     if not np.all(np.isfinite(plan)):

@@ -213,8 +213,10 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version} "
                                   f"(expected {CHECKPOINT_VERSION})")
-        header_bytes = fh.read(header_len)
-        data = fh.read()
+        rest = fh.read()
+    if len(rest) < header_len:
+        raise CheckpointError(f"{path}: truncated inside the {header_len}-byte header")
+    header_bytes, data = rest[:header_len], rest[header_len:]
     try:
         header = json.loads(header_bytes.decode())
         cfg = header["config"]

@@ -23,10 +23,6 @@ class ParseError(OtcluError):
         super().__init__(f"{message}{where}")
 
 
-class EmptyCloudError(OtcluError):
-    """A point cloud with zero vertices was loaded or constructed."""
-
-
 class ShapeError(OtcluError):
     """Array arguments have inconsistent dimensions."""
 

@@ -79,8 +79,8 @@ def _simplex_directions(k: int) -> np.ndarray:
 
 
 def purity(labels: np.ndarray, membership: np.ndarray) -> float:
-    """Fraction of points whose cluster maps to their true group under the
-    best cluster-to-group assignment (greedy on the contingency table)."""
+    """Fraction of points whose true group is the majority group of their
+    cluster; several clusters may map to the same group."""
     labels = np.asarray(labels)
     membership = np.asarray(membership)
     clusters = np.unique(labels)

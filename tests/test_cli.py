@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ class TestPretrainCommand:
         params, meta = load_checkpoint(out_dir / "checkpoint_final.otck")
         assert meta["config_hash"] == manifest["config_hash"]
 
+    def test_manifest_config_reloads_to_the_run_config(self, trained_run, tmp_path):
+        out_dir, config_path = trained_run
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        resolved = tmp_path / "resolved.json"
+        resolved.write_text(json.dumps(manifest["config"]))
+        config, data = cli.load_config(resolved)
+        assert config == cli.load_config(config_path)[0]
+        assert cli.config_hash(cli.resolved_config_dict(config, data)) == manifest["config_hash"]
+
     def test_deterministic_final_checkpoint(self, blob_dataset, tmp_path):
         config = write_config(tmp_path / "config.json")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -99,6 +109,7 @@ class TestPretrainCommand:
                               ("train", {"checkpoint_every": "x"}),
                               ("solver", {"num_clusters": 2.5}),
                               ("encoder", {"feature_dim": 2.5}),
+                              ("encoder", {"num_clusters": 3}),
                               ("train", {"lr": float("nan")}), ("train", {"lr": float("inf")}),
                               ("train", {"eta": float("inf")}),
                               ("train", {"weight_decay": float("nan")}),
@@ -159,8 +170,10 @@ class TestClusterCommand:
         (tmp_path / "c.xyz").write_text("0 0 0\n1 1 1\n")
         bad = tmp_path / "bad.otck"
         # garbage, a file cut 16 bytes short, one cut inside the fixed header,
-        # and a well-formed file whose head.w shape does not fit its config
-        for blob in (b"garbage" * 10, whole[:-16], whole[:10], narrow_head):
+        # one whose header length field reads 2**40, and a well-formed file
+        # whose head.w shape does not fit its config
+        huge_header = whole[:12] + struct.pack("<Q", 2**40) + whole[20:]
+        for blob in (b"garbage" * 10, whole[:-16], whole[:10], huge_header, narrow_head):
             bad.write_bytes(blob)
             code = cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"),
                              str(tmp_path / "x.ply")])
@@ -212,6 +225,14 @@ class TestExportCommand:
         out = load_cloud(dst)
         assert out.n_points == 40
         assert np.linalg.norm(out.points, axis=1).max() <= 1 + 1e-6
+
+    def test_points_equal_to_size_keeps_file_order(self, tmp_path, rng):
+        pts = rng.uniform(-1, 1, size=(30, 3))
+        src = tmp_path / "a.xyz"
+        save_cloud(PointCloud(pts), src, "XYZ")
+        dst = tmp_path / "b.xyz"
+        assert cli.main(["export", str(src), str(dst), "--points", "30"]) == 0
+        assert np.abs(load_cloud(dst).points - pts).max() < 2e-6
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         assert cli.main(["export", str(tmp_path / "nope.xyz"),

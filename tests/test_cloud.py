@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from otclu.cloud import (LabeledCloud, PointCloud, default_palette, downsample_random,
-                         export_labeled_ply, load_cloud, normalize, save_cloud)
-from otclu.errors import EmptyCloudError, ParseError, ShapeError
+from otclu.cloud import (PointCloud, default_palette, downsample_random, export_labeled_ply,
+                         load_cloud, normalize, save_cloud)
+from otclu.errors import ParseError, ShapeError
 
 from conftest import ball_points
 
@@ -24,22 +24,25 @@ PLY_XYZ_RED = ("ply\nformat ascii 1.0\nelement vertex 3\n"
 class TestLoadOff:
     def test_basic_three_vertices(self, tmp_path):
         path = write(tmp_path / "a.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        cloud = load_cloud(path, "OFF")
+        cloud = load_cloud(path)
         assert cloud.n_points == 3
         np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
     def test_counts_on_header_line(self, tmp_path):
         path = write(tmp_path / "a.off", "OFF 2 0 0\n0 0 0\n1 2 3\n")
-        assert load_cloud(path, "OFF").n_points == 2
+        assert load_cloud(path).n_points == 2
 
     def test_faces_are_discarded(self, tmp_path):
         path = write(tmp_path / "a.off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\n")
-        assert load_cloud(path, "OFF").n_points == 3
+        assert load_cloud(path).n_points == 3
 
     def test_zero_vertices(self, tmp_path):
         path = write(tmp_path / "a.off", "OFF\n0 0 0\n")
-        with pytest.raises(EmptyCloudError):
-            load_cloud(path, "OFF")
+        with pytest.raises(ParseError, match="zero vertices") as err:
+            load_cloud(path)
+        assert err.value.path == path
+        with pytest.raises(ShapeError, match="N >= 1"):
+            PointCloud(np.zeros((0, 3)))
 
     def test_malformed_vertex_reports_line(self, tmp_path):
         # (text, physical line of the fault)
@@ -51,7 +54,7 @@ class TestLoadOff:
         ]
         for text, line in cases:
             with pytest.raises(ParseError) as err:
-                load_cloud(write(tmp_path / "a.off", text), "OFF")
+                load_cloud(write(tmp_path / "a.off", text))
             assert err.value.line == line, text
 
     def test_missing_header(self, tmp_path):
@@ -60,25 +63,25 @@ class TestLoadOff:
                  (b"OFF # caf\xe9\n1 0 0\n0 0 0\n", 1)]
         for text, line in cases:
             with pytest.raises(ParseError) as err:
-                load_cloud(write(tmp_path / "a.off", text), "OFF")
+                load_cloud(write(tmp_path / "a.off", text))
             assert err.value.line == line, text
 
 
 class TestLoadXyz:
     def test_two_points(self, tmp_path):
         path = write(tmp_path / "a.xyz", "0 0 0\n1 0 0\n")
-        cloud = load_cloud(path, "XYZ")
+        cloud = load_cloud(path)
         assert cloud.n_points == 2
         np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 0, 0]])
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = write(tmp_path / "a.xyz", "# header\n\n0 0 1  # trailing\n2 0 0\n")
-        cloud = load_cloud(path, "XYZ")
+        cloud = load_cloud(path)
         np.testing.assert_array_equal(cloud.points, [[0, 0, 1], [2, 0, 0]])
 
     def test_extra_columns_ignored(self, tmp_path):
         path = write(tmp_path / "a.xyz", "1 2 3 0.5 0.5 0.5\n")
-        np.testing.assert_array_equal(load_cloud(path, "XYZ").points, [[1, 2, 3]])
+        np.testing.assert_array_equal(load_cloud(path).points, [[1, 2, 3]])
 
     def test_short_line(self, tmp_path):
         # (text, physical line of the fault)
@@ -88,7 +91,7 @@ class TestLoadXyz:
                  (b"0 0 0\n1 1 \xff\n", 2)]  # not UTF-8
         for text, line in cases:
             with pytest.raises(ParseError) as err:
-                load_cloud(write(tmp_path / "a.xyz", text), "XYZ")
+                load_cloud(write(tmp_path / "a.xyz", text))
             assert err.value.line == line, text
 
 
@@ -103,7 +106,7 @@ class TestLoadPly:
                  "end_header"]
         lines += [f"{p[0]:.9f} {p[1]:.9f} {p[2]:.9f}" for p in pts]
         path = write(tmp_path / "a.ply", "\n".join(lines) + "\n")
-        cloud = load_cloud(path, "PLY_ASCII")
+        cloud = load_cloud(path)
         assert cloud.n_points == 2048
         assert np.linalg.norm(cloud.points, axis=1).max() <= 1 + 1e-6
 
@@ -117,7 +120,7 @@ class TestLoadPly:
         # faces declared after the vertices, then before them
         for text in (head + vertex + face + "end_header\n" + vertex_rows + face_rows,
                      head + face + vertex + "end_header\n" + face_rows + "# note\n\n" + vertex_rows):
-            cloud = load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
+            cloud = load_cloud(write(tmp_path / "a.ply", text))
             np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 1, 1]])
 
     def test_malformed_vertex_reports_line(self, tmp_path):
@@ -131,19 +134,19 @@ class TestLoadPly:
         ]
         for rows, line in cases:
             with pytest.raises(ParseError) as err:
-                load_cloud(write(tmp_path / "a.ply", PLY_XYZ_RED + rows), "PLY_ASCII")
+                load_cloud(write(tmp_path / "a.ply", PLY_XYZ_RED + rows))
             assert err.value.line == line, rows
 
     def test_binary_rejected(self, tmp_path):
         text = "ply\nformat binary_little_endian 1.0\nelement vertex 1\nend_header\n"
         with pytest.raises(ParseError):
-            load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
+            load_cloud(write(tmp_path / "a.ply", text))
 
     def test_missing_axis(self, tmp_path):
         text = ("ply\nformat ascii 1.0\nelement vertex 1\n"
                 "property float x\nproperty float y\nend_header\n0 0\n")
         with pytest.raises(ParseError):
-            load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
+            load_cloud(write(tmp_path / "a.ply", text))
         # other malformed headers, with the line of the fault: a negative
         # count, a truncated property line, bytes that are not UTF-8
         xyz = "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n"
@@ -152,7 +155,7 @@ class TestLoadPly:
                  (b"ply\nformat ascii 1.0\ncomment caf\xe9\nelement vertex 1\n" + xyz.encode(), 3)]
         for text, line in cases:
             with pytest.raises(ParseError) as err:
-                load_cloud(write(tmp_path / "a.ply", text), "PLY_ASCII")
+                load_cloud(write(tmp_path / "a.ply", text))
             assert err.value.line == line, text
 
 
@@ -172,10 +175,10 @@ class TestLoadBitEquality:
                               "property float y", "property float z", "property float nx",
                               "property float ny", "property float nz", "end_header"],
                 "XYZ": ["# x y z nx ny nz"]}[fmt]
-        path = tmp_path / "c.txt"
+        path = tmp_path / {"OFF": "c.off", "PLY_ASCII": "c.ply", "XYZ": "c.xyz"}[fmt]
         path.write_bytes("\r\n".join(head + rows + [""]).encode())
         reference = [[float(t) for t in row.split()[:3]] for row in rows if row and row[0] != "#"]
-        got = load_cloud(path, fmt).points
+        got = load_cloud(path).points
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.tobytes() == np.array(reference, dtype=np.float64).tobytes()
 
@@ -234,27 +237,30 @@ class TestDownsample:
 class TestExport:
     def test_color_rows(self, tmp_path):
         cloud = PointCloud(np.array([[0.0, 0, 0], [1, 1, 1]]))
-        labeled = LabeledCloud(cloud, [0, 1], [1.0, 1.0])
         path = tmp_path / "out.ply"
-        export_labeled_ply(labeled, path, [(255, 0, 0), (0, 255, 0)])
+        export_labeled_ply(cloud, [0, 1], path, [(255, 0, 0), (0, 255, 0)])
         data_lines = path.read_text().splitlines()[-2:]
         assert data_lines[0].endswith("255 0 0")
         assert data_lines[1].endswith("0 255 0")
 
     def test_round_trip_positions(self, tmp_path, rng):
         cloud = PointCloud(rng.uniform(-1, 1, size=(64, 3)))
-        labeled = LabeledCloud.from_soft_labels(cloud, rng.dirichlet(np.ones(64), size=64))
+        labels = rng.dirichlet(np.ones(64), size=64).argmax(axis=1)
         path = tmp_path / "out.ply"
-        export_labeled_ply(labeled, path, default_palette(64))
-        back = load_cloud(path, "PLY_ASCII")
+        export_labeled_ply(cloud, labels, path, default_palette(64))
+        back = load_cloud(path)
         assert back.n_points == 64
         assert np.abs(back.points - cloud.points).max() < 1e-6
 
     def test_palette_too_short(self, tmp_path):
         cloud = PointCloud(np.zeros((2, 3)))
-        labeled = LabeledCloud(cloud, [0, 3], [1.0, 1.0])
         with pytest.raises(ShapeError):
-            export_labeled_ply(labeled, tmp_path / "out.ply", [(0, 0, 0)])
+            export_labeled_ply(cloud, [0, 3], tmp_path / "out.ply", [(0, 0, 0)])
+
+    def test_length_mismatch(self, tmp_path):
+        with pytest.raises(ShapeError):
+            export_labeled_ply(PointCloud(np.zeros((2, 3))), [0], tmp_path / "out.ply",
+                               [(0, 0, 0)])
 
 
 class TestSaveCloud:
@@ -267,15 +273,3 @@ class TestSaveCloud:
         assert back.n_points == 40
         assert np.abs(back.points - cloud.points).max() < 1e-6
 
-
-class TestLabeledCloud:
-    def test_from_soft_labels_argmax_and_confidence(self):
-        cloud = PointCloud(np.zeros((2, 3)))
-        gamma = np.array([[0.9, 0.1], [0.3, 0.7]])
-        labeled = LabeledCloud.from_soft_labels(cloud, gamma)
-        np.testing.assert_array_equal(labeled.labels, [0, 1])
-        np.testing.assert_allclose(labeled.confidences, [0.9, 0.7])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            LabeledCloud(PointCloud(np.zeros((2, 3))), [0], [1.0])

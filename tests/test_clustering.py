@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -192,6 +193,13 @@ class TestSinkhorn:
         with pytest.raises(NumericalError, match="cost matrix has 1 non-finite") as info:
             sinkhorn(cost, 1e-3, iters=50)
         assert "epsilon" not in str(info.value)
+
+    def test_nan_cost_raises_without_running_to_the_cap(self):
+        cost = np.array([[0.0, 1.0], [1.0, np.nan], [0.5, 0.5], [1.0, 0.0]])
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="cost matrix has 1 non-finite"):
+            sinkhorn(cost, 1e-3, iters=10**6)
+        assert time.perf_counter() - start < 1.0
 
     def test_wide_cost_spread_stays_finite(self):
         # A row (then a column) sits 2000 epsilons above the rest: its part of
