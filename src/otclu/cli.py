@@ -35,8 +35,7 @@ from . import __version__
 from . import cloud as pc
 from . import encoder as enc
 from .clustering import SolverConfig
-from .errors import (CheckpointError, ConfigError, NumericalError, OtcluError, ParseError,
-                     check_int)
+from .errors import CheckpointError, ConfigError, NumericalError, OtcluError, check_int
 from .trainer import TrainConfig, e_step, pretrain
 from .verify import run_checks
 
@@ -54,8 +53,6 @@ EXIT_CODES = (
     (CheckpointError, EXIT_MISMATCH, "checkpoint error"),
     ((OtcluError, OSError), EXIT_DATA, "data error"),
 )
-
-_CLOUD_SUFFIXES = (".off", ".ply", ".xyz")
 
 _CONFIG_SECTIONS = {
     "train": {"epochs", "batch_size", "lr", "lr_decay", "decay_every", "weight_decay",
@@ -147,9 +144,10 @@ def cmd_pretrain(args) -> int:
     config, data = load_config(args.config)
 
     data_dir = Path(args.data_dir)
-    files = sorted(p for p in data_dir.iterdir() if p.suffix.lower() in _CLOUD_SUFFIXES)
+    files = sorted(p for p in data_dir.iterdir() if p.suffix.lower() in pc.CLOUD_SUFFIXES)
     if not files:
-        raise FileNotFoundError(f"found 0 cloud files (*.off, *.ply, *.xyz) in {data_dir}")
+        patterns = ", ".join(f"*{suffix}" for suffix in pc.CLOUD_SUFFIXES)
+        raise FileNotFoundError(f"found 0 cloud files ({patterns}) in {data_dir}")
 
     out_dir = _out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,12 +222,11 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        output_format = args.format or pc.detect_format(args.output)
-    except ParseError as exc:  # the output name is an argument, not data
-        raise ConfigError(str(exc)) from None
+    suffix = Path(args.output).suffix.lower()
+    if suffix not in pc.CLOUD_SUFFIXES:  # the output name is an argument, not data
+        raise ConfigError(f"{args.output}: cannot infer format from extension {suffix!r}")
     cloud = _prepared_cloud(args.input, args.normalize, args.points, args.seed)
-    pc.save_cloud(cloud, args.output, output_format)
+    pc.save_cloud(cloud, args.output)
     print(f"wrote {args.output} ({cloud.n_points} points)")
     return EXIT_OK
 
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="run the EM training loop on a directory of clouds")
     p.add_argument("config", help="JSON run configuration")
-    p.add_argument("data_dir", help="directory of .off/.ply/.xyz files")
+    p.add_argument("data_dir", help=f"directory of {'/'.join(pc.CLOUD_SUFFIXES)} files")
     p.add_argument("out_dir", help="output directory (env OTCLU_OUT_DIR overrides)")
     p.set_defaults(fn=cmd_pretrain)
 
@@ -286,11 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.set_defaults(fn=cmd_cluster)
 
-    p = sub.add_parser("export", help="convert/prepare a point-cloud file")
+    p = sub.add_parser("export", help="convert/prepare a cloud file; its suffix names the format")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--format", choices=pc.FORMATS, default=None,
-                   help="output format (default: inferred from extension)")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--points", type=int_at_least(1), default=None)
     p.add_argument("--seed", type=int_at_least(0), default=0)

@@ -1,8 +1,8 @@
 """Point-cloud parsing, normalization, sampling, and serialization.
 
-Supported file formats: OFF, ASCII PLY, and XYZ. Faces, normals, and colors
-present in input files are parsed and discarded; only vertex positions are
-kept. Export writes ASCII PLY with per-vertex colors.
+The extension is the format: OFF (.off), ASCII PLY (.ply), XYZ (.xyz). Faces,
+normals, and colors present in input files are parsed and discarded; only
+vertex positions are kept. Export writes ASCII PLY with per-vertex colors.
 """
 
 from __future__ import annotations
@@ -15,15 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ShapeError
-
-FORMATS = ("OFF", "PLY_ASCII", "XYZ")
-
-_EXTENSION_FORMATS = {
-    ".off": "OFF",
-    ".ply": "PLY_ASCII",
-    ".xyz": "XYZ",
-    ".txt": "XYZ",
-}
 
 
 @dataclass
@@ -186,16 +177,21 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
                 raise ParseError(f"data for element {name!r} ended early", path, lineno) from None
 
 
-# An XYZ file is one vertex block.
-_LOADERS = {"OFF": _load_off, "PLY_ASCII": _load_ply_ascii, "XYZ": _read_block}
+_PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
+               "property float x\nproperty float y\nproperty float z\n{extra}end_header\n")
+
+# The one list of cloud formats: suffix -> (loader, plain-save header). XYZ is one vertex block.
+_FORMATS = {".off": (_load_off, "OFF\n{n} 0 0\n"), ".ply": (_load_ply_ascii, _PLY_HEADER),
+            ".xyz": (_read_block, "")}
+CLOUD_SUFFIXES = tuple(_FORMATS)
 
 
-def detect_format(path: str | Path) -> str:
-    """Map a file extension to one of the supported format names."""
+def _format(path: str | Path):
+    """The (loader, save header) of the format that `path`'s extension names."""
     suffix = Path(path).suffix.lower()
-    if suffix not in _EXTENSION_FORMATS:
+    if suffix not in _FORMATS:
         raise ParseError(f"cannot infer format from extension {suffix!r}", path)
-    return _EXTENSION_FORMATS[suffix]
+    return _FORMATS[suffix]
 
 
 def load_cloud(path: str | Path) -> PointCloud:
@@ -205,7 +201,7 @@ def load_cloud(path: str | Path) -> PointCloud:
     with a line number where there is one, on an unknown extension, on
     malformed input, and when the file contains zero vertices.
     """
-    points = _LOADERS[detect_format(path)](Path(path))
+    points = _format(path)[0](Path(path))
     if points.shape[0] == 0:
         raise ParseError("file contains zero vertices", path)
     return PointCloud(points)
@@ -249,10 +245,6 @@ def default_palette(n: int) -> list[tuple[int, int, int]]:
     return palette
 
 
-_PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
-               "property float x\nproperty float y\nproperty float z\n{extra}end_header\n")
-
-
 def _write_rows(path: str | Path, header: str, row_format: str, rows: np.ndarray) -> None:
     """Write `header`, then every row with one %-format over the flattened array."""
     with open(path, "w") as fh:
@@ -261,10 +253,12 @@ def _write_rows(path: str | Path, header: str, row_format: str, rows: np.ndarray
 
 def export_labeled_ply(cloud: PointCloud, labels, path: str | Path, palette) -> None:
     """Write an ASCII PLY with vertex i colored palette[labels[i]]; raises
-    ShapeError unless `labels` has shape (N,) and every label has a color."""
+    ShapeError unless `labels` has shape (N,) and every label is a palette index."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (cloud.n_points,):
         raise ShapeError(f"labels must have shape ({cloud.n_points},), got {labels.shape}")
+    if labels.min() < 0:
+        raise ShapeError(f"labels must be >= 0, got {int(labels.min())}")
     n_clusters = int(labels.max()) + 1
     if len(palette) < n_clusters:
         raise ShapeError(f"palette has {len(palette)} colors but labels use {n_clusters}")
@@ -273,13 +267,7 @@ def export_labeled_ply(cloud: PointCloud, labels, path: str | Path, palette) -> 
     _write_rows(path, _PLY_HEADER.format(n=len(rows), extra=color_props), "%.6f %.6f %.6f %d %d %d\n", rows)
 
 
-def save_cloud(cloud: PointCloud, path: str | Path, format: str | None = None) -> None:
-    """Write plain vertex positions in OFF, ASCII-PLY, or XYZ format."""
-    path = Path(path)
-    if format is None:
-        format = detect_format(path)
-    n = cloud.n_points
-    headers = {"OFF": f"OFF\n{n} 0 0\n", "PLY_ASCII": _PLY_HEADER.format(n=n, extra=""), "XYZ": ""}
-    if format not in headers:
-        raise ParseError(f"unknown format {format!r}; expected one of {FORMATS}", path)
-    _write_rows(path, headers[format], "%.6f %.6f %.6f\n", cloud.points)
+def save_cloud(cloud: PointCloud, path: str | Path) -> None:
+    """Write plain vertex positions in the format that `path`'s extension names."""
+    _, header = _format(path)
+    _write_rows(path, header.format(n=cloud.n_points, extra=""), "%.6f %.6f %.6f\n", cloud.points)

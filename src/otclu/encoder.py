@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cloud import PointCloud
 from .errors import CheckpointError, ShapeError, check_int
 
 CHECKPOINT_MAGIC = b"OTCLUCKP"
@@ -91,8 +90,8 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def forward(params: EncoderParams, cloud) -> ForwardTrace:
-    """Run the encoder and head; returns scores with rows summing to 1.
+def forward(params: EncoderParams, points) -> ForwardTrace:
+    """Run the encoder and head on an (N, 3) array; returns scores with rows summing to 1.
 
     Hidden layers use ReLU; the final feature layer is linear. The head
     sees each point's feature f_i next to the per-dimension max over all
@@ -100,7 +99,7 @@ def forward(params: EncoderParams, cloud) -> ForwardTrace:
     is one row shared by every point and is computed once. Ties at the max
     resolve to the lowest row index when gradients are routed back.
     """
-    x = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
+    x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != IN_DIM:
         raise ShapeError(f"expected (N, {IN_DIM}) input, got {x.shape}")
     t = params.tensors
@@ -199,8 +198,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, meta).
 
     A file that is short, damaged or of another format version, or whose
-    tensor names or shapes differ from those its architecture implies,
-    raises CheckpointError.
+    tensor names, shapes or dtypes (always <f8) differ from those its
+    architecture implies, raises CheckpointError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -226,6 +225,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
             raw = data[entry["offset"]:entry["offset"] + entry["nbytes"]]
             if len(raw) != entry["nbytes"]:
                 raise CheckpointError(f"{path}: tensor {entry['name']} is truncated")
+            if entry["dtype"] != "<f8":
+                raise CheckpointError(f"{path}: tensor {entry['name']} has dtype "
+                                      f"{entry['dtype']!r}, expected '<f8'")
             arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
             tensors[entry["name"]] = arr
         meta = header["meta"]

@@ -23,7 +23,6 @@ class LossReport:
     l_soft: float
     l_orth: float
     l_total: float
-    eta: float
 
 
 def soft_ce_loss(gamma, scores: np.ndarray) -> tuple[float, np.ndarray]:
@@ -82,5 +81,5 @@ def total_loss(gamma, scores: np.ndarray, protos: Prototypes,
     check_real("eta", eta, 0.0)
     l_soft, d_scores = soft_ce_loss(gamma, scores)
     l_orth, d_geo, d_feat = orth_loss(protos)
-    report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + eta * l_orth, eta=eta)
+    report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + eta * l_orth)
     return report, d_scores, eta * d_geo, eta * d_feat

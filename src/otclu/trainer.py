@@ -92,7 +92,7 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig) -> EStepResult:
     The cost matrix handed to the transport solver is a constant: the
     returned labels carry no gradient information.
     """
-    trace = enc.forward(params, cloud)
+    trace = enc.forward(params, cloud.points)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
     cost = compute_cost(trace.inputs, trace.features, protos, solver.lam)
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol)

@@ -208,7 +208,7 @@ def check_blob_purity(count: int) -> tuple[bool, str]:
         solver = SolverConfig(num_clusters=j, lam=1.0, iters=500, tol=1e-9)
         hard = e_step(params, cloud, solver).gamma.argmax(axis=1)
         p = purity(hard, membership)
-        trace = enc.forward(params, cloud)
+        trace = enc.forward(params, cloud.points)
         protos = compute_prototypes(cloud.points, trace.features, trace.scores)
         ref = oracle.balanced_hard_assign(compute_cost(cloud.points, trace.features, protos, 1.0))
         agree = bool(np.array_equal(hard, ref))

@@ -5,13 +5,27 @@ import numpy as np
 import pytest
 
 from otclu import cli
-from otclu.cloud import PointCloud, load_cloud, save_cloud
+from otclu.cloud import CLOUD_SUFFIXES, PointCloud, load_cloud, save_cloud
 from otclu.clustering import SolverConfig
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from otclu.errors import CheckpointError, ConfigError, NumericalError, ParseError, ShapeError
 from otclu.verify import CheckResult
 
 from conftest import two_blob_points
+
+
+def as_float32(checkpoint: bytes) -> bytes:
+    """A well-formed checkpoint whose header names every tensor <f4, with
+    the same shapes and the values stored as float32."""
+    (header_len,) = struct.unpack("<Q", checkpoint[12:20])
+    header = json.loads(checkpoint[20:20 + header_len])
+    data, raws = checkpoint[20 + header_len:], []
+    for entry in header["tensors"]:
+        values = np.frombuffer(data[entry["offset"]:entry["offset"] + entry["nbytes"]], "<f8")
+        raws.append(values.astype("<f4").tobytes())
+        entry.update(dtype="<f4", offset=sum(map(len, raws[:-1])), nbytes=len(raws[-1]))
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return checkpoint[:12] + struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(raws)
 
 
 def write_config(path, **overrides):
@@ -33,9 +47,7 @@ def blob_dataset(tmp_path_factory):
     rng = np.random.default_rng(314)
     for i in range(6):
         pts, _ = two_blob_points(rng, 16)
-        fmt = ["OFF", "PLY_ASCII", "XYZ"][i % 3]
-        suffix = {"OFF": ".off", "PLY_ASCII": ".ply", "XYZ": ".xyz"}[fmt]
-        save_cloud(PointCloud(pts), root / f"cloud{i}{suffix}", fmt)
+        save_cloud(PointCloud(pts), root / f"cloud{i}{CLOUD_SUFFIXES[i % 3]}")
     return root
 
 
@@ -85,8 +97,10 @@ class TestPretrainCommand:
         config = write_config(tmp_path / "config.json")
         empty = tmp_path / "empty"
         empty.mkdir()
+        (empty / "readme.txt").write_text("0 0 0\n1 1 1\n")  # .txt is not a cloud format
         assert cli.main(["pretrain", str(config), str(empty), str(tmp_path / "out")]) == 3
-        assert "0 cloud files" in capsys.readouterr().err
+        listed = capsys.readouterr().err.split("found 0 cloud files (", 1)[1].split(")", 1)[0]
+        assert listed.split(", ") == [f"*{suffix}" for suffix in CLOUD_SUFFIXES]
 
     def test_unknown_config_key_exits_2(self, tmp_path, blob_dataset, capsys):
         config = tmp_path / "config.json"
@@ -134,7 +148,7 @@ class TestClusterCommand:
         rng = np.random.default_rng(555)
         pts, _ = two_blob_points(rng, 12)
         cloud_path = tmp_path / "probe.xyz"
-        save_cloud(PointCloud(pts), cloud_path, "XYZ")
+        save_cloud(PointCloud(pts), cloud_path)
         out_ply = tmp_path / "labeled.ply"
         code = cli.main(["cluster", str(out_dir / "checkpoint_final.otck"),
                          str(cloud_path), str(out_ply), "--epsilon", "2e-3"])
@@ -152,7 +166,7 @@ class TestClusterCommand:
         rng = np.random.default_rng(556)
         pts, _ = two_blob_points(rng, 8)
         cloud_path = tmp_path / "probe.xyz"
-        save_cloud(PointCloud(pts), cloud_path, "XYZ")
+        save_cloud(PointCloud(pts), cloud_path)
         code = cli.main(["cluster", str(out_dir / "checkpoint_final.otck"),
                          str(cloud_path), str(tmp_path / "x.ply"), "--clusters", "8"])
         assert code == 5
@@ -170,17 +184,20 @@ class TestClusterCommand:
         (tmp_path / "c.xyz").write_text("0 0 0\n1 1 1\n")
         bad = tmp_path / "bad.otck"
         # garbage, a file cut 16 bytes short, one cut inside the fixed header,
-        # one whose header length field reads 2**40, and a well-formed file
-        # whose head.w shape does not fit its config
+        # one whose header length field reads 2**40, one whose tensors are
+        # float32, and a well-formed file whose head.w shape does not fit its config
         huge_header = whole[:12] + struct.pack("<Q", 2**40) + whole[20:]
-        for blob in (b"garbage" * 10, whole[:-16], whole[:10], huge_header, narrow_head):
+        errs = []
+        for blob in (b"garbage" * 10, whole[:-16], whole[:10], huge_header, as_float32(whole),
+                     narrow_head):
             bad.write_bytes(blob)
             code = cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"),
                              str(tmp_path / "x.ply")])
             assert code == 5
-            err = capsys.readouterr().err
-            assert "checkpoint error" in err
-        assert "head.w has shape (4, 2)" in err and "(8, 2)" in err
+            errs.append(capsys.readouterr().err)
+            assert "checkpoint error" in errs[-1]
+        assert "has dtype '<f4'" in errs[-2]
+        assert "head.w has shape (4, 2)" in errs[-1] and "(8, 2)" in errs[-1]
 
     def test_points_below_one_is_an_argument_error(self, tmp_path, capsys):
         ckpt = tmp_path / "p.otck"
@@ -210,7 +227,7 @@ class TestExportCommand:
     def test_conversion_round_trip(self, tmp_path, rng):
         pts = rng.uniform(-1, 1, size=(30, 3))
         src = tmp_path / "a.xyz"
-        save_cloud(PointCloud(pts), src, "XYZ")
+        save_cloud(PointCloud(pts), src)
         dst = tmp_path / "a.ply"
         assert cli.main(["export", str(src), str(dst)]) == 0
         assert np.abs(load_cloud(dst).points - pts).max() < 2e-6
@@ -218,7 +235,7 @@ class TestExportCommand:
     def test_normalize_and_downsample(self, tmp_path, rng):
         pts = rng.normal(size=(100, 3)) * 5 + 3
         src = tmp_path / "a.xyz"
-        save_cloud(PointCloud(pts), src, "XYZ")
+        save_cloud(PointCloud(pts), src)
         dst = tmp_path / "b.xyz"
         assert cli.main(["export", str(src), str(dst), "--normalize",
                          "--points", "40", "--seed", "4"]) == 0
@@ -229,7 +246,7 @@ class TestExportCommand:
     def test_points_equal_to_size_keeps_file_order(self, tmp_path, rng):
         pts = rng.uniform(-1, 1, size=(30, 3))
         src = tmp_path / "a.xyz"
-        save_cloud(PointCloud(pts), src, "XYZ")
+        save_cloud(PointCloud(pts), src)
         dst = tmp_path / "b.xyz"
         assert cli.main(["export", str(src), str(dst), "--points", "30"]) == 0
         assert np.abs(load_cloud(dst).points - pts).max() < 2e-6
@@ -243,10 +260,13 @@ class TestExportCommand:
         assert cli.main(["export", str(src), str(tmp_path / "out.ply")]) == 3
         assert "bad.off:2" in capsys.readouterr().err
 
-    def test_unknown_output_extension_exits_2(self, tmp_path):
+    def test_unknown_output_extension_exits_2(self, tmp_path, capsys):
         src = tmp_path / "a.xyz"
         src.write_text("0 0 0\n")
-        assert cli.main(["export", str(src), str(tmp_path / "out.bin")]) == 2
+        for name in ("out.bin", "out.txt"):  # .txt is not a cloud format
+            assert cli.main(["export", str(src), str(tmp_path / name)]) == 2
+            assert repr(name[3:]) in capsys.readouterr().err
+            assert not (tmp_path / name).exists()
         # the output name is checked before the input is read
         assert cli.main(["export", str(tmp_path / "nope.xyz"), str(tmp_path / "out.bin")]) == 2
 

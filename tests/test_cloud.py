@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from otclu.cloud import (PointCloud, default_palette, downsample_random, export_labeled_ply,
-                         load_cloud, normalize, save_cloud)
+from otclu.cloud import (CLOUD_SUFFIXES, PointCloud, default_palette, downsample_random,
+                         export_labeled_ply, load_cloud, normalize, save_cloud)
 from otclu.errors import ParseError, ShapeError
 
 from conftest import ball_points
@@ -262,14 +262,31 @@ class TestExport:
             export_labeled_ply(PointCloud(np.zeros((2, 3))), [0], tmp_path / "out.ply",
                                [(0, 0, 0)])
 
+    def test_negative_label(self, tmp_path):
+        # an index of -1 would wrap to the last palette color
+        path = tmp_path / "out.ply"
+        with pytest.raises(ShapeError, match="labels must be >= 0"):
+            export_labeled_ply(PointCloud(np.zeros((2, 3))), [-1, 0], path,
+                               [(1, 2, 3), (4, 5, 6)])
+        assert not path.exists()
+
 
 class TestSaveCloud:
-    @pytest.mark.parametrize("fmt,suffix", [("OFF", ".off"), ("PLY_ASCII", ".ply"), ("XYZ", ".xyz")])
-    def test_round_trip_each_format(self, tmp_path, rng, fmt, suffix):
+    @pytest.mark.parametrize("suffix", CLOUD_SUFFIXES)
+    def test_round_trip_each_format(self, tmp_path, rng, suffix):
         cloud = PointCloud(ball_points(rng, 40))
         path = tmp_path / f"c{suffix}"
-        save_cloud(cloud, path, fmt)
+        save_cloud(cloud, path)
         back = load_cloud(path)  # format inferred from extension
         assert back.n_points == 40
         assert np.abs(back.points - cloud.points).max() < 1e-6
 
+    @pytest.mark.parametrize("name", ["c.txt", "c.XYZ.bak", "c"])
+    def test_unknown_extension_is_refused(self, tmp_path, name):
+        # .txt is not a cloud format, though its rows may read as XYZ
+        path = write(tmp_path / name, "0 0 0\n1 1 1\n")
+        suffix = path.suffix.lower()
+        with pytest.raises(ParseError, match=f"extension {suffix!r}"):
+            load_cloud(path)
+        with pytest.raises(ParseError, match=f"extension {suffix!r}"):
+            save_cloud(PointCloud(np.zeros((1, 3))), tmp_path / f"out{suffix}")

@@ -160,7 +160,7 @@ class TestTotalLoss:
         l_soft, d_s_ref = soft_ce_loss(gamma, scores)
         l_orth, d_geo_ref, d_feat_ref = orth_loss(protos)
         assert report.l_total == pytest.approx(l_soft + eta * l_orth, abs=1e-12)
-        assert report.l_total == report.l_soft + report.eta * report.l_orth
+        assert report.l_total == report.l_soft + eta * report.l_orth
         np.testing.assert_array_equal(d_s, d_s_ref)
         np.testing.assert_allclose(d_geo, eta * d_geo_ref, atol=1e-15)
         np.testing.assert_allclose(d_feat, eta * d_feat_ref, atol=1e-15)

@@ -41,7 +41,7 @@ class TestEStep:
                 or np.array_equal(hard, 1 - membership))
         # and exactly the balanced-assignment optimum on the same cost
         from otclu.clustering import compute_cost, compute_prototypes
-        trace = enc.forward(params, cloud)
+        trace = enc.forward(params, cloud.points)
         protos = compute_prototypes(cloud.points, trace.features, trace.scores)
         cost = compute_cost(cloud.points, trace.features, protos, 1.0)
         np.testing.assert_array_equal(hard, balanced_hard_assign(cost))
