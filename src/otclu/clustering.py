@@ -6,6 +6,8 @@ assigned to clusters by solving a transport problem whose marginals force
 every cluster to receive the same total mass (N/J points' worth), so no
 cluster can swallow the whole cloud. The plain softmax-over-distance
 assignment is kept as a baseline; it carries no such guarantee.
+
+Every function here fills buffers it owns; it never writes its arguments.
 """
 
 from __future__ import annotations
@@ -114,7 +116,10 @@ def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
     features = np.asarray(features, dtype=np.float64)
     d_geo = _sq_dists(points, protos.geo)
     d_feat = _sq_dists(features, protos.feat)
-    return lam * d_geo + (1.0 - lam) * d_feat
+    d_geo *= lam
+    d_feat *= 1.0 - lam
+    d_geo += d_feat
+    return d_geo
 
 
 def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverConfig.iters,
@@ -143,7 +148,8 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     with np.errstate(all="ignore"):  # a NaN or an overflow must reach the check below
         shifted = d - d.min(axis=1, keepdims=True)
         shifted -= shifted.min(axis=0)
-        kernel = np.exp(shifted / -epsilon)
+        shifted /= -epsilon
+        kernel = np.exp(shifted, out=shifted)
         a, b = 1.0 / n, 1.0 / m
         kv = kernel.sum(axis=1)
         for iterations in range(1, iters + 1):
@@ -153,7 +159,9 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
             # not >=, so a NaN residual stops too: the plan is then not finite
             if not np.abs(u * kv - a).max() >= tol:
                 break
-        plan = u[:, None] * kernel * v[None, :]
+        plan = kernel  # diag(u) K diag(v), scaled in place
+        plan *= u[:, None]
+        plan *= v
     if not np.all(np.isfinite(plan)):
         bad = d.size - np.count_nonzero(np.isfinite(d))
         if bad:

@@ -5,6 +5,8 @@ A linear head sees each point's feature next to the max-pooled global
 feature and produces per-cluster logits. Forward keeps what the analytic
 backward pass reads; no autodiff framework is involved, which keeps
 gradients exact and runs bit-reproducible.
+
+Every function here fills buffers it owns; it never writes its arguments.
 """
 
 from __future__ import annotations
@@ -85,9 +87,11 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    """Row softmax computed in place in `logits`, which it returns."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def forward(params: EncoderParams, points) -> ForwardTrace:
@@ -107,16 +111,27 @@ def forward(params: EncoderParams, points) -> ForwardTrace:
     acts, a = [], x
     n_layers = len(params.config.layer_sizes) - 1
     for i in range(n_layers):
-        z = a @ t[f"mlp{i}.w"] + t[f"mlp{i}.b"]
-        a = np.maximum(z, 0.0) if i < n_layers - 1 else z
+        a = a @ t[f"mlp{i}.w"]
+        a += t[f"mlp{i}.b"]
+        if i < n_layers - 1:
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
     features = a
     d = features.shape[1]
 
-    pool_rows = features.argmax(axis=0)
+    # The first row equal to the column max is argmax's row, found with
+    # contiguous reads; a column holding a NaN has no equal row, and argmax
+    # finds its first NaN. Gathering at those rows keeps the sign of a zero.
+    col_max = features.max(axis=0)
+    if np.isnan(col_max).any():
+        pool_rows = features.argmax(axis=0)
+    else:
+        pool_rows = (features == col_max).argmax(axis=0)
     pooled = features[pool_rows, np.arange(d)]
     w = t["head.w"]
-    scores = _softmax_rows(features @ w[:d] + (pooled @ w[d:] + t["head.b"]))
+    logits = features @ w[:d]
+    logits += pooled @ w[d:] + t["head.b"]
+    scores = _softmax_rows(logits)
     return ForwardTrace(inputs=x, acts=acts, features=features, pooled=pooled,
                         pool_rows=pool_rows, scores=scores)
 
@@ -139,26 +154,32 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
         raise ShapeError(f"d_features shape {d_features.shape} != features shape {trace.features.shape}")
 
     s = trace.scores
-    d_logits = s * (d_scores - (d_scores * s).sum(axis=1, keepdims=True))
+    d_logits = d_scores * s
+    row_dot = d_logits.sum(axis=1, keepdims=True)
+    np.subtract(d_scores, row_dot, out=d_logits)
+    d_logits *= s
     d_logits_sum = d_logits.sum(axis=0)
     w = t["head.w"]
-    grads = {"head.w": np.vstack([trace.features.T @ d_logits,
-                                  np.outer(trace.pooled, d_logits_sum)]),
-             "head.b": d_logits_sum}
+    d_head_w = np.empty_like(w)
+    np.matmul(trace.features.T, d_logits, out=d_head_w[:d])
+    np.outer(trace.pooled, d_logits_sum, out=d_head_w[d:])
+    grads = {"head.w": d_head_w, "head.b": d_logits_sum}
 
     d_feat = d_logits @ w[:d].T
     d_feat[trace.pool_rows, np.arange(d)] += w[d:] @ d_logits_sum
     d_feat += d_features
 
     n_layers = len(trace.acts)
-    d_a = d_feat
+    d_z = d_feat
     for i in reversed(range(n_layers)):
-        # acts[i] > 0 exactly where the ReLU's input was > 0
-        d_z = d_a if i == n_layers - 1 else d_a * (trace.acts[i] > 0.0)
+        if i < n_layers - 1:
+            # acts[i] > 0 exactly where the ReLU's input was > 0
+            np.multiply(d_z, trace.acts[i] > 0.0, out=d_z)
         below = trace.inputs if i == 0 else trace.acts[i - 1]
         grads[f"mlp{i}.w"] = below.T @ d_z
         grads[f"mlp{i}.b"] = d_z.sum(axis=0)
-        d_a = d_z @ t[f"mlp{i}.w"].T
+        if i > 0:  # nothing reads the gradient at the input points
+            d_z = d_z @ t[f"mlp{i}.w"].T
     return grads
 
 
@@ -197,7 +218,8 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, meta).
 
-    A file that is short, damaged or of another format version, or whose
+    A file that is short, damaged or of another format version, whose
+    tensors do not fill the data back to back in header order, or whose
     tensor names, shapes or dtypes (always <f8) differ from those its
     architecture implies, raises CheckpointError.
     """
@@ -220,9 +242,14 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         header = json.loads(header_bytes.decode())
         cfg = header["config"]
         config = EncoderConfig(**{f.name: cfg[f.name] for f in fields(EncoderConfig)})
-        tensors = {}
+        tensors, end = {}, 0
         for entry in header["tensors"]:
-            raw = data[entry["offset"]:entry["offset"] + entry["nbytes"]]
+            if entry["offset"] != end:
+                raise CheckpointError(f"{path}: tensor {entry['name']} is at offset "
+                                      f"{entry['offset']}, expected {end}: tensors are "
+                                      f"stored back to back in header order")
+            end += entry["nbytes"]
+            raw = data[entry["offset"]:end]
             if len(raw) != entry["nbytes"]:
                 raise CheckpointError(f"{path}: tensor {entry['name']} is truncated")
             if entry["dtype"] != "<f8":
@@ -230,6 +257,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
                                       f"{entry['dtype']!r}, expected '<f8'")
             arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
             tensors[entry["name"]] = arr
+        if end != len(data):
+            raise CheckpointError(f"{path}: {len(data) - end} bytes after the last tensor")
         meta = header["meta"]
     except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError
         raise CheckpointError(f"{path}: damaged header: {exc!r}") from None

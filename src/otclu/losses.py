@@ -37,8 +37,12 @@ def soft_ce_loss(gamma, scores: np.ndarray) -> tuple[float, np.ndarray]:
     if np.any(s <= 0.0):
         raise NumericalError("scores must be strictly positive for log-loss")
     n = s.shape[0]
-    loss = float(-(g * np.log(s)).sum() / n)
-    d_scores = -g / (n * s)
+    buf = np.log(s)
+    buf *= g
+    loss = float(-buf.sum() / n)
+    np.multiply(n, s, out=buf)
+    np.divide(g, buf, out=buf)
+    d_scores = np.negative(buf, out=buf)  # -(g / ns) is -g / ns exactly
     return loss, d_scores
 
 

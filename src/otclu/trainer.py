@@ -113,7 +113,8 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
     ds_proto, df_proto = prototypes_backward(
         result.trace.inputs, result.trace.features, result.trace.scores,
         result.protos, d_geo, d_feat)
-    return report, enc.backward(result.trace, state.params, d_scores + ds_proto, df_proto)
+    ds_proto += d_scores
+    return report, enc.backward(result.trace, state.params, ds_proto, df_proto)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:

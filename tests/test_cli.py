@@ -14,18 +14,37 @@ from otclu.verify import CheckResult
 from conftest import two_blob_points
 
 
+def split_checkpoint(checkpoint: bytes) -> tuple[dict, bytes]:
+    """The JSON header and the tensor data of a checkpoint file's bytes."""
+    (header_len,) = struct.unpack("<Q", checkpoint[12:20])
+    return json.loads(checkpoint[20:20 + header_len]), checkpoint[20 + header_len:]
+
+
+def join_checkpoint(checkpoint: bytes, header: dict, data: bytes) -> bytes:
+    """The checkpoint's magic and version with a new header and tensor data."""
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return checkpoint[:12] + struct.pack("<Q", len(header_bytes)) + header_bytes + data
+
+
 def as_float32(checkpoint: bytes) -> bytes:
     """A well-formed checkpoint whose header names every tensor <f4, with
     the same shapes and the values stored as float32."""
-    (header_len,) = struct.unpack("<Q", checkpoint[12:20])
-    header = json.loads(checkpoint[20:20 + header_len])
-    data, raws = checkpoint[20 + header_len:], []
+    header, data = split_checkpoint(checkpoint)
+    raws = []
     for entry in header["tensors"]:
         values = np.frombuffer(data[entry["offset"]:entry["offset"] + entry["nbytes"]], "<f8")
         raws.append(values.astype("<f4").tobytes())
         entry.update(dtype="<f4", offset=sum(map(len, raws[:-1])), nbytes=len(raws[-1]))
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return checkpoint[:12] + struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(raws)
+    return join_checkpoint(checkpoint, header, b"".join(raws))
+
+
+def with_offset(checkpoint: bytes, name: str, offset: int) -> bytes:
+    """The checkpoint with tensor `name`'s header offset replaced."""
+    header, data = split_checkpoint(checkpoint)
+    for entry in header["tensors"]:
+        if entry["name"] == name:
+            entry["offset"] = offset
+    return join_checkpoint(checkpoint, header, data)
 
 
 def write_config(path, **overrides):
@@ -187,17 +206,26 @@ class TestClusterCommand:
         # one whose header length field reads 2**40, one whose tensors are
         # float32, and a well-formed file whose head.w shape does not fit its config
         huge_header = whole[:12] + struct.pack("<Q", 2**40) + whole[20:]
+        # and head.b (stored first) at an offset counted back from the end of
+        # the data (the same bytes), at mlp0.b's offset, or with bytes left over
+        header, data = split_checkpoint(whole)
+        mlp0_b = next(e["offset"] for e in header["tensors"] if e["name"] == "mlp0.b")
+        from_end = with_offset(whole, "head.b", -len(data))
+        overlapping = with_offset(whole, "head.b", mlp0_b)
         errs = []
         for blob in (b"garbage" * 10, whole[:-16], whole[:10], huge_header, as_float32(whole),
-                     narrow_head):
+                     narrow_head, from_end, overlapping, whole + bytes(8)):
             bad.write_bytes(blob)
             code = cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"),
                              str(tmp_path / "x.ply")])
             assert code == 5
             errs.append(capsys.readouterr().err)
             assert "checkpoint error" in errs[-1]
-        assert "has dtype '<f4'" in errs[-2]
-        assert "head.w has shape (4, 2)" in errs[-1] and "(8, 2)" in errs[-1]
+        assert "has dtype '<f4'" in errs[4]
+        assert "head.w has shape (4, 2)" in errs[5] and "(8, 2)" in errs[5]
+        assert f"tensor head.b is at offset {-len(data)}, expected 0" in errs[6]
+        assert f"tensor head.b is at offset {mlp0_b}, expected 0" in errs[7]
+        assert "8 bytes after the last tensor" in errs[8]
 
     def test_points_below_one_is_an_argument_error(self, tmp_path, capsys):
         ckpt = tmp_path / "p.otck"

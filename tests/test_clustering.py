@@ -215,6 +215,17 @@ class TestSinkhorn:
         assert plan.iterations == 1000
         assert plan.marginal_residual() >= 1e-6
 
+    def test_paper_shape_builds_the_plan_in_the_kernel(self):
+        points, feats, _, protos = paper_shape_inputs()
+        cost = compute_cost(points, feats, protos, 0.5)
+        tracemalloc.start()
+        try:
+            sinkhorn(cost)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * cost.nbytes, f"{peak / cost.nbytes:.2f} (N, J) arrays"
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             sinkhorn(np.zeros((2, 2)), epsilon=0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,17 @@ class TestSoftCeLoss:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
             soft_ce_loss(np.full((2, 2), 0.5), np.full((3, 2), 0.5))
+
+    def test_paper_shape_fills_one_buffer(self, rng):
+        gamma = rng.dirichlet(np.ones(64), size=2048)
+        scores = rng.dirichlet(np.ones(64), size=2048)
+        tracemalloc.start()
+        try:
+            soft_ce_loss(gamma, scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * scores.nbytes, f"{peak / scores.nbytes:.2f} (N, J) arrays"
 
     def test_gradient_through_softmax_matches_fd(self, rng):
         # Compose with a softmax so the finite-difference path runs over

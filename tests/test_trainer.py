@@ -1,14 +1,16 @@
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from otclu import cloud as pc
 from otclu import encoder as enc
-from otclu.clustering import SolverConfig
+from otclu.clustering import (SolverConfig, assign_soft_labels, compute_cost,
+                              compute_prototypes, prototypes_backward, sinkhorn)
 from otclu.errors import ConfigError, NumericalError
+from otclu.losses import soft_ce_loss, total_loss
 from otclu.oracle import balanced_hard_assign
 from otclu.trainer import (TrainConfig, TrainState, cloud_gradients, e_step, lr_at_epoch,
                            m_step, pretrain)
@@ -258,3 +260,52 @@ class TestPretrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             pretrain([], toy_config())
+
+
+def reachable_arrays(obj):
+    """Every array reachable from obj through dataclass fields, dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from reachable_arrays(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from reachable_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from reachable_arrays(value)
+
+
+def test_no_step_function_writes_its_arguments(rng):
+    # The step functions fill buffers they own in place; none may write an
+    # array it was handed, however deep in a trace, params or state it sits.
+    config = toy_config(num_clusters=5)
+    state = TrainState.initial(config)
+    params = state.params
+    cloud = pc.normalize(pc.PointCloud(ball_points(rng, 64)))
+    trace = enc.forward(params, cloud.points)
+    protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
+    cost = compute_cost(trace.inputs, trace.features, protos, config.solver.lam)
+    gamma = assign_soft_labels(sinkhorn(cost, config.solver.epsilon), 64)
+    _, d_scores, d_geo, d_feat = total_loss(gamma, trace.scores, protos)
+    d_features = rng.normal(size=trace.features.shape)
+    calls = [
+        (enc.forward, params, cloud.points),
+        (enc.backward, trace, params, d_scores, d_features),
+        (soft_ce_loss, gamma, trace.scores),
+        (total_loss, gamma, trace.scores, protos),
+        (compute_cost, trace.inputs, trace.features, protos, config.solver.lam),
+        (sinkhorn, cost, config.solver.epsilon),
+        (prototypes_backward, trace.inputs, trace.features, trace.scores, protos,
+         d_geo, d_feat),
+        (e_step, params, cloud, config.solver),
+        (cloud_gradients, state, e_step(params, cloud, config.solver)),
+    ]
+    for fn, *args in calls:
+        before = [a.copy() for a in reachable_arrays(args)]
+        fn(*args)
+        after = list(reachable_arrays(args))
+        assert len(after) == len(before), fn.__name__
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes(), fn.__name__
