@@ -86,14 +86,6 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams(config=config, tensors=tensors)
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row softmax computed in place in `logits`, which it returns."""
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
-
-
 def forward(params: EncoderParams, points) -> ForwardTrace:
     """Run the encoder and head on an (N, 3) array; returns scores with rows summing to 1.
 
@@ -120,18 +112,15 @@ def forward(params: EncoderParams, points) -> ForwardTrace:
     d = features.shape[1]
 
     # The first row equal to the column max is argmax's row, found with
-    # contiguous reads; a column holding a NaN has no equal row, and argmax
-    # finds its first NaN. Gathering at those rows keeps the sign of a zero.
-    col_max = features.max(axis=0)
-    if np.isnan(col_max).any():
-        pool_rows = features.argmax(axis=0)
-    else:
-        pool_rows = (features == col_max).argmax(axis=0)
+    # contiguous reads. Gathering at those rows keeps the sign of a zero.
+    pool_rows = (features == features.max(axis=0)).argmax(axis=0)
     pooled = features[pool_rows, np.arange(d)]
     w = t["head.w"]
-    logits = features @ w[:d]
-    logits += pooled @ w[d:] + t["head.b"]
-    scores = _softmax_rows(logits)
+    scores = features @ w[:d]  # the logits, turned into a row softmax in place
+    scores += pooled @ w[d:] + t["head.b"]
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
     return ForwardTrace(inputs=x, acts=acts, features=features, pooled=pooled,
                         pool_rows=pool_rows, scores=scores)
 

@@ -75,18 +75,6 @@ class TestForward:
         np.testing.assert_allclose(a.features[perm], b.features, atol=1e-12)
         np.testing.assert_allclose(a.scores[perm], b.scores, atol=1e-12)
 
-    def test_maxpool_nan_column_pools_its_first_nan(self):
-        # An infinite weight (a checkpoint can hold one) makes 0 * inf = NaN
-        # in row 1 only; the pooled row is the first NaN, as argmax picks it.
-        cfg = EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2)
-        params = init_params(cfg, seed=2)
-        params.tensors["mlp0.w"] = np.array([[np.inf], [0.0], [0.0]])
-        x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        with np.errstate(invalid="ignore"):
-            trace = forward(params, x)
-        assert trace.pool_rows.tolist() == [1]
-        assert np.isnan(trace.pooled).all()
-
     def test_rejects_bad_shape(self, rng):
         params = init_params(SMALL, seed=0)
         with pytest.raises(ShapeError):

@@ -75,6 +75,20 @@ class TestEStep:
             np.testing.assert_array_equal(a.trace.scores, b.trace.scores)
 
 
+    def test_nan_feature_column_aborts(self, rng):
+        # An infinite weight (a checkpoint can hold one) gives 0 * inf = NaN
+        # at the points whose hidden unit is off and inf at the others.
+        config = toy_config()
+        params = enc.init_params(config.encoder, 5)
+        params.tensors["mlp1.w"][0, 0] = np.inf
+        cloud = pc.normalize(pc.PointCloud(ball_points(rng, 32)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            column = enc.forward(params, cloud.points).features[:, 0]
+            assert np.isnan(column).any() and not np.isnan(column).all()
+            with pytest.raises(NumericalError, match="non-finite"):
+                e_step(params, cloud, config.solver)
+
+
 class TestMStep:
     def test_critical_point_leaves_only_weight_decay(self, rng):
         # A zeroed head gives exactly uniform scores (J and N powers of
