@@ -130,14 +130,18 @@ def _out_dir(arg: str) -> Path:
 
 
 def _prepared_cloud(path, normalize: bool, points: int | None, seed: int) -> pc.PointCloud:
-    """Load a cloud, normalize it if asked, and resample it with `seed` to
-    `points` points unless it already has that many."""
+    """Load a cloud, resample it with `seed` to `points` points unless it
+    already has that many, and normalize the kept points if asked, with the
+    center and scale of the whole file.
+
+    The result equals normalizing the whole file, then resampling it, bit for
+    bit; only the kept points are transformed.
+    """
     cloud = pc.load_cloud(path)
-    if normalize:
-        cloud = pc.normalize(cloud)
+    kept = cloud
     if points is not None and points != cloud.n_points:
-        cloud = pc.downsample_random(cloud, points, seed)
-    return cloud
+        kept = pc.downsample_random(cloud, points, seed)
+    return pc.normalize(kept, stats_from=cloud) if normalize else kept
 
 
 def cmd_pretrain(args) -> int:

@@ -207,16 +207,31 @@ def load_cloud(path: str | Path) -> PointCloud:
     return PointCloud(points)
 
 
-def normalize(cloud: PointCloud) -> PointCloud:
+def normalize(cloud: PointCloud, stats_from: PointCloud | None = None) -> PointCloud:
     """Center the cloud at the origin and scale the max point norm to 1.
 
-    A degenerate cloud whose points all coincide maps to the origin.
+    The center (the mean point) and the scale (the largest distance from it)
+    are those of `stats_from` when given, else of `cloud`: the points kept
+    from a larger cloud map as they would within it. When all points of the
+    statistics' cloud coincide, every point maps to the origin.
     """
-    centered = cloud.points - cloud.points.mean(axis=0)
-    scale = np.linalg.norm(centered, axis=1).max()
+    source = (cloud if stats_from is None else stats_from).points
+    center = source.mean(axis=0)
+    # Squared distances in two N-vectors of scratch, summed x, y, z in the
+    # order of np.linalg.norm(source - center, axis=1), so bit for bit its square.
+    sq = source[:, 0] - center[0]
+    sq *= sq
+    term = np.empty_like(sq)
+    for axis in (1, 2):
+        np.subtract(source[:, axis], center[axis], out=term)
+        term *= term
+        sq += term
+    scale = np.sqrt(sq.max())
     if scale == 0.0:
-        return PointCloud(np.zeros_like(centered))
-    return PointCloud(centered / scale)
+        return PointCloud(np.zeros_like(cloud.points))
+    points = cloud.points - center
+    points /= scale
+    return PointCloud(points)
 
 
 def downsample_random(cloud: PointCloud, target: int, seed: int) -> PointCloud:
@@ -245,10 +260,22 @@ def default_palette(n: int) -> list[tuple[int, int, int]]:
     return palette
 
 
-def _write_rows(path: str | Path, header: str, row_format: str, rows: np.ndarray) -> None:
-    """Write `header`, then every row with one %-format over the flattened array."""
+# Rows per %-format in _write_rows: its scratch is bounded by the chunk, not the cloud.
+_CHUNK_ROWS = 8192
+
+
+def _write_rows(path: str | Path, header: str, rows: np.ndarray, formats, which=None) -> None:
+    """Write `header`, then row i of `rows` through formats[which[i]] (formats[0]
+    when `which` is None), with one %-format per _CHUNK_ROWS rows."""
     with open(path, "w") as fh:
-        fh.write(header + (row_format * len(rows)) % tuple(rows.ravel().tolist()))
+        fh.write(header)
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            if which is None:
+                line = formats[0] * len(chunk)
+            else:
+                line = "".join([formats[k] for k in which[start:start + _CHUNK_ROWS].tolist()])
+            fh.write(line % tuple(chunk.ravel().tolist()))
 
 
 def export_labeled_ply(cloud: PointCloud, labels, path: str | Path, palette) -> None:
@@ -262,12 +289,16 @@ def export_labeled_ply(cloud: PointCloud, labels, path: str | Path, palette) -> 
     n_clusters = int(labels.max()) + 1
     if len(palette) < n_clusters:
         raise ShapeError(f"palette has {len(palette)} colors but labels use {n_clusters}")
-    rows = np.column_stack([cloud.points, np.asarray(palette)[labels]])
+    # One line format per colour, its "%d %d %d" text formatted once from float64
+    # values, so a fractional colour truncates as in a float64 row of the cloud.
+    colors = np.asarray(palette[:n_clusters], dtype=np.float64).tolist()
+    formats = ["%.6f %.6f %.6f " + "%d %d %d" % tuple(rgb) + "\n" for rgb in colors]
     color_props = "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-    _write_rows(path, _PLY_HEADER.format(n=len(rows), extra=color_props), "%.6f %.6f %.6f %d %d %d\n", rows)
+    _write_rows(path, _PLY_HEADER.format(n=cloud.n_points, extra=color_props), cloud.points,
+                formats, labels)
 
 
 def save_cloud(cloud: PointCloud, path: str | Path) -> None:
     """Write plain vertex positions in the format that `path`'s extension names."""
     _, header = _format(path)
-    _write_rows(path, header.format(n=cloud.n_points, extra=""), "%.6f %.6f %.6f\n", cloud.points)
+    _write_rows(path, header.format(n=cloud.n_points, extra=""), cloud.points, ("%.6f %.6f %.6f\n",))

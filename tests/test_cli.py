@@ -1,10 +1,12 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from otclu import cli
+from otclu import cloud as pc
 from otclu.cloud import CLOUD_SUFFIXES, PointCloud, load_cloud, save_cloud
 from otclu.clustering import SolverConfig
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
@@ -249,6 +251,46 @@ class TestClusterCommand:
         code = cli.main(["cluster", str(out_dir / "checkpoint_final.otck"),
                          str(tmp_path / "nope.xyz"), str(tmp_path / "x.ply")])
         assert code == 3
+
+
+class TestPreparedCloud:
+    """`cli._prepared_cloud`, the preparation of `cluster`, `export` and `pretrain`."""
+
+    @pytest.mark.parametrize("n, points, normalize", [
+        (500, 64, True),    # fewer kept than in the file
+        (40, 64, True),     # more: sampled with replacement
+        (64, 64, True),     # as many: file order kept
+        (64, None, True),   # no --points
+        (500, 64, False),
+        (40, 64, False),
+    ])
+    def test_equals_normalize_then_resample(self, tmp_path, rng, n, points, normalize):
+        path = tmp_path / "a.xyz"
+        save_cloud(PointCloud(rng.normal(size=(n, 3)) * 5 + 3), path)
+        whole = load_cloud(path)
+        expected = pc.normalize(whole) if normalize else whole
+        if points is not None and points != n:
+            expected = pc.downsample_random(expected, points, 9)
+        got = cli._prepared_cloud(path, normalize, points, 9)
+        assert got.points.tobytes() == expected.points.tobytes()
+
+    def test_coincident_points_go_to_origin(self, tmp_path):
+        path = tmp_path / "a.xyz"
+        save_cloud(PointCloud(np.full((100, 3), 2.5)), path)
+        got = cli._prepared_cloud(path, True, 32, 0)
+        assert got.points.tobytes() == np.zeros((32, 3)).tobytes()
+
+    def test_scratch_is_below_the_cloud_size(self, rng, monkeypatch):
+        # normalizing every point before resampling peaked at about 2.7x the cloud's bytes
+        whole = PointCloud(rng.normal(size=(200_000, 3)))
+        monkeypatch.setattr(pc, "load_cloud", lambda path: whole)
+        tracemalloc.start()
+        try:
+            cli._prepared_cloud("in-memory", True, 2048, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * whole.points.nbytes
 
 
 class TestExportCommand:

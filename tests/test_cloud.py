@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from otclu import cloud as pc
 from otclu.cloud import (CLOUD_SUFFIXES, PointCloud, default_palette, downsample_random,
                          export_labeled_ply, load_cloud, normalize, save_cloud)
 from otclu.errors import ParseError, ShapeError
@@ -207,6 +210,24 @@ class TestNormalize:
         twice = normalize(once)
         assert np.abs(twice.points - once.points).max() <= 1e-9
 
+    def test_equals_norm_expression_bitwise(self, rng):
+        # the column-by-column scale is np.linalg.norm's, bit for bit
+        for _ in range(50):
+            n = int(rng.integers(1, 2000))
+            pts = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e4) + rng.normal(size=3) * 1e3
+            centered = pts - pts.mean(axis=0)
+            expected = centered / np.linalg.norm(centered, axis=1).max()
+            assert normalize(PointCloud(pts)).points.tobytes() == expected.tobytes()
+
+    def test_stats_from_maps_rows_as_within_the_whole(self, rng):
+        whole = PointCloud(rng.normal(size=(300, 3)) * 7 - 2)
+        idx = rng.choice(300, size=50)
+        kept = normalize(PointCloud(whole.points[idx]), stats_from=whole)
+        assert kept.points.tobytes() == normalize(whole).points[idx].tobytes()
+        # all points of the statistics' cloud coincide: everything maps to the origin
+        flat = normalize(PointCloud(rng.normal(size=(4, 3))), stats_from=PointCloud(np.full((9, 3), 2.5)))
+        assert flat.points.tobytes() == np.zeros((4, 3)).tobytes()
+
 
 class TestDownsample:
     def test_full_sample_is_permutation(self, rng):
@@ -270,6 +291,24 @@ class TestExport:
                                [(1, 2, 3), (4, 5, 6)])
         assert not path.exists()
 
+    @pytest.mark.parametrize("palette", [
+        [(255, 0, 0), (0, 255, 255), (0, 0, 0), (255, 255, 255)],
+        np.array([(255, 0, 128), (0, 255, 0), (7, 0, 255), (255, 255, 0)], dtype=np.uint8),
+        [(254.9, 0.5, 255.0), (0.0, 255.0, 1.99), (3.0, 2.0, 1.0), (0.0, 0.0, 0.0)],
+    ])
+    def test_bytes_equal_float_colour_rows(self, tmp_path, rng, palette):
+        # reference: the colours as float columns of one float64 array, %d-formatted
+        cloud = PointCloud(rng.normal(size=(300, 3)))
+        labels = rng.integers(0, 4, size=300)
+        path = tmp_path / "out.ply"
+        export_labeled_ply(cloud, labels, path, palette)
+        rows = np.column_stack([cloud.points, np.asarray(palette)[labels]])
+        header = ("ply\nformat ascii 1.0\nelement vertex 300\nproperty float x\n"
+                  "property float y\nproperty float z\nproperty uchar red\n"
+                  "property uchar green\nproperty uchar blue\nend_header\n")
+        expected = header + ("%.6f %.6f %.6f %d %d %d\n" * 300) % tuple(rows.ravel().tolist())
+        assert path.read_bytes() == expected.encode()
+
 
 class TestSaveCloud:
     @pytest.mark.parametrize("suffix", CLOUD_SUFFIXES)
@@ -290,3 +329,22 @@ class TestSaveCloud:
             load_cloud(path)
         with pytest.raises(ParseError, match=f"extension {suffix!r}"):
             save_cloud(PointCloud(np.zeros((1, 3))), tmp_path / f"out{suffix}")
+
+    def test_chunked_write_matches_one_shot_with_bounded_scratch(self, tmp_path, rng):
+        def write_peak(n):
+            cloud = PointCloud(rng.normal(size=(n, 3)) * 100)
+            path = tmp_path / f"c{n}.xyz"
+            tracemalloc.start()
+            try:
+                save_cloud(cloud, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            expected = ("%.6f %.6f %.6f\n" * n) % tuple(cloud.points.ravel().tolist())
+            assert path.read_bytes() == expected.encode()
+            return peak
+
+        # a cloud of 2.5 chunks, and one of 6.5 chunks: the scratch of the
+        # write is bounded by a chunk, not by the cloud
+        short, long = write_peak(5 * pc._CHUNK_ROWS // 2), write_peak(13 * pc._CHUNK_ROWS // 2)
+        assert long < 1.25 * short
