@@ -37,7 +37,6 @@ from . import encoder as enc
 from .clustering import SolverConfig
 from .errors import CheckpointError, ConfigError, NumericalError, OtcluError, check_int
 from .trainer import TrainConfig, e_step, pretrain
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,19 +53,14 @@ EXIT_CODES = (
     ((OtcluError, OSError), EXIT_DATA, "data error"),
 )
 
-_CONFIG_SECTIONS = {
-    "train": {"epochs", "batch_size", "lr", "lr_decay", "decay_every", "weight_decay",
-              "beta1", "beta2", "adam_eps", "seed", "eta", "checkpoint_every"},
-    "solver": {"epsilon", "iters", "tol", "lambda", "num_clusters"},
-    "encoder": {"hidden_sizes", "feature_dim", "num_clusters"},
-    "data": {"num_points", "normalize"},
-}
+_DATA_DEFAULTS = {"num_points": 2048, "normalize": True}
 
 
 def load_config(path) -> tuple[TrainConfig, dict]:
     """Parse the JSON run config; returns (TrainConfig, data section).
 
-    Unknown sections or keys are rejected so a typo cannot silently fall
+    The accepted sections and keys are those `resolved_config_dict` writes
+    for the defaults; any other is rejected so a typo cannot silently fall
     back to a default. The cluster count lives in the solver section and
     also sizes the encoder head; `encoder.num_clusters`, as the manifest
     writes it, is accepted when it equals `solver.num_clusters`. Any
@@ -81,20 +75,20 @@ def load_config(path) -> tuple[TrainConfig, dict]:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    accepted = resolved_config_dict(TrainConfig(), _DATA_DEFAULTS)
     for section, keys in raw.items():
-        if section not in _CONFIG_SECTIONS:
+        if section not in accepted:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(keys, dict):
             raise ConfigError(f"section {section!r} must be an object")
-        unknown = set(keys) - _CONFIG_SECTIONS[section]
+        unknown = set(keys) - set(accepted[section])
         if unknown:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
     train = dict(raw.get("train", {}))
     solver_keys = dict(raw.get("solver", {}))
     encoder_keys = dict(raw.get("encoder", {}))
-    data = {"num_points": 2048, "normalize": True}
-    data.update(raw.get("data", {}))
+    data = {**_DATA_DEFAULTS, **raw.get("data", {})}
     check_int("data.num_points", data["num_points"], 1)
     if not isinstance(data["normalize"], bool):
         raise ConfigError(f"data.normalize must be true or false, got {data['normalize']!r}")
@@ -236,6 +230,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks  # the check registry and its oracles load only here
     results = run_checks(args.level)
     width = max(len(r.name) for r in results)
     all_ok = True

@@ -169,7 +169,8 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
     # Skip the rows of elements declared before the vertices; later rows are never read.
     for name, count in elements:
         if name == "vertex":
-            return _read_block(path, lineno, count, len(vertex_props))[:, cols]
+            block = _read_block(path, lineno, count, len(vertex_props))
+            return block if vertex_props == ["x", "y", "z"] else block[:, cols]
         for _ in range(count):
             try:
                 lineno, tokens = next(lines)

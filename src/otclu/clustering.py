@@ -217,10 +217,10 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     d_scores -= proto_dot[None, :]
     d_scores /= safe[None, :]
     per_weight = d_feat / safe[:, None]
-    fallback = 0.0
-    if empty.any():
-        d_scores[:, empty] = 0.0
-        per_weight[empty] = 0.0
-        fallback = d_feat[empty].sum(axis=0) / n
-    d_features = scores @ per_weight + fallback
+    if not empty.any():
+        return d_scores, scores @ per_weight
+    d_scores[:, empty] = 0.0
+    per_weight[empty] = 0.0
+    d_features = scores @ per_weight
+    d_features += d_feat[empty].sum(axis=0) / n
     return d_scores, d_features

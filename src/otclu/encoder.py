@@ -11,7 +11,9 @@ Every function here fills buffers it owns; it never writes its arguments.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -172,45 +174,58 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     return grads
 
 
+def _tensor_table(config: EncoderConfig) -> list[dict]:
+    """The checkpoint header's entry for every tensor `config` implies: each
+    stored as <f8, sorted by name, back to back, shaped by `linear_maps`."""
+    shapes = {}
+    for name, fan_in, fan_out in config.linear_maps:
+        shapes.update({f"{name}.w": [fan_in, fan_out], f"{name}.b": [fan_out]})
+    table, offset = [], 0
+    for name in sorted(shapes):
+        nbytes = 8 * math.prod(shapes[name])
+        table.append({"dtype": "<f8", "name": name, "nbytes": nbytes, "offset": offset,
+                      "shape": shapes[name]})  # a parsed header's key order
+        offset += nbytes
+    return table
+
+
 def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> None:
     """Write parameters to a flat, byte-deterministic container.
 
     Layout: 8-byte magic, uint32 format version, uint64 header length, a
-    canonical-JSON header describing config/meta and every tensor's dtype,
-    shape and offset, then the raw little-endian tensor bytes.
+    canonical-JSON header holding config, meta and the tensor table of the
+    config's architecture, then the raw little-endian tensor bytes in table
+    order. Params whose tensor names or shapes differ from those their
+    architecture implies raise CheckpointError and nothing is written.
     """
-    names = sorted(params.tensors)
-    blobs, entries, offset = [], [], 0
-    for name in names:
-        arr = np.ascontiguousarray(params.tensors[name], dtype=np.float64)
-        raw = arr.astype("<f8", copy=False).tobytes()
-        entries.append({"name": name, "dtype": "<f8", "shape": list(arr.shape),
-                        "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
+    table = _tensor_table(params.config)
+    shapes = {name: list(np.shape(arr)) for name, arr in params.tensors.items()}
+    needed = {entry["name"]: entry["shape"] for entry in table}
+    for name in sorted(shapes.keys() | needed.keys()):
+        if shapes.get(name) != needed.get(name):
+            raise CheckpointError(f"{path}: not written: tensor {name} has shape "
+                                  f"{shapes.get(name)}, the architecture needs {needed.get(name)}")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "meta": meta or {},
-        "tensors": entries,
+        "tensors": table,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for raw in blobs:
-            fh.write(raw)
+        for entry in table:
+            fh.write(np.asarray(params.tensors[entry["name"]], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, meta).
 
     A file that is short, damaged or of another format version, whose
-    tensors do not fill the data back to back in header order, or whose
-    tensor names, shapes or dtypes (always <f8) differ from those its
-    architecture implies, raises CheckpointError.
+    header's tensor table differs from the one its architecture implies, or
+    whose data is not exactly as long as that table, raises CheckpointError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -231,32 +246,19 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         header = json.loads(header_bytes.decode())
         cfg = header["config"]
         config = EncoderConfig(**{f.name: cfg[f.name] for f in fields(EncoderConfig)})
-        tensors, end = {}, 0
-        for entry in header["tensors"]:
-            if entry["offset"] != end:
-                raise CheckpointError(f"{path}: tensor {entry['name']} is at offset "
-                                      f"{entry['offset']}, expected {end}: tensors are "
-                                      f"stored back to back in header order")
-            end += entry["nbytes"]
-            raw = data[entry["offset"]:end]
-            if len(raw) != entry["nbytes"]:
-                raise CheckpointError(f"{path}: tensor {entry['name']} is truncated")
-            if entry["dtype"] != "<f8":
-                raise CheckpointError(f"{path}: tensor {entry['name']} has dtype "
-                                      f"{entry['dtype']!r}, expected '<f8'")
-            arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
-            tensors[entry["name"]] = arr
-        if end != len(data):
-            raise CheckpointError(f"{path}: {len(data) - end} bytes after the last tensor")
+        table = _tensor_table(config)
+        for stored, needed in itertools.zip_longest(header["tensors"], table):
+            if stored != needed:
+                name = (needed or stored)["name"]
+                raise CheckpointError(f"{path}: tensor {name}: the header has {stored}, "
+                                      f"the architecture needs {needed}")
         meta = header["meta"]
     except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError
         raise CheckpointError(f"{path}: damaged header: {exc!r}") from None
-    shapes = {name: arr.shape for name, arr in tensors.items()}
-    expected = {}
-    for name, fan_in, fan_out in config.linear_maps:
-        expected.update({f"{name}.w": (fan_in, fan_out), f"{name}.b": (fan_out,)})
-    for name in sorted(shapes.keys() | expected.keys()):
-        if shapes.get(name) != expected.get(name):
-            raise CheckpointError(f"{path}: tensor {name} has shape {shapes.get(name)}, "
-                                  f"the architecture needs {expected.get(name)}")
+    end = table[-1]["offset"] + table[-1]["nbytes"]
+    if len(data) != end:
+        raise CheckpointError(f"{path}: the tensor data is {len(data)} bytes; it must end "
+                              f"with tensor {table[-1]['name']} at byte {end}")
+    tensors = {entry["name"]: np.frombuffer(data, "<f8", entry["nbytes"] // 8, entry["offset"])
+               .reshape(entry["shape"]).copy() for entry in table}
     return EncoderParams(config=config, tensors=tensors), meta

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -23,3 +26,28 @@ def two_blob_points(rng, per_blob, radius=0.05):
     ])
     membership = np.repeat([0, 1], per_blob)
     return pts, membership
+
+
+def split_checkpoint(checkpoint: bytes) -> tuple[dict, bytes]:
+    """The JSON header and the tensor data of a checkpoint file's bytes."""
+    (header_len,) = struct.unpack("<Q", checkpoint[12:20])
+    return json.loads(checkpoint[20:20 + header_len]), checkpoint[20 + header_len:]
+
+
+def join_checkpoint(checkpoint: bytes, header: dict, data: bytes) -> bytes:
+    """The checkpoint's magic and version with a new header and tensor data."""
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return checkpoint[:12] + struct.pack("<Q", len(header_bytes)) + header_bytes + data
+
+
+def with_tensors(checkpoint: bytes, tensors: dict) -> bytes:
+    """The checkpoint with its tensor table and data rebuilt from `tensors`
+    (name -> array): back to back in sorted-name order, each in its own dtype."""
+    header, _ = split_checkpoint(checkpoint)
+    header["tensors"], raws = [], []
+    for name in sorted(tensors):
+        arr = tensors[name]
+        header["tensors"].append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                                  "offset": sum(map(len, raws)), "nbytes": arr.nbytes})
+        raws.append(arr.tobytes())
+    return join_checkpoint(checkpoint, header, b"".join(raws))

@@ -5,39 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from otclu import cli
+from otclu import cli, verify
 from otclu import cloud as pc
 from otclu.cloud import CLOUD_SUFFIXES, PointCloud, load_cloud, save_cloud
 from otclu.clustering import SolverConfig
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from otclu.errors import CheckpointError, ConfigError, NumericalError, ParseError, ShapeError
+from otclu.trainer import TrainConfig
 from otclu.verify import CheckResult
 
-from conftest import two_blob_points
-
-
-def split_checkpoint(checkpoint: bytes) -> tuple[dict, bytes]:
-    """The JSON header and the tensor data of a checkpoint file's bytes."""
-    (header_len,) = struct.unpack("<Q", checkpoint[12:20])
-    return json.loads(checkpoint[20:20 + header_len]), checkpoint[20 + header_len:]
-
-
-def join_checkpoint(checkpoint: bytes, header: dict, data: bytes) -> bytes:
-    """The checkpoint's magic and version with a new header and tensor data."""
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return checkpoint[:12] + struct.pack("<Q", len(header_bytes)) + header_bytes + data
-
-
-def as_float32(checkpoint: bytes) -> bytes:
-    """A well-formed checkpoint whose header names every tensor <f4, with
-    the same shapes and the values stored as float32."""
-    header, data = split_checkpoint(checkpoint)
-    raws = []
-    for entry in header["tensors"]:
-        values = np.frombuffer(data[entry["offset"]:entry["offset"] + entry["nbytes"]], "<f8")
-        raws.append(values.astype("<f4").tobytes())
-        entry.update(dtype="<f4", offset=sum(map(len, raws[:-1])), nbytes=len(raws[-1]))
-    return join_checkpoint(checkpoint, header, b"".join(raws))
+from conftest import join_checkpoint, split_checkpoint, two_blob_points, with_tensors
 
 
 def with_offset(checkpoint: bytes, name: str, offset: int) -> bytes:
@@ -127,10 +104,32 @@ class TestPretrainCommand:
         config = tmp_path / "config.json"
         for raw, key in (({"train": {"epochz": 2}}, "epochz"),
                          ({"solver": {"learn_lambda": False}}, "learn_lambda"),
-                         ({"encoder": {"global_context": True}}, "global_context")):
+                         ({"encoder": {"global_context": True}}, "global_context"),
+                         ({"data": {"points": 24}}, "points"),
+                         ({"model": {}}, "model")):
             config.write_text(json.dumps(raw))
             assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
             assert key in capsys.readouterr().err
+
+    def test_every_resolved_key_round_trips(self, tmp_path):
+        # one value per key, none of them its default
+        written = {
+            "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "lr_decay": 0.5,
+                      "decay_every": 7, "weight_decay": 0.02, "beta1": 0.8, "beta2": 0.99,
+                      "adam_eps": 1e-7, "seed": 4, "eta": 0.02, "checkpoint_every": 2},
+            "solver": {"epsilon": 0.002, "iters": 50, "tol": 1e-5, "lambda": 0.25,
+                       "num_clusters": 5},
+            "encoder": {"hidden_sizes": [7, 9], "feature_dim": 6, "num_clusters": 5},
+            "data": {"num_points": 100, "normalize": False},
+        }
+        defaults = cli.resolved_config_dict(TrainConfig(), cli._DATA_DEFAULTS)
+        assert {s: set(keys) for s, keys in written.items()} == \
+            {s: set(keys) for s, keys in defaults.items()}
+        assert all(value != defaults[s][key]
+                   for s, keys in written.items() for key, value in keys.items())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(written))
+        assert cli.resolved_config_dict(*cli.load_config(path)) == written
 
     def test_invalid_value_exits_2(self, tmp_path, blob_dataset, capsys):
         for section, keys in (("train", {"lr": -1.0}),
@@ -199,9 +198,8 @@ class TestClusterCommand:
         save_checkpoint(params, good)
         whole = good.read_bytes()
         # a head without the pooled-feature rows, as a context-off encoder had
-        params.tensors["head.w"] = params.tensors["head.w"][:4]
-        save_checkpoint(params, good)
-        narrow_head = good.read_bytes()
+        narrow_head = with_tensors(whole, {**params.tensors, "head.w": params.tensors["head.w"][:4]})
+        as_float32 = with_tensors(whole, {k: v.astype("<f4") for k, v in params.tensors.items()})
         (tmp_path / "c.xyz").write_text("0 0 0\n1 1 1\n")
         bad = tmp_path / "bad.otck"
         # garbage, a file cut 16 bytes short, one cut inside the fixed header,
@@ -215,7 +213,7 @@ class TestClusterCommand:
         from_end = with_offset(whole, "head.b", -len(data))
         overlapping = with_offset(whole, "head.b", mlp0_b)
         errs = []
-        for blob in (b"garbage" * 10, whole[:-16], whole[:10], huge_header, as_float32(whole),
+        for blob in (b"garbage" * 10, whole[:-16], whole[:10], huge_header, as_float32,
                      narrow_head, from_end, overlapping, whole + bytes(8)):
             bad.write_bytes(blob)
             code = cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"),
@@ -223,11 +221,43 @@ class TestClusterCommand:
             assert code == 5
             errs.append(capsys.readouterr().err)
             assert "checkpoint error" in errs[-1]
-        assert "has dtype '<f4'" in errs[4]
-        assert "head.w has shape (4, 2)" in errs[5] and "(8, 2)" in errs[5]
-        assert f"tensor head.b is at offset {-len(data)}, expected 0" in errs[6]
-        assert f"tensor head.b is at offset {mlp0_b}, expected 0" in errs[7]
-        assert "8 bytes after the last tensor" in errs[8]
+        assert "not a checkpoint file" in errs[0]
+        assert f"tensor data is {len(data) - 16} bytes" in errs[1] and "tensor mlp1.w" in errs[1]
+        assert "truncated before the header" in errs[2]
+        assert f"truncated inside the {2**40}-byte header" in errs[3]
+        assert "tensor head.b: the header has" in errs[4] and "'dtype': '<f4'" in errs[4]
+        assert "tensor head.w: the header has" in errs[5]
+        assert "'shape': [4, 2]" in errs[5] and "'shape': [8, 2]" in errs[5]
+        assert "tensor head.b: the header has" in errs[6] and f"'offset': {-len(data)}," in errs[6]
+        assert "tensor head.b: the header has" in errs[7] and f"'offset': {mlp0_b}," in errs[7]
+        assert f"tensor data is {len(data) + 8} bytes" in errs[8] and "tensor mlp1.w" in errs[8]
+
+    # Tensor entries in stored order: head.b, head.w, mlp0.b, mlp0.w, mlp1.b, mlp1.w.
+    @pytest.mark.parametrize("named, edit, extra_bytes", [
+        ("mlp0.b", lambda entries: entries[2].update(name="mlp0.bias"), 0),
+        ("head.w", lambda entries: entries[1].update(dtype="<f4"), 0),
+        ("mlp0.w", lambda entries: entries[3].update(shape=[4, 3]), 0),
+        ("mlp1.b", lambda entries: entries[4].update(offset=entries[4]["offset"] + 8), 0),
+        ("mlp1.w", lambda entries: entries[5].update(nbytes=entries[5]["nbytes"] - 8), 0),
+        ("head.b", lambda entries: entries.pop(0), 0),
+        ("mlp2.b", lambda entries: entries.append(dict(entries[4], name="mlp2.b")), 0),
+        ("mlp1.w", lambda entries: None, -8),
+        ("mlp1.w", lambda entries: None, 8),
+    ], ids=["name", "dtype", "shape", "offset", "nbytes", "drop", "add", "short", "long"])
+    def test_tensor_table_corruption_names_the_tensor(self, tmp_path, capsys, named, edit,
+                                                      extra_bytes):
+        good = tmp_path / "good.otck"
+        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                                  num_clusters=2), seed=0), good)
+        header, data = split_checkpoint(good.read_bytes())
+        edit(header["tensors"])
+        data = data[:len(data) + extra_bytes] + bytes(max(extra_bytes, 0))
+        bad = tmp_path / "bad.otck"
+        bad.write_bytes(join_checkpoint(good.read_bytes(), header, data))
+        (tmp_path / "c.xyz").write_text("0 0 0\n1 1 1\n")
+        assert cli.main(["cluster", str(bad), str(tmp_path / "c.xyz"), str(tmp_path / "x.ply")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and f"tensor {named}" in err, err
 
     def test_points_below_one_is_an_argument_error(self, tmp_path, capsys):
         ckpt = tmp_path / "p.otck"
@@ -390,7 +420,7 @@ class TestVerifyCommand:
     def test_table_and_exit_codes(self, monkeypatch, capsys):
         fake = [CheckResult("alpha", True, "fine", 0.01),
                 CheckResult("beta", True, "also fine", 0.02)]
-        monkeypatch.setattr(cli, "run_checks", lambda level: fake)
+        monkeypatch.setattr(verify, "run_checks", lambda level: fake)
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS  alpha" in out and "2/2" in out
@@ -402,7 +432,6 @@ class TestVerifyCommand:
     def test_sign_flipped_solver_fails_lp_check(self, monkeypatch):
         # A corrupted build that exponentiates +cost/epsilon must be caught
         # by the LP comparison.
-        import otclu.verify as verify
         from otclu.clustering import TransportPlan
 
         def flipped(cost, epsilon=1e-3, iters=1000, tol=1e-6):

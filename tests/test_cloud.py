@@ -113,6 +113,21 @@ class TestLoadPly:
         assert cloud.n_points == 2048
         assert np.linalg.norm(cloud.points, axis=1).max() <= 1 + 1e-6
 
+    def test_xyz_only_vertices_load_without_a_copy(self, tmp_path, rng):
+        # selecting x, y, z out of a block that holds only them peaked at 1.9x the XYZ load
+        cloud = PointCloud(rng.normal(size=(100_000, 3)))
+        loaded, peaks = {}, {}
+        for suffix in (".ply", ".xyz"):
+            save_cloud(cloud, tmp_path / f"a{suffix}")
+            tracemalloc.start()
+            try:
+                loaded[suffix] = load_cloud(tmp_path / f"a{suffix}")
+                peaks[suffix] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert loaded[".ply"].points.tobytes() == loaded[".xyz"].points.tobytes()
+        assert peaks[".ply"] <= 1.1 * peaks[".xyz"], peaks
+
     def test_extra_properties_and_faces(self, tmp_path):
         vertex = ("element vertex 2\n"
                   "property float x\nproperty float y\nproperty float z\n"

@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,8 @@ from otclu.encoder import (EncoderConfig, EncoderParams, backward, forward,
                            init_params, load_checkpoint, save_checkpoint)
 from otclu.errors import CheckpointError, ConfigError, ShapeError
 from otclu.oracle import grad_check
+
+from conftest import with_tensors
 
 SMALL = EncoderConfig(hidden_sizes=(6,), feature_dim=4, num_clusters=3)
 
@@ -278,10 +282,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 1 "):
             load_checkpoint(path)
 
+    def test_golden_layout(self, tmp_path):
+        params = init_params(SMALL, seed=8)
+        path = tmp_path / "p.otck"
+        save_checkpoint(params, path, meta={"note": "golden"})
+        table = [("head.b", [3], 0, 24), ("head.w", [8, 3], 24, 192), ("mlp0.b", [6], 216, 48),
+                 ("mlp0.w", [3, 6], 264, 144), ("mlp1.b", [4], 408, 32),
+                 ("mlp1.w", [6, 4], 440, 192)]
+        header = {"config": {"feature_dim": 4, "hidden_sizes": [6], "num_clusters": 3},
+                  "format_version": 2, "meta": {"note": "golden"},
+                  "tensors": [{"dtype": "<f8", "name": name, "nbytes": nbytes,
+                               "offset": offset, "shape": shape}
+                              for name, shape, offset, nbytes in table]}
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        data = b"".join(struct.pack(f"<{nbytes // 8}d", *params.tensors[name].ravel())
+                        for name, _, _, nbytes in table)
+        assert path.read_bytes() == (b"OTCLUCKP" + struct.pack("<IQ", 2, len(header_bytes))
+                                     + header_bytes + data)
+
     def test_truncated_tensor_set_rejected(self, tmp_path):
         params = init_params(SMALL, seed=8)
         path = tmp_path / "p.otck"
-        del params.tensors["head.b"]
         save_checkpoint(params, path)
+        del params.tensors["head.b"]
+        path.write_bytes(with_tensors(path.read_bytes(), params.tensors))
         with pytest.raises(CheckpointError, match="head.b"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, tensor", [("head.b", None), ("head.w", np.zeros((4, 3))),
+                                              ("extra.w", np.zeros(2))])
+    def test_save_refuses_params_that_do_not_fit(self, tmp_path, name, tensor):
+        params = init_params(SMALL, seed=8)
+        if tensor is None:
+            del params.tensors[name]
+        else:
+            params.tensors[name] = tensor
+        path = tmp_path / "p.otck"
+        with pytest.raises(CheckpointError, match=f"not written: tensor {name} "):
+            save_checkpoint(params, path)
+        assert not path.exists()
