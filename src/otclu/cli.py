@@ -24,7 +24,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -53,7 +52,7 @@ EXIT_CODES = (
     ((OtcluError, OSError), EXIT_DATA, "data error"),
 )
 
-_DATA_DEFAULTS = {"num_points": 2048, "normalize": True}
+_DATA_DEFAULTS = {"num_points": 2048}
 
 
 def load_config(path) -> tuple[TrainConfig, dict]:
@@ -90,8 +89,6 @@ def load_config(path) -> tuple[TrainConfig, dict]:
     encoder_keys = dict(raw.get("encoder", {}))
     data = {**_DATA_DEFAULTS, **raw.get("data", {})}
     check_int("data.num_points", data["num_points"], 1)
-    if not isinstance(data["normalize"], bool):
-        raise ConfigError(f"data.normalize must be true or false, got {data['normalize']!r}")
 
     if "lambda" in solver_keys:
         solver_keys["lam"] = solver_keys.pop("lambda")
@@ -119,10 +116,6 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _out_dir(arg: str) -> Path:
-    return Path(os.environ.get("OTCLU_OUT_DIR", arg))
-
-
 def _prepared_cloud(path, normalize: bool, points: int | None, seed: int) -> pc.PointCloud:
     """Load a cloud, resample it with `seed` to `points` points unless it
     already has that many, and normalize the kept points if asked, with the
@@ -147,10 +140,10 @@ def cmd_pretrain(args) -> int:
         patterns = ", ".join(f"*{suffix}" for suffix in pc.CLOUD_SUFFIXES)
         raise FileNotFoundError(f"found 0 cloud files ({patterns}) in {data_dir}")
 
-    out_dir = _out_dir(args.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    clouds = [_prepared_cloud(path, data["normalize"], data["num_points"], config.seed * 100003 + i)
+    clouds = [_prepared_cloud(path, True, data["num_points"], config.seed * 100003 + i)
               for i, path in enumerate(files)]
 
     resolved = resolved_config_dict(config, data)
@@ -188,9 +181,6 @@ def cmd_pretrain(args) -> int:
 def cmd_cluster(args) -> int:
     params, meta = enc.load_checkpoint(args.checkpoint)
     head_width = params.config.num_clusters
-    if args.clusters is not None and args.clusters != head_width:
-        raise CheckpointError(f"{args.checkpoint}: head is sized for {head_width} clusters; "
-                              f"refusing to re-initialize it for {args.clusters}")
 
     cloud = _prepared_cloud(args.cloud, True, args.points, args.seed)
     solver = SolverConfig(num_clusters=head_width, epsilon=args.epsilon,
@@ -264,15 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="run the EM training loop on a directory of clouds")
     p.add_argument("config", help="JSON run configuration")
     p.add_argument("data_dir", help=f"directory of {'/'.join(pc.CLOUD_SUFFIXES)} files")
-    p.add_argument("out_dir", help="output directory (env OTCLU_OUT_DIR overrides)")
+    p.add_argument("out_dir", help="output directory")
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("cluster", help="soft-cluster one cloud with a trained checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("cloud")
     p.add_argument("out_ply")
-    p.add_argument("--clusters", type=int, default=None,
-                   help="expected cluster count; must match the checkpoint head")
     p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=SolverConfig.lam)
     p.add_argument("--iters", type=int, default=SolverConfig.iters,

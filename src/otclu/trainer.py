@@ -24,18 +24,17 @@ from .encoder import EncoderConfig, EncoderParams, ForwardTrace
 from .errors import ConfigError, NumericalError, check_int, check_real
 from .losses import LossReport, total_loss
 
+# AdamW (Loshchilov & Hutter, 2019) at Adam's published defaults (Kingma & Ba,
+# 2015), and the step schedule: lr * LR_DECAY ** (epoch // DECAY_EVERY).
+BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
+LR_DECAY, DECAY_EVERY = 0.7, 20
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
     lr: float = 0.001
-    lr_decay: float = 0.7
-    decay_every: int = 20
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     eta: float = 0.01
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
@@ -43,15 +42,11 @@ class TrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        for name, minimum in (("epochs", 0), ("batch_size", 1), ("decay_every", 1),
-                              ("seed", 0), ("checkpoint_every", 0)):
+        for name, minimum in (("epochs", 0), ("batch_size", 1), ("seed", 0),
+                              ("checkpoint_every", 0)):
             check_int(name, getattr(self, name), minimum)
-        for name in ("lr", "lr_decay", "adam_eps"):
-            check_real(name, getattr(self, name), 0.0, strict=True)
-        for name in ("beta1", "beta2"):  # at 1 the bias correction 1 - beta^t is 0
-            check_real(name, getattr(self, name), 0.0, 1.0, strict=True)
-        for name in ("weight_decay", "eta"):
-            check_real(name, getattr(self, name), 0.0)
+        check_real("lr", self.lr, 0.0, strict=True)
+        check_real("eta", self.eta, 0.0)
         if self.solver.num_clusters != self.encoder.num_clusters:
             raise ConfigError(f"solver.num_clusters {self.solver.num_clusters} differs from "
                               f"encoder.num_clusters {self.encoder.num_clusters}")
@@ -119,23 +114,22 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
     """One AdamW update from the batch-mean loss gradient."""
-    cfg = state.config
     t = state.step + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, theta in state.params.tensors.items():
         g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        update = (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + cfg.adam_eps)
-        state.params.tensors[name] = theta - state.lr * (update + cfg.weight_decay * theta)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
+        update = (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + ADAM_EPS)
+        state.params.tensors[name] = theta - state.lr * (update + WEIGHT_DECAY * theta)
     state.step += 1
     return state
 
 
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
-    """Step-decay schedule: lr * decay^(epoch // decay_every), 0-indexed."""
-    return config.lr * config.lr_decay ** (epoch // config.decay_every)
+    """Step-decay schedule: lr * LR_DECAY^(epoch // DECAY_EVERY), 0-indexed."""
+    return config.lr * LR_DECAY ** (epoch // DECAY_EVERY)
 
 
 def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,

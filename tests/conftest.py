@@ -10,13 +10,6 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def ball_points(rng, n):
-    """Uniform points in the unit ball."""
-    d = rng.normal(size=(n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return d * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
-
-
 def two_blob_points(rng, per_blob, radius=0.05):
     """Two well-separated equal blobs on the x axis; returns (points, membership)."""
     centers = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

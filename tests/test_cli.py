@@ -91,6 +91,19 @@ class TestPretrainCommand:
         assert (a / "checkpoint_final.otck").read_bytes() == \
             (b / "checkpoint_final.otck").read_bytes()
 
+    def test_trains_on_normalized_clouds(self, tmp_path, rng, monkeypatch):
+        # pretrain normalizes every cloud, as cluster does, so a checkpoint
+        # is never trained on coordinates that cluster would not feed it
+        data = tmp_path / "data"
+        data.mkdir()
+        save_cloud(PointCloud(rng.normal(size=(24, 3)) * 5 + 3), data / "a.xyz")
+        seen = []
+        monkeypatch.setattr(cli, "pretrain", lambda clouds, *a, **k: seen.extend(clouds))
+        config = write_config(tmp_path / "config.json")
+        assert cli.main(["pretrain", str(config), str(data), str(tmp_path / "out")]) == 0
+        [cloud] = seen
+        assert cloud.points.tobytes() == pc.normalize(load_cloud(data / "a.xyz")).points.tobytes()
+
     def test_empty_data_dir_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json")
         empty = tmp_path / "empty"
@@ -106,7 +119,15 @@ class TestPretrainCommand:
                          ({"solver": {"learn_lambda": False}}, "learn_lambda"),
                          ({"encoder": {"global_context": True}}, "global_context"),
                          ({"data": {"points": 24}}, "points"),
-                         ({"model": {}}, "model")):
+                         ({"model": {}}, "model"),
+                         # the optimizer, the schedule and normalization are fixed
+                         ({"train": {"beta1": 0.9}}, "beta1"),
+                         ({"train": {"beta2": 0.999}}, "beta2"),
+                         ({"train": {"adam_eps": 1e-8}}, "adam_eps"),
+                         ({"train": {"weight_decay": 0.01}}, "weight_decay"),
+                         ({"train": {"lr_decay": 0.7}}, "lr_decay"),
+                         ({"train": {"decay_every": 20}}, "decay_every"),
+                         ({"data": {"normalize": True}}, "normalize")):
             config.write_text(json.dumps(raw))
             assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
             assert key in capsys.readouterr().err
@@ -114,13 +135,12 @@ class TestPretrainCommand:
     def test_every_resolved_key_round_trips(self, tmp_path):
         # one value per key, none of them its default
         written = {
-            "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "lr_decay": 0.5,
-                      "decay_every": 7, "weight_decay": 0.02, "beta1": 0.8, "beta2": 0.99,
-                      "adam_eps": 1e-7, "seed": 4, "eta": 0.02, "checkpoint_every": 2},
+            "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "seed": 4, "eta": 0.02,
+                      "checkpoint_every": 2},
             "solver": {"epsilon": 0.002, "iters": 50, "tol": 1e-5, "lambda": 0.25,
                        "num_clusters": 5},
             "encoder": {"hidden_sizes": [7, 9], "feature_dim": 6, "num_clusters": 5},
-            "data": {"num_points": 100, "normalize": False},
+            "data": {"num_points": 100},
         }
         defaults = cli.resolved_config_dict(TrainConfig(), cli._DATA_DEFAULTS)
         assert {s: set(keys) for s, keys in written.items()} == \
@@ -137,7 +157,6 @@ class TestPretrainCommand:
                               ("solver", {"iters": 2.5}),
                               ("data", {"num_points": "abc"}), ("data", {"num_points": 2.5}),
                               ("data", {"num_points": True}), ("data", {"num_points": 0}),
-                              ("data", {"normalize": "no"}),
                               ("train", {"seed": -1}), ("train", {"seed": 1.5}),
                               ("train", {"epochs": 2.5}), ("train", {"batch_size": 2.5}),
                               ("train", {"checkpoint_every": "x"}),
@@ -145,21 +164,11 @@ class TestPretrainCommand:
                               ("encoder", {"feature_dim": 2.5}),
                               ("encoder", {"num_clusters": 3}),
                               ("train", {"lr": float("nan")}), ("train", {"lr": float("inf")}),
-                              ("train", {"eta": float("inf")}),
-                              ("train", {"weight_decay": float("nan")}),
-                              ("train", {"beta1": 1.5}), ("train", {"beta2": 1.0})):
+                              ("train", {"eta": float("inf")})):
             config = write_config(tmp_path / "config.json", **{section: keys})
             code = cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")])
             assert code == 2, (section, keys)
             assert "config error" in capsys.readouterr().err
-
-    def test_out_dir_env_override(self, blob_dataset, tmp_path, monkeypatch):
-        config = write_config(tmp_path / "config.json", train={"epochs": 1})
-        override = tmp_path / "redirected"
-        monkeypatch.setenv("OTCLU_OUT_DIR", str(override))
-        assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "ignored")]) == 0
-        assert (override / "checkpoint_final.otck").exists()
-        assert not (tmp_path / "ignored").exists()
 
 
 class TestClusterCommand:
@@ -180,16 +189,6 @@ class TestClusterCommand:
         assert 0.0 <= sidecar["mean_confidence"] <= 1.0
         back = load_cloud(out_ply)
         assert back.n_points == 24
-
-    def test_cluster_count_mismatch_exits_5(self, trained_run, tmp_path):
-        out_dir, _ = trained_run
-        rng = np.random.default_rng(556)
-        pts, _ = two_blob_points(rng, 8)
-        cloud_path = tmp_path / "probe.xyz"
-        save_cloud(PointCloud(pts), cloud_path)
-        code = cli.main(["cluster", str(out_dir / "checkpoint_final.otck"),
-                         str(cloud_path), str(tmp_path / "x.ply"), "--clusters", "8"])
-        assert code == 5
 
     def test_corrupt_checkpoint_exits_5(self, tmp_path, capsys):
         params = init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
@@ -275,6 +274,14 @@ class TestClusterCommand:
                 cli.main([*argv, "--seed", "-1"])
             assert exc.value.code == 2, argv
             assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_clusters_is_an_argument_error(self, tmp_path, capsys):
+        # the checkpoint's head fixes the cluster count; there is no option for it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["cluster", str(tmp_path / "p.otck"), str(tmp_path / "c.xyz"),
+                      str(tmp_path / "x.ply"), "--clusters", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --clusters 8" in capsys.readouterr().err
 
     def test_missing_cloud_exits_3(self, trained_run, tmp_path):
         out_dir, _ = trained_run

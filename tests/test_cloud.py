@@ -7,8 +7,7 @@ from otclu import cloud as pc
 from otclu.cloud import (CLOUD_SUFFIXES, PointCloud, default_palette, downsample_random,
                          export_labeled_ply, load_cloud, normalize, save_cloud)
 from otclu.errors import ParseError, ShapeError
-
-from conftest import ball_points
+from otclu.verify import ball_cloud
 
 
 def write(path, text):
@@ -328,7 +327,7 @@ class TestExport:
 class TestSaveCloud:
     @pytest.mark.parametrize("suffix", CLOUD_SUFFIXES)
     def test_round_trip_each_format(self, tmp_path, rng, suffix):
-        cloud = PointCloud(ball_points(rng, 40))
+        cloud = ball_cloud(rng, 40)
         path = tmp_path / f"c{suffix}"
         save_cloud(cloud, path)
         back = load_cloud(path)  # format inferred from extension

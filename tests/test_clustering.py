@@ -10,14 +10,13 @@ from otclu.clustering import (Prototypes, assign_l2_labels, assign_soft_labels,
                               sinkhorn)
 from otclu.errors import NumericalError, ShapeError
 from otclu.oracle import exact_ot
-
-from conftest import ball_points
+from otclu.verify import ball_cloud
 
 
 def paper_shape_inputs(seed=0):
     """Points, features (d=128), scores (J=64) and prototypes of a seeded
     default-encoder forward on a 2048-point cloud: the paper's E-step shape."""
-    points = ball_points(np.random.default_rng(seed), 2048)
+    points = ball_cloud(np.random.default_rng(seed), 2048).points
     trace = enc.forward(enc.init_params(enc.EncoderConfig(), seed), points)
     protos = compute_prototypes(points, trace.features, trace.scores)
     return points, trace.features, trace.scores, protos

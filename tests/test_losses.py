@@ -7,6 +7,7 @@ import pytest
 from otclu.clustering import Prototypes
 from otclu.errors import NumericalError, ShapeError
 from otclu.losses import orth_loss, soft_ce_loss, total_loss
+from otclu.oracle import grad_check
 
 
 def softmax_rows(z):
@@ -61,25 +62,12 @@ class TestSoftCeLoss:
         n, j = 4, 3
         gamma = rng.dirichlet(np.ones(j), size=n)
         z = rng.normal(size=(n, j))
-
-        def loss_of_logits(logits):
-            return soft_ce_loss(gamma, softmax_rows(logits))[0]
-
         s = softmax_rows(z)
         _, d_s = soft_ce_loss(gamma, s)
         d_z = s * (d_s - (d_s * s).sum(axis=1, keepdims=True))
-
-        h = 1e-6
-        for k in range(z.size):
-            orig = z.flat[k]
-            z.flat[k] = orig + h
-            plus = loss_of_logits(z)
-            z.flat[k] = orig - h
-            minus = loss_of_logits(z)
-            z.flat[k] = orig
-            fd = (plus - minus) / (2 * h)
-            rel = abs(d_z.flat[k] - fd) / (abs(d_z.flat[k]) + 1e-8)
-            assert rel < 1e-5
+        report = grad_check(lambda p: soft_ce_loss(gamma, softmax_rows(p["z"]))[0],
+                            {"z": z}, {"z": d_z}, h=1e-6, rel_tol=1e-5)
+        assert report.passed, f"{report.worst_param}: {report.max_rel_error}"
 
     def test_gibbs_inequality(self, rng):
         # Mean cross-entropy dominates the mean row entropy of the targets,
@@ -127,18 +115,10 @@ class TestOrthLoss:
         geo = rng.normal(size=(4, 3))
         feat = rng.normal(size=(4, 8))
         _, d_geo, d_feat = orth_loss(Prototypes(geo=geo, feat=feat))
-        h = 1e-6
-        for arr, grad in ((geo, d_geo), (feat, d_feat)):
-            for k in range(arr.size):
-                orig = arr.flat[k]
-                arr.flat[k] = orig + h
-                plus = orth_loss(Prototypes(geo=geo, feat=feat))[0]
-                arr.flat[k] = orig - h
-                minus = orth_loss(Prototypes(geo=geo, feat=feat))[0]
-                arr.flat[k] = orig
-                fd = (plus - minus) / (2 * h)
-                rel = abs(grad.flat[k] - fd) / (abs(grad.flat[k]) + 1e-8)
-                assert rel < 1e-5
+        report = grad_check(lambda p: orth_loss(Prototypes(**p))[0],
+                            {"geo": geo, "feat": feat}, {"geo": d_geo, "feat": d_feat},
+                            h=1e-6, rel_tol=1e-5)
+        assert report.passed, f"{report.worst_param}: {report.max_rel_error}"
 
     def test_scale_invariance_of_normalized_gram(self, rng):
         protos = rng.normal(size=(3, 5))

@@ -12,10 +12,11 @@ from otclu.clustering import (SolverConfig, assign_soft_labels, compute_cost,
 from otclu.errors import ConfigError, NumericalError
 from otclu.losses import soft_ce_loss, total_loss
 from otclu.oracle import balanced_hard_assign
-from otclu.trainer import (TrainConfig, TrainState, cloud_gradients, e_step, lr_at_epoch,
-                           m_step, pretrain)
+from otclu.trainer import (WEIGHT_DECAY, TrainConfig, TrainState, cloud_gradients, e_step,
+                           lr_at_epoch, m_step, pretrain)
+from otclu.verify import ball_cloud
 
-from conftest import ball_points, two_blob_points
+from conftest import two_blob_points
 
 
 def toy_config(num_clusters=2, epsilon=2e-3, **overrides):
@@ -55,7 +56,7 @@ class TestEStep:
         converged = SolverConfig(num_clusters=4, epsilon=2e-3, iters=5000)
         params = enc.init_params(config.encoder, 1)
         for _ in range(5):
-            cloud = pc.normalize(pc.PointCloud(ball_points(rng, 64)))
+            cloud = pc.normalize(ball_cloud(rng, 64))
             g = e_step(params, cloud, config.solver).gamma
             assert np.abs(g.sum(axis=0) - 16.0).max() < 64 * 1e-5
             g = e_step(params, cloud, converged).gamma
@@ -65,7 +66,7 @@ class TestEStep:
     def test_deterministic(self, rng):
         config = toy_config()
         params = enc.init_params(config.encoder, 5)
-        cloud = pc.normalize(pc.PointCloud(ball_points(rng, 32)))
+        cloud = pc.normalize(ball_cloud(rng, 32))
         # a Fortran-ordered copy of the same values is stored in C order
         fortran = pc.PointCloud(np.asfortranarray(cloud.points))
         a = e_step(params, cloud, config.solver)
@@ -81,7 +82,7 @@ class TestEStep:
         config = toy_config()
         params = enc.init_params(config.encoder, 5)
         params.tensors["mlp1.w"][0, 0] = np.inf
-        cloud = pc.normalize(pc.PointCloud(ball_points(rng, 32)))
+        cloud = pc.normalize(ball_cloud(rng, 32))
         with np.errstate(invalid="ignore", over="ignore"):
             column = enc.forward(params, cloud.points).features[:, 0]
             assert np.isnan(column).any() and not np.isnan(column).all()
@@ -94,11 +95,11 @@ class TestMStep:
         # A zeroed head gives exactly uniform scores (J and N powers of
         # two), so gamma == scores with eta 0 makes every gradient exactly
         # zero and the update reduces to the decoupled decay term.
-        config = toy_config(eta=0.0, weight_decay=0.01)
+        config = toy_config(eta=0.0)
         state = TrainState.initial(config)
         state.lr = config.lr
         state.params.tensors["head.w"][:] = 0.0
-        cloud = pc.normalize(pc.PointCloud(ball_points(rng, 16)))
+        cloud = pc.normalize(ball_cloud(rng, 16))
         result = e_step(state.params, cloud, config.solver)
         assert np.all(result.trace.scores == 0.5)
         result = replace(result, gamma=result.trace.scores.copy(),
@@ -107,14 +108,14 @@ class TestMStep:
         _, grads = cloud_gradients(state, result)
         m_step(state, grads)
         for name, old in before.items():
-            expected = old - config.lr * (config.weight_decay * old)
+            expected = old - config.lr * (WEIGHT_DECAY * old)
             np.testing.assert_array_equal(state.params.tensors[name], expected)
 
     def test_zero_lr_freezes_params_but_not_moments(self, rng):
         config = toy_config()
         state = TrainState.initial(config)
         state.lr = 0.0
-        cloud = pc.normalize(pc.PointCloud(ball_points(rng, 16)))
+        cloud = pc.normalize(ball_cloud(rng, 16))
         result = e_step(state.params, cloud, config.solver)
         before = {k: v.copy() for k, v in state.params.tensors.items()}
         _, grads = cloud_gradients(state, result)
@@ -143,7 +144,7 @@ class TestMStep:
     def test_nonfinite_loss_aborts(self, rng):
         config = toy_config()
         state = TrainState.initial(config)
-        cloud = pc.normalize(pc.PointCloud(ball_points(rng, 8)))
+        cloud = pc.normalize(ball_cloud(rng, 8))
         result = e_step(state.params, cloud, config.solver)
         bad = replace(result, gamma=result.gamma * np.inf,
                       marginal_residual=0.0)
@@ -168,13 +169,10 @@ class TestSchedule:
             TrainConfig(lr=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(weight_decay=-1.0)
         with pytest.raises(ConfigError, match="num_clusters"):
             TrainConfig(solver=SolverConfig(num_clusters=8))
         for name, value in (("lr", float("nan")), ("lr", float("inf")),
-                            ("eta", float("inf")), ("weight_decay", float("nan")),
-                            ("beta1", 1.5), ("beta2", 1.0)):
+                            ("eta", float("inf")), ("eta", -0.1)):
             with pytest.raises(ConfigError, match=name):
                 TrainConfig(**{name: value})
 
@@ -182,7 +180,7 @@ class TestSchedule:
 class TestPretrain:
     def test_zero_epochs_noop(self, rng):
         config = toy_config(epochs=0)
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16)))]
+        clouds = [pc.normalize(ball_cloud(rng, 16))]
         state = pretrain(clouds, config)
         reference = enc.init_params(config.encoder, config.seed)
         for k in reference.tensors:
@@ -191,7 +189,7 @@ class TestPretrain:
 
     def test_history_one_record_per_epoch(self, rng):
         config = toy_config(epochs=3)
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16))) for _ in range(6)]
+        clouds = [pc.normalize(ball_cloud(rng, 16)) for _ in range(6)]
         state = pretrain(clouds, config)
         assert [m["epoch"] for m in state.history] == [0, 1, 2]
         for record in state.history:
@@ -201,7 +199,7 @@ class TestPretrain:
 
     def test_bit_reproducible(self, rng, tmp_path):
         config = toy_config(epochs=2)
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16))) for _ in range(5)]
+        clouds = [pc.normalize(ball_cloud(rng, 16)) for _ in range(5)]
         s1 = pretrain(clouds, config, checkpoint_dir=tmp_path / "a")
         s2 = pretrain(clouds, config, checkpoint_dir=tmp_path / "b")
         a = (tmp_path / "a" / "checkpoint_final.otck").read_bytes()
@@ -212,7 +210,7 @@ class TestPretrain:
 
     def test_checkpoint_interval(self, rng, tmp_path):
         config = toy_config(epochs=4, checkpoint_every=2)
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16)))]
+        clouds = [pc.normalize(ball_cloud(rng, 16))]
         pretrain(clouds, config, checkpoint_dir=tmp_path)
         names = sorted(p.name for p in tmp_path.glob("*.otck"))
         assert names == ["checkpoint_epoch0001.otck", "checkpoint_epoch0003.otck",
@@ -233,7 +231,7 @@ class TestPretrain:
         # on its support, so the scaling vectors grow without bound. Under
         # the default cap they stay finite and every solve is flagged; a cap
         # twenty times larger lets them overflow, and the abort must surface.
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 16)))]
+        clouds = [pc.normalize(ball_cloud(rng, 16))]
         history = pretrain(clouds, toy_config(epsilon=1e-9)).history
         assert all(m["capped_solves"] == 1 for m in history)
         assert all(m["sinkhorn_iters_max"] == SolverConfig().iters for m in history)
@@ -246,7 +244,7 @@ class TestPretrain:
         # lr 4e-4 move the parameters as far as the default 20 epochs at lr
         # 1e-3 with one step per epoch. Training longer makes the cost
         # spread grow until solves reach the cap (ROADMAP item 2).
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 2048))) for _ in range(2)]
+        clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(2)]
         config = TrainConfig(epochs=25, batch_size=1, lr=4e-4)
         start = time.perf_counter()
         state = pretrain(clouds, config)
@@ -259,7 +257,7 @@ class TestPretrain:
     def test_memory_does_not_grow_with_batch_size(self, rng):
         # Each cloud's backward runs right after its E-step and only the
         # gradient sum is kept, so the peak is one cloud's work at any batch size.
-        clouds = [pc.normalize(pc.PointCloud(ball_points(rng, 512))) for _ in range(8)]
+        clouds = [pc.normalize(ball_cloud(rng, 512)) for _ in range(8)]
         peaks = {}
         for batch_size in (8, 1):
             config = TrainConfig(epochs=1, batch_size=batch_size)
@@ -297,7 +295,7 @@ def test_no_step_function_writes_its_arguments(rng):
     config = toy_config(num_clusters=5)
     state = TrainState.initial(config)
     params = state.params
-    cloud = pc.normalize(pc.PointCloud(ball_points(rng, 64)))
+    cloud = pc.normalize(ball_cloud(rng, 64))
     trace = enc.forward(params, cloud.points)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
     cost = compute_cost(trace.inputs, trace.features, protos, config.solver.lam)

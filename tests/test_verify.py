@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import time
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from otclu import encoder as enc
+from otclu import trainer
 from otclu.clustering import SolverConfig
 from otclu.trainer import TrainConfig
 from otclu.verify import purity, run_checks
@@ -20,14 +22,15 @@ class TestDefaults:
         assert solver.num_clusters == 64
 
     def test_train_defaults(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "epochs", "batch_size", "lr", "seed", "eta", "checkpoint_every", "solver", "encoder"]
         config = TrainConfig()
         assert config.batch_size == 32
         assert config.lr == 0.001
-        assert config.lr_decay == 0.7
-        assert config.decay_every == 20
-        assert config.weight_decay == 0.01
-        assert (config.beta1, config.beta2, config.adam_eps) == (0.9, 0.999, 1e-8)
         assert config.eta == 0.01
+        assert (trainer.LR_DECAY, trainer.DECAY_EVERY) == (0.7, 20)
+        assert trainer.WEIGHT_DECAY == 0.01
+        assert (trainer.BETA1, trainer.BETA2, trainer.ADAM_EPS) == (0.9, 0.999, 1e-8)
 
     def test_encoder_defaults(self):
         cfg = enc.EncoderConfig()
