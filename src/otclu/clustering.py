@@ -8,6 +8,9 @@ cluster can swallow the whole cloud. The plain softmax-over-distance
 assignment is kept as a baseline; it carries no such guarantee.
 
 Every function here fills buffers it owns; it never writes its arguments.
+Of the step's functions only `encoder.forward` and `encoder.backward` write
+one: the `out` trace that `trainer.pretrain`, their only caller to pass
+it, hands in to be refilled.
 """
 
 from __future__ import annotations

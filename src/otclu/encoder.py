@@ -6,7 +6,10 @@ feature and produces per-cluster logits. Forward keeps what the analytic
 backward pass reads; no autodiff framework is involved, which keeps
 gradients exact and runs bit-reproducible.
 
-Every function here fills buffers it owns; it never writes its arguments.
+Every function here fills buffers it owns and never writes its arguments,
+with one exception: `forward` and `backward` refill the buffers of an `out`
+trace handed in to be overwritten. `trainer.pretrain` is the only caller
+that passes one; it recycles each cloud's spent trace for the next cloud.
 """
 
 from __future__ import annotations
@@ -88,7 +91,14 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams(config=config, tensors=tensors)
 
 
-def forward(params: EncoderParams, points) -> ForwardTrace:
+def _buffer(out: list | None, i: int, shape: tuple) -> np.ndarray:
+    """out[i] when it has `shape`, else a fresh array."""
+    if out is not None and out[i].shape == shape:
+        return out[i]
+    return np.empty(shape)
+
+
+def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the encoder and head on an (N, 3) array; returns scores with rows summing to 1.
 
     Hidden layers use ReLU; the final feature layer is linear. The head
@@ -96,16 +106,22 @@ def forward(params: EncoderParams, points) -> ForwardTrace:
     points, p, so its logits are f_i·W[:d] + p·W[d:] + b. The pooled term
     is one row shared by every point and is computed once. Ties at the max
     resolve to the lowest row index when gradients are routed back.
+
+    Each layer and the logits are built in the matching buffer of `out`, a
+    spent trace whose arrays are overwritten; a buffer whose shape differs
+    (another N or architecture) is replaced by a fresh one.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != IN_DIM:
         raise ShapeError(f"expected (N, {IN_DIM}) input, got {x.shape}")
     t = params.tensors
+    n, sizes = x.shape[0], params.config.layer_sizes
+    n_layers = len(sizes) - 1
+    spent = None if out is None or len(out.acts) != n_layers else [*out.acts, out.scores]
 
     acts, a = [], x
-    n_layers = len(params.config.layer_sizes) - 1
     for i in range(n_layers):
-        a = a @ t[f"mlp{i}.w"]
+        a = np.matmul(a, t[f"mlp{i}.w"], out=_buffer(spent, i, (n, sizes[i + 1])))
         a += t[f"mlp{i}.b"]
         if i < n_layers - 1:
             np.maximum(a, 0.0, out=a)
@@ -118,7 +134,8 @@ def forward(params: EncoderParams, points) -> ForwardTrace:
     pool_rows = (features == features.max(axis=0)).argmax(axis=0)
     pooled = features[pool_rows, np.arange(d)]
     w = t["head.w"]
-    scores = features @ w[:d]  # the logits, turned into a row softmax in place
+    # the logits, turned into a row softmax in place
+    scores = np.matmul(features, w[:d], out=_buffer(spent, n_layers, (n, w.shape[1])))
     scores += pooled @ w[d:] + t["head.b"]
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
@@ -128,7 +145,7 @@ def forward(params: EncoderParams, points) -> ForwardTrace:
 
 
 def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
-             d_features: np.ndarray) -> dict[str, np.ndarray]:
+             d_features: np.ndarray, out: ForwardTrace | None = None) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
     d_scores and d_features are the loss gradients at the score matrix and
@@ -136,6 +153,11 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     dimension's gradient to the argmax row recorded in the trace. The
     pooled term of the logits is shared by every point, so its gradients
     need only the column sums of d_logits.
+
+    With `out`, the feature gradient is built in `out.features` and each
+    lower layer's gradient in `out.acts[i - 1]`, after the last read of
+    that activation. `out` may be `trace` itself, which is then spent.
+    A buffer whose shape differs from the trace's is replaced by a fresh one.
     """
     t = params.tensors
     d = trace.features.shape[1]
@@ -143,6 +165,8 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
         raise ShapeError(f"d_scores shape {d_scores.shape} != scores shape {trace.scores.shape}")
     if d_features.shape != trace.features.shape:
         raise ShapeError(f"d_features shape {d_features.shape} != features shape {trace.features.shape}")
+    n_layers = len(trace.acts)
+    spent = None if out is None or len(out.acts) != n_layers else out.acts
 
     s = trace.scores
     d_logits = d_scores * s
@@ -156,21 +180,24 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     np.outer(trace.pooled, d_logits_sum, out=d_head_w[d:])
     grads = {"head.w": d_head_w, "head.b": d_logits_sum}
 
-    d_feat = d_logits @ w[:d].T
-    d_feat[trace.pool_rows, np.arange(d)] += w[d:] @ d_logits_sum
-    d_feat += d_features
+    # trace.features has had its last read
+    d_z = np.matmul(d_logits, w[:d].T, out=_buffer(spent, n_layers - 1, trace.features.shape))
+    del d_logits
+    d_z[trace.pool_rows, np.arange(d)] += w[d:] @ d_logits_sum
+    d_z += d_features
 
-    n_layers = len(trace.acts)
-    d_z = d_feat
+    relu_mask = None
     for i in reversed(range(n_layers)):
-        if i < n_layers - 1:
-            # acts[i] > 0 exactly where the ReLU's input was > 0
-            np.multiply(d_z, trace.acts[i] > 0.0, out=d_z)
+        if relu_mask is not None:
+            np.multiply(d_z, relu_mask, out=d_z)
         below = trace.inputs if i == 0 else trace.acts[i - 1]
         grads[f"mlp{i}.w"] = below.T @ d_z
         grads[f"mlp{i}.b"] = d_z.sum(axis=0)
         if i > 0:  # nothing reads the gradient at the input points
-            d_z = d_z @ t[f"mlp{i}.w"].T
+            # below > 0 exactly where the ReLU's input was > 0; with the mask
+            # taken, below has had its last read and may hold the next d_z
+            relu_mask = below > 0.0
+            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=_buffer(spent, i - 1, below.shape))
     return grads
 
 

@@ -81,13 +81,15 @@ class TrainState:
                    v=params.zeros_like(), lr=config.lr)
 
 
-def e_step(params: EncoderParams, cloud, solver: SolverConfig) -> EStepResult:
+def e_step(params: EncoderParams, cloud, solver: SolverConfig,
+           out: ForwardTrace | None = None) -> EStepResult:
     """Forward pass, prototypes, cost, and balanced soft-label assignment.
 
     The cost matrix handed to the transport solver is a constant: the
-    returned labels carry no gradient information.
+    returned labels carry no gradient information. `out` is a spent trace
+    whose buffers the forward pass refills (see `encoder.forward`).
     """
-    trace = enc.forward(params, cloud.points)
+    trace = enc.forward(params, cloud.points, out=out)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
     cost = compute_cost(trace.inputs, trace.features, protos, solver.lam)
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol)
@@ -97,8 +99,13 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig) -> EStepResult:
                        iterations=plan.iterations)
 
 
-def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport, dict]:
-    """The loss on one cloud's E-step labels and its exact parameter gradient."""
+def cloud_gradients(state: TrainState, result: EStepResult,
+                    out: ForwardTrace | None = None) -> tuple[LossReport, dict]:
+    """The loss on one cloud's E-step labels and its exact parameter gradient.
+
+    With `out=result.trace`, the backward pass builds its gradients in
+    that trace's buffers, which leaves the trace spent.
+    """
     report, d_scores, d_geo, d_feat = total_loss(
         result.gamma, result.trace.scores, result.protos, eta=state.config.eta)
     if not np.isfinite(report.l_total):
@@ -109,7 +116,7 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
         result.trace.inputs, result.trace.features, result.trace.scores,
         result.protos, d_geo, d_feat)
     ds_proto += d_scores
-    return report, enc.backward(result.trace, state.params, ds_proto, df_proto)
+    return report, enc.backward(result.trace, state.params, ds_proto, df_proto, out=out)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
@@ -141,6 +148,12 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     of gradients is kept, so memory does not grow with `batch_size`. The
     run is bit-reproducible for a fixed seed.
 
+    This is the one caller that hands the step an array to overwrite: each
+    cloud's backward builds its gradients in that cloud's own trace, and
+    the spent trace is then refilled by the next cloud's forward pass. So
+    one set of trace buffers serves every cloud of the call that has the
+    same number of points; a cloud of another size gets fresh buffers.
+
     `on_epoch` is called with the metrics dict after each epoch. When
     `checkpoint_dir` is set, checkpoints are written every
     `config.checkpoint_every` epochs (if nonzero) and at the end.
@@ -149,6 +162,7 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
         raise ValueError("pretrain needs at least one cloud")
     state = TrainState.initial(config)
     shuffle_rng = np.random.default_rng([config.seed, 1])
+    spent = None  # the last cloud's trace, its buffers free for the next
 
     for epoch in range(config.epochs):
         state.epoch = epoch
@@ -160,10 +174,11 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
             scale = 1.0 / len(chunk)
             grads = state.params.zeros_like()
             for i in chunk:
-                result = e_step(state.params, clouds[i], config.solver)
+                result = e_step(state.params, clouds[i], config.solver, out=spent)
                 residuals.append(result.marginal_residual)
                 iterations.append(result.iterations)
-                report, cloud_grads = cloud_gradients(state, result)
+                report, cloud_grads = cloud_gradients(state, result, out=result.trace)
+                spent = result.trace
                 reports.append(report)
                 for name, g in cloud_grads.items():
                     grads[name] += scale * g

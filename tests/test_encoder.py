@@ -249,6 +249,73 @@ class TestPaperShapeHead:
         assert peak <= 1.05 * held, f"peak {peak / held:.2f} x held"
 
 
+def trace_arrays(trace):
+    return [trace.inputs, *trace.acts, trace.features, trace.pooled, trace.pool_rows,
+            trace.scores]
+
+
+def assert_bytes_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def tie_case(rng, n):
+    """The max-pool tie case: one feature equal to x, on integer x values
+    so that many rows tie at the pooled maximum."""
+    params = init_params(EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2), seed=2)
+    params.tensors["mlp0.w"] = np.array([[1.0], [0.0], [0.0]])
+    x = rng.normal(size=(n, 3))
+    x[:, 0] = rng.integers(-2, 3, size=n)
+    return params, x
+
+
+class TestOutTrace:
+    """A spent trace handed in as `out` is refilled with the default calls' bits."""
+
+    @pytest.mark.parametrize("case", ["paper", "tie"])
+    def test_out_equals_default(self, rng, case):
+        if case == "paper":
+            params = init_params(EncoderConfig(), seed=4)
+            x, other = rng.uniform(-1.0, 1.0, size=(2, 2048, 3))
+        else:
+            params, x = tie_case(rng, 64)
+            _, other = tie_case(rng, 64)
+            assert (x[:, 0] == x[:, 0].max()).sum() > 1
+        n, d = x.shape[0], params.config.feature_dim
+        d_scores = rng.normal(size=(n, params.config.num_clusters))
+        d_features = rng.normal(size=(n, d))
+        # spent as in pretrain: another cloud's trace, overwritten by its backward
+        spent = forward(params, other)
+        backward(spent, params, d_scores, d_features, out=spent)
+        buffers = [*spent.acts, spent.scores]
+
+        ref = forward(params, x)
+        got = forward(params, x, out=spent)
+        assert_bytes_equal(trace_arrays(got), trace_arrays(ref))
+        assert all(a is b for a, b in zip([*got.acts, got.scores], buffers))
+
+        ref_grads = backward(ref, params, d_scores, d_features)
+        got_grads = backward(got, params, d_scores, d_features, out=got)
+        assert list(got_grads) == list(ref_grads)
+        assert_bytes_equal(list(got_grads.values()), list(ref_grads.values()))
+
+    def test_other_n_gets_fresh_buffers(self, rng):
+        params = init_params(SMALL, seed=5)
+        x = rng.normal(size=(20, 3))
+        d_scores, d_features = rng.normal(size=(20, 3)), rng.normal(size=(20, 4))
+        other = forward(params, rng.normal(size=(30, 3)))
+        before = [a.copy() for a in trace_arrays(other)]
+
+        got = forward(params, x, out=other)
+        assert_bytes_equal(trace_arrays(got), trace_arrays(forward(params, x)))
+        grads = backward(got, params, d_scores, d_features, out=other)
+        ref_grads = backward(forward(params, x), params, d_scores, d_features)
+        assert_bytes_equal(list(grads.values()), list(ref_grads.values()))
+        assert_bytes_equal(trace_arrays(other), before)
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         params = init_params(SMALL, seed=8)
