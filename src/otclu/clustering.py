@@ -7,10 +7,14 @@ every cluster to receive the same total mass (N/J points' worth), so no
 cluster can swallow the whole cloud. The plain softmax-over-distance
 assignment is kept as a baseline; it carries no such guarantee.
 
-Every function here fills buffers it owns; it never writes its arguments.
-Of the step's functions only `encoder.forward` and `encoder.backward` write
-one: the `out` trace that `trainer.pretrain`, their only caller to pass
-it, hands in to be refilled.
+Every function here fills buffers it owns; it never writes its arguments
+(a `potential` handed to `sinkhorn` is only read). Of the step's functions
+only three write an argument, and only an `out` handed in to be
+overwritten: `encoder.forward` and `encoder.backward` refill an `out`
+trace, and `losses.soft_ce_loss` (through `losses.total_loss`) builds the
+loss gradient in an `out` array. `trainer.pretrain` is the only caller
+that passes one; through `trainer.cloud_gradients` that array is the
+cloud's own labels.
 """
 
 from __future__ import annotations
@@ -57,10 +61,13 @@ class Prototypes:
 
 @dataclass
 class TransportPlan:
-    """Coupling matrix (N, J) with total mass 1, and the Sinkhorn iterations it took."""
+    """Coupling matrix (N, J) with total mass 1, the Sinkhorn iterations it
+    took, and the column potential (J,) that `sinkhorn` can start a later
+    solve from."""
 
     matrix: np.ndarray
     iterations: int
+    potential: np.ndarray | None = None
 
     def marginal_residual(self) -> float:
         """Max deviation of row sums from 1/N and column sums from 1/J."""
@@ -126,7 +133,7 @@ def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
 
 
 def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverConfig.iters,
-             tol: float = SolverConfig.tol) -> TransportPlan:
+             tol: float = SolverConfig.tol, potential=None) -> TransportPlan:
     """Entropically regularized balanced transport by Sinkhorn scaling.
 
     The kernel is built once on a shifted cost, K = exp((f_i + g_j - C_ij)/eps)
@@ -138,6 +145,14 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     `iters` only caps the count: a solve that reaches it returns its plan
     with the residual it reached.
 
+    The plan carries its column potential psi_j = g_j + eps * log v_j, which
+    does not depend on the shifts (ibid., ch. 4). Given a finite `potential`
+    from an earlier solve on a similar cost, scaling starts from
+    v = exp((psi - g)/eps - max) instead of v = 1 and stops at the same
+    `tol`. If that start ends in a plan that is not finite while the cost is
+    finite, the cost is solved again from v = 1, and that plan, equal byte
+    for byte to a solve without `potential`, is returned.
+
     Raises NumericalError if the plan is not finite, naming the cause: NaN or
     infinite cost entries, or scaling vectors that overflowed, which they do
     once the cost spread is of the order of 1e4 * epsilon.
@@ -146,15 +161,46 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     if d.ndim != 2:
         raise ShapeError(f"cost must be a matrix, got shape {d.shape}")
     _check_solver_args(epsilon, iters, tol)
-    n, m = d.shape
+    if potential is not None:
+        potential = np.asarray(potential, dtype=np.float64)
+        if potential.shape != d.shape[1:]:
+            raise ShapeError(f"potential shape {potential.shape} does not match "
+                             f"the cost's {d.shape[1]} columns")
+        if not np.all(np.isfinite(potential)):
+            potential = None
 
-    with np.errstate(all="ignore"):  # a NaN or an overflow must reach the check below
+    plan = _scale(d, epsilon, iters, tol, potential)
+    finite = np.all(np.isfinite(plan.matrix))
+    if not finite and potential is not None and np.all(np.isfinite(d)):
+        plan = _scale(d, epsilon, iters, tol, None)  # the warm start overflowed
+        finite = np.all(np.isfinite(plan.matrix))
+    if not finite:
+        bad = d.size - np.count_nonzero(np.isfinite(d))
+        if bad:
+            raise NumericalError(f"cost matrix has {bad} non-finite entries (NaN or "
+                                 f"infinity) of {d.size}; the transport plan is not finite")
+        raise NumericalError(
+            f"transport plan became non-finite after {plan.iterations} Sinkhorn iterations; "
+            f"epsilon {epsilon:g} is too small for the cost spread")
+    return plan
+
+
+def _scale(d: np.ndarray, epsilon: float, iters: int, tol: float,
+           potential: np.ndarray | None) -> TransportPlan:
+    """One Sinkhorn solve of `sinkhorn`, from v = 1 or from a finite column potential."""
+    n, m = d.shape
+    with np.errstate(all="ignore"):  # a NaN or an overflow must reach sinkhorn's check
         shifted = d - d.min(axis=1, keepdims=True)
-        shifted -= shifted.min(axis=0)
+        g = shifted.min(axis=0)
+        shifted -= g
         shifted /= -epsilon
         kernel = np.exp(shifted, out=shifted)
         a, b = 1.0 / n, 1.0 / m
-        kv = kernel.sum(axis=1)
+        if potential is None:
+            kv = kernel.sum(axis=1)
+        else:
+            start = (potential - g) / epsilon
+            kv = kernel @ np.exp(start - start.max())
         for iterations in range(1, iters + 1):
             u = a / kv
             v = b / (u @ kernel)
@@ -165,15 +211,8 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
         plan = kernel  # diag(u) K diag(v), scaled in place
         plan *= u[:, None]
         plan *= v
-    if not np.all(np.isfinite(plan)):
-        bad = d.size - np.count_nonzero(np.isfinite(d))
-        if bad:
-            raise NumericalError(f"cost matrix has {bad} non-finite entries (NaN or "
-                                 f"infinity) of {d.size}; the transport plan is not finite")
-        raise NumericalError(
-            f"transport plan became non-finite after {iterations} Sinkhorn iterations; "
-            f"epsilon {epsilon:g} is too small for the cost spread")
-    return TransportPlan(matrix=plan, iterations=iterations)
+        psi = g + epsilon * np.log(v)
+    return TransportPlan(matrix=plan, iterations=iterations, potential=psi)
 
 
 def assign_soft_labels(plan: TransportPlan, n: int) -> np.ndarray:

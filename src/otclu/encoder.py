@@ -10,6 +10,8 @@ Every function here fills buffers it owns and never writes its arguments,
 with one exception: `forward` and `backward` refill the buffers of an `out`
 trace handed in to be overwritten. `trainer.pretrain` is the only caller
 that passes one; it recycles each cloud's spent trace for the next cloud.
+(The one other step function that writes an argument is
+`losses.soft_ce_loss`, into an `out` array; see `otclu.clustering`.)
 """
 
 from __future__ import annotations

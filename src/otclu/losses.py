@@ -4,6 +4,11 @@ The primary objective is the cross-entropy between the transport-derived
 soft labels (treated as constants) and the predicted score matrix. A small
 orthogonality penalty on the normalized prototypes keeps clusters from
 collapsing onto a single centroid.
+
+Every function here fills buffers it owns and never writes its arguments,
+with one exception: `soft_ce_loss` and `total_loss` build dL/dS in an `out`
+array handed in to be overwritten. `trainer.cloud_gradients` passes one,
+the cloud's labels, only on `trainer.pretrain`'s path.
 """
 
 from __future__ import annotations
@@ -25,10 +30,13 @@ class LossReport:
     l_total: float
 
 
-def soft_ce_loss(gamma, scores: np.ndarray) -> tuple[float, np.ndarray]:
+def soft_ce_loss(gamma, scores: np.ndarray, out: np.ndarray | None = None
+                 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy -(1/N) sum_ij gamma_ij log s_ij and dL/dS.
 
-    gamma is a constant target: no gradient flows into it.
+    gamma is a constant target: no gradient flows into it. dL/dS is built
+    in `out` when given, which may be gamma itself once its last reader is
+    this loss.
     """
     g = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
@@ -41,8 +49,8 @@ def soft_ce_loss(gamma, scores: np.ndarray) -> tuple[float, np.ndarray]:
     buf *= g
     loss = float(-buf.sum() / n)
     np.multiply(n, s, out=buf)
-    np.divide(g, buf, out=buf)
-    d_scores = np.negative(buf, out=buf)  # -(g / ns) is -g / ns exactly
+    d_scores = np.divide(g, buf, out=buf if out is None else out)
+    np.negative(d_scores, out=d_scores)  # -(g / ns) is -g / ns exactly
     return loss, d_scores
 
 
@@ -74,16 +82,18 @@ def orth_loss(protos: Prototypes) -> tuple[float, np.ndarray, np.ndarray]:
     return loss_geo + loss_feat, d_geo, d_feat
 
 
-def total_loss(gamma, scores: np.ndarray, protos: Prototypes,
-               eta: float = 0.01) -> tuple[LossReport, np.ndarray, np.ndarray, np.ndarray]:
+def total_loss(gamma, scores: np.ndarray, protos: Prototypes, eta: float = 0.01,
+               out: np.ndarray | None = None
+               ) -> tuple[LossReport, np.ndarray, np.ndarray, np.ndarray]:
     """Combined objective l_soft + eta * l_orth with upstream gradients.
 
     Returns (report, dL/dS, dL/dC_geo, dL/dC_feat); the prototype gradients
     are already scaled by eta and still need chaining through the weighted
-    centroids to reach scores and features (the trainer does that).
+    centroids to reach scores and features (the trainer does that). dL/dS
+    is built in `out` when given (see `soft_ce_loss`).
     """
     check_real("eta", eta, 0.0)
-    l_soft, d_scores = soft_ce_loss(gamma, scores)
+    l_soft, d_scores = soft_ce_loss(gamma, scores, out=out)
     l_orth, d_geo, d_feat = orth_loss(protos)
     report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + eta * l_orth)
     return report, d_scores, eta * d_geo, eta * d_feat

@@ -61,6 +61,7 @@ class EStepResult:
     gamma: np.ndarray    # soft labels (N, J): N times the transport plan
     marginal_residual: float
     iterations: int      # Sinkhorn iterations the solve took
+    potential: np.ndarray  # the plan's column potential (J,), to warm-start the next solve
 
 
 @dataclass
@@ -82,32 +83,37 @@ class TrainState:
 
 
 def e_step(params: EncoderParams, cloud, solver: SolverConfig,
-           out: ForwardTrace | None = None) -> EStepResult:
+           out: ForwardTrace | None = None, potential=None) -> EStepResult:
     """Forward pass, prototypes, cost, and balanced soft-label assignment.
 
     The cost matrix handed to the transport solver is a constant: the
     returned labels carry no gradient information. `out` is a spent trace
-    whose buffers the forward pass refills (see `encoder.forward`).
+    whose buffers the forward pass refills (see `encoder.forward`), and
+    `potential` a column potential the solve starts from (see `sinkhorn`).
     """
     trace = enc.forward(params, cloud.points, out=out)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
     cost = compute_cost(trace.inputs, trace.features, protos, solver.lam)
-    plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol)
+    plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol,
+                    potential=potential)
+    del cost
     gamma = assign_soft_labels(plan, trace.scores.shape[0])
     return EStepResult(trace=trace, protos=protos, gamma=gamma,
                        marginal_residual=plan.marginal_residual(),
-                       iterations=plan.iterations)
+                       iterations=plan.iterations, potential=plan.potential)
 
 
 def cloud_gradients(state: TrainState, result: EStepResult,
                     out: ForwardTrace | None = None) -> tuple[LossReport, dict]:
     """The loss on one cloud's E-step labels and its exact parameter gradient.
 
-    With `out=result.trace`, the backward pass builds its gradients in
-    that trace's buffers, which leaves the trace spent.
+    With `out=result.trace`, the loss gradient at the scores is built in
+    the labels' buffer and the backward pass builds its gradients in that
+    trace's buffers, which leaves the whole result spent.
     """
     report, d_scores, d_geo, d_feat = total_loss(
-        result.gamma, result.trace.scores, result.protos, eta=state.config.eta)
+        result.gamma, result.trace.scores, result.protos, eta=state.config.eta,
+        out=None if out is None else result.gamma)
     if not np.isfinite(report.l_total):
         raise NumericalError(
             f"non-finite loss at step {state.step}, epoch {state.epoch}: "
@@ -115,8 +121,9 @@ def cloud_gradients(state: TrainState, result: EStepResult,
     ds_proto, df_proto = prototypes_backward(
         result.trace.inputs, result.trace.features, result.trace.scores,
         result.protos, d_geo, d_feat)
-    ds_proto += d_scores
-    return report, enc.backward(result.trace, state.params, ds_proto, df_proto, out=out)
+    d_scores += ds_proto
+    del ds_proto
+    return report, enc.backward(result.trace, state.params, d_scores, df_proto, out=out)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
@@ -148,11 +155,18 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     of gradients is kept, so memory does not grow with `batch_size`. The
     run is bit-reproducible for a fixed seed.
 
-    This is the one caller that hands the step an array to overwrite: each
-    cloud's backward builds its gradients in that cloud's own trace, and
-    the spent trace is then refilled by the next cloud's forward pass. So
-    one set of trace buffers serves every cloud of the call that has the
-    same number of points; a cloud of another size gets fresh buffers.
+    This is the one caller that hands the step arrays to overwrite: each
+    cloud's loss gradient at the scores is built in that cloud's labels and
+    its backward builds its gradients in that cloud's own trace, and the
+    spent trace is then refilled by the next cloud's forward pass. So one
+    set of trace buffers serves every cloud of the call that has the same
+    number of points; a cloud of another size gets fresh buffers. A cloud's
+    result and gradients are released before the next cloud's E-step.
+
+    Each cloud's Sinkhorn solve starts from the column potential of that
+    cloud's previous solve in the call (its first solve starts cold), so
+    the labels differ from cold solves within the solver's `tol` and the
+    history stays bit-reproducible for a fixed seed.
 
     `on_epoch` is called with the metrics dict after each epoch. When
     `checkpoint_dir` is set, checkpoints are written every
@@ -163,6 +177,7 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     state = TrainState.initial(config)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     spent = None  # the last cloud's trace, its buffers free for the next
+    potentials = [None] * len(clouds)  # each cloud's last column potential
 
     for epoch in range(config.epochs):
         state.epoch = epoch
@@ -174,14 +189,16 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
             scale = 1.0 / len(chunk)
             grads = state.params.zeros_like()
             for i in chunk:
-                result = e_step(state.params, clouds[i], config.solver, out=spent)
+                result = e_step(state.params, clouds[i], config.solver, out=spent,
+                                potential=potentials[i])
                 residuals.append(result.marginal_residual)
                 iterations.append(result.iterations)
                 report, cloud_grads = cloud_gradients(state, result, out=result.trace)
-                spent = result.trace
+                spent, potentials[i] = result.trace, result.potential
                 reports.append(report)
                 for name, g in cloud_grads.items():
                     grads[name] += scale * g
+                del result, cloud_grads
             m_step(state, grads)
 
         metrics = {
@@ -191,6 +208,7 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
             "l_total": float(np.mean([r.l_total for r in reports])),
             "lr": state.lr,
             "max_marginal_residual": float(max(residuals)),
+            "sinkhorn_iters_median": float(np.median(iterations)),
             "sinkhorn_iters_max": max(iterations),
             # a solve can end above tol only by reaching the iteration cap
             "capped_solves": sum(r >= config.solver.tol for r in residuals),

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 
@@ -69,8 +70,12 @@ class TestPretrainCommand:
         assert len(lines) == 2  # one record per epoch
         record = json.loads(lines[0])
         assert set(record) == {"epoch", "l_soft", "l_orth", "l_total", "lr",
-                               "max_marginal_residual", "sinkhorn_iters_max",
-                               "capped_solves"}
+                               "max_marginal_residual", "sinkhorn_iters_median",
+                               "sinkhorn_iters_max", "capped_solves"}
+        for line in lines:
+            record = json.loads(line)
+            median = record["sinkhorn_iters_median"]
+            assert math.isfinite(median) and 1 <= median <= record["sinkhorn_iters_max"]
         params, meta = load_checkpoint(out_dir / "checkpoint_final.otck")
         assert meta["config_hash"] == manifest["config_hash"]
 

@@ -225,6 +225,38 @@ class TestSinkhorn:
             tracemalloc.stop()
         assert peak <= 1.5 * cost.nbytes, f"{peak / cost.nbytes:.2f} (N, J) arrays"
 
+    def test_overflowing_warm_start_restarts_cold(self):
+        # Started from this potential the second column's scaling underflows
+        # to 0 and the first iteration's plan is not finite; the solve
+        # restarts from v = 1 and returns the cold plan byte for byte.
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cold = sinkhorn(cost, 1e-3)
+        for potential in ([0.0, -1.0], [np.nan, 0.0], [0.0, np.inf]):
+            plan = sinkhorn(cost, 1e-3, potential=potential)
+            assert plan.matrix.tobytes() == cold.matrix.tobytes()
+            assert plan.potential.tobytes() == cold.potential.tobytes()
+            assert plan.iterations == cold.iterations
+
+    def test_warm_start_keeps_the_non_finite_cost_error(self):
+        cost = np.array([[0.0, 1.0], [1.0, np.nan], [0.5, 0.5], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match="cost matrix has 1 non-finite"):
+            sinkhorn(cost, 1e-3, potential=[0.0, 0.0])
+
+    def test_warm_start_from_its_own_potential(self, rng):
+        cost = rng.uniform(0, 0.02, size=(32, 8))
+        cold = sinkhorn(cost, 1e-3)
+        assert cold.iterations > 10
+        warm = sinkhorn(cost, 1e-3, potential=cold.potential)
+        assert warm.iterations == 1
+        assert warm.marginal_residual() < 1e-6
+        assert np.abs(warm.matrix - cold.matrix).max() < 1e-6
+        # the potential does not depend on the shifts: a shifted cost starts as well
+        assert sinkhorn(cost + 5.0, 1e-3, potential=cold.potential).iterations == 1
+
+    def test_potential_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ShapeError, match="potential"):
+            sinkhorn(np.zeros((3, 2)), 1e-3, potential=np.zeros(3))
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             sinkhorn(np.zeros((2, 2)), epsilon=0.0)
