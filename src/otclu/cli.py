@@ -4,7 +4,7 @@ Commands:
   pretrain  <config.json> <data-dir> <out-dir>   full EM training run
   cluster   <checkpoint> <cloud> <out.ply>       one-shot soft clustering
   export    <input> <output>                     convert/prepare a cloud file
-  verify    [--level fast|full]                  run the self-check suite
+  verify                                         run the self-check suite
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 data error, 4 numerical abort, 5 checkpoint/config mismatch.
@@ -179,6 +179,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    out_ply = Path(args.out_ply)
+    if out_ply.suffix.lower() != ".ply":  # the sidecar takes the same name with .json
+        raise ConfigError(f"{out_ply}: the labeled output must be a .ply file")
     params, meta = enc.load_checkpoint(args.checkpoint)
     head_width = params.config.num_clusters
 
@@ -188,7 +191,6 @@ def cmd_cluster(args) -> int:
     result = e_step(params, cloud, solver)
 
     labels = result.gamma.argmax(axis=1)
-    out_ply = Path(args.out_ply)
     pc.export_labeled_ply(cloud, labels, out_ply, pc.default_palette(head_width))
 
     counts = np.bincount(labels, minlength=head_width)
@@ -221,7 +223,7 @@ def cmd_export(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_checks  # the check registry and its oracles load only here
-    results = run_checks(args.level)
+    results = run_checks()
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -279,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("verify", help="run the oracle-backed self-check suite")
-    p.add_argument("--level", choices=("fast", "full"), default="fast")
     p.set_defaults(fn=cmd_verify)
     return parser
 

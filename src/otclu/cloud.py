@@ -129,7 +129,7 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
     saw_format = False
     for lineno, tokens in lines:
         key = tokens[0]
-        if key == "comment":
+        if key in ("comment", "obj_info"):
             continue
         if key == "format":
             if len(tokens) < 2 or tokens[1] != "ascii":

@@ -132,6 +132,13 @@ def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
     return d_geo
 
 
+def _cost_matrix(cost) -> np.ndarray:
+    d = np.asarray(cost, dtype=np.float64)
+    if d.ndim != 2 or 0 in d.shape:
+        raise ShapeError(f"cost must be a non-empty matrix, got shape {d.shape}")
+    return d
+
+
 def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverConfig.iters,
              tol: float = SolverConfig.tol, potential=None) -> TransportPlan:
     """Entropically regularized balanced transport by Sinkhorn scaling.
@@ -157,9 +164,7 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     infinite cost entries, or scaling vectors that overflowed, which they do
     once the cost spread is of the order of 1e4 * epsilon.
     """
-    d = np.asarray(cost, dtype=np.float64)
-    if d.ndim != 2:
-        raise ShapeError(f"cost must be a matrix, got shape {d.shape}")
+    d = _cost_matrix(cost)
     _check_solver_args(epsilon, iters, tol)
     if potential is not None:
         potential = np.asarray(potential, dtype=np.float64)
@@ -227,7 +232,7 @@ def assign_l2_labels(cost, temperature: float) -> np.ndarray:
     receive arbitrarily unbalanced mass.
     """
     check_real("temperature", temperature, 0.0, strict=True)
-    d = np.asarray(cost, dtype=np.float64)
+    d = _cost_matrix(cost)
     logits = -d / temperature
     logits -= logits.max(axis=1, keepdims=True)
     expd = np.exp(logits)

@@ -6,10 +6,8 @@ training run that lowers the loss) on one seeded family of instances,
 against an independent oracle (exact LP, exhaustive balanced assignment,
 finite differences) or a stated bound. Structural invariants (shift
 invariance, equivariance, file round trips, normalization, determinism)
-are unit tests of the modules they belong to. The
-`full` level runs every family at its full size and fails a check that
-overruns its time budget; `fast` runs a prefix of each family and skips
-the checks whose fast size is 0.
+are unit tests of the modules they belong to. A check that overruns its
+time budget fails.
 """
 
 from __future__ import annotations
@@ -127,15 +125,15 @@ def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma,
 
 
 # ---------------------------------------------------------------------------
-# checks: each takes the number of instances of its family to run
+# checks: each runs its whole seeded family
 
-def check_sinkhorn_feasibility(count: int) -> tuple[bool, str]:
+def check_sinkhorn_feasibility() -> tuple[bool, str]:
     # Cost spread a few multiples of epsilon: the residual reached under a
     # small cap grows with spread/epsilon. 5x epsilon keeps a cap of 20
     # iterations within the 1e-3 contract.
     rng = np.random.default_rng(101)
     grid = [(n, m) for n in (8, 64, 512) for m in (2, 8, 64)]
-    worst_20, plans = 0.0, []
+    count, worst_20, plans = 100, 0.0, []
     for i in range(count):
         d = random_cost(rng, *grid[i % len(grid)], scale=5e-3)
         plans.append(sinkhorn(d, 1e-3, iters=200_000, tol=CONVERGED_TOL))
@@ -146,9 +144,9 @@ def check_sinkhorn_feasibility(count: int) -> tuple[bool, str]:
                 f"capped at 20 iterations {worst_20:.2e} (<1e-3); {misses_detail(plans)}")
 
 
-def check_lp_gap(count: int) -> tuple[bool, str]:
+def check_lp_gap() -> tuple[bool, str]:
     rng = np.random.default_rng(202)
-    bound_ok, monotone, worst, plans = True, True, 0.0, []
+    count, bound_ok, monotone, worst, plans = 50, True, True, 0.0, []
     for _ in range(count):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 5))
@@ -167,7 +165,7 @@ def check_lp_gap(count: int) -> tuple[bool, str]:
                                    f"{misses_detail(plans)}")
 
 
-def check_gradients(count: int) -> tuple[bool, str]:
+def check_gradients() -> tuple[bool, str]:
     # The analytic side is the trainer's own per-cloud gradient chain.
     cloud, state, result = toy_problem()
     _, grads = cloud_gradients(state, result)
@@ -181,8 +179,9 @@ def check_gradients(count: int) -> tuple[bool, str]:
     return report.passed, f"max rel error {report.max_rel_error:.2e} (<1e-4) at {report.worst_param}"
 
 
-def check_equipartition(count: int) -> tuple[bool, str]:
+def check_equipartition() -> tuple[bool, str]:
     rng = np.random.default_rng(404)
+    count = 20
     cfg = enc.EncoderConfig(hidden_sizes=(16,), feature_dim=16, num_clusters=8)
     # the equipartition contract is epsilon-independent
     solver = SolverConfig(num_clusters=8, epsilon=2e-3)
@@ -196,11 +195,11 @@ def check_equipartition(count: int) -> tuple[bool, str]:
     return worst < 1e-5, f"{count} clouds: max |colsum(labels) - N/J| / N = {worst:.2e} (<1e-5)"
 
 
-def check_blob_purity(count: int) -> tuple[bool, str]:
+def check_blob_purity() -> tuple[bool, str]:
     rng = np.random.default_rng(505)
     details = []
     ok = True
-    for j in (2, 4)[:count]:
+    for j in (2, 4):
         cloud, membership = blob_cloud(rng, j, 12 // j)
         cloud = pc.normalize(cloud)
         cfg = enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8, num_clusters=j)
@@ -217,7 +216,7 @@ def check_blob_purity(count: int) -> tuple[bool, str]:
     return ok, "; ".join(details)
 
 
-def check_learning_signal(count: int) -> tuple[bool, str]:
+def check_learning_signal() -> tuple[bool, str]:
     # Committed oracle run (data seed 606, train seed 17, lr 0.01,
     # epsilon 2e-3): l_total 2.157 -> 0.072 (96.6% reduction), l_orth
     # 11.63 -> 7.07. The contract requires >= 30% and a lower final l_orth.
@@ -239,7 +238,7 @@ def check_learning_signal(count: int) -> tuple[bool, str]:
                 f"stopped at the cap above tol {config.solver.tol:g}")
 
 
-def check_ablation_mechanics(count: int) -> tuple[bool, str]:
+def check_ablation_mechanics() -> tuple[bool, str]:
     rng = np.random.default_rng(707)
 
     # (a) unconstrained softmax assignment piles mass on a cheap cluster
@@ -281,42 +280,35 @@ def check_ablation_mechanics(count: int) -> tuple[bool, str]:
 
 @dataclass(frozen=True)
 class Check:
-    """One seeded instance family: `run(count)` checks its first `count` instances."""
+    """One seeded instance family; `run()` checks all of it."""
 
     name: str
-    run: Callable[[int], tuple[bool, str]]
-    fast: int           # instances at the fast level; 0 skips the check there
-    full: int           # instances at the full level
-    budget: float       # seconds the full level may take
-
-    def size(self, level: str) -> int:
-        return self.full if level == "full" else self.fast
+    run: Callable[[], tuple[bool, str]]
+    budget: float       # seconds the check may take
 
 
 CHECKS = [
-    Check("sinkhorn-feasibility", check_sinkhorn_feasibility, 18, 100, 10.0),
-    Check("sinkhorn-vs-lp", check_lp_gap, 10, 50, 30.0),
-    Check("gradient-exactness", check_gradients, 1, 1, 60.0),
-    Check("equipartition", check_equipartition, 5, 20, 10.0),
-    Check("blob-purity", check_blob_purity, 2, 2, 10.0),
-    Check("learning-signal", check_learning_signal, 0, 1, 300.0),
-    Check("ablation-mechanics", check_ablation_mechanics, 1, 1, 10.0),
+    Check("sinkhorn-feasibility", check_sinkhorn_feasibility, 10.0),
+    Check("sinkhorn-vs-lp", check_lp_gap, 30.0),
+    Check("gradient-exactness", check_gradients, 60.0),
+    Check("equipartition", check_equipartition, 10.0),
+    Check("blob-purity", check_blob_purity, 10.0),
+    Check("learning-signal", check_learning_signal, 300.0),
+    Check("ablation-mechanics", check_ablation_mechanics, 10.0),
 ]
 
 
-def run_check(check: Check, level: str) -> CheckResult:
+def run_check(check: Check) -> CheckResult:
     start = time.perf_counter()
     try:
-        passed, detail = check.run(check.size(level))
+        passed, detail = check.run()
     except Exception as exc:  # a crashed check is a failed check
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - start
-    if level == "full" and seconds >= check.budget:
+    if seconds >= check.budget:
         passed, detail = False, f"{detail}; took {seconds:.1f}s, budget {check.budget:g}s"
     return CheckResult(check.name, passed, detail, seconds)
 
 
-def run_checks(level: str = "fast") -> list[CheckResult]:
-    if level not in ("fast", "full"):
-        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    return [run_check(check, level) for check in CHECKS if check.size(level) > 0]
+def run_checks() -> list[CheckResult]:
+    return [run_check(check) for check in CHECKS]

@@ -288,6 +288,26 @@ class TestClusterCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --clusters 8" in capsys.readouterr().err
 
+    def test_output_must_be_ply(self, tmp_path, capsys):
+        # the sidecar is written beside the PLY as <stem>.json
+        ckpt = tmp_path / "p.otck"
+        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                                  num_clusters=2), seed=0), ckpt)
+        src = tmp_path / "c.xyz"
+        src.write_text("0 0 0\n1 1 1\n")
+        before = sorted(tmp_path.iterdir())
+        for name in ("labels.json", "labels.xyz", "labels"):
+            out = tmp_path / name
+            assert cli.main(["cluster", str(ckpt), str(src), str(out)]) == 2, name
+            assert capsys.readouterr().err.startswith(f"config error: {out}: "), name
+            assert sorted(tmp_path.iterdir()) == before, name
+        # the output name is checked before the checkpoint is read
+        assert cli.main(["cluster", str(tmp_path / "nope.otck"), str(src),
+                         str(tmp_path / "labels.json")]) == 2
+        assert cli.main(["cluster", str(ckpt), str(src), str(tmp_path / "labels.PLY")]) == 0
+        assert load_cloud(tmp_path / "labels.PLY").n_points == 2
+        assert json.loads((tmp_path / "labels.json").read_text())["num_points"] == 2
+
     def test_missing_cloud_exits_3(self, trained_run, tmp_path):
         out_dir, _ = trained_run
         code = cli.main(["cluster", str(out_dir / "checkpoint_final.otck"),
@@ -432,14 +452,20 @@ class TestVerifyCommand:
     def test_table_and_exit_codes(self, monkeypatch, capsys):
         fake = [CheckResult("alpha", True, "fine", 0.01),
                 CheckResult("beta", True, "also fine", 0.02)]
-        monkeypatch.setattr(verify, "run_checks", lambda level: fake)
+        monkeypatch.setattr(verify, "run_checks", lambda: fake)
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS  alpha" in out and "2/2" in out
 
         fake[1] = CheckResult("beta", False, "broken", 0.02)
-        assert cli.main(["verify", "--level", "full"]) == 1
+        assert cli.main(["verify"]) == 1
         assert "FAIL  beta" in capsys.readouterr().out
+
+        # each check has one size; there is no level to choose
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--level", "full"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --level full" in capsys.readouterr().err
 
     def test_sign_flipped_solver_fails_lp_check(self, monkeypatch):
         # A corrupted build that exponentiates +cost/epsilon must be caught
@@ -458,4 +484,4 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(verify, "sinkhorn", flipped)
         lp = next(check for check in verify.CHECKS if check.name == "sinkhorn-vs-lp")
-        assert not verify.run_check(lp, "fast").passed
+        assert not verify.run_check(lp).passed

@@ -132,7 +132,7 @@ class TestLoadPly:
                   "property float x\nproperty float y\nproperty float z\n"
                   "property uchar red\nproperty uchar green\nproperty uchar blue\n")
         face = "element face 1\nproperty list uchar int vertex_indices\n"
-        head = "ply\nformat ascii 1.0\ncomment made by hand\n"
+        head = "ply\nformat ascii 1.0\ncomment made by hand\nobj_info scanned 2026\n"
         vertex_rows, face_rows = "0 0 0 255 0 0\n1 1 1 0 255 0\n", "3 0 1 0\n"
         # faces declared after the vertices, then before them
         for text in (head + vertex + face + "end_header\n" + vertex_rows + face_rows,

@@ -265,6 +265,11 @@ class TestSinkhorn:
         for tol in (0.0, -1e-6, float("nan"), float("inf"), None):
             with pytest.raises(ValueError):
                 sinkhorn(np.zeros((2, 2)), epsilon=1e-3, tol=tol)
+        for shape in ((0, 3), (3, 0)):
+            with pytest.raises(ShapeError, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+                sinkhorn(np.zeros(shape), epsilon=1e-3)
+        with pytest.raises(ShapeError, match=r"shape \(3, 0\)"):
+            assign_l2_labels(np.zeros((3, 0)), temperature=0.1)
 
 
 class TestAssignLabels:

@@ -1,15 +1,12 @@
 import dataclasses
-import re
-import time
 
 import numpy as np
-import pytest
 
 from otclu import encoder as enc
 from otclu import trainer
 from otclu.clustering import SolverConfig
 from otclu.trainer import TrainConfig
-from otclu.verify import purity, run_checks
+from otclu.verify import purity
 
 
 class TestDefaults:
@@ -36,23 +33,6 @@ class TestDefaults:
         cfg = enc.EncoderConfig()
         assert cfg.layer_sizes == (3, 64, 128, 128)
         assert cfg.num_clusters == 64
-
-
-class TestRunChecks:
-    def test_fast_level_all_pass_under_a_minute(self):
-        start = time.perf_counter()
-        results = run_checks("fast")
-        elapsed = time.perf_counter() - start
-        failures = [f"{r.name}: {r.detail}" for r in results if not r.passed]
-        assert not failures, failures
-        assert elapsed < 60.0
-        details = {r.name: r.detail for r in results}
-        for name in ("sinkhorn-feasibility", "sinkhorn-vs-lp", "ablation-mechanics"):
-            assert re.search(r"\d+ of \d+ solves stopped above tol", details[name]), details[name]
-
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
-            run_checks("paranoid")
 
 
 class TestPurity:
