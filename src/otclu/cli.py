@@ -6,6 +6,9 @@ Commands:
   export    <input> <output>                     convert/prepare a cloud file
   verify                                         run the self-check suite
 
+`cluster` solves with the settings `pretrain` stores in each checkpoint's
+meta as "solver"; a checkpoint without them gets the SolverConfig defaults.
+
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 data error, 4 numerical abort, 5 checkpoint/config mismatch.
 
@@ -85,20 +88,26 @@ def load_config(path) -> tuple[TrainConfig, dict]:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
     train = dict(raw.get("train", {}))
-    solver_keys = dict(raw.get("solver", {}))
     encoder_keys = dict(raw.get("encoder", {}))
     data = {**_DATA_DEFAULTS, **raw.get("data", {})}
     check_int("data.num_points", data["num_points"], 1)
 
-    if "lambda" in solver_keys:
-        solver_keys["lam"] = solver_keys.pop("lambda")
     try:
-        solver = SolverConfig(**solver_keys)
+        solver = solver_config(raw.get("solver", {}))
         encoder_cfg = enc.EncoderConfig(**{"num_clusters": solver.num_clusters, **encoder_keys})
         config = TrainConfig(solver=solver, encoder=encoder_cfg, **train)
     except (ValueError, TypeError) as exc:  # a value of the wrong type fails a comparison
         raise ConfigError(str(exc)) from None
     return config, data
+
+
+def solver_config(section) -> SolverConfig:
+    """The SolverConfig of a solver section as `resolved_config_dict` writes
+    it, which names `lam` "lambda"."""
+    keys = dict(section)
+    if "lambda" in keys:
+        keys["lam"] = keys.pop("lambda")
+    return SolverConfig(**keys)
 
 
 def resolved_config_dict(config: TrainConfig, data: dict) -> dict:
@@ -170,7 +179,8 @@ def cmd_pretrain(args) -> int:
                   f"lr {metrics['lr']:.6g}")
 
         pretrain(clouds, config, checkpoint_dir=out_dir,
-                 checkpoint_meta={"config_hash": digest}, on_epoch=on_epoch)
+                 checkpoint_meta={"config_hash": digest, "solver": resolved["solver"]},
+                 on_epoch=on_epoch)
 
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
@@ -184,10 +194,12 @@ def cmd_cluster(args) -> int:
         raise ConfigError(f"{out_ply}: the labeled output must be a .ply file")
     params, meta = enc.load_checkpoint(args.checkpoint)
     head_width = params.config.num_clusters
+    try:
+        solver = solver_config({**meta.get("solver", {}), "num_clusters": head_width})
+    except (ValueError, TypeError) as exc:  # a non-object section fails the unpacking
+        raise CheckpointError(f"{args.checkpoint}: stored solver settings: {exc}") from None
 
     cloud = _prepared_cloud(args.cloud, True, args.points, args.seed)
-    solver = SolverConfig(num_clusters=head_width, epsilon=args.epsilon,
-                          lam=args.lam, iters=args.iters)
     result = e_step(params, cloud, solver)
 
     labels = result.gamma.argmax(axis=1)
@@ -199,6 +211,8 @@ def cmd_cluster(args) -> int:
         "num_clusters": head_width,
         "epsilon": solver.epsilon,
         "lambda": solver.lam,
+        "iters": solver.iters,
+        "tol": solver.tol,
         "cluster_counts": counts.tolist(),
         "mean_confidence": float(result.gamma.max(axis=1).mean()),
         "marginal_residual": result.marginal_residual,
@@ -263,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("cloud")
     p.add_argument("out_ply")
-    p.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=SolverConfig.lam)
-    p.add_argument("--iters", type=int, default=SolverConfig.iters,
-                   help="Sinkhorn iteration cap; the solver stops earlier at its tol")
     p.add_argument("--points", type=int_at_least(1), default=None,
                    help="downsample to this many points")
     p.add_argument("--seed", type=int_at_least(0), default=0)

@@ -200,12 +200,18 @@ def load_cloud(path: str | Path) -> PointCloud:
 
     Faces, normals, and colors in the file are ignored. Raises ParseError,
     with a line number where there is one, on an unknown extension, on
-    malformed input, and when the file contains zero vertices.
+    malformed input, when the file contains zero vertices, and when a vertex
+    has a NaN or infinite coordinate (naming the first such vertex).
     """
     points = _format(path)[0](Path(path))
     if points.shape[0] == 0:
         raise ParseError("file contains zero vertices", path)
-    return PointCloud(points)
+    try:
+        return PointCloud(points)
+    except ShapeError:  # the loaders return (N, 3), so only a non-finite value fails
+        first = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        raise ParseError(f"vertex {first} (counting from 0) has a non-finite coordinate",
+                         path) from None
 
 
 def normalize(cloud: PointCloud, stats_from: PointCloud | None = None) -> PointCloud:

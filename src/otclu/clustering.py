@@ -8,13 +8,7 @@ cluster can swallow the whole cloud. The plain softmax-over-distance
 assignment is kept as a baseline; it carries no such guarantee.
 
 Every function here fills buffers it owns; it never writes its arguments
-(a `potential` handed to `sinkhorn` is only read). Of the step's functions
-only three write an argument, and only an `out` handed in to be
-overwritten: `encoder.forward` and `encoder.backward` refill an `out`
-trace, and `losses.soft_ce_loss` (through `losses.total_loss`) builds the
-loss gradient in an `out` array. `trainer.pretrain` is the only caller
-that passes one; through `trainer.cloud_gradients` that array is the
-cloud's own labels.
+(a `potential` handed to `sinkhorn` is only read).
 """
 
 from __future__ import annotations

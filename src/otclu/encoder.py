@@ -8,10 +8,7 @@ gradients exact and runs bit-reproducible.
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: `forward` and `backward` refill the buffers of an `out`
-trace handed in to be overwritten. `trainer.pretrain` is the only caller
-that passes one; it recycles each cloud's spent trace for the next cloud.
-(The one other step function that writes an argument is
-`losses.soft_ce_loss`, into an `out` array; see `otclu.clustering`.)
+trace handed in to be overwritten (see `trainer.pretrain`).
 """
 
 from __future__ import annotations
@@ -252,9 +249,10 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     """Read a checkpoint written by save_checkpoint; returns (params, meta).
 
-    A file that is short, damaged or of another format version, whose
-    header's tensor table differs from the one its architecture implies, or
-    whose data is not exactly as long as that table, raises CheckpointError.
+    A file that is short, damaged (a meta that is not a JSON object
+    included) or of another format version, whose header's tensor table
+    differs from the one its architecture implies, or whose data is not
+    exactly as long as that table, raises CheckpointError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -282,6 +280,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
                 raise CheckpointError(f"{path}: tensor {name}: the header has {stored}, "
                                       f"the architecture needs {needed}")
         meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta must be a JSON object, got {meta!r}")
     except (ValueError, KeyError, TypeError) as exc:  # ConfigError is a ValueError
         raise CheckpointError(f"{path}: damaged header: {exc!r}") from None
     end = table[-1]["offset"] + table[-1]["nbytes"]

@@ -7,8 +7,7 @@ collapsing onto a single centroid.
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: `soft_ce_loss` and `total_loss` build dL/dS in an `out`
-array handed in to be overwritten. `trainer.cloud_gradients` passes one,
-the cloud's labels, only on `trainer.pretrain`'s path.
+array handed in to be overwritten (see `trainer.pretrain`).
 """
 
 from __future__ import annotations

@@ -155,13 +155,17 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     of gradients is kept, so memory does not grow with `batch_size`. The
     run is bit-reproducible for a fixed seed.
 
-    This is the one caller that hands the step arrays to overwrite: each
-    cloud's loss gradient at the scores is built in that cloud's labels and
-    its backward builds its gradients in that cloud's own trace, and the
-    spent trace is then refilled by the next cloud's forward pass. So one
-    set of trace buffers serves every cloud of the call that has the same
-    number of points; a cloud of another size gets fresh buffers. A cloud's
-    result and gradients are released before the next cloud's E-step.
+    This is the one caller that hands the step arrays to overwrite, and
+    only three step functions write one: `encoder.forward` and
+    `encoder.backward` refill an `out` trace, and `losses.soft_ce_loss`
+    (through `losses.total_loss`) builds the loss gradient in an `out`
+    array. Through `cloud_gradients`, each cloud's loss gradient at the
+    scores is built in that cloud's labels and its backward builds its
+    gradients in that cloud's own trace, and the spent trace is then
+    refilled by the next cloud's forward pass. So one set of trace buffers
+    serves every cloud of the call that has the same number of points; a
+    cloud of another size gets fresh buffers. A cloud's result and
+    gradients are released before the next cloud's E-step.
 
     Each cloud's Sinkhorn solve starts from the column potential of that
     cloud's previous solve in the call (its first solve starts cold), so

@@ -78,6 +78,7 @@ class TestPretrainCommand:
             assert math.isfinite(median) and 1 <= median <= record["sinkhorn_iters_max"]
         params, meta = load_checkpoint(out_dir / "checkpoint_final.otck")
         assert meta["config_hash"] == manifest["config_hash"]
+        assert meta["solver"] == manifest["config"]["solver"]
 
     def test_manifest_config_reloads_to_the_run_config(self, trained_run, tmp_path):
         out_dir, config_path = trained_run
@@ -117,6 +118,16 @@ class TestPretrainCommand:
         assert cli.main(["pretrain", str(config), str(empty), str(tmp_path / "out")]) == 3
         listed = capsys.readouterr().err.split("found 0 cloud files (", 1)[1].split(")", 1)[0]
         assert listed.split(", ") == [f"*{suffix}" for suffix in CLOUD_SUFFIXES]
+
+    def test_non_finite_cloud_names_the_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "a.xyz").write_text("0 0 0\n1 1 1\n")
+        (data / "b.xyz").write_text("0 0 0\nnan 1 1\n")
+        config = write_config(tmp_path / "config.json")
+        assert cli.main(["pretrain", str(config), str(data), str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert str(data / "b.xyz") in err and "a.xyz" not in err, err
 
     def test_unknown_config_key_exits_2(self, tmp_path, blob_dataset, capsys):
         config = tmp_path / "config.json"
@@ -185,15 +196,55 @@ class TestClusterCommand:
         save_cloud(PointCloud(pts), cloud_path)
         out_ply = tmp_path / "labeled.ply"
         code = cli.main(["cluster", str(out_dir / "checkpoint_final.otck"),
-                         str(cloud_path), str(out_ply), "--epsilon", "2e-3"])
+                         str(cloud_path), str(out_ply)])
         assert code == 0
         sidecar = json.loads(out_ply.with_suffix(".json").read_text())
+        assert sidecar["epsilon"] == 2e-3  # the training run's, from the checkpoint
         assert sidecar["cluster_counts"] == [12, 12]
         assert sidecar["marginal_residual"] < 1e-5
         assert 1 <= sidecar["iterations"] <= SolverConfig().iters
         assert 0.0 <= sidecar["mean_confidence"] <= 1.0
         back = load_cloud(out_ply)
         assert back.n_points == 24
+
+    @pytest.mark.parametrize("stored, expected", [
+        (None, SolverConfig(num_clusters=2)),  # a library-written checkpoint: the defaults
+        ({"epsilon": 0.004, "iters": 7, "tol": 1e-4, "lambda": 0.25, "num_clusters": 2},
+         SolverConfig(epsilon=0.004, iters=7, tol=1e-4, lam=0.25, num_clusters=2)),
+    ], ids=["none", "stored"])
+    def test_solves_with_the_stored_solver(self, tmp_path, stored, expected):
+        ckpt = tmp_path / "p.otck"
+        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                                  num_clusters=2), seed=0), ckpt,
+                        meta=None if stored is None else {"solver": stored})
+        src = tmp_path / "c.xyz"
+        src.write_text("0 0 0\n1 1 1\n2 0 1\n1 2 0\n")
+        assert cli.main(["cluster", str(ckpt), str(src), str(tmp_path / "x.ply")]) == 0
+        sidecar = json.loads((tmp_path / "x.json").read_text())
+        assert {key: sidecar[key] for key in ("epsilon", "lambda", "iters", "tol")} == \
+            {"epsilon": expected.epsilon, "lambda": expected.lam, "iters": expected.iters,
+             "tol": expected.tol}
+        assert sidecar["iterations"] <= expected.iters
+
+    @pytest.mark.parametrize("stored, cause", [
+        ({"epsilon": -1e-3}, "epsilon must be"),
+        ({"epsilon": 1e-3, "mu": 1.0}, "'mu'"),
+        ([["epsilon", 1e-3]], "not a mapping"),
+    ], ids=["negative-epsilon", "unknown-key", "list"])
+    def test_bad_stored_solver_exits_5_before_the_cloud_is_read(self, tmp_path, capsys,
+                                                                 stored, cause):
+        ckpt = tmp_path / "p.otck"
+        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                                  num_clusters=2), seed=0), ckpt,
+                        meta={"solver": stored})
+        src = tmp_path / "c.xyz"
+        src.write_text("0 0 0\n1 1 1\n")
+        before = sorted(tmp_path.iterdir())
+        for cloud in (src, tmp_path / "nope.xyz"):  # a missing cloud would exit 3
+            assert cli.main(["cluster", str(ckpt), str(cloud), str(tmp_path / "x.ply")]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith(f"checkpoint error: {ckpt}: ") and cause in err, err
+            assert sorted(tmp_path.iterdir()) == before
 
     def test_corrupt_checkpoint_exits_5(self, tmp_path, capsys):
         params = init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
@@ -281,12 +332,15 @@ class TestClusterCommand:
             assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_clusters_is_an_argument_error(self, tmp_path, capsys):
-        # the checkpoint's head fixes the cluster count; there is no option for it
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["cluster", str(tmp_path / "p.otck"), str(tmp_path / "c.xyz"),
-                      str(tmp_path / "x.ply"), "--clusters", "8"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --clusters 8" in capsys.readouterr().err
+        # the checkpoint's head fixes the cluster count and its stored solver the
+        # other solver settings; there is no option for any of them
+        for flag, value in (("--clusters", "8"), ("--epsilon", "2e-3"), ("--lam", "0.5"),
+                            ("--lambda", "0.5"), ("--iters", "100")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["cluster", str(tmp_path / "p.otck"), str(tmp_path / "c.xyz"),
+                          str(tmp_path / "x.ply"), flag, value])
+            assert exc.value.code == 2, flag
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_output_must_be_ply(self, tmp_path, capsys):
         # the sidecar is written beside the PLY as <stem>.json
@@ -391,6 +445,21 @@ class TestExportCommand:
         src.write_text("OFF\n-2 0 0\n")
         assert cli.main(["export", str(src), str(tmp_path / "out.ply")]) == 3
         assert "bad.off:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("suffix", CLOUD_SUFFIXES)
+    def test_non_finite_coordinate_exits_3_naming_the_file(self, tmp_path, capsys,
+                                                            suffix, value):
+        rows = f"0 0 0\n1 1 1\n1 {value} 1\n"
+        header = {".xyz": "", ".off": "OFF\n3 0 0\n",
+                  ".ply": "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                          "property float y\nproperty float z\nend_header\n"}[suffix]
+        src = tmp_path / f"bad{suffix}"
+        src.write_text(header + rows)
+        assert cli.main(["export", str(src), str(tmp_path / "out.xyz")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: vertex 2 (counting from 0) has a non-finite")
+        assert str(src) in err, err
 
     def test_unknown_output_extension_exits_2(self, tmp_path, capsys):
         src = tmp_path / "a.xyz"

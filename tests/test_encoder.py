@@ -10,7 +10,7 @@ from otclu.encoder import (EncoderConfig, EncoderParams, backward, forward,
 from otclu.errors import CheckpointError, ConfigError, ShapeError
 from otclu.oracle import grad_check
 
-from conftest import with_tensors
+from conftest import join_checkpoint, split_checkpoint, with_tensors
 
 SMALL = EncoderConfig(hidden_sizes=(6,), feature_dim=4, num_clusters=3)
 
@@ -366,6 +366,16 @@ class TestCheckpoint:
                         for name, _, _, nbytes in table)
         assert path.read_bytes() == (b"OTCLUCKP" + struct.pack("<IQ", 2, len(header_bytes))
                                      + header_bytes + data)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "note", None])
+    def test_meta_that_is_not_an_object_rejected(self, tmp_path, meta):
+        path = tmp_path / "p.otck"
+        save_checkpoint(init_params(SMALL, seed=8), path)
+        header, data = split_checkpoint(path.read_bytes())
+        header["meta"] = meta
+        path.write_bytes(join_checkpoint(path.read_bytes(), header, data))
+        with pytest.raises(CheckpointError, match="damaged header: .*meta must be a JSON object"):
+            load_checkpoint(path)
 
     def test_truncated_tensor_set_rejected(self, tmp_path):
         params = init_params(SMALL, seed=8)
