@@ -7,12 +7,20 @@ every cluster to receive the same total mass (N/J points' worth), so no
 cluster can swallow the whole cloud. The plain softmax-over-distance
 assignment is kept as a baseline; it carries no such guarantee.
 
-Every function here fills buffers it owns; it never writes its arguments
-(a `potential` handed to `sinkhorn` is only read).
+Every function here fills buffers it owns and never writes its arguments,
+with one exception: arrays handed in as `out` are overwritten (see
+`trainer.pretrain`). `compute_cost` builds the cost and its feature term in
+its two (N, J) arrays, `sinkhorn` the kernel and then the plan in its one,
+`assign_soft_labels` the labels in its one, which may be the plan, and
+`prototypes_backward` the score gradient in its (N, J) array and the
+feature gradient in its (N, d) array, whose start (when d >= J) first
+holds the feature term of the score gradient. A `potential` handed to
+`sinkhorn` is only read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +107,13 @@ def compute_prototypes(points: np.ndarray, features: np.ndarray,
     return Prototypes(geo=geo, feat=feat)
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances (N, J) as |x|^2 - 2 x.c + |c|^2, clamped at 0.
+def _sq_dists(x: np.ndarray, centers: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Squared distances (N, J) as |x|^2 - 2 x.c + |c|^2, clamped at 0, built in `out`.
 
     The clamp removes the small negative values cancellation can leave
     where a point coincides with a center.
     """
-    sq = x @ centers.T
+    sq = np.matmul(x, centers.T, out=out)
     sq *= -2.0
     sq += np.einsum("ik,ik->i", x, x)[:, None]
     sq += np.einsum("jk,jk->j", centers, centers)[None, :]
@@ -113,13 +121,18 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
-                 lam: float) -> np.ndarray:
-    """Blend geometric and feature squared distances: lam*geo + (1-lam)*feat, (N, J)."""
+                 lam: float, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Blend geometric and feature squared distances: lam*geo + (1-lam)*feat, (N, J).
+
+    `out` is a pair of (N, J) arrays to overwrite: the cost is built in the
+    first and the feature term in the second.
+    """
     check_real("lambda", lam, 0.0, 1.0)
     points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
-    d_geo = _sq_dists(points, protos.geo)
-    d_feat = _sq_dists(features, protos.feat)
+    cost_out, feat_out = (None, None) if out is None else out
+    d_geo = _sq_dists(points, protos.geo, cost_out)
+    d_feat = _sq_dists(features, protos.feat, feat_out)
     d_geo *= lam
     d_feat *= 1.0 - lam
     d_geo += d_feat
@@ -134,7 +147,8 @@ def _cost_matrix(cost) -> np.ndarray:
 
 
 def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverConfig.iters,
-             tol: float = SolverConfig.tol, potential=None) -> TransportPlan:
+             tol: float = SolverConfig.tol, potential=None,
+             out: np.ndarray | None = None) -> TransportPlan:
     """Entropically regularized balanced transport by Sinkhorn scaling.
 
     The kernel is built once on a shifted cost, K = exp((f_i + g_j - C_ij)/eps)
@@ -154,6 +168,10 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     finite, the cost is solved again from v = 1, and that plan, equal byte
     for byte to a solve without `potential`, is returned.
 
+    The kernel, and so the plan, is built in `out` when given, an (N, J)
+    array to overwrite that must not overlap the cost: a restart and the
+    error message read the cost again, as callers may after the solve.
+
     Raises NumericalError if the plan is not finite, naming the cause: NaN or
     infinite cost entries, or scaling vectors that overflowed, which they do
     once the cost spread is of the order of 1e4 * epsilon.
@@ -168,10 +186,10 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
         if not np.all(np.isfinite(potential)):
             potential = None
 
-    plan = _scale(d, epsilon, iters, tol, potential)
+    plan = _scale(d, epsilon, iters, tol, potential, out)
     finite = np.all(np.isfinite(plan.matrix))
     if not finite and potential is not None and np.all(np.isfinite(d)):
-        plan = _scale(d, epsilon, iters, tol, None)  # the warm start overflowed
+        plan = _scale(d, epsilon, iters, tol, None, out)  # the warm start overflowed
         finite = np.all(np.isfinite(plan.matrix))
     if not finite:
         bad = d.size - np.count_nonzero(np.isfinite(d))
@@ -185,11 +203,12 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
 
 
 def _scale(d: np.ndarray, epsilon: float, iters: int, tol: float,
-           potential: np.ndarray | None) -> TransportPlan:
-    """One Sinkhorn solve of `sinkhorn`, from v = 1 or from a finite column potential."""
+           potential: np.ndarray | None, out: np.ndarray | None) -> TransportPlan:
+    """One Sinkhorn solve of `sinkhorn`, from v = 1 or from a finite column
+    potential, with the kernel and plan built in `out`."""
     n, m = d.shape
     with np.errstate(all="ignore"):  # a NaN or an overflow must reach sinkhorn's check
-        shifted = d - d.min(axis=1, keepdims=True)
+        shifted = np.subtract(d, d.min(axis=1, keepdims=True), out=out)
         g = shifted.min(axis=0)
         shifted -= g
         shifted /= -epsilon
@@ -214,9 +233,14 @@ def _scale(d: np.ndarray, epsilon: float, iters: int, tol: float,
     return TransportPlan(matrix=plan, iterations=iterations, potential=psi)
 
 
-def assign_soft_labels(plan: TransportPlan, n: int) -> np.ndarray:
-    """Scale a transport plan to per-point distributions: labels (N, J) = N * plan."""
-    return float(n) * plan.matrix
+def assign_soft_labels(plan: TransportPlan, n: int, out: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """Scale a transport plan to per-point distributions: labels (N, J) = N * plan.
+
+    The labels are built in `out` when given, which may be the plan's own
+    matrix once nothing reads the plan again.
+    """
+    return np.multiply(float(n), plan.matrix, out=out)
 
 
 def assign_l2_labels(cost, temperature: float) -> np.ndarray:
@@ -234,8 +258,9 @@ def assign_l2_labels(cost, temperature: float) -> np.ndarray:
 
 
 def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.ndarray,
-                        protos: Prototypes, d_geo: np.ndarray,
-                        d_feat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                        protos: Prototypes, d_geo: np.ndarray, d_feat: np.ndarray,
+                        out: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Chain loss gradients at the prototypes back to scores and features.
 
     For a weighted centroid c_j = sum_i s_ij x_i / sum_i s_ij:
@@ -243,6 +268,10 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
       dL/df_i  += s_ij * dL/dc_j / w_j          (feature prototypes only)
     Clusters that hit the empty-cluster fallback (mean of all inputs) pass
     gradient to every feature equally and none to the scores.
+
+    `out` is an (N, J) and an (N, d) array to overwrite, in which the score
+    and feature gradients are built; while d >= J, the first N*J entries of
+    the second hold the feature term of the score gradient before that.
     """
     points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
@@ -252,16 +281,25 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     empty = weights < EMPTY_CLUSTER_EPS
     safe = np.where(empty, 1.0, weights)
 
+    scores_out, features_out = (None, None) if out is None else out
     proto_dot = (protos.geo * d_geo).sum(axis=1) + (protos.feat * d_feat).sum(axis=1)
-    d_scores = points @ d_geo.T
-    d_scores += features @ d_feat.T
+    d_scores = np.matmul(points, d_geo.T, out=scores_out)
+    d_scores += np.matmul(features, d_feat.T, out=_prefix(features_out, d_scores.shape))
     d_scores -= proto_dot[None, :]
     d_scores /= safe[None, :]
     per_weight = d_feat / safe[:, None]
     if not empty.any():
-        return d_scores, scores @ per_weight
+        return d_scores, np.matmul(scores, per_weight, out=features_out)
     d_scores[:, empty] = 0.0
     per_weight[empty] = 0.0
-    d_features = scores @ per_weight
+    d_features = np.matmul(scores, per_weight, out=features_out)
     d_features += d_feat[empty].sum(axis=0) / n
     return d_scores, d_features
+
+
+def _prefix(buffer: np.ndarray | None, shape: tuple) -> np.ndarray | None:
+    """The first entries of `buffer` viewed as `shape`, or None when it is smaller."""
+    size = math.prod(shape)
+    if buffer is None or buffer.size < size:
+        return None
+    return buffer.reshape(-1)[:size].reshape(shape)

@@ -8,7 +8,9 @@ gradients exact and runs bit-reproducible.
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: `forward` and `backward` refill the buffers of an `out`
-trace handed in to be overwritten (see `trainer.pretrain`).
+trace handed in to be overwritten (see `trainer.pretrain`): `forward` its
+activations and scores, `backward` its activations with the layers'
+gradients and its scores with d_logits.
 """
 
 from __future__ import annotations
@@ -153,10 +155,12 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     pooled term of the logits is shared by every point, so its gradients
     need only the column sums of d_logits.
 
-    With `out`, the feature gradient is built in `out.features` and each
-    lower layer's gradient in `out.acts[i - 1]`, after the last read of
-    that activation. `out` may be `trace` itself, which is then spent.
-    A buffer whose shape differs from the trace's is replaced by a fresh one.
+    With `out`, d_logits is built in `out.scores`, the feature gradient in
+    `out.features` and each lower layer's gradient in `out.acts[i - 1]`,
+    after the last read of that activation. `out` may be `trace` itself,
+    which is then spent; d_logits then gets a fresh buffer, since it reads
+    the scores, and `out.scores` must not be `d_scores` either. A buffer
+    whose shape differs from the trace's is replaced by a fresh one.
     """
     t = params.tensors
     d = trace.features.shape[1]
@@ -168,7 +172,8 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     spent = None if out is None or len(out.acts) != n_layers else out.acts
 
     s = trace.scores
-    d_logits = d_scores * s
+    spent_scores = None if out is None or out.scores is s else [out.scores]
+    d_logits = np.multiply(d_scores, s, out=_buffer(spent_scores, 0, s.shape))
     row_dot = d_logits.sum(axis=1, keepdims=True)
     np.subtract(d_scores, row_dot, out=d_logits)
     d_logits *= s

@@ -6,8 +6,9 @@ orthogonality penalty on the normalized prototypes keeps clusters from
 collapsing onto a single centroid.
 
 Every function here fills buffers it owns and never writes its arguments,
-with one exception: `soft_ce_loss` and `total_loss` build dL/dS in an `out`
-array handed in to be overwritten (see `trainer.pretrain`).
+with one exception: `soft_ce_loss` and `total_loss` build the log buffer,
+and then dL/dS in its place, in an `out` array handed in to be overwritten
+(see `trainer.pretrain`).
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ def soft_ce_loss(gamma, scores: np.ndarray, out: np.ndarray | None = None
                  ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy -(1/N) sum_ij gamma_ij log s_ij and dL/dS.
 
-    gamma is a constant target: no gradient flows into it. dL/dS is built
-    in `out` when given, which may be gamma itself once its last reader is
-    this loss.
+    gamma is a constant target: no gradient flows into it. The log buffer,
+    and then dL/dS in its place, is built in `out` when given, an (N, J)
+    array to overwrite that is neither gamma nor the scores.
     """
     g = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
@@ -44,11 +45,11 @@ def soft_ce_loss(gamma, scores: np.ndarray, out: np.ndarray | None = None
     if np.any(s <= 0.0):
         raise NumericalError("scores must be strictly positive for log-loss")
     n = s.shape[0]
-    buf = np.log(s)
+    buf = np.log(s, out=out)
     buf *= g
     loss = float(-buf.sum() / n)
     np.multiply(n, s, out=buf)
-    d_scores = np.divide(g, buf, out=buf if out is None else out)
+    d_scores = np.divide(g, buf, out=buf)
     np.negative(d_scores, out=d_scores)  # -(g / ns) is -g / ns exactly
     return loss, d_scores
 

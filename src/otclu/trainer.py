@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,33 @@ class TrainConfig:
 
 
 @dataclass
+class StepBuffers:
+    """The arrays one cloud step overwrites; a field left None is a fresh
+    array at each use. Each array is spent before the step refills it:
+
+    - cost (N, J): the cost; then the loss's log buffer, which ends as
+      dL/dS and gains the prototype chain's score gradient.
+    - plan (N, J): the cost's feature term; then the Sinkhorn kernel, the
+      plan and the labels; then the prototype chain's score gradient; then
+      the backward's d_logits.
+    - wide (N, d): the prototype chain's feature gradient, whose first N*J
+      entries first hold the feature term of its score gradient.
+    - trace: the last forward trace, which the next forward pass refills
+      and in which the backward builds the layers' gradients.
+    """
+
+    cost: np.ndarray | None = None
+    plan: np.ndarray | None = None
+    wide: np.ndarray | None = None
+    trace: ForwardTrace | None = None
+
+    @classmethod
+    def empty(cls, n: int, config: EncoderConfig) -> "StepBuffers":
+        j, d = config.num_clusters, config.feature_dim
+        return cls(cost=np.empty((n, j)), plan=np.empty((n, j)), wide=np.empty((n, d)))
+
+
+@dataclass
 class EStepResult:
     """Everything one E-step produces for a single cloud."""
 
@@ -83,47 +110,52 @@ class TrainState:
 
 
 def e_step(params: EncoderParams, cloud, solver: SolverConfig,
-           out: ForwardTrace | None = None, potential=None) -> EStepResult:
+           out: StepBuffers | None = None, potential=None) -> EStepResult:
     """Forward pass, prototypes, cost, and balanced soft-label assignment.
 
     The cost matrix handed to the transport solver is a constant: the
-    returned labels carry no gradient information. `out` is a spent trace
-    whose buffers the forward pass refills (see `encoder.forward`), and
-    `potential` a column potential the solve starts from (see `sinkhorn`).
+    returned labels carry no gradient information. `out` holds spent arrays
+    to overwrite (see `StepBuffers`): the forward pass refills `out.trace`
+    (see `encoder.forward`), which then holds this cloud's trace. `potential`
+    is a column potential the solve starts from (see `sinkhorn`).
     """
-    trace = enc.forward(params, cloud.points, out=out)
+    out = StepBuffers() if out is None else out
+    trace = out.trace = enc.forward(params, cloud.points, out=out.trace)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
-    cost = compute_cost(trace.inputs, trace.features, protos, solver.lam)
+    cost = compute_cost(trace.inputs, trace.features, protos, solver.lam,
+                        out=(out.cost, out.plan))
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol,
-                    potential=potential)
+                    potential=potential, out=out.plan)
     del cost
-    gamma = assign_soft_labels(plan, trace.scores.shape[0])
-    return EStepResult(trace=trace, protos=protos, gamma=gamma,
-                       marginal_residual=plan.marginal_residual(),
+    residual = plan.marginal_residual()  # before the labels overwrite the plan
+    gamma = assign_soft_labels(plan, trace.scores.shape[0], out=out.plan)
+    return EStepResult(trace=trace, protos=protos, gamma=gamma, marginal_residual=residual,
                        iterations=plan.iterations, potential=plan.potential)
 
 
 def cloud_gradients(state: TrainState, result: EStepResult,
-                    out: ForwardTrace | None = None) -> tuple[LossReport, dict]:
+                    out: StepBuffers | None = None) -> tuple[LossReport, dict]:
     """The loss on one cloud's E-step labels and its exact parameter gradient.
 
-    With `out=result.trace`, the loss gradient at the scores is built in
-    the labels' buffer and the backward pass builds its gradients in that
-    trace's buffers, which leaves the whole result spent.
+    With `out`, the StepBuffers the E-step was handed, every (N, J) and
+    (N, d) array is built in `out` (see `StepBuffers`), which leaves it and
+    the whole result spent.
     """
+    out = StepBuffers() if out is None else out
     report, d_scores, d_geo, d_feat = total_loss(
-        result.gamma, result.trace.scores, result.protos, eta=state.config.eta,
-        out=None if out is None else result.gamma)
+        result.gamma, result.trace.scores, result.protos, eta=state.config.eta, out=out.cost)
     if not np.isfinite(report.l_total):
         raise NumericalError(
             f"non-finite loss at step {state.step}, epoch {state.epoch}: "
             f"l_soft={report.l_soft} l_orth={report.l_orth}")
     ds_proto, df_proto = prototypes_backward(
         result.trace.inputs, result.trace.features, result.trace.scores,
-        result.protos, d_geo, d_feat)
+        result.protos, d_geo, d_feat, out=(out.plan, out.wide))
     d_scores += ds_proto
     del ds_proto
-    return report, enc.backward(result.trace, state.params, d_scores, df_proto, out=out)
+    # the backward's out: the trace's buffers, with d_logits in the plan's
+    spent = None if out.trace is None else replace(out.trace, scores=out.plan)
+    return report, enc.backward(result.trace, state.params, d_scores, df_proto, out=spent)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
@@ -155,17 +187,24 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     of gradients is kept, so memory does not grow with `batch_size`. The
     run is bit-reproducible for a fixed seed.
 
-    This is the one caller that hands the step arrays to overwrite, and
-    only three step functions write one: `encoder.forward` and
-    `encoder.backward` refill an `out` trace, and `losses.soft_ce_loss`
-    (through `losses.total_loss`) builds the loss gradient in an `out`
-    array. Through `cloud_gradients`, each cloud's loss gradient at the
-    scores is built in that cloud's labels and its backward builds its
-    gradients in that cloud's own trace, and the spent trace is then
-    refilled by the next cloud's forward pass. So one set of trace buffers
-    serves every cloud of the call that has the same number of points; a
-    cloud of another size gets fresh buffers. A cloud's result and
-    gradients are released before the next cloud's E-step.
+    This is the one caller that hands the step arrays to overwrite. It
+    keeps one `StepBuffers` for every cloud of the call with the same
+    number of points, and a cloud of another size gets fresh ones. Every
+    (N, J) and (N, d) float array of a step lives in them:
+    - `encoder.forward` refills the trace's activations and scores;
+    - `clustering.compute_cost` builds the cost in `cost` and its feature
+      term in `plan`;
+    - `clustering.sinkhorn` builds the kernel and then the plan in `plan`,
+      and `clustering.assign_soft_labels` the labels over the plan;
+    - `losses.soft_ce_loss` (through `losses.total_loss`) builds its log
+      buffer and then the loss gradient at the scores in `cost`;
+    - `clustering.prototypes_backward` builds its score gradient in `plan`
+      and its feature gradient in `wide`, its feature term of the score
+      gradient first in the start of `wide`;
+    - `encoder.backward` builds d_logits in `plan` and the layers'
+      gradients in the trace's activations.
+    Each array's last read comes before its next write, and a cloud's
+    result and gradients are released before the next cloud's E-step.
 
     Each cloud's Sinkhorn solve starts from the column potential of that
     cloud's previous solve in the call (its first solve starts cold), so
@@ -180,7 +219,7 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
         raise ValueError("pretrain needs at least one cloud")
     state = TrainState.initial(config)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    spent = None  # the last cloud's trace, its buffers free for the next
+    buffers = None  # the last cloud's step arrays, free for the next cloud of its N
     potentials = [None] * len(clouds)  # each cloud's last column potential
 
     for epoch in range(config.epochs):
@@ -193,12 +232,15 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
             scale = 1.0 / len(chunk)
             grads = state.params.zeros_like()
             for i in chunk:
-                result = e_step(state.params, clouds[i], config.solver, out=spent,
+                n = clouds[i].points.shape[0]
+                if buffers is None or buffers.cost.shape[0] != n:
+                    buffers = StepBuffers.empty(n, config.encoder)
+                result = e_step(state.params, clouds[i], config.solver, out=buffers,
                                 potential=potentials[i])
                 residuals.append(result.marginal_residual)
                 iterations.append(result.iterations)
-                report, cloud_grads = cloud_gradients(state, result, out=result.trace)
-                spent, potentials[i] = result.trace, result.potential
+                report, cloud_grads = cloud_gradients(state, result, out=buffers)
+                potentials[i] = result.potential
                 reports.append(report)
                 for name, g in cloud_grads.items():
                     grads[name] += scale * g

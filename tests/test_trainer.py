@@ -13,8 +13,8 @@ from otclu.clustering import (SolverConfig, assign_soft_labels, compute_cost,
 from otclu.errors import ConfigError, NumericalError
 from otclu.losses import soft_ce_loss, total_loss
 from otclu.oracle import balanced_hard_assign
-from otclu.trainer import (WEIGHT_DECAY, TrainConfig, TrainState, cloud_gradients, e_step,
-                           lr_at_epoch, m_step, pretrain)
+from otclu.trainer import (WEIGHT_DECAY, StepBuffers, TrainConfig, TrainState,
+                           cloud_gradients, e_step, lr_at_epoch, m_step, pretrain)
 from otclu.verify import ball_cloud
 
 from conftest import two_blob_points
@@ -143,18 +143,40 @@ class TestMStep:
         assert losses[-1] <= 0.7 * losses[0]
 
     def test_spending_the_result_changes_no_bit(self, rng):
-        # With out=result.trace the loss gradient is built in the labels and
-        # the backward pass in the trace; the same float operations run.
+        # With StepBuffers every (N, J) and (N, d) array of the step is built
+        # in a buffer handed in; the same float operations run.
         config = toy_config(num_clusters=4)
         state = TrainState.initial(config)
         cloud = pc.normalize(ball_cloud(rng, 64))
         report, grads = cloud_gradients(state, e_step(state.params, cloud, config.solver))
-        spent = e_step(state.params, cloud, config.solver)
-        spent_report, spent_grads = cloud_gradients(state, spent, out=spent.trace)
+        out = StepBuffers.empty(64, config.encoder)
+        spent = e_step(state.params, cloud, config.solver, out=out)
+        spent_report, spent_grads = cloud_gradients(state, spent, out=out)
         assert spent_report == report
         assert spent_grads.keys() == grads.keys()
         for name, g in grads.items():
             assert spent_grads[name].tobytes() == g.tobytes(), name
+
+    def test_a_buffered_step_allocates_no_step_array(self, rng):
+        # At the paper's shape, once the trace exists, an E-step and a
+        # gradient each allocate less than one (N, J) array above what they
+        # keep: every (N, J) and (N, d) array they build lands in a buffer.
+        config = TrainConfig()
+        state = TrainState.initial(config)
+        cloud = pc.normalize(ball_cloud(rng, 2048))
+        out = StepBuffers.empty(2048, config.encoder)
+        cloud_gradients(state, e_step(state.params, cloud, config.solver, out=out), out=out)
+        tracemalloc.start()
+        try:
+            result = e_step(state.params, cloud, config.solver, out=out)
+            e_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kept = tracemalloc.get_traced_memory()[0]
+            cloud_gradients(state, result, out=out)
+            grad_peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert max(e_peak, grad_peak) < out.cost.nbytes, (e_peak, grad_peak)
 
     def test_nonfinite_loss_aborts(self, rng):
         config = toy_config()
@@ -285,11 +307,10 @@ class TestPretrain:
         assert peaks[8] <= 1.25 * peaks[1]
 
     def test_reused_traces_equal_a_loop_of_default_steps(self, rng):
-        # pretrain refills one cloud's spent trace in the next cloud's E-step
-        # and builds the loss gradient in its labels; a cloud of another size
-        # must get fresh buffers and no cloud may read a stale one. The
-        # reference loop passes no trace anywhere, only each cloud's last
-        # column potential.
+        # pretrain refills one set of step buffers and its trace in every
+        # step of a cloud of the same size; a cloud of another size must get
+        # fresh buffers and no cloud may read a stale one. The reference loop
+        # passes no buffers anywhere, only each cloud's last column potential.
         clouds = [pc.normalize(ball_cloud(rng, n)) for n in (512, 300, 512, 300, 512)]
         config = TrainConfig(epochs=2, batch_size=2)
         state = pretrain(clouds, config)
@@ -357,13 +378,27 @@ class TestPretrain:
         assert sum(m["capped_solves"] for m in history) == 0
         assert sum(warm) <= sum(cold), (sum(warm), sum(cold))
 
+    def test_the_cost_outlives_its_solve(self, rng, monkeypatch):
+        # The solve's restart and error message, and a caller such as a
+        # tracer, read the cost after the kernel is built: not in its buffer.
+        clouds = [pc.normalize(ball_cloud(rng, n)) for n in (64, 64, 48)]
+        kept = []
+
+        def solve(cost, *args, **kwargs):
+            before = cost.copy()
+            plan = sinkhorn(cost, *args, **kwargs)
+            kept.append(cost.tobytes() == before.tobytes())
+            return plan
+
+        monkeypatch.setattr(trainer, "sinkhorn", solve)
+        pretrain(clouds, toy_config(num_clusters=4))
+        assert len(kept) == 6 and all(kept)
+
     @pytest.mark.parametrize("batch_size", [32, 1])
     def test_paper_shape_peak_memory(self, rng, batch_size):
-        # Each backward builds its gradients in its cloud's trace and the loss
-        # gradient in the cloud's labels, and the next E-step refills that
-        # trace. A step takes 11.7 MiB; a fresh buffer for the loss gradient,
-        # or the prototype chain's score gradient kept alive through the
-        # encoder's backward, takes it to 12.7 MiB.
+        # Every (N, J) and (N, d) array of a step lives in the call's step
+        # buffers and trace. A step takes 12.1 MiB; the score gradient of the
+        # prototype chain, or the loss gradient, in a fresh array adds 1 MiB.
         clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(4)]
         config = TrainConfig(epochs=2, batch_size=batch_size)
         tracemalloc.start()
@@ -373,6 +408,25 @@ class TestPretrain:
         finally:
             tracemalloc.stop()
         assert peak <= 12.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+    def test_epochs_after_the_first_allocate_no_step_array(self, rng):
+        # Once the first epoch has made the step buffers, an epoch's peak
+        # sits less than one (N, d) array above what stays allocated: each
+        # step fills the buffers and allocates only small or boolean arrays.
+        clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(4)]
+        above = []
+
+        def on_epoch(metrics):
+            current, peak = tracemalloc.get_traced_memory()
+            above.append(peak - current)
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            pretrain(clouds, TrainConfig(epochs=3), on_epoch=on_epoch)
+        finally:
+            tracemalloc.stop()
+        assert all(b < 1.5 * 2**20 for b in above[1:]), [f"{b / 2**20:.2f} MiB" for b in above]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -394,20 +448,83 @@ def reachable_arrays(obj):
             yield from reachable_arrays(value)
 
 
-def test_no_step_function_writes_its_arguments(rng):
-    # The step functions fill buffers they own in place; none may write an
-    # array it was handed, however deep in a trace, params or state it sits.
-    config = toy_config(num_clusters=5)
+def leaves(obj):
+    """The shape and bytes of every array, and every other value, reachable
+    from obj through dataclass fields, dicts, lists and tuples, in order."""
+    if isinstance(obj, np.ndarray):
+        return [(obj.shape, obj.tobytes())]
+    if is_dataclass(obj):
+        return [x for f in fields(obj) for x in leaves(getattr(obj, f.name))]
+    if isinstance(obj, dict):
+        return [x for key, value in obj.items() for x in [key, *leaves(value)]]
+    if isinstance(obj, (list, tuple)):
+        return [x for value in obj for x in leaves(value)]
+    return [obj]
+
+
+def step_inputs(rng, num_clusters=5):
+    """A toy config (d = 8) and every input of one cloud step on 64 points."""
+    config = toy_config(num_clusters=num_clusters)
     state = TrainState.initial(config)
-    params = state.params
     cloud = pc.normalize(ball_cloud(rng, 64))
-    trace = enc.forward(params, cloud.points)
+    trace = enc.forward(state.params, cloud.points)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
     cost = compute_cost(trace.inputs, trace.features, protos, config.solver.lam)
     plan = sinkhorn(cost, config.solver.epsilon)
     gamma = assign_soft_labels(plan, 64)
     psi = plan.potential + rng.normal(scale=config.solver.epsilon, size=plan.potential.shape)
     _, d_scores, d_geo, d_feat = total_loss(gamma, trace.scores, protos)
+    return config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat
+
+
+def stale(*shapes):
+    """NaN-filled arrays to hand in as `out`: a read before a write shows."""
+    return tuple(np.full(shape, np.nan) for shape in shapes)
+
+
+def out_calls(rng, num_clusters):
+    """(function, arguments, keywords) of every step function that takes
+    `out`, with NaN-filled buffers as `out`."""
+    config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
+        step_inputs(rng, num_clusters)
+    params, solver, nj, nd = state.params, config.solver, (64, num_clusters), (64, 8)
+    spent = enc.forward(params, rng.normal(size=(64, 3)))  # another cloud's trace
+    for buffer in [*spent.acts, spent.scores]:
+        buffer.fill(np.nan)
+    return [
+        (compute_cost, (trace.inputs, trace.features, protos, solver.lam),
+         {"out": stale(nj, nj)}),
+        (sinkhorn, (cost, solver.epsilon), {"out": stale(nj)[0]}),
+        (sinkhorn, (cost, solver.epsilon, solver.iters, solver.tol, psi), {"out": stale(nj)[0]}),
+        (assign_soft_labels, (plan, 64), {"out": stale(nj)[0]}),
+        (soft_ce_loss, (gamma, trace.scores), {"out": stale(nj)[0]}),
+        (total_loss, (gamma, trace.scores, protos), {"out": stale(nj)[0]}),
+        (prototypes_backward, (trace.inputs, trace.features, trace.scores, protos, d_geo,
+                               d_feat), {"out": stale(nj, nd)}),
+        (enc.backward, (trace, params, d_scores, rng.normal(size=nd)), {"out": spent}),
+        (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj))}),
+        (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj)), "potential": psi}),
+    ]
+
+
+@pytest.mark.parametrize("num_clusters", [5, 12])  # J = 12 > d = 8 lends no scratch
+def test_out_buffers_change_no_result_bit(rng, num_clusters):
+    # Given arrays to overwrite, each step function returns the bytes it
+    # returns without them and builds its results in them.
+    for fn, args, kwargs in out_calls(rng, num_clusters):
+        ref = fn(*args, **{k: v for k, v in kwargs.items() if k != "out"})
+        got = fn(*args, **kwargs)
+        assert leaves(got) == leaves(ref), fn.__name__
+        assert not any(np.isnan(a).any() for a in reachable_arrays(kwargs["out"])), fn.__name__
+
+
+def test_no_step_function_writes_its_arguments(rng):
+    # The step functions fill buffers they own, or the `out` buffers handed
+    # in, in place; none may write an array it was handed as an argument,
+    # however deep in a trace, params or state it sits.
+    config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
+        step_inputs(rng)
+    params = state.params
     d_features = rng.normal(size=trace.features.shape)
     calls = [
         (enc.forward, params, cloud.points),
@@ -423,9 +540,10 @@ def test_no_step_function_writes_its_arguments(rng):
         (e_step, params, cloud, config.solver, None, psi),
         (cloud_gradients, state, e_step(params, cloud, config.solver)),
     ]
-    for fn, *args in calls:
+    calls = [(fn, args, {}) for fn, *args in calls] + out_calls(rng, 5)
+    for fn, args, kwargs in calls:
         before = [a.copy() for a in reachable_arrays(args)]
-        fn(*args)
+        fn(*args, **kwargs)
         after = list(reachable_arrays(args))
         assert len(after) == len(before), fn.__name__
         for old, new in zip(before, after):
