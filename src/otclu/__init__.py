@@ -1,7 +1,7 @@
 """Unsupervised point-cloud feature learning via balanced OT soft clustering."""
 
 from .cloud import (PointCloud, default_palette, downsample_random, export_labeled_ply,
-                    load_cloud, normalize, save_cloud)
+                    load_cloud, normalize)
 from .clustering import (Prototypes, SolverConfig, TransportPlan,
                          assign_l2_labels, assign_soft_labels, compute_cost,
                          compute_prototypes, sinkhorn)

@@ -3,7 +3,6 @@
 Commands:
   pretrain  <config.json> <data-dir> <out-dir>   full EM training run
   cluster   <checkpoint> <cloud> <out.ply>       one-shot soft clustering
-  export    <input> <output>                     convert/prepare a cloud file
   verify                                         run the self-check suite
 
 `cluster` solves with the settings `pretrain` stores in each checkpoint's
@@ -125,10 +124,10 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _prepared_cloud(path, normalize: bool, points: int | None, seed: int) -> pc.PointCloud:
+def _prepared_cloud(path, points: int | None, seed: int) -> pc.PointCloud:
     """Load a cloud, resample it with `seed` to `points` points unless it
-    already has that many, and normalize the kept points if asked, with the
-    center and scale of the whole file.
+    already has that many, and normalize the kept points with the center and
+    scale of the whole file.
 
     The result equals normalizing the whole file, then resampling it, bit for
     bit; only the kept points are transformed.
@@ -137,14 +136,15 @@ def _prepared_cloud(path, normalize: bool, points: int | None, seed: int) -> pc.
     kept = cloud
     if points is not None and points != cloud.n_points:
         kept = pc.downsample_random(cloud, points, seed)
-    return pc.normalize(kept, stats_from=cloud) if normalize else kept
+    return pc.normalize(kept, stats_from=cloud)
 
 
 def cmd_pretrain(args) -> int:
     config, data = load_config(args.config)
 
     data_dir = Path(args.data_dir)
-    files = sorted(p for p in data_dir.iterdir() if p.suffix.lower() in pc.CLOUD_SUFFIXES)
+    files = sorted(p for p in data_dir.iterdir()
+                   if p.suffix.lower() in pc.CLOUD_SUFFIXES and p.is_file())
     if not files:
         patterns = ", ".join(f"*{suffix}" for suffix in pc.CLOUD_SUFFIXES)
         raise FileNotFoundError(f"found 0 cloud files ({patterns}) in {data_dir}")
@@ -152,7 +152,7 @@ def cmd_pretrain(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    clouds = [_prepared_cloud(path, True, data["num_points"], config.seed * 100003 + i)
+    clouds = [_prepared_cloud(path, data["num_points"], config.seed * 100003 + i)
               for i, path in enumerate(files)]
 
     resolved = resolved_config_dict(config, data)
@@ -199,7 +199,7 @@ def cmd_cluster(args) -> int:
     except (ValueError, TypeError) as exc:  # a non-object section fails the unpacking
         raise CheckpointError(f"{args.checkpoint}: stored solver settings: {exc}") from None
 
-    cloud = _prepared_cloud(args.cloud, True, args.points, args.seed)
+    cloud = _prepared_cloud(args.cloud, args.points, args.seed)
     result = e_step(params, cloud, solver)
 
     labels = result.gamma.argmax(axis=1)
@@ -222,16 +222,6 @@ def cmd_cluster(args) -> int:
     sidecar_path = out_ply.with_suffix(".json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
     print(f"wrote {out_ply} and {sidecar_path}")
-    return EXIT_OK
-
-
-def cmd_export(args) -> int:
-    suffix = Path(args.output).suffix.lower()
-    if suffix not in pc.CLOUD_SUFFIXES:  # the output name is an argument, not data
-        raise ConfigError(f"{args.output}: cannot infer format from extension {suffix!r}")
-    cloud = _prepared_cloud(args.input, args.normalize, args.points, args.seed)
-    pc.save_cloud(cloud, args.output)
-    print(f"wrote {args.output} ({cloud.n_points} points)")
     return EXIT_OK
 
 
@@ -281,14 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="downsample to this many points")
     p.add_argument("--seed", type=int_at_least(0), default=0)
     p.set_defaults(fn=cmd_cluster)
-
-    p = sub.add_parser("export", help="convert/prepare a cloud file; its suffix names the format")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--points", type=int_at_least(1), default=None)
-    p.add_argument("--seed", type=int_at_least(0), default=0)
-    p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("verify", help="run the oracle-backed self-check suite")
     p.set_defaults(fn=cmd_verify)

@@ -1,8 +1,8 @@
-"""Point-cloud parsing, normalization, sampling, and serialization.
+"""Point-cloud parsing, normalization, sampling, and labeled PLY output.
 
 The extension is the format: OFF (.off), ASCII PLY (.ply), XYZ (.xyz). Faces,
 normals, and colors present in input files are parsed and discarded; only
-vertex positions are kept. Export writes ASCII PLY with per-vertex colors.
+vertex positions are kept. `export_labeled_ply` writes ASCII PLY with colors.
 """
 
 from __future__ import annotations
@@ -178,17 +178,13 @@ def _load_ply_ascii(path: Path) -> np.ndarray:
                 raise ParseError(f"data for element {name!r} ended early", path, lineno) from None
 
 
-_PLY_HEADER = ("ply\nformat ascii 1.0\nelement vertex {n}\n"
-               "property float x\nproperty float y\nproperty float z\n{extra}end_header\n")
-
-# The one list of cloud formats: suffix -> (loader, plain-save header). XYZ is one vertex block.
-_FORMATS = {".off": (_load_off, "OFF\n{n} 0 0\n"), ".ply": (_load_ply_ascii, _PLY_HEADER),
-            ".xyz": (_read_block, "")}
+# The one list of cloud formats: suffix -> loader. XYZ is one vertex block.
+_FORMATS = {".off": _load_off, ".ply": _load_ply_ascii, ".xyz": _read_block}
 CLOUD_SUFFIXES = tuple(_FORMATS)
 
 
 def _format(path: str | Path):
-    """The (loader, save header) of the format that `path`'s extension names."""
+    """The loader of the format that `path`'s extension names."""
     suffix = Path(path).suffix.lower()
     if suffix not in _FORMATS:
         raise ParseError(f"cannot infer format from extension {suffix!r}", path)
@@ -203,7 +199,7 @@ def load_cloud(path: str | Path) -> PointCloud:
     malformed input, when the file contains zero vertices, and when a vertex
     has a NaN or infinite coordinate (naming the first such vertex).
     """
-    points = _format(path)[0](Path(path))
+    points = _format(path)(Path(path))
     if points.shape[0] == 0:
         raise ParseError("file contains zero vertices", path)
     try:
@@ -271,17 +267,14 @@ def default_palette(n: int) -> list[tuple[int, int, int]]:
 _CHUNK_ROWS = 8192
 
 
-def _write_rows(path: str | Path, header: str, rows: np.ndarray, formats, which=None) -> None:
-    """Write `header`, then row i of `rows` through formats[which[i]] (formats[0]
-    when `which` is None), with one %-format per _CHUNK_ROWS rows."""
+def _write_rows(path: str | Path, header: str, rows: np.ndarray, formats, which) -> None:
+    """Write `header`, then row i of `rows` through formats[which[i]], with one
+    %-format per _CHUNK_ROWS rows."""
     with open(path, "w") as fh:
         fh.write(header)
         for start in range(0, len(rows), _CHUNK_ROWS):
             chunk = rows[start:start + _CHUNK_ROWS]
-            if which is None:
-                line = formats[0] * len(chunk)
-            else:
-                line = "".join([formats[k] for k in which[start:start + _CHUNK_ROWS].tolist()])
+            line = "".join([formats[k] for k in which[start:start + _CHUNK_ROWS].tolist()])
             fh.write(line % tuple(chunk.ravel().tolist()))
 
 
@@ -300,12 +293,7 @@ def export_labeled_ply(cloud: PointCloud, labels, path: str | Path, palette) -> 
     # values, so a fractional colour truncates as in a float64 row of the cloud.
     colors = np.asarray(palette[:n_clusters], dtype=np.float64).tolist()
     formats = ["%.6f %.6f %.6f " + "%d %d %d" % tuple(rgb) + "\n" for rgb in colors]
-    color_props = "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-    _write_rows(path, _PLY_HEADER.format(n=cloud.n_points, extra=color_props), cloud.points,
-                formats, labels)
-
-
-def save_cloud(cloud: PointCloud, path: str | Path) -> None:
-    """Write plain vertex positions in the format that `path`'s extension names."""
-    _, header = _format(path)
-    _write_rows(path, header.format(n=cloud.n_points, extra=""), cloud.points, ("%.6f %.6f %.6f\n",))
+    header = (f"ply\nformat ascii 1.0\nelement vertex {cloud.n_points}\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n")
+    _write_rows(path, header, cloud.points, formats, labels)

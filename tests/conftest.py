@@ -21,6 +21,20 @@ def two_blob_points(rng, per_blob, radius=0.05):
     return pts, membership
 
 
+_CLOUD_HEADERS = {".off": "OFF\n{n} 0 0\n", ".xyz": "",
+                  ".ply": "ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\n"
+                          "property float y\nproperty float z\nend_header\n"}
+
+
+def write_cloud(points, path):
+    """Write (N, 3) points as "%.6f %.6f %.6f" rows under the OFF, PLY or XYZ
+    header that `path`'s suffix names; returns `path`."""
+    points = np.asarray(points, dtype=np.float64)
+    header = _CLOUD_HEADERS[path.suffix.lower()].format(n=len(points))
+    path.write_text(header + ("%.6f %.6f %.6f\n" * len(points)) % tuple(points.ravel().tolist()))
+    return path
+
+
 def split_checkpoint(checkpoint: bytes) -> tuple[dict, bytes]:
     """The JSON header and the tensor data of a checkpoint file's bytes."""
     (header_len,) = struct.unpack("<Q", checkpoint[12:20])

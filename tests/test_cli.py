@@ -1,21 +1,23 @@
+import argparse
 import json
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otclu import cli, verify
 from otclu import cloud as pc
-from otclu.cloud import CLOUD_SUFFIXES, PointCloud, load_cloud, save_cloud
+from otclu.cloud import CLOUD_SUFFIXES, PointCloud, load_cloud
 from otclu.clustering import SolverConfig
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from otclu.errors import CheckpointError, ConfigError, NumericalError, ParseError, ShapeError
 from otclu.trainer import TrainConfig
 from otclu.verify import CheckResult
 
-from conftest import join_checkpoint, split_checkpoint, two_blob_points, with_tensors
+from conftest import join_checkpoint, split_checkpoint, two_blob_points, with_tensors, write_cloud
 
 
 def with_offset(checkpoint: bytes, name: str, offset: int) -> bytes:
@@ -46,7 +48,7 @@ def blob_dataset(tmp_path_factory):
     rng = np.random.default_rng(314)
     for i in range(6):
         pts, _ = two_blob_points(rng, 16)
-        save_cloud(PointCloud(pts), root / f"cloud{i}{CLOUD_SUFFIXES[i % 3]}")
+        write_cloud(pts, root / f"cloud{i}{CLOUD_SUFFIXES[i % 3]}")
     return root
 
 
@@ -102,7 +104,7 @@ class TestPretrainCommand:
         # is never trained on coordinates that cluster would not feed it
         data = tmp_path / "data"
         data.mkdir()
-        save_cloud(PointCloud(rng.normal(size=(24, 3)) * 5 + 3), data / "a.xyz")
+        write_cloud(rng.normal(size=(24, 3)) * 5 + 3, data / "a.xyz")
         seen = []
         monkeypatch.setattr(cli, "pretrain", lambda clouds, *a, **k: seen.extend(clouds))
         config = write_config(tmp_path / "config.json")
@@ -118,6 +120,18 @@ class TestPretrainCommand:
         assert cli.main(["pretrain", str(config), str(empty), str(tmp_path / "out")]) == 3
         listed = capsys.readouterr().err.split("found 0 cloud files (", 1)[1].split(")", 1)[0]
         assert listed.split(", ") == [f"*{suffix}" for suffix in CLOUD_SUFFIXES]
+
+    def test_subdirectory_with_a_cloud_suffix_is_skipped(self, tmp_path, monkeypatch):
+        # only regular files are clouds, whatever their name
+        data = tmp_path / "data"
+        (data / "sub.xyz").mkdir(parents=True)
+        (data / "a.xyz").write_text("0 0 0\n1 1 1\n")
+        seen = []
+        monkeypatch.setattr(cli, "pretrain", lambda clouds, *a, **k: seen.extend(clouds))
+        config = write_config(tmp_path / "config.json")
+        assert cli.main(["pretrain", str(config), str(data), str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"] == [str(data / "a.xyz")] and len(seen) == 1
 
     def test_non_finite_cloud_names_the_file(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -193,7 +207,7 @@ class TestClusterCommand:
         rng = np.random.default_rng(555)
         pts, _ = two_blob_points(rng, 12)
         cloud_path = tmp_path / "probe.xyz"
-        save_cloud(PointCloud(pts), cloud_path)
+        write_cloud(pts, cloud_path)
         out_ply = tmp_path / "labeled.ply"
         code = cli.main(["cluster", str(out_dir / "checkpoint_final.otck"),
                          str(cloud_path), str(out_ply)])
@@ -320,16 +334,15 @@ class TestClusterCommand:
                                                   num_clusters=2), seed=0), ckpt)
         src = tmp_path / "c.xyz"
         src.write_text("0 0 0\n1 1 1\n")
-        for argv in (["cluster", str(ckpt), str(src), str(tmp_path / "x.ply")],
-                     ["export", str(src), str(tmp_path / "y.xyz")]):
-            with pytest.raises(SystemExit) as exc:
-                cli.main([*argv, "--points", "0"])
-            assert exc.value.code == 2, argv
-            assert "--points: must be >= 1, got 0" in capsys.readouterr().err
-            with pytest.raises(SystemExit) as exc:
-                cli.main([*argv, "--seed", "-1"])
-            assert exc.value.code == 2, argv
-            assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        argv = ["cluster", str(ckpt), str(src), str(tmp_path / "x.ply")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--points", "0"])
+        assert exc.value.code == 2
+        assert "--points: must be >= 1, got 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_clusters_is_an_argument_error(self, tmp_path, capsys):
         # the checkpoint's head fixes the cluster count and its stored solver the
@@ -368,32 +381,48 @@ class TestClusterCommand:
                          str(tmp_path / "nope.xyz"), str(tmp_path / "x.ply")])
         assert code == 3
 
+    def test_malformed_cloud_exits_3_naming_the_line(self, trained_run, tmp_path, capsys):
+        out_dir, _ = trained_run
+        src = tmp_path / "bad.off"
+        src.write_text("OFF\n-2 0 0\n")
+        assert cli.main(["cluster", str(out_dir / "checkpoint_final.otck"), str(src),
+                         str(tmp_path / "x.ply")]) == 3
+        assert "bad.off:2" in capsys.readouterr().err
+        assert not (tmp_path / "x.ply").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("suffix", CLOUD_SUFFIXES)
+    def test_non_finite_coordinate_exits_3_naming_the_file(self, trained_run, tmp_path, capsys,
+                                                            suffix, value):
+        out_dir, _ = trained_run
+        src = write_cloud([[0, 0, 0], [1, 1, 1], [1, float(value), 1]], tmp_path / f"bad{suffix}")
+        assert cli.main(["cluster", str(out_dir / "checkpoint_final.otck"), str(src),
+                         str(tmp_path / "x.ply")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: vertex 2 (counting from 0) has a non-finite")
+        assert str(src) in err, err
+
 
 class TestPreparedCloud:
-    """`cli._prepared_cloud`, the preparation of `cluster`, `export` and `pretrain`."""
+    """`cli._prepared_cloud`, the preparation of `cluster` and `pretrain`."""
 
-    @pytest.mark.parametrize("n, points, normalize", [
-        (500, 64, True),    # fewer kept than in the file
-        (40, 64, True),     # more: sampled with replacement
-        (64, 64, True),     # as many: file order kept
-        (64, None, True),   # no --points
-        (500, 64, False),
-        (40, 64, False),
+    @pytest.mark.parametrize("n, points", [
+        (500, 64),    # fewer kept than in the file
+        (40, 64),     # more: sampled with replacement
+        (64, 64),     # as many: file order kept
+        (64, None),   # no --points
     ])
-    def test_equals_normalize_then_resample(self, tmp_path, rng, n, points, normalize):
-        path = tmp_path / "a.xyz"
-        save_cloud(PointCloud(rng.normal(size=(n, 3)) * 5 + 3), path)
-        whole = load_cloud(path)
-        expected = pc.normalize(whole) if normalize else whole
+    def test_equals_normalize_then_resample(self, tmp_path, rng, n, points):
+        path = write_cloud(rng.normal(size=(n, 3)) * 5 + 3, tmp_path / "a.xyz")
+        expected = pc.normalize(load_cloud(path))
         if points is not None and points != n:
             expected = pc.downsample_random(expected, points, 9)
-        got = cli._prepared_cloud(path, normalize, points, 9)
+        got = cli._prepared_cloud(path, points, 9)
         assert got.points.tobytes() == expected.points.tobytes()
 
     def test_coincident_points_go_to_origin(self, tmp_path):
-        path = tmp_path / "a.xyz"
-        save_cloud(PointCloud(np.full((100, 3), 2.5)), path)
-        got = cli._prepared_cloud(path, True, 32, 0)
+        path = write_cloud(np.full((100, 3), 2.5), tmp_path / "a.xyz")
+        got = cli._prepared_cloud(path, 32, 0)
         assert got.points.tobytes() == np.zeros((32, 3)).tobytes()
 
     def test_scratch_is_below_the_cloud_size(self, rng, monkeypatch):
@@ -402,74 +431,11 @@ class TestPreparedCloud:
         monkeypatch.setattr(pc, "load_cloud", lambda path: whole)
         tracemalloc.start()
         try:
-            cli._prepared_cloud("in-memory", True, 2048, 0)
+            cli._prepared_cloud("in-memory", 2048, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * whole.points.nbytes
-
-
-class TestExportCommand:
-    def test_conversion_round_trip(self, tmp_path, rng):
-        pts = rng.uniform(-1, 1, size=(30, 3))
-        src = tmp_path / "a.xyz"
-        save_cloud(PointCloud(pts), src)
-        dst = tmp_path / "a.ply"
-        assert cli.main(["export", str(src), str(dst)]) == 0
-        assert np.abs(load_cloud(dst).points - pts).max() < 2e-6
-
-    def test_normalize_and_downsample(self, tmp_path, rng):
-        pts = rng.normal(size=(100, 3)) * 5 + 3
-        src = tmp_path / "a.xyz"
-        save_cloud(PointCloud(pts), src)
-        dst = tmp_path / "b.xyz"
-        assert cli.main(["export", str(src), str(dst), "--normalize",
-                         "--points", "40", "--seed", "4"]) == 0
-        out = load_cloud(dst)
-        assert out.n_points == 40
-        assert np.linalg.norm(out.points, axis=1).max() <= 1 + 1e-6
-
-    def test_points_equal_to_size_keeps_file_order(self, tmp_path, rng):
-        pts = rng.uniform(-1, 1, size=(30, 3))
-        src = tmp_path / "a.xyz"
-        save_cloud(PointCloud(pts), src)
-        dst = tmp_path / "b.xyz"
-        assert cli.main(["export", str(src), str(dst), "--points", "30"]) == 0
-        assert np.abs(load_cloud(dst).points - pts).max() < 2e-6
-
-    def test_missing_input_exits_3(self, tmp_path, capsys):
-        assert cli.main(["export", str(tmp_path / "nope.xyz"),
-                         str(tmp_path / "out.ply")]) == 3
-        # a malformed file exits 3 as well, with the line in the message
-        src = tmp_path / "bad.off"
-        src.write_text("OFF\n-2 0 0\n")
-        assert cli.main(["export", str(src), str(tmp_path / "out.ply")]) == 3
-        assert "bad.off:2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("suffix", CLOUD_SUFFIXES)
-    def test_non_finite_coordinate_exits_3_naming_the_file(self, tmp_path, capsys,
-                                                            suffix, value):
-        rows = f"0 0 0\n1 1 1\n1 {value} 1\n"
-        header = {".xyz": "", ".off": "OFF\n3 0 0\n",
-                  ".ply": "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
-                          "property float y\nproperty float z\nend_header\n"}[suffix]
-        src = tmp_path / f"bad{suffix}"
-        src.write_text(header + rows)
-        assert cli.main(["export", str(src), str(tmp_path / "out.xyz")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("data error: vertex 2 (counting from 0) has a non-finite")
-        assert str(src) in err, err
-
-    def test_unknown_output_extension_exits_2(self, tmp_path, capsys):
-        src = tmp_path / "a.xyz"
-        src.write_text("0 0 0\n")
-        for name in ("out.bin", "out.txt"):  # .txt is not a cloud format
-            assert cli.main(["export", str(src), str(tmp_path / name)]) == 2
-            assert repr(name[3:]) in capsys.readouterr().err
-            assert not (tmp_path / name).exists()
-        # the output name is checked before the input is read
-        assert cli.main(["export", str(tmp_path / "nope.xyz"), str(tmp_path / "out.bin")]) == 2
 
 
 class TestExitCodes:
@@ -515,6 +481,29 @@ class TestExitCodes:
             assert err.startswith({2: "config error: ", 3: "data error: "}[code]), err
             assert str(path) in err, err
         assert not (final.parent / "checkpoint_final.otck.tmp").exists()
+
+
+class TestCommands:
+    def test_docs_name_the_registered_commands(self):
+        # the module docstring's "Commands:" block and README's CLI code block
+        parser = cli.build_parser()
+        registered = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        block = cli.__doc__.split("Commands:\n", 1)[1].split("\n\n", 1)[0]
+        documented = [line.split()[0] for line in block.splitlines()]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        in_readme = [line.split()[1] for line in code.splitlines() if line.startswith("otclu ")]
+        assert documented == list(registered) == in_readme
+
+    def test_export_is_an_argument_error(self, tmp_path, capsys):
+        # converting cloud files is not a command; `cluster` writes the one output format
+        (tmp_path / "a.xyz").write_text("0 0 0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["export", str(tmp_path / "a.xyz"), str(tmp_path / "b.ply")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'export'" in capsys.readouterr().err
+        assert not (tmp_path / "b.ply").exists()
 
 
 class TestVerifyCommand:

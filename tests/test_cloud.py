@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from otclu import cloud as pc
-from otclu.cloud import (CLOUD_SUFFIXES, PointCloud, default_palette, downsample_random,
-                         export_labeled_ply, load_cloud, normalize, save_cloud)
+from otclu.cloud import (PointCloud, default_palette, downsample_random, export_labeled_ply,
+                         load_cloud, normalize)
 from otclu.errors import ParseError, ShapeError
-from otclu.verify import ball_cloud
+
+from conftest import write_cloud
 
 
 def write(path, text):
@@ -117,7 +118,7 @@ class TestLoadPly:
         cloud = PointCloud(rng.normal(size=(100_000, 3)))
         loaded, peaks = {}, {}
         for suffix in (".ply", ".xyz"):
-            save_cloud(cloud, tmp_path / f"a{suffix}")
+            write_cloud(cloud.points, tmp_path / f"a{suffix}")
             tracemalloc.start()
             try:
                 loaded[suffix] = load_cloud(tmp_path / f"a{suffix}")
@@ -174,6 +175,15 @@ class TestLoadPly:
             with pytest.raises(ParseError) as err:
                 load_cloud(write(tmp_path / "a.ply", text))
             assert err.value.line == line, text
+
+
+class TestLoadFormat:
+    @pytest.mark.parametrize("name", ["c.txt", "c.XYZ.bak", "c"])
+    def test_unknown_extension_is_refused(self, tmp_path, name):
+        # .txt is not a cloud format, though its rows may read as XYZ
+        path = write(tmp_path / name, "0 0 0\n1 1 1\n")
+        with pytest.raises(ParseError, match=f"extension {path.suffix.lower()!r}"):
+            load_cloud(path)
 
 
 class TestLoadBitEquality:
@@ -311,54 +321,39 @@ class TestExport:
         [(254.9, 0.5, 255.0), (0.0, 255.0, 1.99), (3.0, 2.0, 1.0), (0.0, 0.0, 0.0)],
     ])
     def test_bytes_equal_float_colour_rows(self, tmp_path, rng, palette):
-        # reference: the colours as float columns of one float64 array, %d-formatted
         cloud = PointCloud(rng.normal(size=(300, 3)))
         labels = rng.integers(0, 4, size=300)
         path = tmp_path / "out.ply"
         export_labeled_ply(cloud, labels, path, palette)
-        rows = np.column_stack([cloud.points, np.asarray(palette)[labels]])
-        header = ("ply\nformat ascii 1.0\nelement vertex 300\nproperty float x\n"
-                  "property float y\nproperty float z\nproperty uchar red\n"
-                  "property uchar green\nproperty uchar blue\nend_header\n")
-        expected = header + ("%.6f %.6f %.6f %d %d %d\n" * 300) % tuple(rows.ravel().tolist())
-        assert path.read_bytes() == expected.encode()
-
-
-class TestSaveCloud:
-    @pytest.mark.parametrize("suffix", CLOUD_SUFFIXES)
-    def test_round_trip_each_format(self, tmp_path, rng, suffix):
-        cloud = ball_cloud(rng, 40)
-        path = tmp_path / f"c{suffix}"
-        save_cloud(cloud, path)
-        back = load_cloud(path)  # format inferred from extension
-        assert back.n_points == 40
-        assert np.abs(back.points - cloud.points).max() < 1e-6
-
-    @pytest.mark.parametrize("name", ["c.txt", "c.XYZ.bak", "c"])
-    def test_unknown_extension_is_refused(self, tmp_path, name):
-        # .txt is not a cloud format, though its rows may read as XYZ
-        path = write(tmp_path / name, "0 0 0\n1 1 1\n")
-        suffix = path.suffix.lower()
-        with pytest.raises(ParseError, match=f"extension {suffix!r}"):
-            load_cloud(path)
-        with pytest.raises(ParseError, match=f"extension {suffix!r}"):
-            save_cloud(PointCloud(np.zeros((1, 3))), tmp_path / f"out{suffix}")
+        assert path.read_bytes() == labeled_ply_text(cloud, labels, palette).encode()
 
     def test_chunked_write_matches_one_shot_with_bounded_scratch(self, tmp_path, rng):
+        palette = [(255, 0, 0), (0, 255, 255), (7, 0, 255)]
+
         def write_peak(n):
             cloud = PointCloud(rng.normal(size=(n, 3)) * 100)
-            path = tmp_path / f"c{n}.xyz"
+            labels = rng.integers(0, 3, size=n)
+            path = tmp_path / f"c{n}.ply"
             tracemalloc.start()
             try:
-                save_cloud(cloud, path)
+                export_labeled_ply(cloud, labels, path, palette)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            expected = ("%.6f %.6f %.6f\n" * n) % tuple(cloud.points.ravel().tolist())
-            assert path.read_bytes() == expected.encode()
+            assert path.read_bytes() == labeled_ply_text(cloud, labels, palette).encode()
             return peak
 
         # a cloud of 2.5 chunks, and one of 6.5 chunks: the scratch of the
         # write is bounded by a chunk, not by the cloud
         short, long = write_peak(5 * pc._CHUNK_ROWS // 2), write_peak(13 * pc._CHUNK_ROWS // 2)
         assert long < 1.25 * short
+
+
+def labeled_ply_text(cloud, labels, palette):
+    """The labeled PLY in one %-format: the colours as float columns of one
+    float64 array, %d-formatted."""
+    rows = np.column_stack([cloud.points, np.asarray(palette)[labels]])
+    header = (f"ply\nformat ascii 1.0\nelement vertex {cloud.n_points}\nproperty float x\n"
+              "property float y\nproperty float z\nproperty uchar red\n"
+              "property uchar green\nproperty uchar blue\nend_header\n")
+    return header + ("%.6f %.6f %.6f %d %d %d\n" * cloud.n_points) % tuple(rows.ravel().tolist())
