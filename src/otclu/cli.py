@@ -14,10 +14,11 @@ Exit codes: 0 success, 1 verification failure, 2 config error,
 Commands only raise. `main` maps each failure to its code through
 `EXIT_CODES`, the one table of that policy, and prints "<prefix>: <cause>":
 a ConfigError, an unreadable config file included, exits 2; a
-NumericalError 4; a CheckpointError 5; any other package error, or an
+NumericalError 4; a CheckpointError 5; any other package error, an
 OSError from a file or directory that cannot be read or written (the
-message names the path), exits 3. A bad command-line argument exits 2
-from argparse.
+message names the path), or a MemoryError from an array too large to
+allocate (a huge `--points` or config size), exits 3. A bad command-line
+argument exits 2 from argparse.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ EXIT_CODES = (
     (ConfigError, EXIT_CONFIG, "config error"),
     (NumericalError, EXIT_NUMERICAL, "numerical abort"),
     (CheckpointError, EXIT_MISMATCH, "checkpoint error"),
-    ((OtcluError, OSError), EXIT_DATA, "data error"),
+    ((OtcluError, OSError, MemoryError), EXIT_DATA, "data error"),
 )
 
 _DATA_DEFAULTS = {"num_points": 2048}
@@ -281,10 +282,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OtcluError, OSError) as exc:
+    except (OtcluError, OSError, MemoryError) as exc:
         code, prefix = next((code, prefix) for kinds, code, prefix in EXIT_CODES
                             if isinstance(exc, kinds))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{prefix}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return code
 
 

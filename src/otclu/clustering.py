@@ -8,14 +8,10 @@ cluster can swallow the whole cloud. The plain softmax-over-distance
 assignment is kept as a baseline; it carries no such guarantee.
 
 Every function here fills buffers it owns and never writes its arguments,
-with one exception: arrays handed in as `out` are overwritten (see
-`trainer.pretrain`). `compute_cost` builds the cost and its feature term in
-its two (N, J) arrays, `sinkhorn` the kernel and then the plan in its one,
-`assign_soft_labels` the labels in its one, which may be the plan, and
-`prototypes_backward` the score gradient in its (N, J) array and the
-feature gradient in its (N, d) array, whose start (when d >= J) first
-holds the feature term of the score gradient. A `potential` handed to
-`sinkhorn` is only read.
+with one exception: arrays handed in as `out` are overwritten, as each
+function's docstring says (`trainer.StepBuffers` gives the plan of which
+buffer holds what in a training step). A `potential` handed to `sinkhorn`
+is only read.
 """
 
 from __future__ import annotations
@@ -69,7 +65,7 @@ class TransportPlan:
 
     matrix: np.ndarray
     iterations: int
-    potential: np.ndarray | None = None
+    potential: np.ndarray
 
     def marginal_residual(self) -> float:
         """Max deviation of row sums from 1/N and column sums from 1/J."""

@@ -7,10 +7,10 @@ backward pass reads; no autodiff framework is involved, which keeps
 gradients exact and runs bit-reproducible.
 
 Every function here fills buffers it owns and never writes its arguments,
-with one exception: `forward` and `backward` refill the buffers of an `out`
-trace handed in to be overwritten (see `trainer.pretrain`): `forward` its
-activations and scores, `backward` its activations with the layers'
-gradients and its scores with d_logits.
+with one exception: `forward` refills the arrays of an `out` trace, and
+`backward` with an `out` array builds d_logits in it and spends the trace
+it differentiates (see each function; `trainer.StepBuffers` gives the plan
+of which buffer holds what in a training step).
 """
 
 from __future__ import annotations
@@ -92,15 +92,9 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams(config=config, tensors=tensors)
 
 
-def _buffer(out: list | None, i: int, shape: tuple) -> np.ndarray:
-    """out[i] when it has `shape`, else a fresh array."""
-    if out is not None and out[i].shape == shape:
-        return out[i]
-    return np.empty(shape)
-
-
 def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> ForwardTrace:
-    """Run the encoder and head on an (N, 3) array; returns scores with rows summing to 1.
+    """Run the encoder and head on a non-empty (N, 3) array; returns scores
+    with rows summing to 1.
 
     Hidden layers use ReLU; the final feature layer is linear. The head
     sees each point's feature f_i next to the per-dimension max over all
@@ -108,21 +102,19 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     is one row shared by every point and is computed once. Ties at the max
     resolve to the lowest row index when gradients are routed back.
 
-    Each layer and the logits are built in the matching buffer of `out`, a
-    spent trace whose arrays are overwritten; a buffer whose shape differs
-    (another N or architecture) is replaced by a fresh one.
+    Each layer and the logits are built in the matching array of `out`, a
+    spent trace of the same N and architecture whose arrays are
+    overwritten; numpy refuses one of another shape.
     """
     x = np.asarray(points, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != IN_DIM:
-        raise ShapeError(f"expected (N, {IN_DIM}) input, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != IN_DIM or x.shape[0] == 0:
+        raise ShapeError(f"expected a non-empty (N, {IN_DIM}) input, got shape {x.shape}")
     t = params.tensors
-    n, sizes = x.shape[0], params.config.layer_sizes
-    n_layers = len(sizes) - 1
-    spent = None if out is None or len(out.acts) != n_layers else [*out.acts, out.scores]
+    n_layers = len(params.config.layer_sizes) - 1
 
     acts, a = [], x
     for i in range(n_layers):
-        a = np.matmul(a, t[f"mlp{i}.w"], out=_buffer(spent, i, (n, sizes[i + 1])))
+        a = np.matmul(a, t[f"mlp{i}.w"], out=None if out is None else out.acts[i])
         a += t[f"mlp{i}.b"]
         if i < n_layers - 1:
             np.maximum(a, 0.0, out=a)
@@ -136,7 +128,7 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     pooled = features[pool_rows, np.arange(d)]
     w = t["head.w"]
     # the logits, turned into a row softmax in place
-    scores = np.matmul(features, w[:d], out=_buffer(spent, n_layers, (n, w.shape[1])))
+    scores = np.matmul(features, w[:d], out=None if out is None else out.scores)
     scores += pooled @ w[d:] + t["head.b"]
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
@@ -146,7 +138,7 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
 
 
 def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
-             d_features: np.ndarray, out: ForwardTrace | None = None) -> dict[str, np.ndarray]:
+             d_features: np.ndarray, out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
     d_scores and d_features are the loss gradients at the score matrix and
@@ -155,12 +147,11 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     pooled term of the logits is shared by every point, so its gradients
     need only the column sums of d_logits.
 
-    With `out`, d_logits is built in `out.scores`, the feature gradient in
-    `out.features` and each lower layer's gradient in `out.acts[i - 1]`,
-    after the last read of that activation. `out` may be `trace` itself,
-    which is then spent; d_logits then gets a fresh buffer, since it reads
-    the scores, and `out.scores` must not be `d_scores` either. A buffer
-    whose shape differs from the trace's is replaced by a fresh one.
+    With `out`, an (N, J) array to overwrite that shares no memory with the
+    scores, d_scores or d_features, d_logits is built in `out` and `trace`
+    is spent: the feature gradient is built in its features and each lower
+    layer's gradient in `acts[i - 1]`, after the last read of that
+    activation.
     """
     t = params.tensors
     d = trace.features.shape[1]
@@ -168,12 +159,12 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
         raise ShapeError(f"d_scores shape {d_scores.shape} != scores shape {trace.scores.shape}")
     if d_features.shape != trace.features.shape:
         raise ShapeError(f"d_features shape {d_features.shape} != features shape {trace.features.shape}")
-    n_layers = len(trace.acts)
-    spent = None if out is None or len(out.acts) != n_layers else out.acts
-
     s = trace.scores
-    spent_scores = None if out is None or out.scores is s else [out.scores]
-    d_logits = np.multiply(d_scores, s, out=_buffer(spent_scores, 0, s.shape))
+    if out is not None and any(np.may_share_memory(out, a) for a in (s, d_scores, d_features)):
+        raise ValueError("backward's out, the d_logits buffer, shares memory with the "
+                         "scores, d_scores or d_features it is built from")
+
+    d_logits = np.multiply(d_scores, s, out=out)
     row_dot = d_logits.sum(axis=1, keepdims=True)
     np.subtract(d_scores, row_dot, out=d_logits)
     d_logits *= s
@@ -185,13 +176,13 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     grads = {"head.w": d_head_w, "head.b": d_logits_sum}
 
     # trace.features has had its last read
-    d_z = np.matmul(d_logits, w[:d].T, out=_buffer(spent, n_layers - 1, trace.features.shape))
+    d_z = np.matmul(d_logits, w[:d].T, out=None if out is None else trace.features)
     del d_logits
     d_z[trace.pool_rows, np.arange(d)] += w[d:] @ d_logits_sum
     d_z += d_features
 
     relu_mask = None
-    for i in reversed(range(n_layers)):
+    for i in reversed(range(len(trace.acts))):
         if relu_mask is not None:
             np.multiply(d_z, relu_mask, out=d_z)
         below = trace.inputs if i == 0 else trace.acts[i - 1]
@@ -201,7 +192,7 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
             # below > 0 exactly where the ReLU's input was > 0; with the mask
             # taken, below has had its last read and may hold the next d_z
             relu_mask = below > 0.0
-            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=_buffer(spent, i - 1, below.shape))
+            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=None if out is None else below)
     return grads
 
 

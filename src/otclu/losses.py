@@ -8,7 +8,8 @@ collapsing onto a single centroid.
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: `soft_ce_loss` and `total_loss` build the log buffer,
 and then dL/dS in its place, in an `out` array handed in to be overwritten
-(see `trainer.pretrain`).
+(`trainer.StepBuffers` gives the plan of which buffer holds what in a
+training step).
 """
 
 from __future__ import annotations

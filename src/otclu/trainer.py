@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,18 +54,28 @@ class TrainConfig:
 
 @dataclass
 class StepBuffers:
-    """The arrays one cloud step overwrites; a field left None is a fresh
-    array at each use. Each array is spent before the step refills it:
+    """The arrays one cloud step overwrites, and the one account of what each
+    holds when. `e_step` builds its result in them and the result records
+    them; `cloud_gradients` then builds the gradient in them, which spends
+    the result. A field left None is a fresh array at each use. Each
+    array's last read comes before its next write:
 
-    - cost (N, J): the cost; then the loss's log buffer, which ends as
-      dL/dS and gains the prototype chain's score gradient.
+    - trace: the forward trace. `encoder.forward` refills its activations
+      and scores; `encoder.backward` builds the layers' gradients in its
+      activations.
+    - cost (N, J): the cost (`clustering.compute_cost`); then the loss's
+      log buffer, which ends as dL/dS (`losses.total_loss`) and gains the
+      prototype chain's score gradient.
     - plan (N, J): the cost's feature term; then the Sinkhorn kernel, the
-      plan and the labels; then the prototype chain's score gradient; then
-      the backward's d_logits.
+      plan and the labels (`clustering.sinkhorn`, `assign_soft_labels`);
+      then the prototype chain's score gradient
+      (`clustering.prototypes_backward`); then the backward's d_logits.
     - wide (N, d): the prototype chain's feature gradient, whose first N*J
-      entries first hold the feature term of its score gradient.
-    - trace: the last forward trace, which the next forward pass refills
-      and in which the backward builds the layers' gradients.
+      entries first hold the feature term of its score gradient (while
+      d >= J; otherwise that term gets a fresh array).
+
+    The kernel is never built in `cost`: Sinkhorn's cold restart and its
+    non-finite-cost message read the cost again after the kernel is built.
     """
 
     cost: np.ndarray | None = None
@@ -89,6 +99,7 @@ class EStepResult:
     marginal_residual: float
     iterations: int      # Sinkhorn iterations the solve took
     potential: np.ndarray  # the plan's column potential (J,), to warm-start the next solve
+    buffers: StepBuffers | None = None  # what the result was built in, for the gradient to spend
 
 
 @dataclass
@@ -114,34 +125,37 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig,
     """Forward pass, prototypes, cost, and balanced soft-label assignment.
 
     The cost matrix handed to the transport solver is a constant: the
-    returned labels carry no gradient information. `out` holds spent arrays
-    to overwrite (see `StepBuffers`): the forward pass refills `out.trace`
-    (see `encoder.forward`), which then holds this cloud's trace. `potential`
-    is a column potential the solve starts from (see `sinkhorn`).
+    returned labels carry no gradient information. The result is built in
+    `out`, spent arrays to overwrite (see `StepBuffers`), and records it;
+    `out.trace` then holds this cloud's trace. `potential` is a column
+    potential the solve starts from (see `sinkhorn`).
     """
-    out = StepBuffers() if out is None else out
-    trace = out.trace = enc.forward(params, cloud.points, out=out.trace)
+    # Without `out`, each array is allocated where it is built, as `otclu
+    # cluster` runs it: allocating StepBuffers.empty up front instead raised
+    # a steady request's minor page faults from a median of 0 to 1,570 and
+    # its median latency from 44 to 49-58 ms (2-vCPU Linux VM, glibc).
+    buffers = StepBuffers() if out is None else out
+    trace = buffers.trace = enc.forward(params, cloud.points, out=buffers.trace)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
     cost = compute_cost(trace.inputs, trace.features, protos, solver.lam,
-                        out=(out.cost, out.plan))
+                        out=(buffers.cost, buffers.plan))
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol,
-                    potential=potential, out=out.plan)
+                    potential=potential, out=buffers.plan)
     del cost
     residual = plan.marginal_residual()  # before the labels overwrite the plan
-    gamma = assign_soft_labels(plan, trace.scores.shape[0], out=out.plan)
+    gamma = assign_soft_labels(plan, trace.scores.shape[0], out=buffers.plan)
     return EStepResult(trace=trace, protos=protos, gamma=gamma, marginal_residual=residual,
-                       iterations=plan.iterations, potential=plan.potential)
+                       iterations=plan.iterations, potential=plan.potential, buffers=out)
 
 
-def cloud_gradients(state: TrainState, result: EStepResult,
-                    out: StepBuffers | None = None) -> tuple[LossReport, dict]:
+def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport, dict]:
     """The loss on one cloud's E-step labels and its exact parameter gradient.
 
-    With `out`, the StepBuffers the E-step was handed, every (N, J) and
-    (N, d) array is built in `out` (see `StepBuffers`), which leaves it and
-    the whole result spent.
+    A result built in `StepBuffers` is spent: the gradient's (N, J) and
+    (N, d) arrays are built in its buffers and its trace (see
+    `StepBuffers`). An unbuffered result is only read.
     """
-    out = StepBuffers() if out is None else out
+    out = StepBuffers() if result.buffers is None else result.buffers
     report, d_scores, d_geo, d_feat = total_loss(
         result.gamma, result.trace.scores, result.protos, eta=state.config.eta, out=out.cost)
     if not np.isfinite(report.l_total):
@@ -153,9 +167,7 @@ def cloud_gradients(state: TrainState, result: EStepResult,
         result.protos, d_geo, d_feat, out=(out.plan, out.wide))
     d_scores += ds_proto
     del ds_proto
-    # the backward's out: the trace's buffers, with d_logits in the plan's
-    spent = None if out.trace is None else replace(out.trace, scores=out.plan)
-    return report, enc.backward(result.trace, state.params, d_scores, df_proto, out=spent)
+    return report, enc.backward(result.trace, state.params, d_scores, df_proto, out=out.plan)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
@@ -187,23 +199,9 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     of gradients is kept, so memory does not grow with `batch_size`. The
     run is bit-reproducible for a fixed seed.
 
-    This is the one caller that hands the step arrays to overwrite. It
-    keeps one `StepBuffers` for every cloud of the call with the same
-    number of points, and a cloud of another size gets fresh ones. Every
-    (N, J) and (N, d) float array of a step lives in them:
-    - `encoder.forward` refills the trace's activations and scores;
-    - `clustering.compute_cost` builds the cost in `cost` and its feature
-      term in `plan`;
-    - `clustering.sinkhorn` builds the kernel and then the plan in `plan`,
-      and `clustering.assign_soft_labels` the labels over the plan;
-    - `losses.soft_ce_loss` (through `losses.total_loss`) builds its log
-      buffer and then the loss gradient at the scores in `cost`;
-    - `clustering.prototypes_backward` builds its score gradient in `plan`
-      and its feature gradient in `wide`, its feature term of the score
-      gradient first in the start of `wide`;
-    - `encoder.backward` builds d_logits in `plan` and the layers'
-      gradients in the trace's activations.
-    Each array's last read comes before its next write, and a cloud's
+    It keeps one `StepBuffers` for every cloud of the call with the same
+    number of points, and a cloud of another size gets fresh ones; each
+    cloud's E-step is handed them and its gradient spends them. A cloud's
     result and gradients are released before the next cloud's E-step.
 
     Each cloud's Sinkhorn solve starts from the column potential of that
@@ -239,7 +237,7 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
                                 potential=potentials[i])
                 residuals.append(result.marginal_residual)
                 iterations.append(result.iterations)
-                report, cloud_grads = cloud_gradients(state, result, out=buffers)
+                report, cloud_grads = cloud_gradients(state, result)
                 potentials[i] = result.potential
                 reports.append(report)
                 for name, g in cloud_grads.items():

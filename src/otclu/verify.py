@@ -24,7 +24,7 @@ from . import oracle
 from .clustering import (Prototypes, SolverConfig, assign_l2_labels, assign_soft_labels,
                          compute_cost, compute_prototypes, sinkhorn)
 from .losses import total_loss
-from .trainer import TrainConfig, TrainState, cloud_gradients, e_step, pretrain
+from .trainer import StepBuffers, TrainConfig, TrainState, cloud_gradients, e_step, pretrain
 
 
 @dataclass
@@ -102,7 +102,8 @@ def misses_detail(plans: list) -> str:
 # end-to-end gradient path
 
 def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8):
-    """A seeded cloud, a fresh training state, and its E-step for gradient checks."""
+    """A seeded cloud, a fresh training state, and its E-step for gradient
+    checks, built in step buffers as `pretrain` builds it."""
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, 3))
     cloud = pc.normalize(pc.PointCloud(raw))
@@ -112,7 +113,8 @@ def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8)
         encoder=enc.EncoderConfig(hidden_sizes=(12,), feature_dim=dim,
                                   num_clusters=num_clusters))
     state = TrainState.initial(config)
-    return cloud, state, e_step(state.params, cloud, config.solver)
+    return cloud, state, e_step(state.params, cloud, config.solver,
+                                out=StepBuffers.empty(n, config.encoder))
 
 
 def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma,
@@ -166,14 +168,16 @@ def check_lp_gap() -> tuple[bool, str]:
 
 
 def check_gradients() -> tuple[bool, str]:
-    # The analytic side is the trainer's own per-cloud gradient chain.
+    # The analytic side is the trainer's own per-cloud gradient chain, on
+    # the buffered E-step that pretrain runs; the gradient spends the labels.
     cloud, state, result = toy_problem()
+    gamma = result.gamma.copy()
     _, grads = cloud_gradients(state, result)
     params = state.params
 
     def closure(tensors):
         return total_loss_of_params(enc.EncoderParams(params.config, tensors), cloud.points,
-                                    result.gamma, eta=state.config.eta)
+                                    gamma, eta=state.config.eta)
 
     report = oracle.grad_check(closure, params.tensors, grads, h=1e-5, rel_tol=1e-4)
     return report.passed, f"max rel error {report.max_rel_error:.2e} (<1e-4) at {report.worst_param}"

@@ -454,6 +454,24 @@ class TestExitCodes:
         assert cli.main(["verify"]) == code
         assert capsys.readouterr().err == f"{prefix}: {exc}\n"
 
+    def test_an_array_too_large_to_allocate_exits_3(self, tmp_path, monkeypatch, capsys):
+        # numpy raises MemoryError for a huge --points; the stand-in raises it
+        # without a real allocation. A bare MemoryError still names a cause.
+        ckpt = tmp_path / "p.otck"
+        save_checkpoint(init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4,
+                                                  num_clusters=2), seed=0), ckpt)
+        src = write_cloud([[0, 0, 0], [1, 1, 1], [2, 0, 1]], tmp_path / "c.xyz")
+        argv = ["cluster", str(ckpt), str(src), str(tmp_path / "x.ply"),
+                "--points", "10000000000000"]
+        for exc, message in ((MemoryError("Unable to allocate 72.8 TiB"),
+                              "Unable to allocate 72.8 TiB"), (MemoryError(), "MemoryError")):
+            def downsample(*args, exc=exc):
+                raise exc
+            monkeypatch.setattr(pc, "downsample_random", downsample)
+            assert cli.main(argv) == 3
+            assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "x.ply").exists()
+
     def test_unusable_paths_exit_with_their_code(self, blob_dataset, tmp_path, capsys):
         config = write_config(tmp_path / "config.json")
         a_file = tmp_path / "a_file"
@@ -538,7 +556,7 @@ class TestVerifyCommand:
             for _ in range(200):
                 gamma *= (1.0 / n) / gamma.sum(axis=1, keepdims=True)
                 gamma *= (1.0 / m) / gamma.sum(axis=0, keepdims=True)
-            return TransportPlan(matrix=gamma, iterations=200)
+            return TransportPlan(matrix=gamma, iterations=200, potential=np.zeros(m))
 
         monkeypatch.setattr(verify, "sinkhorn", flipped)
         lp = next(check for check in verify.CHECKS if check.name == "sinkhorn-vs-lp")

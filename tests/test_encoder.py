@@ -84,6 +84,10 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(params, rng.normal(size=(4, 2)))
 
+    def test_rejects_an_empty_input(self):
+        with pytest.raises(ShapeError, match=r"non-empty \(N, 3\) input, got shape \(0, 3\)"):
+            forward(init_params(SMALL, seed=0), np.empty((0, 3)))
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
@@ -179,6 +183,19 @@ class TestBackward:
         trace = forward(params, rng.normal(size=(4, 3)))
         with pytest.raises(ShapeError):
             backward(trace, params, np.zeros((4, 2)), np.zeros((4, 4)))
+
+    def test_out_sharing_an_input_is_refused(self, rng):
+        # d_logits is built in `out` from the scores and d_scores, and
+        # d_features is read after it: an `out` over any of them would
+        # corrupt the gradient, so it is refused before anything is written.
+        params = init_params(SMALL, seed=0)
+        trace = forward(params, rng.normal(size=(4, 3)))
+        d_scores, d_features = rng.normal(size=(4, 3)), rng.normal(size=(4, 4))
+        before = [a.copy() for a in trace_arrays(trace)]
+        for shared in (trace.scores, d_scores, d_features.reshape(-1)[:12].reshape(4, 3)):
+            with pytest.raises(ValueError, match="shares memory"):
+                backward(trace, params, d_scores, d_features, out=shared)
+        assert_bytes_equal(trace_arrays(trace), before)
 
 
 def concatenated_head_reference(params, x, d_scores, d_features):
@@ -286,9 +303,10 @@ class TestOutTrace:
         n, d = x.shape[0], params.config.feature_dim
         d_scores = rng.normal(size=(n, params.config.num_clusters))
         d_features = rng.normal(size=(n, d))
+        d_logits = np.full(d_scores.shape, np.nan)
         # spent as in pretrain: another cloud's trace, overwritten by its backward
         spent = forward(params, other)
-        backward(spent, params, d_scores, d_features, out=spent)
+        backward(spent, params, d_scores, d_features, out=d_logits)
         buffers = [*spent.acts, spent.scores]
 
         ref = forward(params, x)
@@ -297,23 +315,22 @@ class TestOutTrace:
         assert all(a is b for a, b in zip([*got.acts, got.scores], buffers))
 
         ref_grads = backward(ref, params, d_scores, d_features)
-        got_grads = backward(got, params, d_scores, d_features, out=got)
+        got_grads = backward(got, params, d_scores, d_features, out=d_logits)
         assert list(got_grads) == list(ref_grads)
         assert_bytes_equal(list(got_grads.values()), list(ref_grads.values()))
 
-    def test_other_n_gets_fresh_buffers(self, rng):
+    def test_mismatched_trace_is_refused(self, rng):
+        # A trace is refilled exactly as handed: one of another N, or of
+        # another architecture, is refused, and pretrain gives a cloud of
+        # another size fresh step buffers instead.
         params = init_params(SMALL, seed=5)
         x = rng.normal(size=(20, 3))
-        d_scores, d_features = rng.normal(size=(20, 3)), rng.normal(size=(20, 4))
-        other = forward(params, rng.normal(size=(30, 3)))
-        before = [a.copy() for a in trace_arrays(other)]
-
-        got = forward(params, x, out=other)
-        assert_bytes_equal(trace_arrays(got), trace_arrays(forward(params, x)))
-        grads = backward(got, params, d_scores, d_features, out=other)
-        ref_grads = backward(forward(params, x), params, d_scores, d_features)
-        assert_bytes_equal(list(grads.values()), list(ref_grads.values()))
-        assert_bytes_equal(trace_arrays(other), before)
+        other_n = forward(params, rng.normal(size=(30, 3)))
+        other_arch = forward(init_params(EncoderConfig(hidden_sizes=(6, 6), feature_dim=4,
+                                                       num_clusters=3), seed=5), x)
+        for other in (other_n, other_arch):
+            with pytest.raises(ValueError):
+                forward(params, x, out=other)
 
 
 class TestCheckpoint:

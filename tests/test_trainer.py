@@ -151,7 +151,8 @@ class TestMStep:
         report, grads = cloud_gradients(state, e_step(state.params, cloud, config.solver))
         out = StepBuffers.empty(64, config.encoder)
         spent = e_step(state.params, cloud, config.solver, out=out)
-        spent_report, spent_grads = cloud_gradients(state, spent, out=out)
+        assert spent.buffers is out
+        spent_report, spent_grads = cloud_gradients(state, spent)
         assert spent_report == report
         assert spent_grads.keys() == grads.keys()
         for name, g in grads.items():
@@ -165,18 +166,36 @@ class TestMStep:
         state = TrainState.initial(config)
         cloud = pc.normalize(ball_cloud(rng, 2048))
         out = StepBuffers.empty(2048, config.encoder)
-        cloud_gradients(state, e_step(state.params, cloud, config.solver, out=out), out=out)
+        cloud_gradients(state, e_step(state.params, cloud, config.solver, out=out))
         tracemalloc.start()
         try:
             result = e_step(state.params, cloud, config.solver, out=out)
             e_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             kept = tracemalloc.get_traced_memory()[0]
-            cloud_gradients(state, result, out=out)
+            cloud_gradients(state, result)
             grad_peak = tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
         assert max(e_peak, grad_peak) < out.cost.nbytes, (e_peak, grad_peak)
+
+    def test_an_unbuffered_e_step_allocates_each_array_where_it_is_built(self, rng):
+        # `otclu cluster` runs e_step without buffers. Each array is then
+        # allocated where it is built, so at the paper's shape the E-step
+        # peaks less than 1.5 (N, J) arrays above what its result keeps;
+        # allocating every step buffer up front would add the (N, d) one.
+        config = TrainConfig()
+        params = enc.init_params(config.encoder, 0)
+        cloud = pc.normalize(ball_cloud(rng, 2048))
+        e_step(params, cloud, config.solver)
+        tracemalloc.start()
+        try:
+            result = e_step(params, cloud, config.solver)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.buffers is None
+        assert peak - kept < 1.5 * result.gamma.nbytes, (peak - kept) / result.gamma.nbytes
 
     def test_nonfinite_loss_aborts(self, rng):
         config = toy_config()
@@ -483,15 +502,15 @@ def stale(*shapes):
 
 
 def out_calls(rng, num_clusters):
-    """(function, arguments, keywords) of every step function that takes
-    `out`, with NaN-filled buffers as `out`."""
+    """(function, arguments, keywords, spent) of every step function that
+    takes `out`, with NaN-filled buffers as `out`; `spent` is what the call
+    overwrites: its `out` and, for `encoder.backward`, the activations of
+    the trace it differentiates."""
     config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
         step_inputs(rng, num_clusters)
     params, solver, nj, nd = state.params, config.solver, (64, num_clusters), (64, 8)
-    spent = enc.forward(params, rng.normal(size=(64, 3)))  # another cloud's trace
-    for buffer in [*spent.acts, spent.scores]:
-        buffer.fill(np.nan)
-    return [
+    own = enc.forward(params, cloud.points)  # a trace of its own for the backward to spend
+    calls = [
         (compute_cost, (trace.inputs, trace.features, protos, solver.lam),
          {"out": stale(nj, nj)}),
         (sinkhorn, (cost, solver.epsilon), {"out": stale(nj)[0]}),
@@ -501,31 +520,38 @@ def out_calls(rng, num_clusters):
         (total_loss, (gamma, trace.scores, protos), {"out": stale(nj)[0]}),
         (prototypes_backward, (trace.inputs, trace.features, trace.scores, protos, d_geo,
                                d_feat), {"out": stale(nj, nd)}),
-        (enc.backward, (trace, params, d_scores, rng.normal(size=nd)), {"out": spent}),
+        (enc.backward, (own, params, d_scores, rng.normal(size=nd)), {"out": stale(nj)[0]}),
         (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj))}),
         (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj)), "potential": psi}),
     ]
+    return [(fn, args, kwargs, [kwargs["out"], *(own.acts if fn is enc.backward else [])])
+            for fn, args, kwargs in calls]
 
 
 @pytest.mark.parametrize("num_clusters", [5, 12])  # J = 12 > d = 8 lends no scratch
 def test_out_buffers_change_no_result_bit(rng, num_clusters):
     # Given arrays to overwrite, each step function returns the bytes it
     # returns without them and builds its results in them.
-    for fn, args, kwargs in out_calls(rng, num_clusters):
+    for fn, args, kwargs, spent in out_calls(rng, num_clusters):
         ref = fn(*args, **{k: v for k, v in kwargs.items() if k != "out"})
         got = fn(*args, **kwargs)
+        if fn is e_step:  # the result records the buffers it was built in
+            assert got.buffers is kwargs["out"]
+            got = replace(got, buffers=None)
         assert leaves(got) == leaves(ref), fn.__name__
-        assert not any(np.isnan(a).any() for a in reachable_arrays(kwargs["out"])), fn.__name__
+        assert not any(np.isnan(a).any() for a in reachable_arrays(spent)), fn.__name__
 
 
 def test_no_step_function_writes_its_arguments(rng):
-    # The step functions fill buffers they own, or the `out` buffers handed
-    # in, in place; none may write an array it was handed as an argument,
-    # however deep in a trace, params or state it sits.
+    # The step functions fill buffers they own, or the buffers they are
+    # handed to spend, in place; none may write any other array it was
+    # handed as an argument, however deep in a trace, params or state it sits.
     config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
         step_inputs(rng)
     params = state.params
     d_features = rng.normal(size=trace.features.shape)
+    buffered = e_step(params, cloud, config.solver, out=StepBuffers.empty(64, config.encoder))
+    out = buffered.buffers
     calls = [
         (enc.forward, params, cloud.points),
         (enc.backward, trace, params, d_scores, d_features),
@@ -540,11 +566,14 @@ def test_no_step_function_writes_its_arguments(rng):
         (e_step, params, cloud, config.solver, None, psi),
         (cloud_gradients, state, e_step(params, cloud, config.solver)),
     ]
-    calls = [(fn, args, {}) for fn, *args in calls] + out_calls(rng, 5)
-    for fn, args, kwargs in calls:
-        before = [a.copy() for a in reachable_arrays(args)]
+    calls = [(fn, args, {}, []) for fn, *args in calls] + [
+        (cloud_gradients, (state, buffered), {}, [out.cost, out.plan, out.wide, *out.trace.acts]),
+    ] + out_calls(rng, 5)
+    for fn, args, kwargs, spent in calls:
+        spent_ids = {id(a) for a in reachable_arrays(spent)}
+        before = [a.copy() for a in reachable_arrays(args) if id(a) not in spent_ids]
         fn(*args, **kwargs)
-        after = list(reachable_arrays(args))
+        after = [a for a in reachable_arrays(args) if id(a) not in spent_ids]
         assert len(after) == len(before), fn.__name__
         for old, new in zip(before, after):
             assert old.tobytes() == new.tobytes(), fn.__name__
