@@ -10,8 +10,9 @@ assignment is kept as a baseline; it carries no such guarantee.
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: arrays handed in as `out` are overwritten, as each
 function's docstring says (`trainer.StepBuffers` gives the plan of which
-buffer holds what in a training step). A `potential` handed to `sinkhorn`
-is only read.
+buffer holds what in a training step, and the column-major layout of every
+(N, k) array, buffered or fresh). A `potential` handed to `sinkhorn` is
+only read.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray, out: np.ndarray | None) -> np.
     The clamp removes the small negative values cancellation can leave
     where a point coincides with a center.
     """
-    sq = np.matmul(x, centers.T, out=out)
+    sq = np.matmul(x, centers.T, out=np.empty((x.shape[0], centers.shape[0]), order="F")
+                   if out is None else out)
     sq *= -2.0
     sq += np.einsum("ik,ik->i", x, x)[:, None]
     sq += np.einsum("jk,jk->j", centers, centers)[None, :]
@@ -174,6 +176,8 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     """
     d = _cost_matrix(cost)
     _check_solver_args(epsilon, iters, tol)
+    if out is None:
+        out = np.empty(d.shape, order="F")
     if potential is not None:
         potential = np.asarray(potential, dtype=np.float64)
         if potential.shape != d.shape[1:]:
@@ -199,7 +203,7 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
 
 
 def _scale(d: np.ndarray, epsilon: float, iters: int, tol: float,
-           potential: np.ndarray | None, out: np.ndarray | None) -> TransportPlan:
+           potential: np.ndarray | None, out: np.ndarray) -> TransportPlan:
     """One Sinkhorn solve of `sinkhorn`, from v = 1 or from a finite column
     potential, with the kernel and plan built in `out`."""
     n, m = d.shape
@@ -278,6 +282,10 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     safe = np.where(empty, 1.0, weights)
 
     scores_out, features_out = (None, None) if out is None else out
+    if scores_out is None:
+        scores_out = np.empty((n, d_geo.shape[0]), order="F")
+    if features_out is None:
+        features_out = np.empty(features.shape, order="F")
     proto_dot = (protos.geo * d_geo).sum(axis=1) + (protos.feat * d_feat).sum(axis=1)
     d_scores = np.matmul(points, d_geo.T, out=scores_out)
     d_scores += np.matmul(features, d_feat.T, out=_prefix(features_out, d_scores.shape))
@@ -293,9 +301,11 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     return d_scores, d_features
 
 
-def _prefix(buffer: np.ndarray | None, shape: tuple) -> np.ndarray | None:
-    """The first entries of `buffer` viewed as `shape`, or None when it is smaller."""
+def _prefix(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first entries of the column-major `buffer` viewed as a column-major
+    `shape`, or a fresh column-major array when `buffer` is smaller. Both
+    reshapes are in F order: `reshape(-1)` would copy the buffer."""
     size = math.prod(shape)
-    if buffer is None or buffer.size < size:
-        return None
-    return buffer.reshape(-1)[:size].reshape(shape)
+    if buffer.size < size:
+        return np.empty(shape, order="F")
+    return buffer.reshape(-1, order="F")[:size].reshape(shape, order="F")

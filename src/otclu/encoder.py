@@ -10,7 +10,8 @@ Every function here fills buffers it owns and never writes its arguments,
 with one exception: `forward` refills the arrays of an `out` trace, and
 `backward` with an `out` array builds d_logits in it and spends the trace
 it differentiates (see each function; `trainer.StepBuffers` gives the plan
-of which buffer holds what in a training step).
+of which buffer holds what in a training step, and the column-major layout
+of every (N, k) array, buffered or fresh).
 """
 
 from __future__ import annotations
@@ -110,11 +111,13 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     if x.ndim != 2 or x.shape[1] != IN_DIM or x.shape[0] == 0:
         raise ShapeError(f"expected a non-empty (N, {IN_DIM}) input, got shape {x.shape}")
     t = params.tensors
-    n_layers = len(params.config.layer_sizes) - 1
+    n, n_layers = x.shape[0], len(params.config.layer_sizes) - 1
 
     acts, a = [], x
     for i in range(n_layers):
-        a = np.matmul(a, t[f"mlp{i}.w"], out=None if out is None else out.acts[i])
+        w = t[f"mlp{i}.w"]
+        a = np.matmul(a, w, out=np.empty((n, w.shape[1]), order="F") if out is None
+                      else out.acts[i])
         a += t[f"mlp{i}.b"]
         if i < n_layers - 1:
             np.maximum(a, 0.0, out=a)
@@ -122,13 +125,13 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     features = a
     d = features.shape[1]
 
-    # The first row equal to the column max is argmax's row, found with
-    # contiguous reads. Gathering at those rows keeps the sign of a zero.
-    pool_rows = (features == features.max(axis=0)).argmax(axis=0)
+    # argmax takes the first of tied rows; gathering at them keeps the sign of a zero
+    pool_rows = features.argmax(axis=0)
     pooled = features[pool_rows, np.arange(d)]
     w = t["head.w"]
     # the logits, turned into a row softmax in place
-    scores = np.matmul(features, w[:d], out=None if out is None else out.scores)
+    scores = np.matmul(features, w[:d], out=np.empty((n, w.shape[1]), order="F")
+                       if out is None else out.scores)
     scores += pooled @ w[d:] + t["head.b"]
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
@@ -164,6 +167,7 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
         raise ValueError("backward's out, the d_logits buffer, shares memory with the "
                          "scores, d_scores or d_features it is built from")
 
+    # a fresh d_logits takes the layout of d_scores and s (see trainer.StepBuffers)
     d_logits = np.multiply(d_scores, s, out=out)
     row_dot = d_logits.sum(axis=1, keepdims=True)
     np.subtract(d_scores, row_dot, out=d_logits)
@@ -176,7 +180,8 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     grads = {"head.w": d_head_w, "head.b": d_logits_sum}
 
     # trace.features has had its last read
-    d_z = np.matmul(d_logits, w[:d].T, out=None if out is None else trace.features)
+    d_z = np.matmul(d_logits, w[:d].T, out=np.empty(trace.features.shape, order="F")
+                    if out is None else trace.features)
     del d_logits
     d_z[trace.pool_rows, np.arange(d)] += w[d:] @ d_logits_sum
     d_z += d_features
@@ -192,7 +197,8 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
             # below > 0 exactly where the ReLU's input was > 0; with the mask
             # taken, below has had its last read and may hold the next d_z
             relu_mask = below > 0.0
-            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=None if out is None else below)
+            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=np.empty(below.shape, order="F")
+                            if out is None else below)
     return grads
 
 

@@ -9,7 +9,8 @@ Every function here fills buffers it owns and never writes its arguments,
 with one exception: `soft_ce_loss` and `total_loss` build the log buffer,
 and then dL/dS in its place, in an `out` array handed in to be overwritten
 (`trainer.StepBuffers` gives the plan of which buffer holds what in a
-training step).
+training step, and the column-major layout of every (N, k) array; the
+arrays built here take the layout of the scores).
 """
 
 from __future__ import annotations

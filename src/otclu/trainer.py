@@ -76,6 +76,19 @@ class StepBuffers:
 
     The kernel is never built in `cost`: Sinkhorn's cold restart and its
     non-finite-cost message read the cost again after the kernel is built.
+
+    Every (N, k) float array of a step is column-major (Fortran order):
+    these buffers, the trace's activations and scores, and the arrays the
+    step functions build when handed no `out` (products and the Sinkhorn
+    kernel are allocated so; elementwise results take the layout of their
+    inputs, which in a step is this one). Then the per-point and
+    per-channel loops of numpy's broadcasts and reductions (bias adds,
+    softmax and Sinkhorn row and column sums, bias gradients, the pool's
+    argmax) each run along N in contiguous memory, and `matmul` fills such
+    an array through BLAS by swapping its operands. Only the input points
+    stay C-ordered (N, 3). Buffered and fresh arrays share this one layout
+    because float results (reduction order, BLAS kernels) follow the
+    layout an array is built in.
     """
 
     cost: np.ndarray | None = None
@@ -86,7 +99,8 @@ class StepBuffers:
     @classmethod
     def empty(cls, n: int, config: EncoderConfig) -> "StepBuffers":
         j, d = config.num_clusters, config.feature_dim
-        return cls(cost=np.empty((n, j)), plan=np.empty((n, j)), wide=np.empty((n, d)))
+        return cls(cost=np.empty((n, j), order="F"), plan=np.empty((n, j), order="F"),
+                   wide=np.empty((n, d), order="F"))
 
 
 @dataclass
@@ -132,8 +146,9 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig,
     """
     # Without `out`, each array is allocated where it is built, as `otclu
     # cluster` runs it: allocating StepBuffers.empty up front instead raised
-    # a steady request's minor page faults from a median of 0 to 1,570 and
-    # its median latency from 44 to 49-58 ms (2-vCPU Linux VM, glibc).
+    # a request's minor page faults from a median of 19 to about 1,830 and
+    # its median latency from 34-38 to 39-41 ms (the benchmark's
+    # cluster-files requests at seed 5, 2-vCPU Linux VM, glibc).
     buffers = StepBuffers() if out is None else out
     trace = buffers.trace = enc.forward(params, cloud.points, out=buffers.trace)
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)

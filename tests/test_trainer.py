@@ -8,7 +8,7 @@ import pytest
 from otclu import cloud as pc
 from otclu import encoder as enc
 from otclu import trainer
-from otclu.clustering import (SolverConfig, assign_soft_labels, compute_cost,
+from otclu.clustering import (SolverConfig, _prefix, assign_soft_labels, compute_cost,
                               compute_prototypes, prototypes_backward, sinkhorn)
 from otclu.errors import ConfigError, NumericalError
 from otclu.losses import soft_ce_loss, total_loss
@@ -497,8 +497,9 @@ def step_inputs(rng, num_clusters=5):
 
 
 def stale(*shapes):
-    """NaN-filled arrays to hand in as `out`: a read before a write shows."""
-    return tuple(np.full(shape, np.nan) for shape in shapes)
+    """NaN-filled arrays to hand in as `out`: a read before a write shows.
+    They are column-major, the layout `StepBuffers.empty` makes."""
+    return tuple(np.full(shape, np.nan, order="F") for shape in shapes)
 
 
 def out_calls(rng, num_clusters):
@@ -540,6 +541,24 @@ def test_out_buffers_change_no_result_bit(rng, num_clusters):
             got = replace(got, buffers=None)
         assert leaves(got) == leaves(ref), fn.__name__
         assert not any(np.isnan(a).any() for a in reachable_arrays(spent)), fn.__name__
+
+
+def test_step_arrays_are_column_major(rng):
+    # Every (N, k) float array of a step is column-major (see StepBuffers):
+    # the step buffers, and the arrays the step functions build when handed
+    # no `out`, from a C-ordered cost too; the prototype chain's scratch is
+    # a view of the (N, d) buffer while d >= J, not a copy.
+    config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
+        step_inputs(rng)
+    buffers = StepBuffers.empty(64, config.encoder)
+    arrays = [buffers.cost, buffers.plan, buffers.wide, *trace.acts, trace.scores, cost,
+              plan.matrix, sinkhorn(np.ascontiguousarray(cost), config.solver.epsilon).matrix,
+              e_step(state.params, cloud, config.solver).gamma, d_scores,
+              *prototypes_backward(trace.inputs, trace.features, trace.scores, protos,
+                                   d_geo, d_feat)]
+    assert all(a.ndim == 2 and a.flags.f_contiguous for a in arrays)
+    lent = _prefix(buffers.wide, cost.shape)
+    assert lent.flags.f_contiguous and np.shares_memory(lent, buffers.wide)
 
 
 def test_no_step_function_writes_its_arguments(rng):
