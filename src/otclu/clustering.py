@@ -17,7 +17,6 @@ only read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,14 +232,13 @@ def _scale(d: np.ndarray, epsilon: float, iters: int, tol: float,
     return TransportPlan(matrix=plan, iterations=iterations, potential=psi)
 
 
-def assign_soft_labels(plan: TransportPlan, n: int, out: np.ndarray | None = None
-                       ) -> np.ndarray:
+def assign_soft_labels(plan: TransportPlan, out: np.ndarray | None = None) -> np.ndarray:
     """Scale a transport plan to per-point distributions: labels (N, J) = N * plan.
 
     The labels are built in `out` when given, which may be the plan's own
     matrix once nothing reads the plan again.
     """
-    return np.multiply(float(n), plan.matrix, out=out)
+    return np.multiply(float(plan.matrix.shape[0]), plan.matrix, out=out)
 
 
 def assign_l2_labels(cost, temperature: float) -> np.ndarray:
@@ -270,7 +268,7 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     gradient to every feature equally and none to the scores.
 
     `out` is an (N, J) and an (N, d) array to overwrite, in which the score
-    and feature gradients are built; while d >= J, the first N*J entries of
+    and feature gradients are built; while d >= J, the first J columns of
     the second hold the feature term of the score gradient before that.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -287,8 +285,10 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     if features_out is None:
         features_out = np.empty(features.shape, order="F")
     proto_dot = (protos.geo * d_geo).sum(axis=1) + (protos.feat * d_feat).sum(axis=1)
+    j = d_geo.shape[0]
+    term = features_out[:, :j] if features_out.shape[1] >= j else np.empty((n, j), order="F")
     d_scores = np.matmul(points, d_geo.T, out=scores_out)
-    d_scores += np.matmul(features, d_feat.T, out=_prefix(features_out, d_scores.shape))
+    d_scores += np.matmul(features, d_feat.T, out=term)
     d_scores -= proto_dot[None, :]
     d_scores /= safe[None, :]
     per_weight = d_feat / safe[:, None]
@@ -299,13 +299,3 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     d_features = np.matmul(scores, per_weight, out=features_out)
     d_features += d_feat[empty].sum(axis=0) / n
     return d_scores, d_features
-
-
-def _prefix(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """The first entries of the column-major `buffer` viewed as a column-major
-    `shape`, or a fresh column-major array when `buffer` is smaller. Both
-    reshapes are in F order: `reshape(-1)` would copy the buffer."""
-    size = math.prod(shape)
-    if buffer.size < size:
-        return np.empty(shape, order="F")
-    return buffer.reshape(-1, order="F")[:size].reshape(shape, order="F")

@@ -16,9 +16,11 @@ of every (N, k) array, buffered or fresh).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -225,6 +227,9 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
     config's architecture, then the raw little-endian tensor bytes in table
     order. Params whose tensor names or shapes differ from those their
     architecture implies raise CheckpointError and nothing is written.
+
+    The file is written as `<path>.tmp` and then renamed over `path`, so a
+    write that fails leaves any earlier file at `path` whole and no `.tmp`.
     """
     table = _tensor_table(params.config)
     shapes = {name: list(np.shape(arr)) for name, arr in params.tensors.items()}
@@ -240,12 +245,19 @@ def save_checkpoint(params: EncoderParams, path, meta: dict | None = None) -> No
         "tensors": table,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for entry in table:
-            fh.write(np.asarray(params.tensors[entry["name"]], dtype="<f8").tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for entry in table:
+                fh.write(np.asarray(params.tensors[entry["name"]], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # tmp may not exist, or be a directory
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:

@@ -2,8 +2,8 @@
 
 The primary objective is the cross-entropy between the transport-derived
 soft labels (treated as constants) and the predicted score matrix. A small
-orthogonality penalty on the normalized prototypes keeps clusters from
-collapsing onto a single centroid.
+orthogonality penalty on the normalized prototypes, weighted by the constant
+`ORTH_WEIGHT`, keeps clusters from collapsing onto a single centroid.
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: `soft_ce_loss` and `total_loss` build the log buffer,
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Prototypes
-from .errors import NumericalError, ShapeError, check_real
+from .errors import NumericalError, ShapeError
 
 ZERO_NORM_EPS = 1e-12
+ORTH_WEIGHT = 0.01  # the orthogonality penalty's weight in the total loss
 
 
 @dataclass
@@ -84,18 +85,16 @@ def orth_loss(protos: Prototypes) -> tuple[float, np.ndarray, np.ndarray]:
     return loss_geo + loss_feat, d_geo, d_feat
 
 
-def total_loss(gamma, scores: np.ndarray, protos: Prototypes, eta: float = 0.01,
-               out: np.ndarray | None = None
+def total_loss(gamma, scores: np.ndarray, protos: Prototypes, out: np.ndarray | None = None
                ) -> tuple[LossReport, np.ndarray, np.ndarray, np.ndarray]:
-    """Combined objective l_soft + eta * l_orth with upstream gradients.
+    """Combined objective l_soft + ORTH_WEIGHT * l_orth with upstream gradients.
 
     Returns (report, dL/dS, dL/dC_geo, dL/dC_feat); the prototype gradients
-    are already scaled by eta and still need chaining through the weighted
-    centroids to reach scores and features (the trainer does that). dL/dS
-    is built in `out` when given (see `soft_ce_loss`).
+    are already scaled by ORTH_WEIGHT and still need chaining through the
+    weighted centroids to reach scores and features (the trainer does that).
+    dL/dS is built in `out` when given (see `soft_ce_loss`).
     """
-    check_real("eta", eta, 0.0)
     l_soft, d_scores = soft_ce_loss(gamma, scores, out=out)
     l_orth, d_geo, d_feat = orth_loss(protos)
-    report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + eta * l_orth)
-    return report, d_scores, eta * d_geo, eta * d_feat
+    report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + ORTH_WEIGHT * l_orth)
+    return report, d_scores, ORTH_WEIGHT * d_geo, ORTH_WEIGHT * d_feat

@@ -10,8 +10,6 @@ from the batch-mean gradient. Learning rate follows a step-decay schedule.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +34,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.001
     seed: int = 0
-    eta: float = 0.01
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
     solver: SolverConfig = field(default_factory=SolverConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -46,7 +43,6 @@ class TrainConfig:
                               ("checkpoint_every", 0)):
             check_int(name, getattr(self, name), minimum)
         check_real("lr", self.lr, 0.0, strict=True)
-        check_real("eta", self.eta, 0.0)
         if self.solver.num_clusters != self.encoder.num_clusters:
             raise ConfigError(f"solver.num_clusters {self.solver.num_clusters} differs from "
                               f"encoder.num_clusters {self.encoder.num_clusters}")
@@ -70,8 +66,8 @@ class StepBuffers:
       plan and the labels (`clustering.sinkhorn`, `assign_soft_labels`);
       then the prototype chain's score gradient
       (`clustering.prototypes_backward`); then the backward's d_logits.
-    - wide (N, d): the prototype chain's feature gradient, whose first N*J
-      entries first hold the feature term of its score gradient (while
+    - wide (N, d): the prototype chain's feature gradient, whose first J
+      columns first hold the feature term of its score gradient (while
       d >= J; otherwise that term gets a fresh array).
 
     The kernel is never built in `cost`: Sinkhorn's cold restart and its
@@ -158,7 +154,7 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig,
                     potential=potential, out=buffers.plan)
     del cost
     residual = plan.marginal_residual()  # before the labels overwrite the plan
-    gamma = assign_soft_labels(plan, trace.scores.shape[0], out=buffers.plan)
+    gamma = assign_soft_labels(plan, out=buffers.plan)
     return EStepResult(trace=trace, protos=protos, gamma=gamma, marginal_residual=residual,
                        iterations=plan.iterations, potential=plan.potential, buffers=out)
 
@@ -172,7 +168,7 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
     """
     out = StepBuffers() if result.buffers is None else result.buffers
     report, d_scores, d_geo, d_feat = total_loss(
-        result.gamma, result.trace.scores, result.protos, eta=state.config.eta, out=out.cost)
+        result.gamma, result.trace.scores, result.protos, out=out.cost)
     if not np.isfinite(report.l_total):
         raise NumericalError(
             f"non-finite loss at step {state.step}, epoch {state.epoch}: "
@@ -286,18 +282,8 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
 
 
 def _write_checkpoint(state: TrainState, directory, filename: str,
-                      meta: dict | None) -> Path:
+                      meta: dict | None) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    target = directory / filename
-    tmp = directory / (filename + ".tmp")
-    full_meta = dict(meta or {})
-    full_meta.update({"epoch": state.epoch, "step": state.step})
-    try:
-        enc.save_checkpoint(state.params, tmp, meta=full_meta)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):  # tmp may not exist, or be a directory
-            tmp.unlink()
-        raise
-    return target
+    enc.save_checkpoint(state.params, directory / filename,
+                        meta={**(meta or {}), "epoch": state.epoch, "step": state.step})

@@ -117,12 +117,11 @@ def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8)
                                 out=StepBuffers.empty(n, config.encoder))
 
 
-def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma,
-                         eta: float) -> float:
+def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma) -> float:
     """L_tot as a function of the parameters with labels held constant."""
     trace = enc.forward(params, points)
     protos = compute_prototypes(points, trace.features, trace.scores)
-    report, _, _, _ = total_loss(gamma, trace.scores, protos, eta=eta)
+    report, _, _, _ = total_loss(gamma, trace.scores, protos)
     return report.l_total
 
 
@@ -176,8 +175,7 @@ def check_gradients() -> tuple[bool, str]:
     params = state.params
 
     def closure(tensors):
-        return total_loss_of_params(enc.EncoderParams(params.config, tensors), cloud.points,
-                                    gamma, eta=state.config.eta)
+        return total_loss_of_params(enc.EncoderParams(params.config, tensors), cloud.points, gamma)
 
     report = oracle.grad_check(closure, params.tensors, grads, h=1e-5, rel_tol=1e-4)
     return report.passed, f"max rel error {report.max_rel_error:.2e} (<1e-4) at {report.worst_param}"
@@ -227,7 +225,7 @@ def check_learning_signal() -> tuple[bool, str]:
     rng = np.random.default_rng(606)
     clouds = [pc.normalize(blob_cloud(rng, 8, 32, radius=0.06)[0]) for _ in range(64)]
     config = TrainConfig(
-        epochs=20, batch_size=32, lr=0.01, seed=17, eta=0.01,
+        epochs=20, batch_size=32, lr=0.01, seed=17,
         solver=SolverConfig(num_clusters=8, epsilon=2e-3),
         encoder=enc.EncoderConfig(hidden_sizes=(32,), feature_dim=32, num_clusters=8),
     )
@@ -251,7 +249,7 @@ def check_ablation_mechanics() -> tuple[bool, str]:
     d[:, 0] = rng.uniform(0.0, 0.02, size=n)
     l2 = assign_l2_labels(d, temperature=1e-3)
     plans = [sinkhorn(d, 1e-3, iters=200_000, tol=CONVERGED_TOL)]
-    ot = assign_soft_labels(plans[0], n)
+    ot = assign_soft_labels(plans[0])
     l2_dev = np.abs(l2.sum(axis=0) - n / m).max() / n
     ot_dev = np.abs(ot.sum(axis=0) - n / m).max() / n
     part_a = l2_dev > 10 * 1e-6 and ot_dev < 1e-5
@@ -273,7 +271,7 @@ def check_ablation_mechanics() -> tuple[bool, str]:
         plan = sinkhorn(compute_cost(points, feats, protos, lam), 1e-3, iters=200_000,
                         tol=CONVERGED_TOL)
         plans.append(plan)
-        purities[lam] = purity(assign_soft_labels(plan, 2 * per_half).argmax(axis=1), membership)
+        purities[lam] = purity(assign_soft_labels(plan).argmax(axis=1), membership)
     part_b = purities[0.0] < 0.6 and purities[0.5] >= 0.99
 
     return part_a and part_b, (

@@ -150,13 +150,15 @@ class TestPretrainCommand:
                          ({"encoder": {"global_context": True}}, "global_context"),
                          ({"data": {"points": 24}}, "points"),
                          ({"model": {}}, "model"),
-                         # the optimizer, the schedule and normalization are fixed
+                         # the optimizer, the schedule, the orthogonality weight and
+                         # normalization are fixed
                          ({"train": {"beta1": 0.9}}, "beta1"),
                          ({"train": {"beta2": 0.999}}, "beta2"),
                          ({"train": {"adam_eps": 1e-8}}, "adam_eps"),
                          ({"train": {"weight_decay": 0.01}}, "weight_decay"),
                          ({"train": {"lr_decay": 0.7}}, "lr_decay"),
                          ({"train": {"decay_every": 20}}, "decay_every"),
+                         ({"train": {"eta": 0.01}}, "eta"),
                          ({"data": {"normalize": True}}, "normalize")):
             config.write_text(json.dumps(raw))
             assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
@@ -165,8 +167,7 @@ class TestPretrainCommand:
     def test_every_resolved_key_round_trips(self, tmp_path):
         # one value per key, none of them its default
         written = {
-            "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "seed": 4, "eta": 0.02,
-                      "checkpoint_every": 2},
+            "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "seed": 4, "checkpoint_every": 2},
             "solver": {"epsilon": 0.002, "iters": 50, "tol": 1e-5, "lambda": 0.25,
                        "num_clusters": 5},
             "encoder": {"hidden_sizes": [7, 9], "feature_dim": 6, "num_clusters": 5},
@@ -193,8 +194,7 @@ class TestPretrainCommand:
                               ("solver", {"num_clusters": 2.5}),
                               ("encoder", {"feature_dim": 2.5}),
                               ("encoder", {"num_clusters": 3}),
-                              ("train", {"lr": float("nan")}), ("train", {"lr": float("inf")}),
-                              ("train", {"eta": float("inf")})):
+                              ("train", {"lr": float("nan")}), ("train", {"lr": float("inf")})):
             config = write_config(tmp_path / "config.json", **{section: keys})
             code = cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")])
             assert code == 2, (section, keys)

@@ -283,17 +283,17 @@ class TestSinkhorn:
 class TestAssignLabels:
     def test_uniform_plan_scales(self):
         plan = sinkhorn(np.full((4, 2), 1.0), 1e-3, iters=5)
-        gamma = assign_soft_labels(plan, 4)
+        gamma = assign_soft_labels(plan)
         np.testing.assert_allclose(gamma, 0.5, atol=1e-12)
 
     def test_diagonal_plan_scales_to_identity(self):
         plan = sinkhorn(np.array([[0.0, 10.0], [10.0, 0.0]]), 1e-3, iters=20)
-        gamma = assign_soft_labels(plan, 2)
+        gamma = assign_soft_labels(plan)
         np.testing.assert_allclose(gamma, np.eye(2), atol=1e-9)
 
     def test_column_sums_hit_quota(self, rng):
         cost = rng.uniform(0, 0.01, size=(24, 4))
-        gamma = assign_soft_labels(sinkhorn(cost, 1e-3, iters=200, tol=1e-9), 24)
+        gamma = assign_soft_labels(sinkhorn(cost, 1e-3, iters=200, tol=1e-9))
         np.testing.assert_allclose(gamma.sum(axis=0), 6.0, atol=24 * 1e-6)
 
     def test_l2_dominant_entry(self):

@@ -415,3 +415,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"not written: tensor {name} "):
             save_checkpoint(params, path)
         assert not path.exists()
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        # The last tensor in table order cannot be converted, so the save
+        # raises after the header and the other tensors are written.
+        params = init_params(SMALL, seed=8)
+        path = tmp_path / "p.otck"
+        save_checkpoint(params, path)
+        before = path.read_bytes()
+        params.tensors["mlp1.w"] = np.full((6, 4), "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(params, path, meta={"note": "second"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.otck"]

@@ -6,7 +6,7 @@ import pytest
 
 from otclu.clustering import Prototypes
 from otclu.errors import NumericalError, ShapeError
-from otclu.losses import orth_loss, soft_ce_loss, total_loss
+from otclu.losses import ORTH_WEIGHT, orth_loss, soft_ce_loss, total_loss
 from otclu.oracle import grad_check
 
 
@@ -128,36 +128,22 @@ class TestOrthLoss:
 
 
 class TestTotalLoss:
-    def test_eta_zero_reduces_to_soft(self, rng):
-        gamma = rng.dirichlet(np.ones(3), size=5)
-        scores = rng.dirichlet(np.ones(3), size=5)
-        protos = Prototypes(geo=rng.normal(size=(3, 3)), feat=rng.normal(size=(3, 4)))
-        report, _, d_geo, d_feat = total_loss(gamma, scores, protos, eta=0.0)
-        assert report.l_total == report.l_soft
-        assert not d_geo.any() and not d_feat.any()
-
     def test_orthonormal_prototypes_reduce_to_soft(self, rng):
         gamma = rng.dirichlet(np.ones(3), size=5)
         scores = rng.dirichlet(np.ones(3), size=5)
         protos = Prototypes(geo=np.eye(3), feat=np.eye(4)[:3])
-        report, _, _, _ = total_loss(gamma, scores, protos, eta=0.01)
+        report, _, _, _ = total_loss(gamma, scores, protos)
         assert report.l_total == report.l_soft
 
     def test_components_recomputed_independently(self, rng):
         gamma = rng.dirichlet(np.ones(4), size=6)
         scores = rng.dirichlet(np.ones(4), size=6)
         protos = Prototypes(geo=rng.normal(size=(4, 3)), feat=rng.normal(size=(4, 5)))
-        eta = 0.01
-        report, d_s, d_geo, d_feat = total_loss(gamma, scores, protos, eta=eta)
+        report, d_s, d_geo, d_feat = total_loss(gamma, scores, protos)
         l_soft, d_s_ref = soft_ce_loss(gamma, scores)
         l_orth, d_geo_ref, d_feat_ref = orth_loss(protos)
-        assert report.l_total == pytest.approx(l_soft + eta * l_orth, abs=1e-12)
-        assert report.l_total == report.l_soft + eta * report.l_orth
+        assert report.l_total == pytest.approx(l_soft + ORTH_WEIGHT * l_orth, abs=1e-12)
+        assert report.l_total == report.l_soft + ORTH_WEIGHT * report.l_orth
         np.testing.assert_array_equal(d_s, d_s_ref)
-        np.testing.assert_allclose(d_geo, eta * d_geo_ref, atol=1e-15)
-        np.testing.assert_allclose(d_feat, eta * d_feat_ref, atol=1e-15)
-
-    def test_negative_eta_rejected(self, rng):
-        protos = Prototypes(geo=np.eye(3), feat=np.eye(3))
-        with pytest.raises(ValueError):
-            total_loss(np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3), protos, eta=-0.1)
+        np.testing.assert_allclose(d_geo, ORTH_WEIGHT * d_geo_ref, atol=1e-15)
+        np.testing.assert_allclose(d_feat, ORTH_WEIGHT * d_feat_ref, atol=1e-15)

@@ -7,8 +7,8 @@ import pytest
 
 from otclu import cloud as pc
 from otclu import encoder as enc
-from otclu import trainer
-from otclu.clustering import (SolverConfig, _prefix, assign_soft_labels, compute_cost,
+from otclu import losses, trainer
+from otclu.clustering import (SolverConfig, assign_soft_labels, compute_cost,
                               compute_prototypes, prototypes_backward, sinkhorn)
 from otclu.errors import ConfigError, NumericalError
 from otclu.losses import soft_ce_loss, total_loss
@@ -22,7 +22,7 @@ from conftest import two_blob_points
 
 def toy_config(num_clusters=2, epsilon=2e-3, **overrides):
     defaults = dict(
-        epochs=2, batch_size=4, lr=0.01, seed=21, eta=0.01,
+        epochs=2, batch_size=4, lr=0.01, seed=21,
         solver=SolverConfig(num_clusters=num_clusters, epsilon=epsilon),
         encoder=enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8,
                                   num_clusters=num_clusters),
@@ -92,11 +92,13 @@ class TestEStep:
 
 
 class TestMStep:
-    def test_critical_point_leaves_only_weight_decay(self, rng):
+    def test_critical_point_leaves_only_weight_decay(self, rng, monkeypatch):
         # A zeroed head gives exactly uniform scores (J and N powers of
-        # two), so gamma == scores with eta 0 makes every gradient exactly
-        # zero and the update reduces to the decoupled decay term.
-        config = toy_config(eta=0.0)
+        # two), so gamma == scores with the orthogonality penalty off makes
+        # every gradient exactly zero and the update reduces to the
+        # decoupled decay term.
+        monkeypatch.setattr(losses, "ORTH_WEIGHT", 0.0)
+        config = toy_config()
         state = TrainState.initial(config)
         state.lr = config.lr
         state.params.tensors["head.w"][:] = 0.0
@@ -227,10 +229,9 @@ class TestSchedule:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError, match="num_clusters"):
             TrainConfig(solver=SolverConfig(num_clusters=8))
-        for name, value in (("lr", float("nan")), ("lr", float("inf")),
-                            ("eta", float("inf")), ("eta", -0.1)):
-            with pytest.raises(ConfigError, match=name):
-                TrainConfig(**{name: value})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="lr"):
+                TrainConfig(lr=value)
 
 
 class TestPretrain:
@@ -490,7 +491,7 @@ def step_inputs(rng, num_clusters=5):
     protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
     cost = compute_cost(trace.inputs, trace.features, protos, config.solver.lam)
     plan = sinkhorn(cost, config.solver.epsilon)
-    gamma = assign_soft_labels(plan, 64)
+    gamma = assign_soft_labels(plan)
     psi = plan.potential + rng.normal(scale=config.solver.epsilon, size=plan.potential.shape)
     _, d_scores, d_geo, d_feat = total_loss(gamma, trace.scores, protos)
     return config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat
@@ -516,7 +517,7 @@ def out_calls(rng, num_clusters):
          {"out": stale(nj, nj)}),
         (sinkhorn, (cost, solver.epsilon), {"out": stale(nj)[0]}),
         (sinkhorn, (cost, solver.epsilon, solver.iters, solver.tol, psi), {"out": stale(nj)[0]}),
-        (assign_soft_labels, (plan, 64), {"out": stale(nj)[0]}),
+        (assign_soft_labels, (plan,), {"out": stale(nj)[0]}),
         (soft_ce_loss, (gamma, trace.scores), {"out": stale(nj)[0]}),
         (total_loss, (gamma, trace.scores, protos), {"out": stale(nj)[0]}),
         (prototypes_backward, (trace.inputs, trace.features, trace.scores, protos, d_geo,
@@ -546,8 +547,8 @@ def test_out_buffers_change_no_result_bit(rng, num_clusters):
 def test_step_arrays_are_column_major(rng):
     # Every (N, k) float array of a step is column-major (see StepBuffers):
     # the step buffers, and the arrays the step functions build when handed
-    # no `out`, from a C-ordered cost too; the prototype chain's scratch is
-    # a view of the (N, d) buffer while d >= J, not a copy.
+    # no `out`, from a C-ordered cost too; the prototype chain's scratch,
+    # the first J columns of the (N, d) buffer while d >= J, is column-major.
     config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
         step_inputs(rng)
     buffers = StepBuffers.empty(64, config.encoder)
@@ -557,7 +558,7 @@ def test_step_arrays_are_column_major(rng):
               *prototypes_backward(trace.inputs, trace.features, trace.scores, protos,
                                    d_geo, d_feat)]
     assert all(a.ndim == 2 and a.flags.f_contiguous for a in arrays)
-    lent = _prefix(buffers.wide, cost.shape)
+    lent = buffers.wide[:, :cost.shape[1]]
     assert lent.flags.f_contiguous and np.shares_memory(lent, buffers.wide)
 
 

@@ -20,11 +20,10 @@ class TestDefaults:
 
     def test_train_defaults(self):
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
-            "epochs", "batch_size", "lr", "seed", "eta", "checkpoint_every", "solver", "encoder"]
+            "epochs", "batch_size", "lr", "seed", "checkpoint_every", "solver", "encoder"]
         config = TrainConfig()
         assert config.batch_size == 32
         assert config.lr == 0.001
-        assert config.eta == 0.01
         assert (trainer.LR_DECAY, trainer.DECAY_EVERY) == (0.7, 20)
         assert trainer.WEIGHT_DECAY == 0.01
         assert (trainer.BETA1, trainer.BETA2, trainer.ADAM_EPS) == (0.9, 0.999, 1e-8)
