@@ -5,7 +5,8 @@ the 3D coordinates and one of the per-point features. Points are softly
 assigned to clusters by solving a transport problem whose marginals force
 every cluster to receive the same total mass (N/J points' worth), so no
 cluster can swallow the whole cloud. The plain softmax-over-distance
-assignment is kept as a baseline; it carries no such guarantee.
+assignment is kept as a baseline; it carries no such guarantee. Both read
+the cost only up to a constant per row (see `compute_cost`).
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: arrays handed in as `out` are overwritten, as each
@@ -103,37 +104,33 @@ def compute_prototypes(points: np.ndarray, features: np.ndarray,
     return Prototypes(geo=geo, feat=feat)
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Squared distances (N, J) as |x|^2 - 2 x.c + |c|^2, clamped at 0, built in `out`.
-
-    The clamp removes the small negative values cancellation can leave
-    where a point coincides with a center.
-    """
-    sq = np.matmul(x, centers.T, out=np.empty((x.shape[0], centers.shape[0]), order="F")
-                   if out is None else out)
-    sq *= -2.0
-    sq += np.einsum("ik,ik->i", x, x)[:, None]
-    sq += np.einsum("jk,jk->j", centers, centers)[None, :]
-    return np.maximum(sq, 0.0, out=sq)
-
-
 def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
                  lam: float, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Blend geometric and feature squared distances: lam*geo + (1-lam)*feat, (N, J).
+    """The blend lam*|x_i - c_j|^2 + (1-lam)*|f_i - c'_j|^2 up to per-row constants, (N, J).
+
+    Expanding each squared distance leaves the row norms lam*|x_i|^2 +
+    (1-lam)*|f_i|^2, one constant per row, which no consumer reads: the
+    Sinkhorn plan and the L2-softmax labels do not change when a row is
+    shifted, and a balanced hard assignment takes one entry per row. So
+    C = -2(1-lam) f.c'^T - 2 lam x.c^T + (lam|c|^2 + (1-lam)|c'|^2): two
+    GEMMs and a row vector, with no (N, J, d) difference tensor. Entries
+    may be negative.
 
     `out` is a pair of (N, J) arrays to overwrite: the cost is built in the
-    first and the feature term in the second.
+    first and the geometric product in the second.
     """
     check_real("lambda", lam, 0.0, 1.0)
     points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
-    cost_out, feat_out = (None, None) if out is None else out
-    d_geo = _sq_dists(points, protos.geo, cost_out)
-    d_feat = _sq_dists(features, protos.feat, feat_out)
-    d_geo *= lam
-    d_feat *= 1.0 - lam
-    d_geo += d_feat
-    return d_geo
+    cost_out, geo_out = (None, None) if out is None else out
+    n, j = features.shape[0], protos.feat.shape[0]
+    cost = np.matmul(features, (-2.0 * (1.0 - lam)) * protos.feat.T,
+                     out=np.empty((n, j), order="F") if cost_out is None else cost_out)
+    cost += np.matmul(points, (-2.0 * lam) * protos.geo.T,
+                      out=np.empty((n, j), order="F") if geo_out is None else geo_out)
+    cost += (lam * np.einsum("jk,jk->j", protos.geo, protos.geo)
+             + (1.0 - lam) * np.einsum("jk,jk->j", protos.feat, protos.feat))
+    return cost
 
 
 def _cost_matrix(cost) -> np.ndarray:
@@ -257,6 +254,7 @@ def assign_l2_labels(cost, temperature: float) -> np.ndarray:
 
 def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.ndarray,
                         protos: Prototypes, d_geo: np.ndarray, d_feat: np.ndarray,
+                        d_scores: np.ndarray,
                         out: tuple[np.ndarray, np.ndarray] | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Chain loss gradients at the prototypes back to scores and features.
@@ -264,38 +262,37 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     For a weighted centroid c_j = sum_i s_ij x_i / sum_i s_ij:
       dL/ds_ij += dL/dc_j . (x_i - c_j) / w_j
       dL/df_i  += s_ij * dL/dc_j / w_j          (feature prototypes only)
+    Returns the score gradient d_scores plus the first term, (N, J), and the
+    second term in factored form: a (J, d) matrix P whose product
+    scores @ P is the feature gradient (`encoder.backward` takes P so).
     Clusters that hit the empty-cluster fallback (mean of all inputs) pass
-    gradient to every feature equally and none to the scores.
+    gradient to every feature equally and none to the scores; that equal
+    share is a row added to every row of P, which is exact because score
+    rows sum to 1.
 
-    `out` is an (N, J) and an (N, d) array to overwrite, in which the score
-    and feature gradients are built; while d >= J, the first J columns of
-    the second hold the feature term of the score gradient before that.
+    `out` is a pair of (N, J) arrays to overwrite: the score gradient is
+    built in the first, which may be d_scores itself, and the second holds
+    each product before it is added.
     """
     points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    n = points.shape[0]
+    n, j = scores.shape
     weights = scores.sum(axis=0)
     empty = weights < EMPTY_CLUSTER_EPS
     safe = np.where(empty, 1.0, weights)
+    per_geo = d_geo / safe[:, None]
+    per_feat = d_feat / safe[:, None]
+    per_geo[empty] = 0.0
+    per_feat[empty] = 0.0
+    proto_dot = (protos.geo * per_geo).sum(axis=1) + (protos.feat * per_feat).sum(axis=1)
 
-    scores_out, features_out = (None, None) if out is None else out
-    if scores_out is None:
-        scores_out = np.empty((n, d_geo.shape[0]), order="F")
-    if features_out is None:
-        features_out = np.empty(features.shape, order="F")
-    proto_dot = (protos.geo * d_geo).sum(axis=1) + (protos.feat * d_feat).sum(axis=1)
-    j = d_geo.shape[0]
-    term = features_out[:, :j] if features_out.shape[1] >= j else np.empty((n, j), order="F")
-    d_scores = np.matmul(points, d_geo.T, out=scores_out)
-    d_scores += np.matmul(features, d_feat.T, out=term)
-    d_scores -= proto_dot[None, :]
-    d_scores /= safe[None, :]
-    per_weight = d_feat / safe[:, None]
-    if not empty.any():
-        return d_scores, np.matmul(scores, per_weight, out=features_out)
-    d_scores[:, empty] = 0.0
-    per_weight[empty] = 0.0
-    d_features = np.matmul(scores, per_weight, out=features_out)
-    d_features += d_feat[empty].sum(axis=0) / n
-    return d_scores, d_features
+    total, term = (None, None) if out is None else out
+    term = np.matmul(features, per_feat.T,
+                     out=np.empty((n, j), order="F") if term is None else term)
+    total = np.add(d_scores, term, out=total)
+    total += np.matmul(points, per_geo.T, out=term)
+    total -= proto_dot
+    if empty.any():
+        per_feat += d_feat[empty].sum(axis=0) / n
+    return total, per_feat

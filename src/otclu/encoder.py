@@ -4,7 +4,10 @@ The encoder is a weight-shared MLP applied to every point (PointNet-style).
 A linear head sees each point's feature next to the max-pooled global
 feature and produces per-cluster logits. Forward keeps what the analytic
 backward pass reads; no autodiff framework is involved, which keeps
-gradients exact and runs bit-reproducible.
+gradients exact and runs bit-reproducible. Backward takes the gradient at
+the features in factored form, scores @ P for a (J, d) matrix P, and
+carries it through the linear last layer and head without building an
+(N, d) array.
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: `forward` refills the arrays of an `out` trace, and
@@ -143,31 +146,48 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
 
 
 def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
-             d_features: np.ndarray, out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+             d_features_per_score: np.ndarray,
+             out: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
-    d_scores and d_features are the loss gradients at the score matrix and
-    the feature matrix. The max-pool subgradient routes each pooled
-    dimension's gradient to the argmax row recorded in the trace. The
-    pooled term of the logits is shared by every point, so its gradients
-    need only the column sums of d_logits.
+    d_scores (N, J) is the loss gradient at the score matrix. The gradient
+    at the feature matrix comes in factored form, as the (J, d) matrix
+    d_features_per_score P whose product trace.scores @ P it is (see
+    `clustering.prototypes_backward`). The max-pool subgradient routes each
+    pooled dimension's gradient to the argmax row recorded in the trace.
+    The pooled term of the logits is shared by every point, so its
+    gradients need only the column sums of d_logits.
+
+    The last MLP layer and the head are both linear, so no (N, d) array is
+    built: with `a` the last layer's input, W and b its weights and Wh the
+    head's point block, the gradient at the features is
+    d_logits Wh^T + scores P + (pool rows), and
+      dWh = W^T (a^T d_logits) + b (sum_i d_logits_i),
+      dW  = (a^T d_logits) Wh^T + (a^T scores) P + (pool rows),
+      the gradient at a = d_logits (W Wh)^T + scores (W P^T)^T + (pool rows).
 
     With `out`, an (N, J) array to overwrite that shares no memory with the
-    scores, d_scores or d_features, d_logits is built in `out` and `trace`
-    is spent: the feature gradient is built in its features and each lower
-    layer's gradient in `acts[i - 1]`, after the last read of that
-    activation.
+    scores, d_scores or P, d_logits is built in `out` and `trace` is spent,
+    so that no (N, k) array is allocated: the features, which are never
+    read, hold the gradient at `a`; the scores, after their last read,
+    hold d_logits (W Wh)^T a block of J columns at a time; and each hidden
+    activation, after its last read, becomes its own ReLU mask (1.0 or 0.0)
+    and then holds the gradient at the layer below. An array too narrow for
+    its role is replaced by a fresh one.
     """
     t = params.tensors
-    d = trace.features.shape[1]
+    n, d = trace.features.shape
+    j = trace.scores.shape[1]
     if d_scores.shape != trace.scores.shape:
         raise ShapeError(f"d_scores shape {d_scores.shape} != scores shape {trace.scores.shape}")
-    if d_features.shape != trace.features.shape:
-        raise ShapeError(f"d_features shape {d_features.shape} != features shape {trace.features.shape}")
+    p = d_features_per_score
+    if p.shape != (j, d):
+        raise ShapeError(f"d_features_per_score shape {p.shape} != (clusters, feature dim) "
+                         f"{(j, d)}")
     s = trace.scores
-    if out is not None and any(np.may_share_memory(out, a) for a in (s, d_scores, d_features)):
+    if out is not None and any(np.may_share_memory(out, a) for a in (s, d_scores, p)):
         raise ValueError("backward's out, the d_logits buffer, shares memory with the "
-                         "scores, d_scores or d_features it is built from")
+                         "scores, d_scores or d_features_per_score it is built from")
 
     # a fresh d_logits takes the layout of d_scores and s (see trainer.StepBuffers)
     d_logits = np.multiply(d_scores, s, out=out)
@@ -175,32 +195,53 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
     np.subtract(d_scores, row_dot, out=d_logits)
     d_logits *= s
     d_logits_sum = d_logits.sum(axis=0)
+
+    last = len(trace.acts) - 1
+    a = trace.inputs if last == 0 else trace.acts[last - 1]
+    w_last, b_last = t[f"mlp{last}.w"], t[f"mlp{last}.b"]
     w = t["head.w"]
+    w_point = w[:d]
+    pool_grad = w[d:] @ d_logits_sum  # (d,): lands on row pool_rows[k] of column k
+    a_d_logits = a.T @ d_logits
     d_head_w = np.empty_like(w)
-    np.matmul(trace.features.T, d_logits, out=d_head_w[:d])
+    np.matmul(w_last.T, a_d_logits, out=d_head_w[:d])
+    d_head_w[:d] += np.outer(b_last, d_logits_sum)
     np.outer(trace.pooled, d_logits_sum, out=d_head_w[d:])
-    grads = {"head.w": d_head_w, "head.b": d_logits_sum}
+    d_w_last = a_d_logits @ w_point.T
+    del a_d_logits
+    d_w_last += (a.T @ s) @ p
+    d_w_last += a[trace.pool_rows].T * pool_grad
+    grads = {"head.w": d_head_w, "head.b": d_logits_sum, f"mlp{last}.w": d_w_last,
+             f"mlp{last}.b": w_point @ d_logits_sum + s.sum(axis=0) @ p + pool_grad}
+    if last == 0:  # nothing reads the gradient at the input points
+        return grads
 
-    # trace.features has had its last read
-    d_z = np.matmul(d_logits, w[:d].T, out=np.empty(trace.features.shape, order="F")
-                    if out is None else trace.features)
-    del d_logits
-    d_z[trace.pool_rows, np.arange(d)] += w[d:] @ d_logits_sum
-    d_z += d_features
+    fresh = out is None
 
-    relu_mask = None
-    for i in reversed(range(len(trace.acts))):
-        if relu_mask is not None:
-            np.multiply(d_z, relu_mask, out=d_z)
+    def spent(buffer, width):
+        """An (N, width) array to overwrite: the first columns of a spent
+        buffer of the trace, or a fresh array without `out`."""
+        if fresh or buffer.shape[1] < width:
+            return np.empty((n, width), order="F")
+        return buffer[:, :width]
+
+    h = a.shape[1]
+    d_z = np.matmul(s, (w_last @ p.T).T, out=spent(trace.features, h))
+    np.add.at(d_z, trace.pool_rows, (w_last * pool_grad).T)
+    w_logits = w_last @ w_point
+    block = spent(s, min(j, h))
+    for c in range(0, h, j):
+        d_z[:, c:c + j] += np.matmul(d_logits, w_logits[c:c + j].T,
+                                     out=block[:, :min(j, h - c)])
+    for i in reversed(range(last)):
+        # acts[i] > 0 exactly where the ReLU's input was > 0
+        mask = np.greater(trace.acts[i], 0.0, out=None if fresh else trace.acts[i])
+        np.multiply(d_z, mask, out=d_z)
         below = trace.inputs if i == 0 else trace.acts[i - 1]
         grads[f"mlp{i}.w"] = below.T @ d_z
         grads[f"mlp{i}.b"] = d_z.sum(axis=0)
         if i > 0:  # nothing reads the gradient at the input points
-            # below > 0 exactly where the ReLU's input was > 0; with the mask
-            # taken, below has had its last read and may hold the next d_z
-            relu_mask = below > 0.0
-            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=np.empty(below.shape, order="F")
-                            if out is None else below)
+            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=spent(mask, below.shape[1]))
     return grads
 
 

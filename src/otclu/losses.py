@@ -9,8 +9,9 @@ Every function here fills buffers it owns and never writes its arguments,
 with one exception: `soft_ce_loss` and `total_loss` build the log buffer,
 and then dL/dS in its place, in an `out` array handed in to be overwritten
 (`trainer.StepBuffers` gives the plan of which buffer holds what in a
-training step, and the column-major layout of every (N, k) array; the
-arrays built here take the layout of the scores).
+training step, where dL/dS then gains the prototype chain's score
+gradient, and the column-major layout of every (N, k) array; the arrays
+built here take the layout of the scores).
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def total_loss(gamma, scores: np.ndarray, protos: Prototypes, out: np.ndarray | 
 
     Returns (report, dL/dS, dL/dC_geo, dL/dC_feat); the prototype gradients
     are already scaled by ORTH_WEIGHT and still need chaining through the
-    weighted centroids to reach scores and features (the trainer does that).
+    weighted centroids to reach scores and features:
+    `clustering.prototypes_backward` adds the score part to dL/dS and
+    returns the feature part as a (J, d) factor for `encoder.backward`.
     dL/dS is built in `out` when given (see `soft_ce_loss`).
     """
     l_soft, d_scores = soft_ce_loss(gamma, scores, out=out)

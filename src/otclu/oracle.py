@@ -169,7 +169,11 @@ def balanced_hard_assign(cost) -> np.ndarray:
     """Exact minimizer of sum_i cost[i, label[i]] with exactly N/J points per label.
 
     Exhaustive search over all balanced label vectors; ties resolve to the
-    lexicographically smallest label vector.
+    lexicographically smallest label vector. The search prunes a partial
+    sum that already reaches the best total, which is sound only while no
+    entry is negative, so it runs on the cost less its row minima: every
+    label vector takes one entry per row, so its total shifts by the same
+    constant and the minimizer is that of the cost as given.
     """
     cost = np.asarray(cost, dtype=np.float64)
     n, m = cost.shape
@@ -180,6 +184,7 @@ def balanced_hard_assign(cost) -> np.ndarray:
     if n % m != 0:
         raise DivisibilityError(f"{m} clusters do not divide {n} points evenly")
     quota = n // m
+    cost = cost - cost.min(axis=1, keepdims=True)
 
     best_cost = np.inf
     best: np.ndarray | None = None

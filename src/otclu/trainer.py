@@ -57,18 +57,22 @@ class StepBuffers:
     array's last read comes before its next write:
 
     - trace: the forward trace. `encoder.forward` refills its activations
-      and scores; `encoder.backward` builds the layers' gradients in its
-      activations.
+      and scores; `encoder.backward` then holds the gradient at the last
+      layer's input in the features, which it never reads, and a product
+      of d_logits in the scores; it turns each hidden activation into its
+      ReLU mask and then builds the gradient at the layer below in it
+      (each while wide enough; otherwise in a fresh array).
     - cost (N, J): the cost (`clustering.compute_cost`); then the loss's
       log buffer, which ends as dL/dS (`losses.total_loss`) and gains the
-      prototype chain's score gradient.
-    - plan (N, J): the cost's feature term; then the Sinkhorn kernel, the
-      plan and the labels (`clustering.sinkhorn`, `assign_soft_labels`);
-      then the prototype chain's score gradient
-      (`clustering.prototypes_backward`); then the backward's d_logits.
-    - wide (N, d): the prototype chain's feature gradient, whose first J
-      columns first hold the feature term of its score gradient (while
-      d >= J; otherwise that term gets a fresh array).
+      prototype chain's score gradient (`clustering.prototypes_backward`).
+    - plan (N, J): the cost's geometric product; then the Sinkhorn kernel,
+      the plan and the labels (`clustering.sinkhorn`,
+      `assign_soft_labels`); then each product of the prototype chain's
+      score gradient before it is added; then the backward's d_logits.
+
+    No buffer is (N, d) wide but the trace's: the prototype chain's
+    feature gradient stays in factored form, a (J, d) matrix that
+    `encoder.backward` takes.
 
     The kernel is never built in `cost`: Sinkhorn's cold restart and its
     non-finite-cost message read the cost again after the kernel is built.
@@ -89,14 +93,12 @@ class StepBuffers:
 
     cost: np.ndarray | None = None
     plan: np.ndarray | None = None
-    wide: np.ndarray | None = None
     trace: ForwardTrace | None = None
 
     @classmethod
     def empty(cls, n: int, config: EncoderConfig) -> "StepBuffers":
-        j, d = config.num_clusters, config.feature_dim
-        return cls(cost=np.empty((n, j), order="F"), plan=np.empty((n, j), order="F"),
-                   wide=np.empty((n, d), order="F"))
+        j = config.num_clusters
+        return cls(cost=np.empty((n, j), order="F"), plan=np.empty((n, j), order="F"))
 
 
 @dataclass
@@ -162,9 +164,9 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig,
 def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport, dict]:
     """The loss on one cloud's E-step labels and its exact parameter gradient.
 
-    A result built in `StepBuffers` is spent: the gradient's (N, J) and
-    (N, d) arrays are built in its buffers and its trace (see
-    `StepBuffers`). An unbuffered result is only read.
+    A result built in `StepBuffers` is spent: the gradient's (N, ·) arrays
+    are built in its buffers and its trace (see `StepBuffers`). An
+    unbuffered result is only read.
     """
     out = StepBuffers() if result.buffers is None else result.buffers
     report, d_scores, d_geo, d_feat = total_loss(
@@ -173,12 +175,11 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
         raise NumericalError(
             f"non-finite loss at step {state.step}, epoch {state.epoch}: "
             f"l_soft={report.l_soft} l_orth={report.l_orth}")
-    ds_proto, df_proto = prototypes_backward(
+    d_scores, d_features_per_score = prototypes_backward(
         result.trace.inputs, result.trace.features, result.trace.scores,
-        result.protos, d_geo, d_feat, out=(out.plan, out.wide))
-    d_scores += ds_proto
-    del ds_proto
-    return report, enc.backward(result.trace, state.params, d_scores, df_proto, out=out.plan)
+        result.protos, d_geo, d_feat, d_scores, out=(d_scores, out.plan))
+    return report, enc.backward(result.trace, state.params, d_scores, d_features_per_score,
+                                out=out.plan)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:

@@ -22,6 +22,11 @@ def paper_shape_inputs(seed=0):
     return points, trace.features, trace.scores, protos
 
 
+def row_shifted(cost):
+    """The cost less each row's minimum: what every consumer of it sees."""
+    return cost - cost.min(axis=1, keepdims=True)
+
+
 def broadcast_sq_dists(x, centers):
     """Squared distances through the (N, J, d) difference tensor."""
     diff = x[:, None, :] - centers[None, :, :]
@@ -74,20 +79,20 @@ class TestComputePrototypes:
 
 class TestComputeCost:
     def test_zero_distance(self, rng):
-        pts = np.array([[1.0, 2, 3]])
-        feats = np.array([[4.0, 5]])
-        protos = Prototypes(geo=pts.copy(), feat=feats.copy())
-        cost = compute_cost(pts, feats, protos, 0.5)
-        assert cost[0, 0] == 0.0
-
-        # |x|^2 ~ 1e6: the expanded form cancels to within rounding of
-        # |x|^2 and must be clamped so the cost is never below zero.
-        feats = rng.normal(size=(1, 128))
-        feats *= 1e3 / np.linalg.norm(feats)
-        pts = rng.normal(size=(1, 3))
-        protos = Prototypes(geo=pts.copy(), feat=feats.copy())
-        cost = compute_cost(pts, feats, protos, 0.5)
-        assert 0.0 <= cost[0, 0] <= 1e-9
+        # The cost is defined up to a constant per row. A point on prototype
+        # 0 is that row's minimum, and the other entry sits above it by the
+        # blended squared distance to prototype 1, also at |f|^2 ~ 1e6,
+        # where the expansion cancels to within rounding of |f|^2.
+        for scale, tol in ((1.0, 1e-12), (1e3, 1e-9)):
+            feats = rng.normal(size=(1, 128))
+            feats *= scale / np.linalg.norm(feats)
+            pts = rng.normal(size=(1, 3))
+            protos = Prototypes(geo=np.vstack([pts, pts + 0.5]),
+                                feat=np.vstack([feats, feats + 0.5]))
+            cost = compute_cost(pts, feats, protos, 0.5)
+            assert cost[0, 0] < cost[0, 1]
+            expected = 0.5 * 3 * 0.25 + 0.5 * 128 * 0.25
+            assert cost[0, 1] - cost[0, 0] == pytest.approx(expected, abs=tol)
 
     def test_pure_geometric_squared_norm(self):
         protos = Prototypes(geo=np.array([[3.0, 4, 0]]), feat=np.array([[100.0]]))
@@ -95,17 +100,20 @@ class TestComputeCost:
         assert cost[0, 0] == pytest.approx(25.0, abs=1e-12)
 
     def test_matches_double_loop(self, rng):
+        # Up to a constant per row: both sides less their row minima.
         pts = rng.normal(size=(5, 3))
         feats = rng.normal(size=(5, 4))
         protos = Prototypes(geo=rng.normal(size=(3, 3)), feat=rng.normal(size=(3, 4)))
         lam = 0.3
-        cost = compute_cost(pts, feats, protos, lam)
+        cost = row_shifted(compute_cost(pts, feats, protos, lam))
+        expected = np.array([[lam * sum((pts[i, k] - protos.geo[j, k]) ** 2 for k in range(3))
+                              + (1 - lam) * sum((feats[i, k] - protos.feat[j, k]) ** 2
+                                                for k in range(4))
+                              for j in range(3)] for i in range(5)])
+        shifted = row_shifted(expected)
         for i in range(5):
             for j in range(3):
-                expected = (lam * sum((pts[i, k] - protos.geo[j, k]) ** 2 for k in range(3))
-                            + (1 - lam) * sum((feats[i, k] - protos.feat[j, k]) ** 2
-                                              for k in range(4)))
-                assert cost[i, j] == pytest.approx(expected, abs=1e-12)
+                assert cost[i, j] == pytest.approx(shifted[i, j], abs=1e-12)
 
         # the paper's shape, against the broadcast-difference form
         points, feats, _, protos = paper_shape_inputs()
@@ -113,7 +121,8 @@ class TestComputeCost:
         expected = (lam * broadcast_sq_dists(points, protos.geo)
                     + (1 - lam) * broadcast_sq_dists(feats, protos.feat))
         assert cost.shape == (2048, 64)
-        assert np.abs(cost - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert (np.abs(row_shifted(cost) - row_shifted(expected)).max()
+                <= 1e-12 * np.abs(expected).max())
 
     def test_paper_shape_builds_no_difference_tensor(self):
         # An (N, J, d) float64 tensor at N=2048, J=64, d=128 is 134 MB.
@@ -183,8 +192,9 @@ class TestSinkhorn:
     def test_cost_shift_invariance(self, rng):
         cost = rng.uniform(0, 0.02, size=(10, 4))
         a = sinkhorn(cost, 1e-3, iters=50).matrix
-        b = sinkhorn(cost + 5.0, 1e-3, iters=50).matrix
-        assert np.abs(a - b).max() < 1e-9
+        for shift in (5.0, rng.normal(scale=5.0, size=(10, 1))):  # one, or one per row
+            b = sinkhorn(cost + shift, 1e-3, iters=50).matrix
+            assert np.abs(a - b).max() < 1e-9
 
     def test_non_finite_cost_is_named(self, rng):
         cost = rng.uniform(0, 0.5, size=(64, 8))
@@ -318,31 +328,45 @@ class TestAssignLabels:
 
 class TestPrototypesBackward:
     def test_matches_finite_differences(self, rng):
+        # Also with an empty cluster, whose prototype falls back to the mean:
+        # it passes gradient to every feature equally, through the row the
+        # factored feature gradient adds to P, and none to the scores.
         n, d, j = 7, 4, 3
-        pts = rng.normal(size=(n, 3))
-        feats = rng.normal(size=(n, d))
-        scores = rng.dirichlet(np.ones(j), size=n)
-        w_geo = rng.normal(size=(j, 3))
-        w_feat = rng.normal(size=(j, d))
+        for empty in (False, True):
+            pts = rng.normal(size=(n, 3))
+            feats = rng.normal(size=(n, d))
+            scores = rng.dirichlet(np.ones(j), size=n)
+            if empty:
+                scores[:, -1] = 0.0
+                scores /= scores.sum(axis=1, keepdims=True)
+            w_geo = rng.normal(size=(j, 3))
+            w_feat = rng.normal(size=(j, d))
 
-        def loss(scores_arr, feats_arr):
-            protos = compute_prototypes(pts, feats_arr, scores_arr)
-            return float((w_geo * protos.geo).sum() + (w_feat * protos.feat).sum())
+            def loss(scores_arr, feats_arr):
+                protos = compute_prototypes(pts, feats_arr, scores_arr)
+                return float((w_geo * protos.geo).sum() + (w_feat * protos.feat).sum())
 
-        protos = compute_prototypes(pts, feats, scores)
-        d_scores, d_feats = prototypes_backward(pts, feats, scores, protos, w_geo, w_feat)
+            protos = compute_prototypes(pts, feats, scores)
+            d_scores, p = prototypes_backward(pts, feats, scores, protos, w_geo, w_feat,
+                                              np.zeros((n, j)))
+            d_feats = scores @ p
 
-        h = 1e-6
-        for arr, grad in ((scores, d_scores), (feats, d_feats)):
-            for k in range(arr.size):
-                orig = arr.flat[k]
-                arr.flat[k] = orig + h
-                plus = loss(scores, feats)
-                arr.flat[k] = orig - h
-                minus = loss(scores, feats)
-                arr.flat[k] = orig
-                fd = (plus - minus) / (2 * h)
-                assert grad.flat[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
+            h = 1e-6
+            # a step off an empty column's zero weight would leave the fallback
+            score_entries = [k for k in range(n * j) if not (empty and k % j == j - 1)]
+            for arr, grad, entries in ((scores, d_scores, score_entries),
+                                       (feats, d_feats, range(n * d))):
+                for k in entries:
+                    orig = arr.flat[k]
+                    arr.flat[k] = orig + h
+                    plus = loss(scores, feats)
+                    arr.flat[k] = orig - h
+                    minus = loss(scores, feats)
+                    arr.flat[k] = orig
+                    fd = (plus - minus) / (2 * h)
+                    assert grad.flat[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
+            if empty:
+                assert not d_scores[:, -1].any()
 
     def test_empty_cluster_branch(self, rng):
         # Cluster 1 never receives score mass: its prototype is the plain
@@ -355,17 +379,20 @@ class TestPrototypesBackward:
         protos = compute_prototypes(pts, feats, scores)
         d_feat = np.zeros((2, d))
         d_feat[1] = [1.0, 2.0]
-        d_scores, d_feats = prototypes_backward(pts, feats, scores, protos,
-                                                np.zeros((2, 3)), d_feat)
+        d_scores, p = prototypes_backward(pts, feats, scores, protos,
+                                          np.zeros((2, 3)), d_feat, np.zeros((n, 2)))
         np.testing.assert_allclose(d_scores[:, 1], 0.0, atol=1e-15)
-        np.testing.assert_allclose(d_feats, np.tile([[0.2, 0.4]], (n, 1)), atol=1e-15)
+        np.testing.assert_allclose(scores @ p, np.tile([[0.2, 0.4]], (n, 1)), atol=1e-15)
 
     def test_matches_einsum_at_paper_shape(self):
+        # The chain's score gradient is added to the one handed in.
         points, feats, scores, protos = paper_shape_inputs()
         rng = np.random.default_rng(5)
         d_geo = rng.normal(size=protos.geo.shape)
         d_feat = rng.normal(size=protos.feat.shape)
-        d_scores, d_feats = prototypes_backward(points, feats, scores, protos, d_geo, d_feat)
+        upstream = np.asfortranarray(rng.normal(size=scores.shape))
+        d_scores, p = prototypes_backward(points, feats, scores, protos, d_geo, d_feat,
+                                          upstream)
 
         weights = scores.sum(axis=0)
         geo_term = (np.einsum("ik,jk->ij", points, d_geo)
@@ -374,5 +401,5 @@ class TestPrototypesBackward:
                      - np.einsum("jk,jk->j", protos.feat, d_feat)[None, :])
         ref_scores = (geo_term + feat_term) / weights[None, :]
         ref_feats = np.einsum("ij,jk->ik", scores, d_feat / weights[:, None])
-        for got, ref in ((d_scores, ref_scores), (d_feats, ref_feats)):
+        for got, ref in ((d_scores - upstream, ref_scores), (scores @ p, ref_feats)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

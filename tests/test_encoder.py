@@ -93,8 +93,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(7, 3)))
-        grads = backward(trace, params, np.zeros_like(trace.scores),
-                         np.zeros_like(trace.features))
+        grads = backward(trace, params, np.zeros_like(trace.scores), np.zeros((3, 4)))
         for name, g in grads.items():
             assert not np.asarray(g).any(), name
 
@@ -106,10 +105,10 @@ class TestBackward:
         params = init_params(cfg, seed=5)
         x = rng.normal(size=(1, 3))
         d_scores = rng.normal(size=(1, 2))
-        d_feats = rng.normal(size=(1, 1))
+        p = rng.normal(size=(2, 1))  # the feature gradient is scores @ p
 
         trace = forward(params, x)
-        grads = backward(trace, params, d_scores, d_feats)
+        grads = backward(trace, params, d_scores, p)
 
         w0 = params.tensors["mlp0.w"]          # (3, 1)
         wh = params.tensors["head.w"]          # (2, 2): point row, pooled row
@@ -120,7 +119,7 @@ class TestBackward:
         dz = s * (d_scores[0] - float(d_scores[0] @ s))
         d_wh = np.stack([f * dz, f * dz])
         d_bh = dz
-        df = float(dz @ (wh[0] + wh[1])) + float(d_feats.item())
+        df = float(dz @ (wh[0] + wh[1])) + float(s @ p[:, 0])
         d_w0 = x[0] * df
         d_b0 = df
 
@@ -131,21 +130,32 @@ class TestBackward:
         np.testing.assert_allclose(grads["mlp0.b"], [d_b0], atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
-        cfg = EncoderConfig(hidden_sizes=(5,), feature_dim=4, num_clusters=3)
-        params = init_params(cfg, seed=11)
-        x = rng.normal(size=(9, 3))
-        a = rng.normal(size=(9, 3))  # fixed weights on scores
-        b = rng.normal(size=(9, 4))  # fixed weights on features
+        # Also with no hidden layer, so the last layer's input is the points,
+        # and with every feature dimension pooled at one row: a point far
+        # out along positive weights is the argmax of each.
+        for hidden, shared in (((5,), False), ((), False), ((5,), True)):
+            cfg = EncoderConfig(hidden_sizes=hidden, feature_dim=4, num_clusters=3)
+            params = init_params(cfg, seed=11)
+            x = rng.normal(size=(9, 3))
+            if shared:
+                params.tensors["mlp0.w"] = np.abs(params.tensors["mlp0.w"])
+                params.tensors["mlp1.w"] = np.abs(params.tensors["mlp1.w"])
+                x[4] = np.abs(x[4]) + 3.0
+            a = rng.normal(size=(9, 3))  # fixed weights on scores
+            p = rng.normal(size=(3, 4))  # fixed feature gradient per score
 
-        trace = forward(params, x)
-        grads = backward(trace, params, a, b)
+            trace = forward(params, x)
+            assert (set(trace.pool_rows.tolist()) == {4}) == shared
+            b = trace.scores @ p  # fixed weights on features
+            grads = backward(trace, params, a, p)
 
-        def loss(tensors):
-            t = forward(EncoderParams(cfg, tensors), x)
-            return float((a * t.scores).sum() + (b * t.features).sum())
+            def loss(tensors):
+                t = forward(EncoderParams(cfg, tensors), x)
+                return float((a * t.scores).sum() + (b * t.features).sum())
 
-        report = grad_check(loss, params.tensors, grads, h=1e-5, rel_tol=1e-4)
-        assert report.passed, f"{report.worst_param}: {report.max_rel_error}"
+            report = grad_check(loss, params.tensors, grads, h=1e-5, rel_tol=1e-4)
+            assert report.passed, f"{hidden}, {shared}: {report.worst_param}: " \
+                                  f"{report.max_rel_error}"
 
     def test_maxpool_ties_route_to_lowest_row(self, rng):
         # Rows 0 and 1 tie at the pooled maximum; the pooled gradient must
@@ -165,7 +175,7 @@ class TestBackward:
         assert trace.pool_rows.tolist() == [0]
 
         d_scores = rng.normal(size=(3, 2))
-        grads = backward(trace, params, d_scores, np.zeros((3, 1)))
+        grads = backward(trace, params, d_scores, np.zeros((2, 1)))
 
         s = trace.scores
         dz = s * (d_scores - (d_scores * s).sum(axis=1, keepdims=True))
@@ -182,19 +192,22 @@ class TestBackward:
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(4, 3)))
         with pytest.raises(ShapeError):
-            backward(trace, params, np.zeros((4, 2)), np.zeros((4, 4)))
+            backward(trace, params, np.zeros((4, 2)), np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="d_features_per_score"):
+            backward(trace, params, np.zeros((4, 3)), np.zeros((4, 4)))
 
     def test_out_sharing_an_input_is_refused(self, rng):
-        # d_logits is built in `out` from the scores and d_scores, and
-        # d_features is read after it: an `out` over any of them would
-        # corrupt the gradient, so it is refused before anything is written.
+        # d_logits is built in `out` from the scores and d_scores, and the
+        # feature gradient's factor p is read after it: an `out` over any of
+        # them would corrupt the gradient, so it is refused before anything
+        # is written.
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(4, 3)))
-        d_scores, d_features = rng.normal(size=(4, 3)), rng.normal(size=(4, 4))
+        d_scores, p = rng.normal(size=(4, 3)), rng.normal(size=(3, 4))
         before = [a.copy() for a in trace_arrays(trace)]
-        for shared in (trace.scores, d_scores, d_features.reshape(-1)[:12].reshape(4, 3)):
+        for shared in (trace.scores, d_scores, p.reshape(-1).reshape(4, 3)):
             with pytest.raises(ValueError, match="shares memory"):
-                backward(trace, params, d_scores, d_features, out=shared)
+                backward(trace, params, d_scores, p, out=shared)
         assert_bytes_equal(trace_arrays(trace), before)
 
 
@@ -233,23 +246,26 @@ class TestPaperShapeHead:
     """N=2048 points, d=128 features, J=64 clusters: the paper's shape."""
 
     def test_rank1_head_matches_concatenated_input(self, rng):
-        params = init_params(EncoderConfig(), seed=4)
-        x = rng.uniform(-1.0, 1.0, size=(2048, 3))
-        d_scores = rng.normal(size=(2048, 64))
-        d_features = rng.normal(size=(2048, 128))
+        # Also with no hidden layer, where the last layer's input is the points.
+        for config in (EncoderConfig(), EncoderConfig(hidden_sizes=())):
+            params = init_params(config, seed=4)
+            x = rng.uniform(-1.0, 1.0, size=(2048, 3))
+            d_scores = rng.normal(size=(2048, 64))
+            p = rng.normal(size=(64, 128))
 
-        trace = forward(params, x)
-        grads = backward(trace, params, d_scores, d_features)
-        ref_scores, ref_grads = concatenated_head_reference(params, x, d_scores, d_features)
+            trace = forward(params, x)
+            grads = backward(trace, params, d_scores, p)
+            ref_scores, ref_grads = concatenated_head_reference(params, x, d_scores,
+                                                                trace.scores @ p)
 
-        def rel(a, b):
-            return np.abs(a - b).max() / np.abs(b).max()
+            def rel(a, b):
+                return np.abs(a - b).max() / np.abs(b).max()
 
-        assert rel(trace.scores, ref_scores) <= 1e-12
-        assert set(grads) == set(ref_grads)
-        for name, ref in ref_grads.items():
-            assert grads[name].shape == ref.shape, name
-            assert rel(grads[name], ref) <= 1e-12, name
+            assert rel(trace.scores, ref_scores) <= 1e-12
+            assert set(grads) == set(ref_grads)
+            for name, ref in ref_grads.items():
+                assert grads[name].shape == ref.shape, name
+                assert rel(grads[name], ref) <= 1e-12, name
 
     def test_forward_trace_memory(self, rng):
         params = init_params(EncoderConfig(), seed=4)
@@ -291,22 +307,27 @@ def tie_case(rng, n):
 class TestOutTrace:
     """A spent trace handed in as `out` is refilled with the default calls' bits."""
 
-    @pytest.mark.parametrize("case", ["paper", "tie"])
+    # paper: the last layer's second product lands in the spent features;
+    # narrow: a hidden layer wider than the features gets a fresh array
+    @pytest.mark.parametrize("case", ["paper", "tie", "narrow"])
     def test_out_equals_default(self, rng, case):
         if case == "paper":
             params = init_params(EncoderConfig(), seed=4)
             x, other = rng.uniform(-1.0, 1.0, size=(2, 2048, 3))
+        elif case == "narrow":
+            params = init_params(SMALL, seed=4)
+            x, other = rng.normal(size=(2, 50, 3))
         else:
             params, x = tie_case(rng, 64)
             _, other = tie_case(rng, 64)
             assert (x[:, 0] == x[:, 0].max()).sum() > 1
         n, d = x.shape[0], params.config.feature_dim
         d_scores = rng.normal(size=(n, params.config.num_clusters))
-        d_features = rng.normal(size=(n, d))
+        p = rng.normal(size=(params.config.num_clusters, d))
         d_logits = np.full(d_scores.shape, np.nan)
         # spent as in pretrain: another cloud's trace, overwritten by its backward
         spent = forward(params, other)
-        backward(spent, params, d_scores, d_features, out=d_logits)
+        backward(spent, params, d_scores, p, out=d_logits)
         buffers = [*spent.acts, spent.scores]
 
         ref = forward(params, x)
@@ -314,8 +335,8 @@ class TestOutTrace:
         assert_bytes_equal(trace_arrays(got), trace_arrays(ref))
         assert all(a is b for a, b in zip([*got.acts, got.scores], buffers))
 
-        ref_grads = backward(ref, params, d_scores, d_features)
-        got_grads = backward(got, params, d_scores, d_features, out=d_logits)
+        ref_grads = backward(ref, params, d_scores, p)
+        got_grads = backward(got, params, d_scores, p, out=d_logits)
         assert list(got_grads) == list(ref_grads)
         assert_bytes_equal(list(got_grads.values()), list(ref_grads.values()))
 

@@ -100,6 +100,15 @@ class TestBalancedHardAssign:
         permuted = balanced_hard_assign(cost[:, perm])
         np.testing.assert_array_equal(perm[permuted], base)
 
+    def test_row_constants_change_no_label(self, rng):
+        # A cost defined up to per-row constants, as compute_cost's is, may
+        # hold negative entries; the minimizer is that of the shifted cost.
+        for _ in range(20):
+            cost = rng.uniform(0, 1, size=(8, 4))
+            shifted = cost + rng.normal(-5.0, 3.0, size=(8, 1))
+            np.testing.assert_array_equal(balanced_hard_assign(shifted),
+                                          balanced_hard_assign(cost))
+
     def test_divisibility(self):
         with pytest.raises(DivisibilityError):
             balanced_hard_assign(np.zeros((5, 2)))

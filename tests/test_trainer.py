@@ -87,7 +87,7 @@ class TestEStep:
         with np.errstate(invalid="ignore", over="ignore"):
             column = enc.forward(params, cloud.points).features[:, 0]
             assert np.isnan(column).any() and not np.isnan(column).all()
-            with pytest.raises(NumericalError, match="non-finite"):
+            with pytest.raises(NumericalError, match="cost matrix has .* non-finite entries"):
                 e_step(params, cloud, config.solver)
 
 
@@ -417,8 +417,10 @@ class TestPretrain:
     @pytest.mark.parametrize("batch_size", [32, 1])
     def test_paper_shape_peak_memory(self, rng, batch_size):
         # Every (N, J) and (N, d) array of a step lives in the call's step
-        # buffers and trace. A step takes 12.1 MiB; the score gradient of the
-        # prototype chain, or the loss gradient, in a fresh array adds 1 MiB.
+        # buffers and trace, and the only (N, d) arrays are the trace's. A
+        # step takes 10.1 MiB; the score gradient of the prototype chain, or
+        # the loss gradient, in a fresh array adds 1 MiB, and an (N, d)
+        # feature gradient 2 MiB.
         clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(4)]
         config = TrainConfig(epochs=2, batch_size=batch_size)
         tracemalloc.start()
@@ -427,7 +429,7 @@ class TestPretrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert peak <= 10.75 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_epochs_after_the_first_allocate_no_step_array(self, rng):
         # Once the first epoch has made the step buffers, an epoch's peak
@@ -506,11 +508,11 @@ def stale(*shapes):
 def out_calls(rng, num_clusters):
     """(function, arguments, keywords, spent) of every step function that
     takes `out`, with NaN-filled buffers as `out`; `spent` is what the call
-    overwrites: its `out` and, for `encoder.backward`, the activations of
-    the trace it differentiates."""
+    overwrites: its `out` and, for `encoder.backward`, the activations and
+    scores of the trace it differentiates."""
     config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
         step_inputs(rng, num_clusters)
-    params, solver, nj, nd = state.params, config.solver, (64, num_clusters), (64, 8)
+    params, solver, nj, jd = state.params, config.solver, (64, num_clusters), (num_clusters, 8)
     own = enc.forward(params, cloud.points)  # a trace of its own for the backward to spend
     calls = [
         (compute_cost, (trace.inputs, trace.features, protos, solver.lam),
@@ -521,16 +523,17 @@ def out_calls(rng, num_clusters):
         (soft_ce_loss, (gamma, trace.scores), {"out": stale(nj)[0]}),
         (total_loss, (gamma, trace.scores, protos), {"out": stale(nj)[0]}),
         (prototypes_backward, (trace.inputs, trace.features, trace.scores, protos, d_geo,
-                               d_feat), {"out": stale(nj, nd)}),
-        (enc.backward, (own, params, d_scores, rng.normal(size=nd)), {"out": stale(nj)[0]}),
+                               d_feat, d_scores), {"out": stale(nj, nj)}),
+        (enc.backward, (own, params, d_scores, rng.normal(size=jd)), {"out": stale(nj)[0]}),
         (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj))}),
         (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj)), "potential": psi}),
     ]
-    return [(fn, args, kwargs, [kwargs["out"], *(own.acts if fn is enc.backward else [])])
+    return [(fn, args, kwargs, [kwargs["out"], *(own.acts + [own.scores]
+                                                  if fn is enc.backward else [])])
             for fn, args, kwargs in calls]
 
 
-@pytest.mark.parametrize("num_clusters", [5, 12])  # J = 12 > d = 8 lends no scratch
+@pytest.mark.parametrize("num_clusters", [5, 12])  # J below and above d = 8
 def test_out_buffers_change_no_result_bit(rng, num_clusters):
     # Given arrays to overwrite, each step function returns the bytes it
     # returns without them and builds its results in them.
@@ -547,19 +550,21 @@ def test_out_buffers_change_no_result_bit(rng, num_clusters):
 def test_step_arrays_are_column_major(rng):
     # Every (N, k) float array of a step is column-major (see StepBuffers):
     # the step buffers, and the arrays the step functions build when handed
-    # no `out`, from a C-ordered cost too; the prototype chain's scratch,
-    # the first J columns of the (N, d) buffer while d >= J, is column-major.
+    # no `out`, from a C-ordered cost too; the backward's scratch, the first
+    # columns of the spent features and scores, is column-major.
     config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
         step_inputs(rng)
     buffers = StepBuffers.empty(64, config.encoder)
-    arrays = [buffers.cost, buffers.plan, buffers.wide, *trace.acts, trace.scores, cost,
+    arrays = [buffers.cost, buffers.plan, *trace.acts, trace.scores, cost,
               plan.matrix, sinkhorn(np.ascontiguousarray(cost), config.solver.epsilon).matrix,
               e_step(state.params, cloud, config.solver).gamma, d_scores,
-              *prototypes_backward(trace.inputs, trace.features, trace.scores, protos,
-                                   d_geo, d_feat)]
+              prototypes_backward(trace.inputs, trace.features, trace.scores, protos,
+                                  d_geo, d_feat, d_scores)[0]]
     assert all(a.ndim == 2 and a.flags.f_contiguous for a in arrays)
-    lent = buffers.wide[:, :cost.shape[1]]
-    assert lent.flags.f_contiguous and np.shares_memory(lent, buffers.wide)
+    h, j = trace.acts[-2].shape[1], trace.scores.shape[1]
+    for buffer, width in ((trace.features, h), (trace.scores, min(j, h))):
+        lent = buffer[:, :width]
+        assert lent.flags.f_contiguous and np.shares_memory(lent, buffer)
 
 
 def test_no_step_function_writes_its_arguments(rng):
@@ -569,25 +574,26 @@ def test_no_step_function_writes_its_arguments(rng):
     config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
         step_inputs(rng)
     params = state.params
-    d_features = rng.normal(size=trace.features.shape)
+    p = rng.normal(size=(trace.scores.shape[1], trace.features.shape[1]))
     buffered = e_step(params, cloud, config.solver, out=StepBuffers.empty(64, config.encoder))
     out = buffered.buffers
     calls = [
         (enc.forward, params, cloud.points),
-        (enc.backward, trace, params, d_scores, d_features),
+        (enc.backward, trace, params, d_scores, p),
         (soft_ce_loss, gamma, trace.scores),
         (total_loss, gamma, trace.scores, protos),
         (compute_cost, trace.inputs, trace.features, protos, config.solver.lam),
         (sinkhorn, cost, config.solver.epsilon),
         (sinkhorn, cost, config.solver.epsilon, config.solver.iters, config.solver.tol, psi),
         (prototypes_backward, trace.inputs, trace.features, trace.scores, protos,
-         d_geo, d_feat),
+         d_geo, d_feat, d_scores),
         (e_step, params, cloud, config.solver),
         (e_step, params, cloud, config.solver, None, psi),
         (cloud_gradients, state, e_step(params, cloud, config.solver)),
     ]
     calls = [(fn, args, {}, []) for fn, *args in calls] + [
-        (cloud_gradients, (state, buffered), {}, [out.cost, out.plan, out.wide, *out.trace.acts]),
+        (cloud_gradients, (state, buffered), {},
+         [out.cost, out.plan, *out.trace.acts, out.trace.scores]),
     ] + out_calls(rng, 5)
     for fn, args, kwargs, spent in calls:
         spent_ids = {id(a) for a in reachable_arrays(spent)}
