@@ -179,13 +179,14 @@ def cmd_pretrain(args) -> int:
                   f"l_soft {metrics['l_soft']:.6f}  l_orth {metrics['l_orth']:.6f}  "
                   f"lr {metrics['lr']:.6g}")
 
-        pretrain(clouds, config, checkpoint_dir=out_dir,
-                 checkpoint_meta={"config_hash": digest, "solver": resolved["solver"]},
-                 on_epoch=on_epoch)
+        state = pretrain(clouds, config, on_epoch=on_epoch)
 
+    enc.save_checkpoint(state.params, out_dir / "checkpoint_final.otck",
+                        meta={"config_hash": digest, "solver": resolved["solver"],
+                              "epoch": state.epoch, "step": state.step})
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"done: checkpoints and metrics in {out_dir}")
+    print(f"done: checkpoint and metrics in {out_dir}")
     return EXIT_OK
 
 

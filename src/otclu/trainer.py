@@ -11,7 +11,6 @@ from the batch-mean gradient. Learning rate follows a step-decay schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -34,13 +33,11 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 0.001
     seed: int = 0
-    checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
     solver: SolverConfig = field(default_factory=SolverConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def __post_init__(self):
-        for name, minimum in (("epochs", 0), ("batch_size", 1), ("seed", 0),
-                              ("checkpoint_every", 0)):
+        for name, minimum in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             check_int(name, getattr(self, name), minimum)
         check_real("lr", self.lr, 0.0, strict=True)
         if self.solver.num_clusters != self.encoder.num_clusters:
@@ -116,7 +113,6 @@ class EStepResult:
 
 @dataclass
 class TrainState:
-    config: TrainConfig
     params: EncoderParams
     m: dict
     v: dict
@@ -128,8 +124,7 @@ class TrainState:
     @classmethod
     def initial(cls, config: TrainConfig) -> "TrainState":
         params = enc.init_params(config.encoder, config.seed)
-        return cls(config=config, params=params, m=params.zeros_like(),
-                   v=params.zeros_like(), lr=config.lr)
+        return cls(params=params, m=params.zeros_like(), v=params.zeros_like(), lr=config.lr)
 
 
 def e_step(params: EncoderParams, cloud, solver: SolverConfig,
@@ -202,8 +197,7 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     return config.lr * LR_DECAY ** (epoch // DECAY_EVERY)
 
 
-def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
-             checkpoint_meta: dict | None = None, on_epoch=None) -> TrainState:
+def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
     """Run the full EM loop over a dataset of prepared point clouds.
 
     Clouds are shuffled every epoch under the run seed. Each cloud of a
@@ -221,9 +215,8 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
     the labels differ from cold solves within the solver's `tol` and the
     history stays bit-reproducible for a fixed seed.
 
-    `on_epoch` is called with the metrics dict after each epoch. When
-    `checkpoint_dir` is set, checkpoints are written every
-    `config.checkpoint_every` epochs (if nonzero) and at the end.
+    `on_epoch` is called with the metrics dict after each epoch. The call
+    writes no files: the caller saves what it keeps of the returned state.
     """
     if not clouds:
         raise ValueError("pretrain needs at least one cloud")
@@ -272,19 +265,5 @@ def pretrain(clouds: list, config: TrainConfig, checkpoint_dir=None,
         state.history.append(metrics)
         if on_epoch is not None:
             on_epoch(metrics)
-        if checkpoint_dir is not None and config.checkpoint_every > 0 \
-                and (epoch + 1) % config.checkpoint_every == 0:
-            _write_checkpoint(state, checkpoint_dir,
-                              f"checkpoint_epoch{epoch:04d}.otck", checkpoint_meta)
 
-    if checkpoint_dir is not None:
-        _write_checkpoint(state, checkpoint_dir, "checkpoint_final.otck", checkpoint_meta)
     return state
-
-
-def _write_checkpoint(state: TrainState, directory, filename: str,
-                      meta: dict | None) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    enc.save_checkpoint(state.params, directory / filename,
-                        meta={**(meta or {}), "epoch": state.epoch, "step": state.step})

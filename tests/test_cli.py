@@ -14,7 +14,7 @@ from otclu.cloud import CLOUD_SUFFIXES, PointCloud, load_cloud
 from otclu.clustering import SolverConfig
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from otclu.errors import CheckpointError, ConfigError, NumericalError, ParseError, ShapeError
-from otclu.trainer import TrainConfig
+from otclu.trainer import TrainConfig, TrainState
 from otclu.verify import CheckResult
 
 from conftest import join_checkpoint, split_checkpoint, two_blob_points, with_tensors, write_cloud
@@ -81,6 +81,8 @@ class TestPretrainCommand:
         params, meta = load_checkpoint(out_dir / "checkpoint_final.otck")
         assert meta["config_hash"] == manifest["config_hash"]
         assert meta["solver"] == manifest["config"]["solver"]
+        # the last epoch of two, after two M-steps an epoch (6 clouds in batches of 4)
+        assert (meta["epoch"], meta["step"]) == (1, 2 * 2)
 
     def test_manifest_config_reloads_to_the_run_config(self, trained_run, tmp_path):
         out_dir, config_path = trained_run
@@ -106,7 +108,8 @@ class TestPretrainCommand:
         data.mkdir()
         write_cloud(rng.normal(size=(24, 3)) * 5 + 3, data / "a.xyz")
         seen = []
-        monkeypatch.setattr(cli, "pretrain", lambda clouds, *a, **k: seen.extend(clouds))
+        monkeypatch.setattr(cli, "pretrain", lambda clouds, config, **k:
+                            seen.extend(clouds) or TrainState.initial(config))
         config = write_config(tmp_path / "config.json")
         assert cli.main(["pretrain", str(config), str(data), str(tmp_path / "out")]) == 0
         [cloud] = seen
@@ -127,7 +130,8 @@ class TestPretrainCommand:
         (data / "sub.xyz").mkdir(parents=True)
         (data / "a.xyz").write_text("0 0 0\n1 1 1\n")
         seen = []
-        monkeypatch.setattr(cli, "pretrain", lambda clouds, *a, **k: seen.extend(clouds))
+        monkeypatch.setattr(cli, "pretrain", lambda clouds, config, **k:
+                            seen.extend(clouds) or TrainState.initial(config))
         config = write_config(tmp_path / "config.json")
         assert cli.main(["pretrain", str(config), str(data), str(tmp_path / "out")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -151,7 +155,7 @@ class TestPretrainCommand:
                          ({"data": {"points": 24}}, "points"),
                          ({"model": {}}, "model"),
                          # the optimizer, the schedule, the orthogonality weight and
-                         # normalization are fixed
+                         # normalization are fixed, and a run saves only its final checkpoint
                          ({"train": {"beta1": 0.9}}, "beta1"),
                          ({"train": {"beta2": 0.999}}, "beta2"),
                          ({"train": {"adam_eps": 1e-8}}, "adam_eps"),
@@ -159,6 +163,7 @@ class TestPretrainCommand:
                          ({"train": {"lr_decay": 0.7}}, "lr_decay"),
                          ({"train": {"decay_every": 20}}, "decay_every"),
                          ({"train": {"eta": 0.01}}, "eta"),
+                         ({"train": {"checkpoint_every": 2}}, "checkpoint_every"),
                          ({"data": {"normalize": True}}, "normalize")):
             config.write_text(json.dumps(raw))
             assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
@@ -167,7 +172,7 @@ class TestPretrainCommand:
     def test_every_resolved_key_round_trips(self, tmp_path):
         # one value per key, none of them its default
         written = {
-            "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "seed": 4, "checkpoint_every": 2},
+            "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "seed": 4},
             "solver": {"epsilon": 0.002, "iters": 50, "tol": 1e-5, "lambda": 0.25,
                        "num_clusters": 5},
             "encoder": {"hidden_sizes": [7, 9], "feature_dim": 6, "num_clusters": 5},
@@ -182,6 +187,13 @@ class TestPretrainCommand:
         path.write_text(json.dumps(written))
         assert cli.resolved_config_dict(*cli.load_config(path)) == written
 
+    def test_readme_defaults_block_loads_to_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Defaults shown:\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "defaults.json"
+        path.write_text(block)
+        assert cli.load_config(path) == (TrainConfig(), cli._DATA_DEFAULTS)
+
     def test_invalid_value_exits_2(self, tmp_path, blob_dataset, capsys):
         for section, keys in (("train", {"lr": -1.0}),
                               ("solver", {"tol": None}), ("solver", {"tol": -1e-6}),
@@ -190,7 +202,6 @@ class TestPretrainCommand:
                               ("data", {"num_points": True}), ("data", {"num_points": 0}),
                               ("train", {"seed": -1}), ("train", {"seed": 1.5}),
                               ("train", {"epochs": 2.5}), ("train", {"batch_size": 2.5}),
-                              ("train", {"checkpoint_every": "x"}),
                               ("solver", {"num_clusters": 2.5}),
                               ("encoder", {"feature_dim": 2.5}),
                               ("encoder", {"num_clusters": 3}),

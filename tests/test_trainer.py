@@ -254,24 +254,14 @@ class TestPretrain:
                                    "max_marginal_residual", "sinkhorn_iters_median",
                                    "sinkhorn_iters_max", "capped_solves"}
 
-    def test_bit_reproducible(self, rng, tmp_path):
+    def test_bit_reproducible(self, rng):
         config = toy_config(epochs=2)
         clouds = [pc.normalize(ball_cloud(rng, 16)) for _ in range(5)]
-        s1 = pretrain(clouds, config, checkpoint_dir=tmp_path / "a")
-        s2 = pretrain(clouds, config, checkpoint_dir=tmp_path / "b")
-        a = (tmp_path / "a" / "checkpoint_final.otck").read_bytes()
-        b = (tmp_path / "b" / "checkpoint_final.otck").read_bytes()
-        assert a == b
+        s1 = pretrain(clouds, config)
+        s2 = pretrain(clouds, config)
         for k in s1.params.tensors:
-            np.testing.assert_array_equal(s1.params.tensors[k], s2.params.tensors[k])
-
-    def test_checkpoint_interval(self, rng, tmp_path):
-        config = toy_config(epochs=4, checkpoint_every=2)
-        clouds = [pc.normalize(ball_cloud(rng, 16))]
-        pretrain(clouds, config, checkpoint_dir=tmp_path)
-        names = sorted(p.name for p in tmp_path.glob("*.otck"))
-        assert names == ["checkpoint_epoch0001.otck", "checkpoint_epoch0003.otck",
-                         "checkpoint_final.otck"]
+            assert s1.params.tensors[k].tobytes() == s2.params.tensors[k].tobytes()
+        assert s1.history == s2.history
 
     def test_loss_trend_down(self, rng):
         data_rng = np.random.default_rng(7)

@@ -20,7 +20,7 @@ class TestDefaults:
 
     def test_train_defaults(self):
         assert [f.name for f in dataclasses.fields(TrainConfig)] == [
-            "epochs", "batch_size", "lr", "seed", "checkpoint_every", "solver", "encoder"]
+            "epochs", "batch_size", "lr", "seed", "solver", "encoder"]
         config = TrainConfig()
         assert config.batch_size == 32
         assert config.lr == 0.001
