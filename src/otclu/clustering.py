@@ -1,12 +1,14 @@
 """Balanced soft clustering of point features via entropic optimal transport.
 
 Each cluster is represented by two prototypes: a score-weighted centroid of
-the 3D coordinates and one of the per-point features. Points are softly
-assigned to clusters by solving a transport problem whose marginals force
-every cluster to receive the same total mass (N/J points' worth), so no
-cluster can swallow the whole cloud. The plain softmax-over-distance
-assignment is kept as a baseline; it carries no such guarantee. Both read
-the cost only up to a constant per row (see `compute_cost`).
+the 3D coordinates and one of the per-point features, defined only while the
+cluster holds score mass (its column sum of the (N, J) score matrix); a
+cluster without any is a `NumericalError`. Points are softly assigned to
+clusters by solving a transport problem whose marginals force every cluster
+to receive the same total mass (N/J points' worth), so no cluster can
+swallow the whole cloud. The plain softmax-over-distance assignment is kept
+as a baseline; it carries no such guarantee. Both read the cost only up to a
+constant per row (see `compute_cost`).
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: arrays handed in as `out` are overwritten, as each
@@ -80,9 +82,11 @@ def compute_prototypes(points: np.ndarray, features: np.ndarray,
                        scores: np.ndarray) -> Prototypes:
     """Score-weighted centroids of coordinates and features.
 
-    Column j of the score matrix weights point i by scores[i, j]. A cluster
-    whose score column sums below 1e-12 falls back to the unweighted mean,
-    so downstream costs stay finite while scores are near-degenerate.
+    Column j of the score matrix weights point i by scores[i, j], and
+    prototype j divides by the column sum, the cluster's score mass. Raises
+    NumericalError naming the first cluster whose mass is below
+    `EMPTY_CLUSTER_EPS`: its centroid is undefined. A NaN mass passes, so
+    the cost it makes reaches `sinkhorn`'s check for non-finite entries.
     """
     points = np.asarray(points, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
@@ -94,13 +98,13 @@ def compute_prototypes(points: np.ndarray, features: np.ndarray,
             f"({scores.shape[0]}) must agree on N"
         )
     weights = scores.sum(axis=0)  # (J,)
-    empty = weights < EMPTY_CLUSTER_EPS
-    safe = np.where(empty, 1.0, weights)
-    geo = (scores.T @ points) / safe[:, None]
-    feat = (scores.T @ features) / safe[:, None]
-    if empty.any():
-        geo[empty] = points.mean(axis=0)
-        feat[empty] = features.mean(axis=0)
+    empty = np.flatnonzero(weights < EMPTY_CLUSTER_EPS)
+    if empty.size:
+        j = empty[0]
+        raise NumericalError(f"cluster {j} has score mass {weights[j]:g} "
+                             f"(< {EMPTY_CLUSTER_EPS:g}); its prototypes are undefined")
+    geo = (scores.T @ points) / weights[:, None]
+    feat = (scores.T @ features) / weights[:, None]
     return Prototypes(geo=geo, feat=feat)
 
 
@@ -259,16 +263,14 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Chain loss gradients at the prototypes back to scores and features.
 
-    For a weighted centroid c_j = sum_i s_ij x_i / sum_i s_ij:
+    For a weighted centroid c_j = sum_i s_ij x_i / w_j of mass w_j = sum_i s_ij:
       dL/ds_ij += dL/dc_j . (x_i - c_j) / w_j
       dL/df_i  += s_ij * dL/dc_j / w_j          (feature prototypes only)
     Returns the score gradient d_scores plus the first term, (N, J), and the
     second term in factored form: a (J, d) matrix P whose product
     scores @ P is the feature gradient (`encoder.backward` takes P so).
-    Clusters that hit the empty-cluster fallback (mean of all inputs) pass
-    gradient to every feature equally and none to the scores; that equal
-    share is a row added to every row of P, which is exact because score
-    rows sum to 1.
+    `scores` are the ones `protos` were built from, so `compute_prototypes`
+    has already checked that no w_j is below `EMPTY_CLUSTER_EPS`.
 
     `out` is a pair of (N, J) arrays to overwrite: the score gradient is
     built in the first, which may be d_scores itself, and the second holds
@@ -279,12 +281,8 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     scores = np.asarray(scores, dtype=np.float64)
     n, j = scores.shape
     weights = scores.sum(axis=0)
-    empty = weights < EMPTY_CLUSTER_EPS
-    safe = np.where(empty, 1.0, weights)
-    per_geo = d_geo / safe[:, None]
-    per_feat = d_feat / safe[:, None]
-    per_geo[empty] = 0.0
-    per_feat[empty] = 0.0
+    per_geo = d_geo / weights[:, None]
+    per_feat = d_feat / weights[:, None]
     proto_dot = (protos.geo * per_geo).sum(axis=1) + (protos.feat * per_feat).sum(axis=1)
 
     total, term = (None, None) if out is None else out
@@ -293,6 +291,4 @@ def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.nda
     total = np.add(d_scores, term, out=total)
     total += np.matmul(points, per_geo.T, out=term)
     total -= proto_dot
-    if empty.any():
-        per_feat += d_feat[empty].sum(axis=0) / n
     return total, per_feat

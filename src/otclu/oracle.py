@@ -219,7 +219,6 @@ class GradCheckReport:
     max_rel_error: float
     worst_param: str
     passed: bool
-    per_param: dict[str, float]
 
 
 def grad_check(loss_fn, params: dict, grads: dict, h: float = 1e-5,
@@ -250,7 +249,7 @@ def grad_check(loss_fn, params: dict, grads: dict, h: float = 1e-5,
         per_param[name] = worst
     worst_param = max(per_param, key=per_param.get)
     max_rel = per_param[worst_param]
-    return GradCheckReport(max_rel, worst_param, max_rel < rel_tol, per_param)
+    return GradCheckReport(max_rel, worst_param, max_rel < rel_tol)
 
 
 def _assign(params: dict, name: str, flat_index: int, value: float):

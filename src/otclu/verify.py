@@ -186,7 +186,7 @@ def check_equipartition() -> tuple[bool, str]:
     count = 20
     cfg = enc.EncoderConfig(hidden_sizes=(16,), feature_dim=16, num_clusters=8)
     # the equipartition contract is epsilon-independent
-    solver = SolverConfig(num_clusters=8, epsilon=2e-3)
+    solver = SolverConfig(epsilon=2e-3)
     worst = 0.0
     for trial in range(count):
         params = enc.init_params(cfg, 400 + trial)
@@ -206,7 +206,7 @@ def check_blob_purity() -> tuple[bool, str]:
         cloud = pc.normalize(cloud)
         cfg = enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8, num_clusters=j)
         params = enc.init_params(cfg, 50 + j)
-        solver = SolverConfig(num_clusters=j, lam=1.0, iters=500, tol=1e-9)
+        solver = SolverConfig(lam=1.0, iters=500, tol=1e-9)
         hard = e_step(params, cloud, solver).gamma.argmax(axis=1)
         p = purity(hard, membership)
         trace = enc.forward(params, cloud.points)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -114,6 +115,27 @@ class TestPretrainCommand:
         assert cli.main(["pretrain", str(config), str(data), str(tmp_path / "out")]) == 0
         [cloud] = seen
         assert cloud.points.tobytes() == pc.normalize(load_cloud(data / "a.xyz")).points.tobytes()
+
+    def test_numerical_abort_leaves_the_manifest_and_metrics(self, tmp_path, rng, capsys):
+        # At epsilon 1e-9 and a 20000-iteration cap the scaling vectors of
+        # the first solve overflow (see test_trainer's
+        # test_numerical_abort_propagates): no epoch completes, so the run
+        # writes no metrics record and no checkpoint.
+        data = tmp_path / "data"
+        data.mkdir()
+        write_cloud(verify.ball_cloud(rng, 16).points, data / "ball.xyz")
+        config = write_config(tmp_path / "config.json",
+                              train={"seed": 21},
+                              solver={"epsilon": 1e-9, "iters": 20_000},
+                              data={"num_points": 16})
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", str(config), str(data), str(out)]) == 4
+        assert re.fullmatch(r"numerical abort: transport plan became non-finite after \d+ "
+                            r"Sinkhorn iterations; epsilon 1e-09 is too small for the cost "
+                            r"spread\n", capsys.readouterr().err)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "metrics.jsonl"]
+        assert json.loads((out / "manifest.json").read_text())["finished_at"] is None
+        assert (out / "metrics.jsonl").read_text() == ""
 
     def test_empty_data_dir_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json")
@@ -250,6 +272,20 @@ class TestClusterCommand:
             {"epsilon": expected.epsilon, "lambda": expected.lam, "iters": expected.iters,
              "tol": expected.tol}
         assert sidecar["iterations"] <= expected.iters
+
+    def test_a_cluster_without_score_mass_exits_4_before_writing(self, tmp_path, capsys):
+        # a head bias of -1e4 makes cluster 1's softmax column exactly 0
+        params = init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4, num_clusters=3),
+                             seed=0)
+        params.tensors["head.b"][1] = -1e4
+        ckpt = tmp_path / "p.otck"
+        save_checkpoint(params, ckpt)
+        src = write_cloud([[0, 0, 0], [1, 1, 1], [2, 0, 1], [1, 2, 0]], tmp_path / "c.xyz")
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["cluster", str(ckpt), str(src), str(tmp_path / "x.ply")]) == 4
+        assert capsys.readouterr().err == ("numerical abort: cluster 1 has score mass 0 "
+                                           "(< 1e-12); its prototypes are undefined\n")
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("stored, cause", [
         ({"epsilon": -1e-3}, "epsilon must be"),

@@ -55,14 +55,28 @@ class TestComputePrototypes:
         protos = compute_prototypes(pts, pts.copy(), scores)
         np.testing.assert_allclose(protos.geo, [[1, 0, 0], [5, 5, 5]], atol=1e-15)
 
-    def test_empty_column_falls_back_to_mean(self, rng):
+    def test_empty_column_is_a_numerical_error(self, rng):
         pts = rng.normal(size=(5, 3))
         feats = rng.normal(size=(5, 2))
-        scores = np.zeros((5, 2))
+        scores = np.zeros((5, 3))
         scores[:, 0] = 1.0
+        scores[0, 2] = 1e-13
+        with pytest.raises(NumericalError, match=r"^cluster 1 has score mass 0 \(< 1e-12\); "
+                                                 r"its prototypes are undefined$"):
+            compute_prototypes(pts, feats, scores)
+        scores[0, 1] = 1e-12  # a mass at the threshold is kept
+        with pytest.raises(NumericalError, match=r"^cluster 2 has score mass 1e-13 "):
+            compute_prototypes(pts, feats, scores)
+
+    def test_nan_mass_reaches_the_cost_check(self, rng):
+        pts = rng.normal(size=(5, 3))
+        feats = rng.normal(size=(5, 2))
+        scores = np.full((5, 2), 0.5)
+        scores[3, 1] = np.nan
         protos = compute_prototypes(pts, feats, scores)
-        np.testing.assert_allclose(protos.geo[1], pts.mean(axis=0), atol=1e-15)
-        np.testing.assert_allclose(protos.feat[1], feats.mean(axis=0), atol=1e-15)
+        assert np.isnan(protos.geo[1]).all() and np.isfinite(protos.geo[0]).all()
+        with pytest.raises(NumericalError, match="non-finite entries"):
+            sinkhorn(compute_cost(pts, feats, protos, 0.5))
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
@@ -328,61 +342,33 @@ class TestAssignLabels:
 
 class TestPrototypesBackward:
     def test_matches_finite_differences(self, rng):
-        # Also with an empty cluster, whose prototype falls back to the mean:
-        # it passes gradient to every feature equally, through the row the
-        # factored feature gradient adds to P, and none to the scores.
         n, d, j = 7, 4, 3
-        for empty in (False, True):
-            pts = rng.normal(size=(n, 3))
-            feats = rng.normal(size=(n, d))
-            scores = rng.dirichlet(np.ones(j), size=n)
-            if empty:
-                scores[:, -1] = 0.0
-                scores /= scores.sum(axis=1, keepdims=True)
-            w_geo = rng.normal(size=(j, 3))
-            w_feat = rng.normal(size=(j, d))
-
-            def loss(scores_arr, feats_arr):
-                protos = compute_prototypes(pts, feats_arr, scores_arr)
-                return float((w_geo * protos.geo).sum() + (w_feat * protos.feat).sum())
-
-            protos = compute_prototypes(pts, feats, scores)
-            d_scores, p = prototypes_backward(pts, feats, scores, protos, w_geo, w_feat,
-                                              np.zeros((n, j)))
-            d_feats = scores @ p
-
-            h = 1e-6
-            # a step off an empty column's zero weight would leave the fallback
-            score_entries = [k for k in range(n * j) if not (empty and k % j == j - 1)]
-            for arr, grad, entries in ((scores, d_scores, score_entries),
-                                       (feats, d_feats, range(n * d))):
-                for k in entries:
-                    orig = arr.flat[k]
-                    arr.flat[k] = orig + h
-                    plus = loss(scores, feats)
-                    arr.flat[k] = orig - h
-                    minus = loss(scores, feats)
-                    arr.flat[k] = orig
-                    fd = (plus - minus) / (2 * h)
-                    assert grad.flat[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
-            if empty:
-                assert not d_scores[:, -1].any()
-
-    def test_empty_cluster_branch(self, rng):
-        # Cluster 1 never receives score mass: its prototype is the plain
-        # mean, so features share the gradient equally and scores get none.
-        n, d = 5, 2
         pts = rng.normal(size=(n, 3))
         feats = rng.normal(size=(n, d))
-        scores = np.zeros((n, 2))
-        scores[:, 0] = 1.0
+        scores = rng.dirichlet(np.ones(j), size=n)
+        w_geo = rng.normal(size=(j, 3))
+        w_feat = rng.normal(size=(j, d))
+
+        def loss(scores_arr, feats_arr):
+            protos = compute_prototypes(pts, feats_arr, scores_arr)
+            return float((w_geo * protos.geo).sum() + (w_feat * protos.feat).sum())
+
         protos = compute_prototypes(pts, feats, scores)
-        d_feat = np.zeros((2, d))
-        d_feat[1] = [1.0, 2.0]
-        d_scores, p = prototypes_backward(pts, feats, scores, protos,
-                                          np.zeros((2, 3)), d_feat, np.zeros((n, 2)))
-        np.testing.assert_allclose(d_scores[:, 1], 0.0, atol=1e-15)
-        np.testing.assert_allclose(scores @ p, np.tile([[0.2, 0.4]], (n, 1)), atol=1e-15)
+        d_scores, p = prototypes_backward(pts, feats, scores, protos, w_geo, w_feat,
+                                          np.zeros((n, j)))
+        d_feats = scores @ p
+
+        h = 1e-6
+        for arr, grad in ((scores, d_scores), (feats, d_feats)):
+            for k in range(arr.size):
+                orig = arr.flat[k]
+                arr.flat[k] = orig + h
+                plus = loss(scores, feats)
+                arr.flat[k] = orig - h
+                minus = loss(scores, feats)
+                arr.flat[k] = orig
+                fd = (plus - minus) / (2 * h)
+                assert grad.flat[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
     def test_matches_einsum_at_paper_shape(self):
         # The chain's score gradient is added to the one handed in.

@@ -32,6 +32,17 @@ def toy_config(num_clusters=2, epsilon=2e-3, **overrides):
 
 
 class TestEStep:
+    def test_a_cluster_without_score_mass_is_named(self, rng):
+        # a head bias of -1e4 makes cluster 1's softmax column exactly 0
+        config = toy_config(num_clusters=3)
+        params = enc.init_params(config.encoder, 0)
+        params.tensors["head.b"][1] = -1e4
+        cloud = pc.normalize(ball_cloud(rng, 32))
+        assert not enc.forward(params, cloud.points).scores[:, 1].any()
+        with pytest.raises(NumericalError, match=r"^cluster 1 has score mass 0 \(< 1e-12\); "
+                                                 r"its prototypes are undefined$"):
+            e_step(params, cloud, config.solver)
+
     def test_two_blobs_lambda_one_separates(self, rng):
         pts, membership = two_blob_points(rng, 6)  # 12 points: oracle-sized
         cloud = pc.normalize(pc.PointCloud(pts))
