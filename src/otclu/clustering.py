@@ -8,7 +8,9 @@ clusters by solving a transport problem whose marginals force every cluster
 to receive the same total mass (N/J points' worth), so no cluster can
 swallow the whole cloud. The plain softmax-over-distance assignment is kept
 as a baseline; it carries no such guarantee. Both read the cost only up to a
-constant per row (see `compute_cost`).
+constant per row (see `compute_cost`). The transport problem is solved by
+Sinkhorn scaling and then by Newton steps on the J column potentials, which
+finish it quadratically (see `sinkhorn`).
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: arrays handed in as `out` are overwritten, as each
@@ -27,6 +29,9 @@ import numpy as np
 from .errors import NumericalError, ShapeError, check_int, check_real
 
 EMPTY_CLUSTER_EPS = 1e-12
+NEWTON_SWITCH = 1e-4       # Sinkhorn's row residual at which Newton steps take over
+LINE_SEARCH_HALVINGS = 10  # a Newton step cut below 2**-10 hands the solve back to Sinkhorn
+ARMIJO = 1e-4              # share of the gain in F the slope predicts that a step must make
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,9 @@ class Prototypes:
 
 @dataclass
 class TransportPlan:
-    """Coupling matrix (N, J) with total mass 1, the Sinkhorn iterations it
-    took, and the column potential (J,) that `sinkhorn` can start a later
-    solve from."""
+    """Coupling matrix (N, J) with total mass 1, the iterations it took
+    (Sinkhorn iterations and Newton steps), and the column potential (J,)
+    that `sinkhorn` can start a later solve from."""
 
     matrix: np.ndarray
     iterations: int
@@ -147,20 +152,29 @@ def _cost_matrix(cost) -> np.ndarray:
 def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverConfig.iters,
              tol: float = SolverConfig.tol, potential=None,
              out: np.ndarray | None = None) -> TransportPlan:
-    """Entropically regularized balanced transport by Sinkhorn scaling.
+    """Entropically regularized balanced transport: Sinkhorn scaling, then
+    Newton steps on the J column potentials.
 
     The kernel is built once on a shifted cost, K = exp((f_i + g_j - C_ij)/eps)
     with f the row minima of C and g the column minima of C - f, so every
     row and every column of K holds an exact 1 and no row can underflow
     (Peyre & Cuturi, Computational Optimal Transport, 2019, sec. 4.4); the
     shifts do not change the plan. The scaling vectors iterate
-    u = a / (K v), v = b / (K^T u) until max |u * (K v) - 1/N| < `tol`.
-    `iters` only caps the count: a solve that reaches it returns its plan
-    with the residual it reached.
+    u = a / (K v), v = b / (K^T u) until the row residual
+    max |u * (K v) - 1/N| is below `NEWTON_SWITCH` or `tol`. Newton steps on
+    log v then hold the rows exact and take the column residual
+    max |c - 1/J| down quadratically (Brauer, Clason, Lorenz & Wirth, "A
+    Sinkhorn-Newton method for entropic optimal transport", 2017); the solve
+    ends after the first step that starts within `tol`, so the plan lands
+    one quadratic step past it. Where the steps stall, as they do on
+    near-hard plans, the solve goes back to Sinkhorn iterations until the
+    row residual is below `tol`. `iters` caps Sinkhorn iterations and Newton
+    steps together and the plan's `iterations` counts both: a solve that
+    reaches the cap returns its plan with the residual it reached.
 
     The plan carries its column potential psi_j = g_j + eps * log v_j, which
     does not depend on the shifts (ibid., ch. 4). Given a finite `potential`
-    from an earlier solve on a similar cost, scaling starts from
+    from an earlier solve on a similar cost, the solve starts from
     v = exp((psi - g)/eps - max) instead of v = 1 and stops at the same
     `tol`. If that start ends in a plan that is not finite while the cost is
     finite, the cost is solved again from v = 1, and that plan, equal byte
@@ -204,33 +218,120 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
 
 def _scale(d: np.ndarray, epsilon: float, iters: int, tol: float,
            potential: np.ndarray | None, out: np.ndarray) -> TransportPlan:
-    """One Sinkhorn solve of `sinkhorn`, from v = 1 or from a finite column
-    potential, with the kernel and plan built in `out`."""
+    """One solve of `sinkhorn`, from v = 1 or from a finite column potential,
+    with the kernel and plan built in `out`."""
     n, m = d.shape
+    switch = max(NEWTON_SWITCH, tol)
     with np.errstate(all="ignore"):  # a NaN or an overflow must reach sinkhorn's check
         shifted = np.subtract(d, d.min(axis=1, keepdims=True), out=out)
         g = shifted.min(axis=0)
         shifted -= g
         shifted /= -epsilon
         kernel = np.exp(shifted, out=shifted)
-        a, b = 1.0 / n, 1.0 / m
         if potential is None:
             kv = kernel.sum(axis=1)
         else:
             start = (potential - g) / epsilon
             kv = kernel @ np.exp(start - start.max())
-        for iterations in range(1, iters + 1):
-            u = a / kv
-            v = b / (u @ kernel)
-            kv = kernel @ v
-            # not >=, so a NaN residual stops too: the plan is then not finite
-            if not np.abs(u * kv - a).max() >= tol:
-                break
+        iterations, u, v, kv, residual = _sinkhorn_steps(kernel, kv, switch, 0, iters)
+        if residual < switch and iterations < iters:
+            iterations, v, kv, done = _newton_steps(kernel, v, kv, tol, iterations, iters)
+            if done:
+                u = (1.0 / n) / kv
+            else:
+                iterations, u, v, kv, _ = _sinkhorn_steps(kernel, kv, tol, iterations, iters)
         plan = kernel  # diag(u) K diag(v), scaled in place
         plan *= u[:, None]
         plan *= v
         psi = g + epsilon * np.log(v)
     return TransportPlan(matrix=plan, iterations=iterations, potential=psi)
+
+
+def _sinkhorn_steps(kernel, kv, stop, iterations, iters):
+    """Sinkhorn iterations u = a / (K v), v = b / (K^T u) after `iterations`
+    (< `iters`) done, until the row residual max |u * (K v) - a| is below
+    `stop` (or NaN) or `iters` are done. Returns the count, u, v, K v and
+    that residual."""
+    n, m = kernel.shape
+    a, b = 1.0 / n, 1.0 / m
+    while True:
+        iterations += 1
+        u = a / kv
+        v = b / (u @ kernel)
+        kv = kernel @ v
+        residual = np.abs(u * kv - a).max()
+        # not >=, so a NaN residual stops too: the plan is then not finite
+        if not residual >= stop or iterations == iters:
+            return iterations, u, v, kv, residual
+
+
+def _newton_steps(kernel, v, kv, tol, iterations, iters):
+    """Newton steps on x = log v, the rows held exact (u = a / K v), for the
+    concave semi-dual F(x) = (1/J) sum_j x_j - (1/N) sum_i log (K v)_i.
+
+    Its gradient is b - c, with c the column sums of the plan
+    P = diag(u) K diag(v), and its negated Hessian H = diag(c) - N P^T P is
+    singular along the constant direction, which each step fixes by leaving
+    x_J alone. Each step is a backtracking (Armijo) line search on F.
+
+    A fresh H is built for the first step, for a step after one that did
+    not halve the residual max |c - b|, and for the step that starts within
+    `tol`, which is the last; the other steps reuse it. Building H scales
+    the rows of `kernel` in place by u, so that K^T K is
+    diag(v)^-1 P^T P diag(v)^-1; the K v passed in and out is always that
+    of the kernel as it stands.
+
+    Returns the count, v, K v and whether the solve is done (within `tol`,
+    or at `iters`). False hands it back to Sinkhorn iterations: after a
+    failed line search, a singular or non-finite H, or two steps in a row
+    that did not halve the residual.
+    """
+    n, m = kernel.shape
+    a, b = 1.0 / n, 1.0 / m
+    hessian, previous, slow = None, np.inf, False
+    while iterations < iters:
+        u = a / kv
+        col = v * (u @ kernel)
+        grad = b - col
+        residual = np.abs(grad).max()
+        last = residual < tol
+        if not (last or residual < 0.5 * previous):
+            if slow:
+                return iterations, v, kv, False
+            hessian, slow = None, True
+        else:
+            slow = False
+        if hessian is None or last:
+            kernel *= u[:, None]
+            kv = kv * u
+            hessian = kernel.T @ kernel
+            hessian *= -n * v[:, None]
+            hessian *= v
+            hessian.flat[::m + 1] += col
+        try:
+            delta = np.append(np.linalg.solve(hessian[:-1, :-1], grad[:-1]), 0.0)
+        except np.linalg.LinAlgError:
+            return iterations, v, kv, False
+        slope = grad @ delta
+        if not slope > 0.0:  # a NaN too
+            return iterations, v, kv, False
+        for halving in range(LINE_SEARCH_HALVINGS + 1):
+            t = 0.5 ** halving
+            w = v * np.expm1(t * delta)  # the step in v, to full precision
+            dk = kernel @ w              # and in K v
+            # F(x + t delta) - F(x), as accurate as it is small; not finite
+            # where a row of K v reached 0
+            gain = t * delta.mean() - np.log1p(dk / kv).mean()
+            stepped = v + w
+            if ARMIJO * t * slope <= gain < np.inf and stepped.min() > 0.0:
+                break
+        else:
+            return iterations, v, kv, False
+        iterations += 1
+        v, kv, previous = stepped, kv + dk, residual
+        if last:
+            return iterations, v, kv, True
+    return iterations, v, kv, True
 
 
 def assign_soft_labels(plan: TransportPlan, out: np.ndarray | None = None) -> np.ndarray:

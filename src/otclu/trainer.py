@@ -106,7 +106,7 @@ class EStepResult:
     protos: Prototypes
     gamma: np.ndarray    # soft labels (N, J): N times the transport plan
     marginal_residual: float
-    iterations: int      # Sinkhorn iterations the solve took
+    iterations: int      # Sinkhorn iterations and Newton steps the solve took
     potential: np.ndarray  # the plan's column potential (J,), to warm-start the next solve
     buffers: StepBuffers | None = None  # what the result was built in, for the gradient to spend
 

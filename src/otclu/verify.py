@@ -131,7 +131,7 @@ def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma) -
 def check_sinkhorn_feasibility() -> tuple[bool, str]:
     # Cost spread a few multiples of epsilon: the residual reached under a
     # small cap grows with spread/epsilon. 5x epsilon keeps a cap of 20
-    # iterations within the 1e-3 contract.
+    # iterations, Sinkhorn and Newton together, within the 1e-3 contract.
     rng = np.random.default_rng(101)
     grid = [(n, m) for n in (8, 64, 512) for m in (2, 8, 64)]
     count, worst_20, plans = 100, 0.0, []
@@ -291,7 +291,7 @@ class Check:
 
 CHECKS = [
     Check("sinkhorn-feasibility", check_sinkhorn_feasibility, 10.0),
-    Check("sinkhorn-vs-lp", check_lp_gap, 30.0),
+    Check("sinkhorn-vs-lp", check_lp_gap, 5.0),
     Check("gradient-exactness", check_gradients, 60.0),
     Check("equipartition", check_equipartition, 10.0),
     Check("blob-purity", check_blob_purity, 10.0),

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from otclu import clustering
 from otclu import encoder as enc
 from otclu.clustering import (Prototypes, assign_l2_labels, assign_soft_labels,
                               compute_cost, compute_prototypes, prototypes_backward,
@@ -275,15 +276,53 @@ class TestSinkhorn:
                     sinkhorn(cost, 1e-3, potential=potential, out=out)
 
     def test_warm_start_from_its_own_potential(self, rng):
+        # One Sinkhorn iteration starts within tol, and one Newton step ends it.
         cost = rng.uniform(0, 0.02, size=(32, 8))
         cold = sinkhorn(cost, 1e-3)
         assert cold.iterations > 10
         warm = sinkhorn(cost, 1e-3, potential=cold.potential)
-        assert warm.iterations == 1
-        assert warm.marginal_residual() < 1e-6
+        assert warm.iterations == 2
+        assert warm.marginal_residual() < 1e-9
         assert np.abs(warm.matrix - cold.matrix).max() < 1e-6
         # the potential does not depend on the shifts: a shifted cost starts as well
-        assert sinkhorn(cost + 5.0, 1e-3, potential=cold.potential).iterations == 1
+        shifted = sinkhorn(cost + 5.0, 1e-3, potential=cold.potential)
+        assert shifted.iterations == 2
+        assert shifted.marginal_residual() < 1e-9
+
+    def test_newton_steps_converge_at_the_paper_shape(self):
+        points, feats, _, protos = paper_shape_inputs()
+        plan = sinkhorn(compute_cost(points, feats, protos, 0.5))
+        assert plan.iterations <= 20
+        assert plan.marginal_residual() < 1e-9
+        # Newton steps hold the rows exact: the plan ends on a row scaling
+        np.testing.assert_allclose(plan.matrix.sum(axis=1), 1 / 2048, rtol=1e-14, atol=0)
+
+    def test_newton_steps_hand_back_to_sinkhorn(self, monkeypatch):
+        # spread/epsilon near 1000 on 16 points: the plan is near-hard and the
+        # Newton step's line search fails, so Sinkhorn iterations finish the
+        # solve, here at the cap.
+        cost = np.random.default_rng(0).uniform(0, 1.0, size=(16, 4))
+        newton, done = clustering._newton_steps, []
+
+        def newton_steps(*args):
+            result = newton(*args)
+            done.append(result[3])
+            return result
+
+        monkeypatch.setattr(clustering, "_newton_steps", newton_steps)
+        plan = sinkhorn(cost, 1e-3, iters=1000, tol=1e-6)
+        assert done == [False]
+        assert np.all(np.isfinite(plan.matrix))
+        assert plan.iterations == 1000
+        # the last update was a column scaling: the columns are exact, and
+        # the rows carry the residual the cap left
+        np.testing.assert_allclose(plan.matrix.sum(axis=0), 1 / 4, rtol=1e-14, atol=0)
+        assert 1e-6 <= plan.marginal_residual() < 1e-3
+        for iters in (900, 930, 2000):
+            capped = sinkhorn(cost, 1e-3, iters=iters, tol=1e-6)
+            assert capped.iterations <= iters
+            assert np.all(np.isfinite(capped.matrix))
+            assert capped.marginal_residual() < 1e-6 or capped.iterations == iters
 
     def test_potential_of_the_wrong_length_is_refused(self):
         with pytest.raises(ShapeError, match="potential"):
