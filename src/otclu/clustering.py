@@ -59,10 +59,12 @@ def _check_solver_args(epsilon, iters, tol) -> None:
 
 @dataclass
 class Prototypes:
-    """Per-cluster centroids: geo is (J, 3), feat is (J, d)."""
+    """Per-cluster centroids: geo is (J, 3), feat is (J, d); mass (J,) is
+    the score mass each was built from, which `prototypes_backward` reads."""
 
     geo: np.ndarray
     feat: np.ndarray
+    mass: np.ndarray | None = None
 
 
 @dataclass
@@ -83,63 +85,74 @@ class TransportPlan:
         return float(max(row, col))
 
 
-def compute_prototypes(points: np.ndarray, features: np.ndarray,
-                       scores: np.ndarray) -> Prototypes:
+def point_block(points, features) -> np.ndarray:
+    """The (N, d + 4) column-major point block [F | X | 1]: features,
+    coordinates and a ones column, the layout `encoder.forward` builds its
+    features in. Every (N, ·) product of the clustering step is one matmul
+    of it: against scores its ones column gives the cluster masses, and
+    against a (d + 4, J) matrix its last row adds a constant per cluster."""
+    points = np.asarray(points, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
+    n, d = features.shape
+    if points.shape != (n, 3):
+        raise ShapeError(f"points {points.shape} and features ({n}, {d}) must agree on N")
+    block = np.empty((n, d + 4), order="F")
+    block[:, :d] = features
+    block[:, d:-1] = points
+    block[:, -1] = 1.0
+    return block
+
+
+def compute_prototypes(block: np.ndarray, scores: np.ndarray) -> Prototypes:
     """Score-weighted centroids of coordinates and features.
 
     Column j of the score matrix weights point i by scores[i, j], and
-    prototype j divides by the column sum, the cluster's score mass. Raises
-    NumericalError naming the first cluster whose mass is below
-    `EMPTY_CLUSTER_EPS`: its centroid is undefined. A NaN mass passes, so
-    the cost it makes reaches `sinkhorn`'s check for non-finite entries.
+    prototype j divides by the column sum, the cluster's score mass: one
+    matmul scores^T [F | X | 1] (see `point_block`) gives the weighted sums
+    and the masses. Raises NumericalError naming the first cluster whose
+    mass is below `EMPTY_CLUSTER_EPS`: its centroid is undefined. A NaN mass
+    passes, so the cost it makes reaches `sinkhorn`'s check for non-finite
+    entries.
     """
-    points = np.asarray(points, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    n = points.shape[0]
-    if features.shape[0] != n or scores.shape[0] != n:
-        raise ShapeError(
-            f"points ({n}), features ({features.shape[0]}) and scores "
-            f"({scores.shape[0]}) must agree on N"
-        )
-    weights = scores.sum(axis=0)  # (J,)
+    if scores.shape[0] != block.shape[0]:
+        raise ShapeError(f"point block ({block.shape[0]}) and scores ({scores.shape[0]}) "
+                         f"must agree on N")
+    sums = scores.T @ block  # (J, d + 4)
+    weights = sums[:, -1]
     empty = np.flatnonzero(weights < EMPTY_CLUSTER_EPS)
     if empty.size:
         j = empty[0]
         raise NumericalError(f"cluster {j} has score mass {weights[j]:g} "
                              f"(< {EMPTY_CLUSTER_EPS:g}); its prototypes are undefined")
-    geo = (scores.T @ points) / weights[:, None]
-    feat = (scores.T @ features) / weights[:, None]
-    return Prototypes(geo=geo, feat=feat)
+    centroids = sums[:, :-1] / weights[:, None]
+    return Prototypes(geo=centroids[:, -3:], feat=centroids[:, :-3], mass=weights)
 
 
-def compute_cost(points: np.ndarray, features: np.ndarray, protos: Prototypes,
-                 lam: float, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def compute_cost(block: np.ndarray, protos: Prototypes, lam: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The blend lam*|x_i - c_j|^2 + (1-lam)*|f_i - c'_j|^2 up to per-row constants, (N, J).
 
     Expanding each squared distance leaves the row norms lam*|x_i|^2 +
     (1-lam)*|f_i|^2, one constant per row, which no consumer reads: the
     Sinkhorn plan and the L2-softmax labels do not change when a row is
     shifted, and a balanced hard assignment takes one entry per row. So
-    C = -2(1-lam) f.c'^T - 2 lam x.c^T + (lam|c|^2 + (1-lam)|c'|^2): two
-    GEMMs and a row vector, with no (N, J, d) difference tensor. Entries
+    C = -2(1-lam) f.c'^T - 2 lam x.c^T + (lam|c|^2 + (1-lam)|c'|^2), one
+    matmul of the point block [F | X | 1] (see `point_block`) whose ones
+    column adds the last term, with no (N, J, d) difference tensor. Entries
     may be negative.
 
-    `out` is a pair of (N, J) arrays to overwrite: the cost is built in the
-    first and the geometric product in the second.
+    The cost is built in `out` when given, an (N, J) array to overwrite.
     """
     check_real("lambda", lam, 0.0, 1.0)
-    points = np.asarray(points, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    cost_out, geo_out = (None, None) if out is None else out
-    n, j = features.shape[0], protos.feat.shape[0]
-    cost = np.matmul(features, (-2.0 * (1.0 - lam)) * protos.feat.T,
-                     out=np.empty((n, j), order="F") if cost_out is None else cost_out)
-    cost += np.matmul(points, (-2.0 * lam) * protos.geo.T,
-                      out=np.empty((n, j), order="F") if geo_out is None else geo_out)
-    cost += (lam * np.einsum("jk,jk->j", protos.geo, protos.geo)
-             + (1.0 - lam) * np.einsum("jk,jk->j", protos.feat, protos.feat))
-    return cost
+    d, j = protos.feat.shape[1], protos.feat.shape[0]
+    factor = np.empty((d + 4, j))
+    np.multiply(-2.0 * (1.0 - lam), protos.feat.T, out=factor[:d])
+    np.multiply(-2.0 * lam, protos.geo.T, out=factor[d:-1])
+    factor[-1] = (lam * np.einsum("jk,jk->j", protos.geo, protos.geo)
+                  + (1.0 - lam) * np.einsum("jk,jk->j", protos.feat, protos.feat))
+    return np.matmul(block, factor, out=np.empty((block.shape[0], j), order="F")
+                     if out is None else out)
 
 
 def _cost_matrix(cost) -> np.ndarray:
@@ -211,8 +224,8 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
             raise NumericalError(f"cost matrix has {bad} non-finite entries (NaN or "
                                  f"infinity) of {d.size}; the transport plan is not finite")
         raise NumericalError(
-            f"transport plan became non-finite after {plan.iterations} Sinkhorn iterations; "
-            f"epsilon {epsilon:g} is too small for the cost spread")
+            f"transport plan became non-finite after {plan.iterations} iterations (Sinkhorn "
+            f"iterations and Newton steps); epsilon {epsilon:g} is too small for the cost spread")
     return plan
 
 
@@ -357,39 +370,30 @@ def assign_l2_labels(cost, temperature: float) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def prototypes_backward(points: np.ndarray, features: np.ndarray, scores: np.ndarray,
-                        protos: Prototypes, d_geo: np.ndarray, d_feat: np.ndarray,
-                        d_scores: np.ndarray,
-                        out: tuple[np.ndarray, np.ndarray] | None = None
+def prototypes_backward(block: np.ndarray, protos: Prototypes, d_geo: np.ndarray,
+                        d_feat: np.ndarray, out: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Chain loss gradients at the prototypes back to scores and features.
 
     For a weighted centroid c_j = sum_i s_ij x_i / w_j of mass w_j = sum_i s_ij:
-      dL/ds_ij += dL/dc_j . (x_i - c_j) / w_j
-      dL/df_i  += s_ij * dL/dc_j / w_j          (feature prototypes only)
-    Returns the score gradient d_scores plus the first term, (N, J), and the
-    second term in factored form: a (J, d) matrix P whose product
-    scores @ P is the feature gradient (`encoder.backward` takes P so).
-    `scores` are the ones `protos` were built from, so `compute_prototypes`
-    has already checked that no w_j is below `EMPTY_CLUSTER_EPS`.
+      dL/ds_ij = dL/dc_j . (x_i - c_j) / w_j
+      dL/df_i  = s_ij * dL/dc_j / w_j          (feature prototypes only)
+    Returns the score term, (N, J), one matmul of the point block
+    [F | X | 1] (see `point_block`) whose ones column subtracts the
+    dL/dc_j . c_j / w_j, and the feature term in factored form: a (J, d)
+    matrix P whose product scores @ P is the feature gradient
+    (`encoder.backward` takes P so). `protos` carry the masses w_j that
+    `compute_prototypes` has already checked against `EMPTY_CLUSTER_EPS`.
 
-    `out` is a pair of (N, J) arrays to overwrite: the score gradient is
-    built in the first, which may be d_scores itself, and the second holds
-    each product before it is added.
+    The score term is built in `out` when given, an (N, J) array to overwrite.
     """
-    points = np.asarray(points, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    n, j = scores.shape
-    weights = scores.sum(axis=0)
-    per_geo = d_geo / weights[:, None]
-    per_feat = d_feat / weights[:, None]
-    proto_dot = (protos.geo * per_geo).sum(axis=1) + (protos.feat * per_feat).sum(axis=1)
-
-    total, term = (None, None) if out is None else out
-    term = np.matmul(features, per_feat.T,
-                     out=np.empty((n, j), order="F") if term is None else term)
-    total = np.add(d_scores, term, out=total)
-    total += np.matmul(points, per_geo.T, out=term)
-    total -= proto_dot
-    return total, per_feat
+    d, j = protos.feat.shape[1], protos.feat.shape[0]
+    per_geo = d_geo / protos.mass[:, None]
+    per_feat = d_feat / protos.mass[:, None]
+    factor = np.empty((d + 4, j))
+    factor[:d] = per_feat.T
+    factor[d:-1] = per_geo.T
+    factor[-1] = -((protos.geo * per_geo).sum(axis=1) + (protos.feat * per_feat).sum(axis=1))
+    term = np.matmul(block, factor, out=np.empty((block.shape[0], j), order="F")
+                     if out is None else out)
+    return term, per_feat

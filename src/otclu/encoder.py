@@ -4,17 +4,18 @@ The encoder is a weight-shared MLP applied to every point (PointNet-style).
 A linear head sees each point's feature next to the max-pooled global
 feature and produces per-cluster logits. Forward keeps what the analytic
 backward pass reads; no autodiff framework is involved, which keeps
-gradients exact and runs bit-reproducible. Backward takes the gradient at
-the features in factored form, scores @ P for a (J, d) matrix P, and
-carries it through the linear last layer and head without building an
-(N, d) array.
+gradients exact and runs bit-reproducible. Biases ride in ones columns,
+so each layer is one matmul. Backward takes the gradient at the logits
+and the gradient at the features in factored form, scores @ P for a
+(J, d) matrix P, and carries them through the linear last layer and head
+without building an (N, d) array.
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: `forward` refills the arrays of an `out` trace, and
-`backward` with an `out` array builds d_logits in it and spends the trace
-it differentiates (see each function; `trainer.StepBuffers` gives the plan
-of which buffer holds what in a training step, and the column-major layout
-of every (N, k) array, buffered or fresh).
+`backward` with `spend` spends the trace it differentiates (see each
+function; `trainer.StepBuffers` gives the plan of which buffer holds what
+in a training step, and the column-major layout of every (N, k) array,
+buffered or fresh).
 """
 
 from __future__ import annotations
@@ -77,14 +78,31 @@ class EncoderParams:
 
 @dataclass
 class ForwardTrace:
-    """What backward and the E-step read of one forward pass."""
+    """What backward and the E-step read of one forward pass.
 
-    inputs: np.ndarray                 # (N, 3)
-    acts: list                         # per MLP layer after activation
-    features: np.ndarray               # (N, d)
+    Each layer reads its input with a ones column beside it, so that one
+    matmul against the weights stacked over the bias, [W; b], computes the
+    layer: the points as [X | 1], a hidden layer's output as [a | 1]. The
+    features sit in the point block [F | X | 1], whose last four columns are
+    the first layer's input; the E-step reads coordinates, features and a
+    ones column from it (see `clustering.point_block`). The scores are the
+    right half of `pair`, whose left half is free for d_logits (see
+    `backward`). Every array here is column-major.
+    """
+
+    acts: list                         # per hidden layer: (N, h + 1), [ReLU output | 1]
+    block: np.ndarray                  # (N, d + 4): [features | points | 1]
     pooled: np.ndarray                 # (d,) max over points
     pool_rows: np.ndarray              # argmax row per feature dim
-    scores: np.ndarray                 # (N, J), rows sum to 1
+    pair: np.ndarray                   # (N, 2J): [room for d_logits | scores]
+
+    @property
+    def features(self) -> np.ndarray:  # (N, d)
+        return self.block[:, :-4]
+
+    @property
+    def scores(self) -> np.ndarray:    # (N, J), rows sum to 1
+        return self.pair[:, self.pair.shape[1] // 2:]
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
@@ -98,6 +116,18 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams(config=config, tensors=tensors)
 
 
+def _with_ones(n: int, width: int) -> np.ndarray:
+    """A column-major (N, width + 1) array whose last column is 1."""
+    a = np.empty((n, width + 1), order="F")
+    a[:, -1] = 1.0
+    return a
+
+
+def _stacked(t: dict, i: int) -> np.ndarray:
+    """Layer i's weights over its bias, [W; b]: (fan_in + 1, fan_out)."""
+    return np.vstack((t[f"mlp{i}.w"], t[f"mlp{i}.b"]))
+
+
 def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> ForwardTrace:
     """Run the encoder and head on a non-empty (N, 3) array; returns scores
     with rows summing to 1.
@@ -105,143 +135,151 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     Hidden layers use ReLU; the final feature layer is linear. The head
     sees each point's feature f_i next to the per-dimension max over all
     points, p, so its logits are f_i·W[:d] + p·W[d:] + b. The pooled term
-    is one row shared by every point and is computed once. Ties at the max
-    resolve to the lowest row index when gradients are routed back.
+    is one row shared by every point, so it rides with the bias in the
+    ones column: the logits are [F | X | 1] times [W[:d]; 0; p·W[d:] + b].
+    Ties at the max resolve to the lowest row index when gradients are
+    routed back.
 
     Each layer and the logits are built in the matching array of `out`, a
     spent trace of the same N and architecture whose arrays are
-    overwritten; numpy refuses one of another shape.
+    overwritten but for their ones columns, which no step writes; numpy
+    refuses one of another shape.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != IN_DIM or x.shape[0] == 0:
         raise ShapeError(f"expected a non-empty (N, {IN_DIM}) input, got shape {x.shape}")
-    t = params.tensors
-    n, n_layers = x.shape[0], len(params.config.layer_sizes) - 1
+    t, config = params.tensors, params.config
+    n, hidden, d = x.shape[0], config.hidden_sizes, config.feature_dim
+    j = config.num_clusters
+    if out is None:
+        acts = [_with_ones(n, h) for h in hidden]
+        block, pair = _with_ones(n, d + 3), np.empty((n, 2 * j), order="F")
+    elif len(out.acts) != len(hidden):
+        raise ValueError(f"a trace of {len(out.acts)} hidden layers cannot hold one of "
+                         f"{len(hidden)}")
+    else:
+        acts, block, pair = out.acts, out.block, out.pair
+    block[:, d:-1] = x
 
-    acts, a = [], x
-    for i in range(n_layers):
-        w = t[f"mlp{i}.w"]
-        a = np.matmul(a, w, out=np.empty((n, w.shape[1]), order="F") if out is None
-                      else out.acts[i])
-        a += t[f"mlp{i}.b"]
-        if i < n_layers - 1:
-            np.maximum(a, 0.0, out=a)
-        acts.append(a)
-    features = a
-    d = features.shape[1]
+    a = block[:, d:]
+    for i, act in enumerate(acts):
+        np.maximum(np.matmul(a, _stacked(t, i), out=act[:, :-1]), 0.0, out=act[:, :-1])
+        a = act
+    features = np.matmul(a, _stacked(t, len(hidden)), out=block[:, :d])
 
     # argmax takes the first of tied rows; gathering at them keeps the sign of a zero
     pool_rows = features.argmax(axis=0)
     pooled = features[pool_rows, np.arange(d)]
     w = t["head.w"]
+    head = np.zeros((d + 4, j))
+    head[:d] = w[:d]
+    head[-1] = pooled @ w[d:] + t["head.b"]
     # the logits, turned into a row softmax in place
-    scores = np.matmul(features, w[:d], out=np.empty((n, w.shape[1]), order="F")
-                       if out is None else out.scores)
-    scores += pooled @ w[d:] + t["head.b"]
+    scores = np.matmul(block, head, out=pair[:, j:])
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    return ForwardTrace(inputs=x, acts=acts, features=features, pooled=pooled,
-                        pool_rows=pool_rows, scores=scores)
+    scores *= 1.0 / scores.sum(axis=1, keepdims=True)
+    return ForwardTrace(acts=acts, block=block, pooled=pooled, pool_rows=pool_rows, pair=pair)
 
 
-def backward(trace: ForwardTrace, params: EncoderParams, d_scores: np.ndarray,
-             d_features_per_score: np.ndarray,
-             out: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def backward(trace: ForwardTrace, params: EncoderParams, d_logits: np.ndarray,
+             d_features_per_score: np.ndarray, spend: bool = False) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
-    d_scores (N, J) is the loss gradient at the score matrix. The gradient
-    at the feature matrix comes in factored form, as the (J, d) matrix
-    d_features_per_score P whose product trace.scores @ P it is (see
-    `clustering.prototypes_backward`). The max-pool subgradient routes each
-    pooled dimension's gradient to the argmax row recorded in the trace.
-    The pooled term of the logits is shared by every point, so its
-    gradients need only the column sums of d_logits.
+    d_logits (N, J) is the loss gradient at the logits (`losses.logit_gradient`
+    builds it). The gradient at the feature matrix comes in factored form,
+    as the (J, d) matrix d_features_per_score P whose product
+    trace.scores @ P it is (see `clustering.prototypes_backward`). The
+    max-pool subgradient routes each pooled dimension's gradient to the
+    argmax row recorded in the trace. The pooled term of the logits is
+    shared by every point, so its gradients need only the column sums of
+    d_logits.
 
     The last MLP layer and the head are both linear, so no (N, d) array is
-    built: with `a` the last layer's input, W and b its weights and Wh the
-    head's point block, the gradient at the features is
-    d_logits Wh^T + scores P + (pool rows), and
-      dWh = W^T (a^T d_logits) + b (sum_i d_logits_i),
-      dW  = (a^T d_logits) Wh^T + (a^T scores) P + (pool rows),
-      the gradient at a = d_logits (W Wh)^T + scores (W P^T)^T + (pool rows).
+    built: with `a` the last layer's input and its ones column, [W; b] its
+    weights over its bias and Wh the head's point block, the gradient at
+    the features is d_logits Wh^T + scores P + (pool rows), and with
+    D = [d_logits | scores], one (N, 2J) array,
+      a^T D holds a^T d_logits and a^T scores, its ones row the column sums,
+      dWh     = [W; b]^T (a^T d_logits),
+      d[W; b] = (a^T D) [Wh^T; P] + (pool rows),
+      the gradient at a = D [(W Wh)^T; (W P^T)^T] + (pool rows).
+    Each hidden layer's weight gradient [a | 1]^T d_z holds its bias
+    gradient in its last row. D is the trace's `pair` when d_logits is its
+    left half, as a training step builds it, and a fresh copy otherwise.
 
-    With `out`, an (N, J) array to overwrite that shares no memory with the
-    scores, d_scores or P, d_logits is built in `out` and `trace` is spent,
-    so that no (N, k) array is allocated: the features, which are never
-    read, hold the gradient at `a`; the scores, after their last read,
-    hold d_logits (W Wh)^T a block of J columns at a time; and each hidden
-    activation, after its last read, becomes its own ReLU mask (1.0 or 0.0)
-    and then holds the gradient at the layer below. An array too narrow for
-    its role is replaced by a fresh one.
+    With `spend`, the trace is spent so that no (N, k) array is allocated:
+    the features, which are never read, hold the gradient at `a`; the
+    bytes of d_logits, after its last read, hold each hidden layer's
+    boolean ReLU mask; and each hidden activation, after its last read,
+    holds the gradient at the layer below. The ones columns are never
+    written. An array too small for its role is replaced by a fresh one.
     """
     t = params.tensors
-    n, d = trace.features.shape
-    j = trace.scores.shape[1]
-    if d_scores.shape != trace.scores.shape:
-        raise ShapeError(f"d_scores shape {d_scores.shape} != scores shape {trace.scores.shape}")
+    s = trace.scores
+    n, j = s.shape
+    d = trace.block.shape[1] - 4
+    if d_logits.shape != s.shape:
+        raise ShapeError(f"d_logits shape {d_logits.shape} != scores shape {s.shape}")
     p = d_features_per_score
     if p.shape != (j, d):
         raise ShapeError(f"d_features_per_score shape {p.shape} != (clusters, feature dim) "
                          f"{(j, d)}")
-    s = trace.scores
-    if out is not None and any(np.may_share_memory(out, a) for a in (s, d_scores, p)):
-        raise ValueError("backward's out, the d_logits buffer, shares memory with the "
-                         "scores, d_scores or d_features_per_score it is built from")
+    pair = trace.pair
+    if d_logits.ctypes.data != pair.ctypes.data or d_logits.strides != pair.strides:
+        pair = np.empty_like(pair)  # [d_logits | scores], as the trace's would hold them
+        pair[:, :j] = d_logits
+        pair[:, j:] = s
 
-    # a fresh d_logits takes the layout of d_scores and s (see trainer.StepBuffers)
-    d_logits = np.multiply(d_scores, s, out=out)
-    row_dot = d_logits.sum(axis=1, keepdims=True)
-    np.subtract(d_scores, row_dot, out=d_logits)
-    d_logits *= s
-    d_logits_sum = d_logits.sum(axis=0)
-
-    last = len(trace.acts) - 1
-    a = trace.inputs if last == 0 else trace.acts[last - 1]
-    w_last, b_last = t[f"mlp{last}.w"], t[f"mlp{last}.b"]
+    last = len(trace.acts)
+    a = trace.block[:, d:] if last == 0 else trace.acts[-1]
+    w_last = t[f"mlp{last}.w"]
     w = t["head.w"]
     w_point = w[:d]
+    a_pair = a.T @ pair
+    d_logits_sum = a_pair[-1, :j].copy()
     pool_grad = w[d:] @ d_logits_sum  # (d,): lands on row pool_rows[k] of column k
-    a_d_logits = a.T @ d_logits
     d_head_w = np.empty_like(w)
-    np.matmul(w_last.T, a_d_logits, out=d_head_w[:d])
-    d_head_w[:d] += np.outer(b_last, d_logits_sum)
+    np.matmul(w_last.T, a_pair[:-1, :j], out=d_head_w[:d])
+    d_head_w[:d] += np.outer(t[f"mlp{last}.b"], d_logits_sum)
     np.outer(trace.pooled, d_logits_sum, out=d_head_w[d:])
-    d_w_last = a_d_logits @ w_point.T
-    del a_d_logits
-    d_w_last += (a.T @ s) @ p
-    d_w_last += a[trace.pool_rows].T * pool_grad
-    grads = {"head.w": d_head_w, "head.b": d_logits_sum, f"mlp{last}.w": d_w_last,
-             f"mlp{last}.b": w_point @ d_logits_sum + s.sum(axis=0) @ p + pool_grad}
+    right = np.hstack((w_point, p.T))  # (d, 2J): the feature gradient is D right^T
+    d_wb_last = a_pair @ right.T
+    del a_pair
+    pool_in = a[trace.pool_rows]  # (d, h + 1): the input row each pooled dimension came from
+    pool_in *= pool_grad[:, None]
+    d_wb_last += pool_in.T
+    del pool_in
+    grads = {"head.w": d_head_w, "head.b": d_logits_sum, f"mlp{last}.w": d_wb_last[:-1],
+             f"mlp{last}.b": d_wb_last[-1]}
     if last == 0:  # nothing reads the gradient at the input points
         return grads
 
-    fresh = out is None
-
     def spent(buffer, width):
         """An (N, width) array to overwrite: the first columns of a spent
-        buffer of the trace, or a fresh array without `out`."""
-        if fresh or buffer.shape[1] < width:
+        buffer of the trace, or a fresh array without `spend`."""
+        if not spend or buffer.shape[1] < width:
             return np.empty((n, width), order="F")
         return buffer[:, :width]
 
-    h = a.shape[1]
-    d_z = np.matmul(s, (w_last @ p.T).T, out=spent(trace.features, h))
+    h = a.shape[1] - 1
+    d_z = np.matmul(pair, (w_last @ right).T, out=spent(trace.features, h))
+    del right
     np.add.at(d_z, trace.pool_rows, (w_last * pool_grad).T)
-    w_logits = w_last @ w_point
-    block = spent(s, min(j, h))
-    for c in range(0, h, j):
-        d_z[:, c:c + j] += np.matmul(d_logits, w_logits[c:c + j].T,
-                                     out=block[:, :min(j, h - c)])
+    # d_logits is read for the last time: its bytes hold the boolean ReLU masks
+    flags = pair[:, :j].reshape(-1, order="F").view(np.bool_)
     for i in reversed(range(last)):
-        # acts[i] > 0 exactly where the ReLU's input was > 0
-        mask = np.greater(trace.acts[i], 0.0, out=None if fresh else trace.acts[i])
+        # the activation > 0 exactly where the ReLU's input was > 0
+        act = trace.acts[i][:, :-1]
+        fits = spend and act.size <= flags.size
+        mask = np.greater(act, 0.0, out=flags[:act.size].reshape(act.shape, order="F")
+                          if fits else None)
         np.multiply(d_z, mask, out=d_z)
-        below = trace.inputs if i == 0 else trace.acts[i - 1]
-        grads[f"mlp{i}.w"] = below.T @ d_z
-        grads[f"mlp{i}.b"] = d_z.sum(axis=0)
+        below = trace.block[:, d:] if i == 0 else trace.acts[i - 1]
+        d_wb = below.T @ d_z
+        grads[f"mlp{i}.w"], grads[f"mlp{i}.b"] = d_wb[:-1], d_wb[-1]
         if i > 0:  # nothing reads the gradient at the input points
-            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=spent(mask, below.shape[1]))
+            d_z = np.matmul(d_z, t[f"mlp{i}.w"].T, out=spent(act, below.shape[1] - 1))
     return grads
 
 

@@ -3,15 +3,17 @@
 The primary objective is the cross-entropy between the transport-derived
 soft labels (treated as constants) and the predicted score matrix. A small
 orthogonality penalty on the normalized prototypes, weighted by the constant
-`ORTH_WEIGHT`, keeps clusters from collapsing onto a single centroid.
+`ORTH_WEIGHT`, keeps clusters from collapsing onto a single centroid. The
+gradient reaches the encoder at its logits, in closed form
+(`logit_gradient`), with no gradient at the scores built on the way.
 
 Every function here fills buffers it owns and never writes its arguments,
-with one exception: `soft_ce_loss` and `total_loss` build the log buffer,
-and then dL/dS in its place, in an `out` array handed in to be overwritten
-(`trainer.StepBuffers` gives the plan of which buffer holds what in a
-training step, where dL/dS then gains the prototype chain's score
-gradient, and the column-major layout of every (N, k) array; the arrays
-built here take the layout of the scores).
+with two exceptions: `soft_ce_loss` and `total_loss` build the log buffer in
+an `out` array handed in to be overwritten, and `logit_gradient` builds
+dL/dlogits in its `out`, which may be the labels, and spends the score
+term it is handed (`trainer.StepBuffers` gives the plan of which buffer
+holds what in a training step, and the column-major layout of every (N, k)
+array; the arrays built here take the layout of the scores).
 """
 
 from __future__ import annotations
@@ -34,49 +36,72 @@ class LossReport:
     l_total: float
 
 
-def soft_ce_loss(gamma, scores: np.ndarray, out: np.ndarray | None = None
-                 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy -(1/N) sum_ij gamma_ij log s_ij and dL/dS.
+def soft_ce_loss(gamma, scores: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Mean cross-entropy -(1/N) sum_ij gamma_ij log s_ij.
 
-    gamma is a constant target: no gradient flows into it. The log buffer,
-    and then dL/dS in its place, is built in `out` when given, an (N, J)
-    array to overwrite that is neither gamma nor the scores.
+    gamma is a constant target: no gradient flows into it. The log buffer
+    is built in `out` when given, an (N, J) array to overwrite that is
+    neither gamma nor the scores. A NaN score passes to a NaN loss.
     """
     g = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
     if g.shape != s.shape:
         raise ShapeError(f"soft labels {g.shape} and scores {s.shape} must match")
-    if np.any(s <= 0.0):
+    if s.min() <= 0.0:
         raise NumericalError("scores must be strictly positive for log-loss")
+    log_s = np.log(s, out=out)
+    if g.flags.f_contiguous and log_s.flags.f_contiguous:
+        g, log_s = g.T, log_s.T  # C-contiguous, as vdot reads without a copy
+    return float(-np.vdot(g, log_s) / s.shape[0])
+
+
+def logit_gradient(gamma, scores: np.ndarray, score_term: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """dL/dlogits, (N, J), of l_soft plus a loss whose gradient at the
+    scores is score_term T, where scores are the row softmax of the logits.
+
+    With dL/dS = T - gamma / (N s), the softmax Jacobian gives
+    s * (dL/dS - rowsum(s * dL/dS)), which is, in closed form,
+      s * (T + rowsum(gamma) / N - rowsum(s * T)) - gamma / N,
+    so no gradient at the scores is built and no score is divided by.
+    It is built in `out` when given, an (N, J) array to overwrite that may
+    be gamma itself but not the scores; score_term is overwritten.
+    """
+    g = np.asarray(gamma, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
+    t = score_term
     n = s.shape[0]
-    buf = np.log(s, out=out)
-    buf *= g
-    loss = float(-buf.sum() / n)
-    np.multiply(n, s, out=buf)
-    d_scores = np.divide(g, buf, out=buf)
-    np.negative(d_scores, out=d_scores)  # -(g / ns) is -g / ns exactly
-    return loss, d_scores
+    if not (g.shape == s.shape == t.shape):
+        raise ShapeError(f"soft labels {g.shape}, scores {s.shape} and score term "
+                         f"{t.shape} must match")
+    shift = g.sum(axis=1) / n
+    shift -= np.einsum("ij,ij->i", s, t)
+    t += shift[:, None]
+    t *= s
+    d_logits = np.multiply(g, -1.0 / n, out=out)
+    d_logits += t
+    return d_logits
 
 
 def _orth_one(protos: np.ndarray) -> tuple[float, np.ndarray]:
     """Frobenius distance of the normalized Gram matrix from identity.
 
-    Rows with tiny norm are excluded from the Gram matrix and get zero
+    Rows with tiny norm are left out of the Gram matrix (their unit row is
+    zero, and so is their diagonal entry of the identity) and get zero
     gradient; at the exact orthonormal optimum the (subgradient) is zero.
     """
-    norms = np.linalg.norm(protos, axis=1)
-    valid = norms >= ZERO_NORM_EPS
-    grad = np.zeros_like(protos)
-    if valid.sum() == 0:
-        return 0.0, grad
-    unit = protos[valid] / norms[valid, None]
-    gram_err = unit @ unit.T - np.eye(unit.shape[0])
-    loss = float(np.sqrt((gram_err ** 2).sum()))
-    if loss > 0.0:
-        d_unit = 2.0 * (gram_err / loss) @ unit
-        proj = (d_unit * unit).sum(axis=1, keepdims=True)
-        grad[valid] = (d_unit - proj * unit) / norms[valid, None]
-    return loss, grad
+    norms = np.sqrt(np.einsum("jk,jk->j", protos, protos))
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= ZERO_NORM_EPS)
+    unit = protos * inv[:, None]
+    gram_err = unit @ unit.T
+    gram_err.flat[::inv.size + 1] -= inv > 0.0
+    loss = float(np.sqrt(np.vdot(gram_err, gram_err)))
+    if loss == 0.0:
+        return 0.0, np.zeros_like(unit)
+    d_unit = (2.0 / loss) * (gram_err @ unit)
+    d_unit -= np.einsum("jk,jk->j", d_unit, unit)[:, None] * unit
+    d_unit *= inv[:, None]
+    return loss, d_unit
 
 
 def orth_loss(protos: Prototypes) -> tuple[float, np.ndarray, np.ndarray]:
@@ -87,17 +112,18 @@ def orth_loss(protos: Prototypes) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 def total_loss(gamma, scores: np.ndarray, protos: Prototypes, out: np.ndarray | None = None
-               ) -> tuple[LossReport, np.ndarray, np.ndarray, np.ndarray]:
-    """Combined objective l_soft + ORTH_WEIGHT * l_orth with upstream gradients.
+               ) -> tuple[LossReport, np.ndarray, np.ndarray]:
+    """Combined objective l_soft + ORTH_WEIGHT * l_orth with its gradients
+    at the prototypes.
 
-    Returns (report, dL/dS, dL/dC_geo, dL/dC_feat); the prototype gradients
-    are already scaled by ORTH_WEIGHT and still need chaining through the
-    weighted centroids to reach scores and features:
-    `clustering.prototypes_backward` adds the score part to dL/dS and
-    returns the feature part as a (J, d) factor for `encoder.backward`.
-    dL/dS is built in `out` when given (see `soft_ce_loss`).
+    Returns (report, dL/dC_geo, dL/dC_feat); the prototype gradients are
+    already scaled by ORTH_WEIGHT and still need chaining through the
+    weighted centroids: `clustering.prototypes_backward` turns them into a
+    score term for `logit_gradient` and a (J, d) feature factor for
+    `encoder.backward`. The log buffer is built in `out` when given (see
+    `soft_ce_loss`).
     """
-    l_soft, d_scores = soft_ce_loss(gamma, scores, out=out)
+    l_soft = soft_ce_loss(gamma, scores, out=out)
     l_orth, d_geo, d_feat = orth_loss(protos)
     report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + ORTH_WEIGHT * l_orth)
-    return report, d_scores, ORTH_WEIGHT * d_geo, ORTH_WEIGHT * d_feat
+    return report, ORTH_WEIGHT * d_geo, ORTH_WEIGHT * d_feat

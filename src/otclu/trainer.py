@@ -19,7 +19,7 @@ from .clustering import (SolverConfig, Prototypes, assign_soft_labels,
                          compute_cost, compute_prototypes, prototypes_backward, sinkhorn)
 from .encoder import EncoderConfig, EncoderParams, ForwardTrace
 from .errors import ConfigError, NumericalError, check_int, check_real
-from .losses import LossReport, total_loss
+from .losses import LossReport, logit_gradient, total_loss
 
 # AdamW (Loshchilov & Hutter, 2019) at Adam's published defaults (Kingma & Ba,
 # 2015), and the step schedule: lr * LR_DECAY ** (epoch // DECAY_EVERY).
@@ -53,19 +53,23 @@ class StepBuffers:
     the result. A field left None is a fresh array at each use. Each
     array's last read comes before its next write:
 
-    - trace: the forward trace. `encoder.forward` refills its activations
-      and scores; `encoder.backward` then holds the gradient at the last
-      layer's input in the features, which it never reads, and a product
-      of d_logits in the scores; it turns each hidden activation into its
-      ReLU mask and then builds the gradient at the layer below in it
-      (each while wide enough; otherwise in a fresh array).
+    - trace: the forward trace (see `encoder.ForwardTrace`). `encoder.forward`
+      refills its activations, the features and points of its point block
+      and the scores, the right half of its (N, 2J) `pair`. The left half
+      of the pair is the plan buffer (N, J): the Sinkhorn kernel, the plan
+      and the labels (`clustering.sinkhorn`, `assign_soft_labels`); then
+      d_logits, built over the labels (`losses.logit_gradient`), so that
+      the pair is [d_logits | scores] for `encoder.backward`. The backward
+      then holds the gradient at the last layer's input in the features,
+      which it never reads, each hidden layer's boolean ReLU mask in the
+      bytes of d_logits, and the gradient at the layer below a hidden
+      activation in that activation (each while large enough; otherwise
+      in a fresh array). The ones columns of the activations and of the
+      point block are written once, when the trace is made.
     - cost (N, J): the cost (`clustering.compute_cost`); then the loss's
-      log buffer, which ends as dL/dS (`losses.total_loss`) and gains the
-      prototype chain's score gradient (`clustering.prototypes_backward`).
-    - plan (N, J): the cost's geometric product; then the Sinkhorn kernel,
-      the plan and the labels (`clustering.sinkhorn`,
-      `assign_soft_labels`); then each product of the prototype chain's
-      score gradient before it is added; then the backward's d_logits.
+      log buffer (`losses.total_loss`); then the prototype chain's score
+      term (`clustering.prototypes_backward`), which `logit_gradient`
+      spends.
 
     No buffer is (N, d) wide but the trace's: the prototype chain's
     feature gradient stays in factored form, a (J, d) matrix that
@@ -75,27 +79,24 @@ class StepBuffers:
     non-finite-cost message read the cost again after the kernel is built.
 
     Every (N, k) float array of a step is column-major (Fortran order):
-    these buffers, the trace's activations and scores, and the arrays the
-    step functions build when handed no `out` (products and the Sinkhorn
-    kernel are allocated so; elementwise results take the layout of their
-    inputs, which in a step is this one). Then the per-point and
-    per-channel loops of numpy's broadcasts and reductions (bias adds,
-    softmax and Sinkhorn row and column sums, bias gradients, the pool's
-    argmax) each run along N in contiguous memory, and `matmul` fills such
-    an array through BLAS by swapping its operands. Only the input points
-    stay C-ordered (N, 3). Buffered and fresh arrays share this one layout
-    because float results (reduction order, BLAS kernels) follow the
-    layout an array is built in.
+    these buffers, the trace's arrays, and the arrays the step functions
+    build when handed no `out` (products and the Sinkhorn kernel are
+    allocated so; elementwise results take the layout of their inputs,
+    which in a step is this one). Then the per-point and per-channel loops
+    of numpy's broadcasts and reductions (softmax and Sinkhorn row and
+    column sums, the pool's argmax) each run along N in contiguous memory,
+    and `matmul` fills such an array through BLAS by swapping its
+    operands. Buffered and fresh arrays share this one layout because
+    float results (reduction order, BLAS kernels) follow the layout an
+    array is built in.
     """
 
     cost: np.ndarray | None = None
-    plan: np.ndarray | None = None
     trace: ForwardTrace | None = None
 
     @classmethod
     def empty(cls, n: int, config: EncoderConfig) -> "StepBuffers":
-        j = config.num_clusters
-        return cls(cost=np.empty((n, j), order="F"), plan=np.empty((n, j), order="F"))
+        return cls(cost=np.empty((n, config.num_clusters), order="F"))
 
 
 @dataclass
@@ -144,14 +145,13 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig,
     # cluster-files requests at seed 5, 2-vCPU Linux VM, glibc).
     buffers = StepBuffers() if out is None else out
     trace = buffers.trace = enc.forward(params, cloud.points, out=buffers.trace)
-    protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
-    cost = compute_cost(trace.inputs, trace.features, protos, solver.lam,
-                        out=(buffers.cost, buffers.plan))
+    protos = compute_prototypes(trace.block, trace.scores)
+    cost = compute_cost(trace.block, protos, solver.lam, out=buffers.cost)
     plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol,
-                    potential=potential, out=buffers.plan)
+                    potential=potential, out=trace.pair[:, :trace.scores.shape[1]])
     del cost
     residual = plan.marginal_residual()  # before the labels overwrite the plan
-    gamma = assign_soft_labels(plan, out=buffers.plan)
+    gamma = assign_soft_labels(plan, out=plan.matrix)
     return EStepResult(trace=trace, protos=protos, gamma=gamma, marginal_residual=residual,
                        iterations=plan.iterations, potential=plan.potential, buffers=out)
 
@@ -163,18 +163,19 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
     are built in its buffers and its trace (see `StepBuffers`). An
     unbuffered result is only read.
     """
-    out = StepBuffers() if result.buffers is None else result.buffers
-    report, d_scores, d_geo, d_feat = total_loss(
-        result.gamma, result.trace.scores, result.protos, out=out.cost)
+    trace, buffers = result.trace, result.buffers
+    cost = None if buffers is None else buffers.cost
+    report, d_geo, d_feat = total_loss(result.gamma, trace.scores, result.protos, out=cost)
     if not np.isfinite(report.l_total):
         raise NumericalError(
             f"non-finite loss at step {state.step}, epoch {state.epoch}: "
             f"l_soft={report.l_soft} l_orth={report.l_orth}")
-    d_scores, d_features_per_score = prototypes_backward(
-        result.trace.inputs, result.trace.features, result.trace.scores,
-        result.protos, d_geo, d_feat, d_scores, out=(d_scores, out.plan))
-    return report, enc.backward(result.trace, state.params, d_scores, d_features_per_score,
-                                out=out.plan)
+    score_term, d_features_per_score = prototypes_backward(trace.block, result.protos, d_geo,
+                                                           d_feat, out=cost)
+    d_logits = logit_gradient(result.gamma, trace.scores, score_term,
+                              out=None if buffers is None else result.gamma)
+    return report, enc.backward(trace, state.params, d_logits, d_features_per_score,
+                                spend=buffers is not None)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:

@@ -22,7 +22,7 @@ from . import cloud as pc
 from . import encoder as enc
 from . import oracle
 from .clustering import (Prototypes, SolverConfig, assign_l2_labels, assign_soft_labels,
-                         compute_cost, compute_prototypes, sinkhorn)
+                         compute_cost, compute_prototypes, point_block, sinkhorn)
 from .losses import total_loss
 from .trainer import StepBuffers, TrainConfig, TrainState, cloud_gradients, e_step, pretrain
 
@@ -120,8 +120,7 @@ def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8)
 def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma) -> float:
     """L_tot as a function of the parameters with labels held constant."""
     trace = enc.forward(params, points)
-    protos = compute_prototypes(points, trace.features, trace.scores)
-    report, _, _, _ = total_loss(gamma, trace.scores, protos)
+    report, _, _ = total_loss(gamma, trace.scores, compute_prototypes(trace.block, trace.scores))
     return report.l_total
 
 
@@ -210,8 +209,8 @@ def check_blob_purity() -> tuple[bool, str]:
         hard = e_step(params, cloud, solver).gamma.argmax(axis=1)
         p = purity(hard, membership)
         trace = enc.forward(params, cloud.points)
-        protos = compute_prototypes(cloud.points, trace.features, trace.scores)
-        ref = oracle.balanced_hard_assign(compute_cost(cloud.points, trace.features, protos, 1.0))
+        protos = compute_prototypes(trace.block, trace.scores)
+        ref = oracle.balanced_hard_assign(compute_cost(trace.block, protos, 1.0))
         agree = bool(np.array_equal(hard, ref))
         ok = ok and p == 1.0 and agree
         details.append(f"J={j}: purity {p:.2f}, matches oracle: {agree}")
@@ -268,8 +267,8 @@ def check_ablation_mechanics() -> tuple[bool, str]:
                         feat=np.tile(feats.mean(axis=0), (2, 1)))
     purities = {}
     for lam in (0.0, 0.5):
-        plan = sinkhorn(compute_cost(points, feats, protos, lam), 1e-3, iters=200_000,
-                        tol=CONVERGED_TOL)
+        plan = sinkhorn(compute_cost(point_block(points, feats), protos, lam), 1e-3,
+                        iters=200_000, tol=CONVERGED_TOL)
         plans.append(plan)
         purities[lam] = purity(assign_soft_labels(plan).argmax(axis=1), membership)
     part_b = purities[0.0] < 0.6 and purities[0.5] >= 0.99

@@ -131,8 +131,8 @@ class TestPretrainCommand:
         out = tmp_path / "out"
         assert cli.main(["pretrain", str(config), str(data), str(out)]) == 4
         assert re.fullmatch(r"numerical abort: transport plan became non-finite after \d+ "
-                            r"Sinkhorn iterations; epsilon 1e-09 is too small for the cost "
-                            r"spread\n", capsys.readouterr().err)
+                            r"iterations \(Sinkhorn iterations and Newton steps\); epsilon "
+                            r"1e-09 is too small for the cost spread\n", capsys.readouterr().err)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "metrics.jsonl"]
         assert json.loads((out / "manifest.json").read_text())["finished_at"] is None
         assert (out / "metrics.jsonl").read_text() == ""

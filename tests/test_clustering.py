@@ -7,20 +7,20 @@ import pytest
 from otclu import clustering
 from otclu import encoder as enc
 from otclu.clustering import (Prototypes, assign_l2_labels, assign_soft_labels,
-                              compute_cost, compute_prototypes, prototypes_backward,
-                              sinkhorn)
+                              compute_cost, compute_prototypes, point_block,
+                              prototypes_backward, sinkhorn)
 from otclu.errors import NumericalError, ShapeError
 from otclu.oracle import exact_ot
 from otclu.verify import ball_cloud
 
 
 def paper_shape_inputs(seed=0):
-    """Points, features (d=128), scores (J=64) and prototypes of a seeded
-    default-encoder forward on a 2048-point cloud: the paper's E-step shape."""
+    """The point block [F | X | 1] (d=128), scores (J=64) and prototypes of a
+    seeded default-encoder forward on a 2048-point cloud: the paper's E-step
+    shape."""
     points = ball_cloud(np.random.default_rng(seed), 2048).points
     trace = enc.forward(enc.init_params(enc.EncoderConfig(), seed), points)
-    protos = compute_prototypes(points, trace.features, trace.scores)
-    return points, trace.features, trace.scores, protos
+    return trace.block, trace.scores, compute_prototypes(trace.block, trace.scores)
 
 
 def row_shifted(cost):
@@ -38,14 +38,14 @@ class TestComputePrototypes:
     def test_identity_scores_pick_points(self, rng):
         pts = rng.normal(size=(4, 3))
         feats = rng.normal(size=(4, 5))
-        protos = compute_prototypes(pts, feats, np.eye(4))
+        protos = compute_prototypes(point_block(pts, feats), np.eye(4))
         np.testing.assert_allclose(protos.geo, pts, atol=1e-15)
         np.testing.assert_allclose(protos.feat, feats, atol=1e-15)
 
     def test_uniform_scores_give_centroid(self, rng):
         pts = rng.normal(size=(10, 3))
         feats = rng.normal(size=(10, 4))
-        protos = compute_prototypes(pts, feats, np.full((10, 3), 1 / 3))
+        protos = compute_prototypes(point_block(pts, feats), np.full((10, 3), 1 / 3))
         for j in range(3):
             np.testing.assert_allclose(protos.geo[j], pts.mean(axis=0), atol=1e-12)
             np.testing.assert_allclose(protos.feat[j], feats.mean(axis=0), atol=1e-12)
@@ -53,7 +53,7 @@ class TestComputePrototypes:
     def test_hand_case(self):
         pts = np.array([[0.0, 0, 0], [2, 0, 0], [5, 5, 5]])
         scores = np.array([[1.0, 0], [1, 0], [0, 1]])
-        protos = compute_prototypes(pts, pts.copy(), scores)
+        protos = compute_prototypes(point_block(pts, pts.copy()), scores)
         np.testing.assert_allclose(protos.geo, [[1, 0, 0], [5, 5, 5]], atol=1e-15)
 
     def test_empty_column_is_a_numerical_error(self, rng):
@@ -64,30 +64,33 @@ class TestComputePrototypes:
         scores[0, 2] = 1e-13
         with pytest.raises(NumericalError, match=r"^cluster 1 has score mass 0 \(< 1e-12\); "
                                                  r"its prototypes are undefined$"):
-            compute_prototypes(pts, feats, scores)
+            compute_prototypes(point_block(pts, feats), scores)
         scores[0, 1] = 1e-12  # a mass at the threshold is kept
         with pytest.raises(NumericalError, match=r"^cluster 2 has score mass 1e-13 "):
-            compute_prototypes(pts, feats, scores)
+            compute_prototypes(point_block(pts, feats), scores)
 
     def test_nan_mass_reaches_the_cost_check(self, rng):
         pts = rng.normal(size=(5, 3))
         feats = rng.normal(size=(5, 2))
         scores = np.full((5, 2), 0.5)
         scores[3, 1] = np.nan
-        protos = compute_prototypes(pts, feats, scores)
+        block = point_block(pts, feats)
+        protos = compute_prototypes(block, scores)
         assert np.isnan(protos.geo[1]).all() and np.isfinite(protos.geo[0]).all()
         with pytest.raises(NumericalError, match="non-finite entries"):
-            sinkhorn(compute_cost(pts, feats, protos, 0.5))
+            sinkhorn(compute_cost(block, protos, 0.5))
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            compute_prototypes(rng.normal(size=(4, 3)), rng.normal(size=(5, 2)),
+            point_block(rng.normal(size=(4, 3)), rng.normal(size=(5, 2)))
+        with pytest.raises(ShapeError):
+            compute_prototypes(point_block(rng.normal(size=(5, 3)), rng.normal(size=(5, 2))),
                                np.eye(4))
 
     def test_rows_stay_in_convex_hull(self, rng):
         pts = rng.uniform(-1, 1, size=(20, 3))
         scores = rng.dirichlet(np.ones(4), size=20)
-        protos = compute_prototypes(pts, pts.copy(), scores)
+        protos = compute_prototypes(point_block(pts, pts.copy()), scores)
         assert protos.geo.min() >= pts.min() - 1e-12
         assert protos.geo.max() <= pts.max() + 1e-12
 
@@ -104,14 +107,14 @@ class TestComputeCost:
             pts = rng.normal(size=(1, 3))
             protos = Prototypes(geo=np.vstack([pts, pts + 0.5]),
                                 feat=np.vstack([feats, feats + 0.5]))
-            cost = compute_cost(pts, feats, protos, 0.5)
+            cost = compute_cost(point_block(pts, feats), protos, 0.5)
             assert cost[0, 0] < cost[0, 1]
             expected = 0.5 * 3 * 0.25 + 0.5 * 128 * 0.25
             assert cost[0, 1] - cost[0, 0] == pytest.approx(expected, abs=tol)
 
     def test_pure_geometric_squared_norm(self):
         protos = Prototypes(geo=np.array([[3.0, 4, 0]]), feat=np.array([[100.0]]))
-        cost = compute_cost(np.zeros((1, 3)), np.zeros((1, 1)), protos, 1.0)
+        cost = compute_cost(point_block(np.zeros((1, 3)), np.zeros((1, 1))), protos, 1.0)
         assert cost[0, 0] == pytest.approx(25.0, abs=1e-12)
 
     def test_matches_double_loop(self, rng):
@@ -120,7 +123,7 @@ class TestComputeCost:
         feats = rng.normal(size=(5, 4))
         protos = Prototypes(geo=rng.normal(size=(3, 3)), feat=rng.normal(size=(3, 4)))
         lam = 0.3
-        cost = row_shifted(compute_cost(pts, feats, protos, lam))
+        cost = row_shifted(compute_cost(point_block(pts, feats), protos, lam))
         expected = np.array([[lam * sum((pts[i, k] - protos.geo[j, k]) ** 2 for k in range(3))
                               + (1 - lam) * sum((feats[i, k] - protos.feat[j, k]) ** 2
                                                 for k in range(4))
@@ -131,20 +134,20 @@ class TestComputeCost:
                 assert cost[i, j] == pytest.approx(shifted[i, j], abs=1e-12)
 
         # the paper's shape, against the broadcast-difference form
-        points, feats, _, protos = paper_shape_inputs()
-        cost = compute_cost(points, feats, protos, lam)
-        expected = (lam * broadcast_sq_dists(points, protos.geo)
-                    + (1 - lam) * broadcast_sq_dists(feats, protos.feat))
+        block, _, protos = paper_shape_inputs()
+        cost = compute_cost(block, protos, lam)
+        expected = (lam * broadcast_sq_dists(block[:, -4:-1], protos.geo)
+                    + (1 - lam) * broadcast_sq_dists(block[:, :-4], protos.feat))
         assert cost.shape == (2048, 64)
         assert (np.abs(row_shifted(cost) - row_shifted(expected)).max()
                 <= 1e-12 * np.abs(expected).max())
 
     def test_paper_shape_builds_no_difference_tensor(self):
         # An (N, J, d) float64 tensor at N=2048, J=64, d=128 is 134 MB.
-        points, feats, _, protos = paper_shape_inputs()
+        block, _, protos = paper_shape_inputs()
         tracemalloc.start()
         try:
-            compute_cost(points, feats, protos, 0.5)
+            compute_cost(block, protos, 0.5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -158,7 +161,8 @@ class TestComputeCost:
         scores = rng.dirichlet(np.ones(4), size=n)
 
         def cost(lam, p, f):
-            return compute_cost(p, f, compute_prototypes(p, f, scores), lam)
+            block = point_block(p, f)
+            return compute_cost(block, compute_prototypes(block, scores), lam)
 
         np.testing.assert_array_equal(cost(1.0, points, feats),
                                       cost(1.0, points, rng.normal(size=(n, 6))))
@@ -168,7 +172,7 @@ class TestComputeCost:
     def test_lambda_out_of_range(self, rng):
         protos = Prototypes(geo=np.zeros((2, 3)), feat=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            compute_cost(np.zeros((1, 3)), np.zeros((1, 2)), protos, 1.5)
+            compute_cost(point_block(np.zeros((1, 3)), np.zeros((1, 2))), protos, 1.5)
 
 
 class TestSinkhorn:
@@ -240,8 +244,8 @@ class TestSinkhorn:
         assert plan.marginal_residual() >= 1e-6
 
     def test_paper_shape_builds_the_plan_in_the_kernel(self):
-        points, feats, _, protos = paper_shape_inputs()
-        cost = compute_cost(points, feats, protos, 0.5)
+        block, _, protos = paper_shape_inputs()
+        cost = compute_cost(block, protos, 0.5)
         tracemalloc.start()
         try:
             sinkhorn(cost)
@@ -290,8 +294,8 @@ class TestSinkhorn:
         assert shifted.marginal_residual() < 1e-9
 
     def test_newton_steps_converge_at_the_paper_shape(self):
-        points, feats, _, protos = paper_shape_inputs()
-        plan = sinkhorn(compute_cost(points, feats, protos, 0.5))
+        block, _, protos = paper_shape_inputs()
+        plan = sinkhorn(compute_cost(block, protos, 0.5))
         assert plan.iterations <= 20
         assert plan.marginal_residual() < 1e-9
         # Newton steps hold the rows exact: the plan ends on a row scaling
@@ -389,12 +393,12 @@ class TestPrototypesBackward:
         w_feat = rng.normal(size=(j, d))
 
         def loss(scores_arr, feats_arr):
-            protos = compute_prototypes(pts, feats_arr, scores_arr)
+            protos = compute_prototypes(point_block(pts, feats_arr), scores_arr)
             return float((w_geo * protos.geo).sum() + (w_feat * protos.feat).sum())
 
-        protos = compute_prototypes(pts, feats, scores)
-        d_scores, p = prototypes_backward(pts, feats, scores, protos, w_geo, w_feat,
-                                          np.zeros((n, j)))
+        block = point_block(pts, feats)
+        protos = compute_prototypes(block, scores)
+        d_scores, p = prototypes_backward(block, protos, w_geo, w_feat)
         d_feats = scores @ p
 
         h = 1e-6
@@ -410,14 +414,12 @@ class TestPrototypesBackward:
                 assert grad.flat[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
     def test_matches_einsum_at_paper_shape(self):
-        # The chain's score gradient is added to the one handed in.
-        points, feats, scores, protos = paper_shape_inputs()
+        block, scores, protos = paper_shape_inputs()
+        points, feats = block[:, -4:-1], block[:, :-4]
         rng = np.random.default_rng(5)
         d_geo = rng.normal(size=protos.geo.shape)
         d_feat = rng.normal(size=protos.feat.shape)
-        upstream = np.asfortranarray(rng.normal(size=scores.shape))
-        d_scores, p = prototypes_backward(points, feats, scores, protos, d_geo, d_feat,
-                                          upstream)
+        d_scores, p = prototypes_backward(block, protos, d_geo, d_feat)
 
         weights = scores.sum(axis=0)
         geo_term = (np.einsum("ik,jk->ij", points, d_geo)
@@ -426,5 +428,5 @@ class TestPrototypesBackward:
                      - np.einsum("jk,jk->j", protos.feat, d_feat)[None, :])
         ref_scores = (geo_term + feat_term) / weights[None, :]
         ref_feats = np.einsum("ij,jk->ik", scores, d_feat / weights[:, None])
-        for got, ref in ((d_scores - upstream, ref_scores), (scores @ p, ref_feats)):
+        for got, ref in ((d_scores, ref_scores), (scores @ p, ref_feats)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -104,11 +104,11 @@ class TestBackward:
         cfg = EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2)
         params = init_params(cfg, seed=5)
         x = rng.normal(size=(1, 3))
-        d_scores = rng.normal(size=(1, 2))
+        dz = rng.normal(size=2)  # the gradient at the logits
         p = rng.normal(size=(2, 1))  # the feature gradient is scores @ p
 
         trace = forward(params, x)
-        grads = backward(trace, params, d_scores, p)
+        grads = backward(trace, params, dz[None, :], p)
 
         w0 = params.tensors["mlp0.w"]          # (3, 1)
         wh = params.tensors["head.w"]          # (2, 2): point row, pooled row
@@ -116,7 +116,6 @@ class TestBackward:
         z = f * (wh[0] + wh[1]) + params.tensors["head.b"]
         e = np.exp(z - z.max())
         s = e / e.sum()
-        dz = s * (d_scores[0] - float(d_scores[0] @ s))
         d_wh = np.stack([f * dz, f * dz])
         d_bh = dz
         df = float(dz @ (wh[0] + wh[1])) + float(s @ p[:, 0])
@@ -146,8 +145,9 @@ class TestBackward:
 
             trace = forward(params, x)
             assert (set(trace.pool_rows.tolist()) == {4}) == shared
-            b = trace.scores @ p  # fixed weights on features
-            grads = backward(trace, params, a, p)
+            s = trace.scores
+            b = s @ p  # fixed weights on features
+            grads = backward(trace, params, s * (a - (a * s).sum(axis=1, keepdims=True)), p)
 
             def loss(tensors):
                 t = forward(EncoderParams(cfg, tensors), x)
@@ -174,11 +174,9 @@ class TestBackward:
         np.testing.assert_array_equal(trace.features.ravel(), [1.0, 1.0, 0.0])
         assert trace.pool_rows.tolist() == [0]
 
-        d_scores = rng.normal(size=(3, 2))
-        grads = backward(trace, params, d_scores, np.zeros((2, 1)))
+        dz = rng.normal(size=(3, 2))
+        grads = backward(trace, params, dz, np.zeros((2, 1)))
 
-        s = trace.scores
-        dz = s * (d_scores - (d_scores * s).sum(axis=1, keepdims=True))
         d_head_in = dz @ wh.T
         d_feat = d_head_in[:, :1].copy()
         d_feat[0, 0] += d_head_in[:, 1].sum()  # pooled gradient to row 0
@@ -196,24 +194,27 @@ class TestBackward:
         with pytest.raises(ShapeError, match="d_features_per_score"):
             backward(trace, params, np.zeros((4, 3)), np.zeros((4, 4)))
 
-    def test_out_sharing_an_input_is_refused(self, rng):
-        # d_logits is built in `out` from the scores and d_scores, and the
-        # feature gradient's factor p is read after it: an `out` over any of
-        # them would corrupt the gradient, so it is refused before anything
-        # is written.
+    def test_d_logits_beside_the_scores_is_read_in_place(self, rng):
+        # backward reads [d_logits | scores] as one array: the trace's pair
+        # when d_logits is its left half, and a copy otherwise, even of a
+        # d_logits that overlaps the scores. Either way the same bits come
+        # out, and an unspent trace is not written.
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(4, 3)))
-        d_scores, p = rng.normal(size=(4, 3)), rng.normal(size=(3, 4))
-        before = [a.copy() for a in trace_arrays(trace)]
-        for shared in (trace.scores, d_scores, p.reshape(-1).reshape(4, 3)):
-            with pytest.raises(ValueError, match="shares memory"):
-                backward(trace, params, d_scores, p, out=shared)
-        assert_bytes_equal(trace_arrays(trace), before)
+        p = rng.normal(size=(3, 4))
+        trace.pair[:, :3] = rng.normal(size=(4, 3))
+        before = [a.copy() for a in (*trace_arrays(trace), trace.pair)]
+        for d_logits in (trace.pair[:, :3], trace.pair[:, 1:4], trace.scores):
+            ref = backward(trace, params, np.array(d_logits, order="F"), p)
+            got = backward(trace, params, d_logits, p)
+            assert_bytes_equal(list(got.values()), list(ref.values()))
+        assert_bytes_equal([*trace_arrays(trace), trace.pair], before)
 
 
-def concatenated_head_reference(params, x, d_scores, d_features):
+def concatenated_head_reference(params, x, d_logits, d_features):
     """Scores and gradients with the head input built as the (N, 2d) matrix
-    [F, pooled repeated N times], independent of forward/backward."""
+    [F, pooled repeated N times] and every bias added and summed on its own,
+    independent of forward/backward."""
     t = params.tensors
     n_layers = len(params.config.layer_sizes) - 1
     pre, acts, a = [], [], x
@@ -229,7 +230,7 @@ def concatenated_head_reference(params, x, d_scores, d_features):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
 
-    dz = s * (d_scores - (d_scores * s).sum(axis=1, keepdims=True))
+    dz = d_logits
     grads = {"head.w": head_input.T @ dz, "head.b": dz.sum(axis=0)}
     d_head_input = dz @ t["head.w"].T
     d_a = d_head_input[:, :d] + d_features
@@ -250,12 +251,12 @@ class TestPaperShapeHead:
         for config in (EncoderConfig(), EncoderConfig(hidden_sizes=())):
             params = init_params(config, seed=4)
             x = rng.uniform(-1.0, 1.0, size=(2048, 3))
-            d_scores = rng.normal(size=(2048, 64))
+            d_logits = rng.normal(size=(2048, 64))
             p = rng.normal(size=(64, 128))
 
             trace = forward(params, x)
-            grads = backward(trace, params, d_scores, p)
-            ref_scores, ref_grads = concatenated_head_reference(params, x, d_scores,
+            grads = backward(trace, params, d_logits, p)
+            ref_scores, ref_grads = concatenated_head_reference(params, x, d_logits,
                                                                 trace.scores @ p)
 
             def rel(a, b):
@@ -283,8 +284,8 @@ class TestPaperShapeHead:
 
 
 def trace_arrays(trace):
-    return [trace.inputs, *trace.acts, trace.features, trace.pooled, trace.pool_rows,
-            trace.scores]
+    """What a trace holds; the left half of its pair is room for d_logits."""
+    return [trace.block, *trace.acts, trace.pooled, trace.pool_rows, trace.scores]
 
 
 def assert_bytes_equal(got, ref):
@@ -321,22 +322,23 @@ class TestOutTrace:
             params, x = tie_case(rng, 64)
             _, other = tie_case(rng, 64)
             assert (x[:, 0] == x[:, 0].max()).sum() > 1
-        n, d = x.shape[0], params.config.feature_dim
-        d_scores = rng.normal(size=(n, params.config.num_clusters))
-        p = rng.normal(size=(params.config.num_clusters, d))
-        d_logits = np.full(d_scores.shape, np.nan)
+        n, d, j = x.shape[0], params.config.feature_dim, params.config.num_clusters
+        d_logits = rng.normal(size=(n, j))
+        p = rng.normal(size=(j, d))
         # spent as in pretrain: another cloud's trace, overwritten by its backward
         spent = forward(params, other)
-        backward(spent, params, d_scores, p, out=d_logits)
-        buffers = [*spent.acts, spent.scores]
+        spent.pair[:, :j] = d_logits
+        backward(spent, params, spent.pair[:, :j], p, spend=True)
+        buffers = [*spent.acts, spent.block, spent.pair]
 
         ref = forward(params, x)
         got = forward(params, x, out=spent)
         assert_bytes_equal(trace_arrays(got), trace_arrays(ref))
-        assert all(a is b for a, b in zip([*got.acts, got.scores], buffers))
+        assert all(a is b for a, b in zip([*got.acts, got.block, got.pair], buffers))
 
-        ref_grads = backward(ref, params, d_scores, p)
-        got_grads = backward(got, params, d_scores, p, out=d_logits)
+        ref_grads = backward(ref, params, d_logits, p)
+        got.pair[:, :j] = d_logits
+        got_grads = backward(got, params, got.pair[:, :j], p, spend=True)
         assert list(got_grads) == list(ref_grads)
         assert_bytes_equal(list(got_grads.values()), list(ref_grads.values()))
 

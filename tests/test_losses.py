@@ -6,7 +6,7 @@ import pytest
 
 from otclu.clustering import Prototypes
 from otclu.errors import NumericalError, ShapeError
-from otclu.losses import ORTH_WEIGHT, orth_loss, soft_ce_loss, total_loss
+from otclu.losses import ORTH_WEIGHT, logit_gradient, orth_loss, soft_ce_loss, total_loss
 from otclu.oracle import grad_check
 
 
@@ -19,23 +19,25 @@ class TestSoftCeLoss:
     def test_uniform_matching_is_log_j(self):
         for j in (2, 5, 64):
             m = np.full((7, j), 1.0 / j)
-            loss, _ = soft_ce_loss(m, m.copy())
+            loss = soft_ce_loss(m, m.copy())
             assert loss == pytest.approx(math.log(j), abs=1e-12)
 
     def test_near_perfect_prediction(self):
         gamma = np.array([[1.0, 0.0]])
         s = np.array([[1.0 - 1e-9, 1e-9]])
-        loss, _ = soft_ce_loss(gamma, s)
+        loss = soft_ce_loss(gamma, s)
         assert loss == pytest.approx(1e-9, abs=1e-12)
 
     def test_hand_value(self):
         gamma = np.array([[1.0, 0.0], [0.0, 1.0]])
         s = np.array([[0.5, 0.5], [0.25, 0.75]])
-        loss, d_s = soft_ce_loss(gamma, s)
+        loss = soft_ce_loss(gamma, s)
         expected = (-math.log(0.5) - math.log(0.75)) / 2
         assert loss == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.49041, abs=1e-5)
-        np.testing.assert_allclose(d_s, -gamma / (2 * s), atol=1e-15)
+        # at the logits: s * rowsum(gamma) / N - gamma / N, rows of gamma summing to 1
+        d_z = logit_gradient(gamma, s, np.zeros((2, 2)))
+        np.testing.assert_allclose(d_z, (s - gamma) / 2, atol=1e-15)
 
     def test_rejects_nonpositive_scores(self):
         with pytest.raises(NumericalError):
@@ -63,11 +65,12 @@ class TestSoftCeLoss:
         gamma = rng.dirichlet(np.ones(j), size=n)
         z = rng.normal(size=(n, j))
         s = softmax_rows(z)
-        _, d_s = soft_ce_loss(gamma, s)
-        d_z = s * (d_s - (d_s * s).sum(axis=1, keepdims=True))
-        report = grad_check(lambda p: soft_ce_loss(gamma, softmax_rows(p["z"]))[0],
-                            {"z": z}, {"z": d_z}, h=1e-6, rel_tol=1e-5)
-        assert report.passed, f"{report.worst_param}: {report.max_rel_error}"
+        for a in (np.zeros((n, j)), rng.normal(size=(n, j))):  # a fixed linear term on s
+            d_z = logit_gradient(gamma, s, a.copy())
+            report = grad_check(
+                lambda p: soft_ce_loss(gamma, softmax_rows(p["z"])) + (a * softmax_rows(p["z"])).sum(),
+                {"z": z}, {"z": d_z}, h=1e-6, rel_tol=1e-5)
+            assert report.passed, f"{report.worst_param}: {report.max_rel_error}"
 
     def test_gibbs_inequality(self, rng):
         # Mean cross-entropy dominates the mean row entropy of the targets,
@@ -77,10 +80,10 @@ class TestSoftCeLoss:
             gamma = rng.dirichlet(np.ones(j), size=n)
             scores = rng.dirichlet(np.ones(j), size=n)
             entropy = float(-(gamma * np.log(np.where(gamma > 0, gamma, 1.0))).sum() / n)
-            loss, _ = soft_ce_loss(gamma, scores)
+            loss = soft_ce_loss(gamma, scores)
             assert loss >= entropy - 1e-12
         gamma = rng.dirichlet(np.ones(4), size=6)
-        loss, _ = soft_ce_loss(gamma, gamma.copy())
+        loss = soft_ce_loss(gamma, gamma.copy())
         entropy = float(-(gamma * np.log(gamma)).sum() / 6)
         assert loss == pytest.approx(entropy, abs=1e-12)
 
@@ -132,18 +135,18 @@ class TestTotalLoss:
         gamma = rng.dirichlet(np.ones(3), size=5)
         scores = rng.dirichlet(np.ones(3), size=5)
         protos = Prototypes(geo=np.eye(3), feat=np.eye(4)[:3])
-        report, _, _, _ = total_loss(gamma, scores, protos)
+        report, _, _ = total_loss(gamma, scores, protos)
         assert report.l_total == report.l_soft
 
     def test_components_recomputed_independently(self, rng):
         gamma = rng.dirichlet(np.ones(4), size=6)
         scores = rng.dirichlet(np.ones(4), size=6)
         protos = Prototypes(geo=rng.normal(size=(4, 3)), feat=rng.normal(size=(4, 5)))
-        report, d_s, d_geo, d_feat = total_loss(gamma, scores, protos)
-        l_soft, d_s_ref = soft_ce_loss(gamma, scores)
+        report, d_geo, d_feat = total_loss(gamma, scores, protos)
+        l_soft = soft_ce_loss(gamma, scores)
         l_orth, d_geo_ref, d_feat_ref = orth_loss(protos)
+        assert report.l_soft == l_soft
         assert report.l_total == pytest.approx(l_soft + ORTH_WEIGHT * l_orth, abs=1e-12)
         assert report.l_total == report.l_soft + ORTH_WEIGHT * report.l_orth
-        np.testing.assert_array_equal(d_s, d_s_ref)
         np.testing.assert_allclose(d_geo, ORTH_WEIGHT * d_geo_ref, atol=1e-15)
         np.testing.assert_allclose(d_feat, ORTH_WEIGHT * d_feat_ref, atol=1e-15)

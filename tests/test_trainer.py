@@ -1,23 +1,25 @@
 import time
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from otclu import cli
 from otclu import cloud as pc
 from otclu import encoder as enc
 from otclu import losses, trainer
-from otclu.clustering import (SolverConfig, assign_soft_labels, compute_cost,
+from otclu.clustering import (Prototypes, SolverConfig, assign_soft_labels, compute_cost,
                               compute_prototypes, prototypes_backward, sinkhorn)
 from otclu.errors import ConfigError, NumericalError
-from otclu.losses import soft_ce_loss, total_loss
+from otclu.losses import logit_gradient, soft_ce_loss, total_loss
 from otclu.oracle import balanced_hard_assign
 from otclu.trainer import (WEIGHT_DECAY, StepBuffers, TrainConfig, TrainState,
                            cloud_gradients, e_step, lr_at_epoch, m_step, pretrain)
 from otclu.verify import ball_cloud
 
-from conftest import two_blob_points
+from conftest import two_blob_points, write_cloud
 
 
 def toy_config(num_clusters=2, epsilon=2e-3, **overrides):
@@ -55,10 +57,9 @@ class TestEStep:
         assert (np.array_equal(hard, membership)
                 or np.array_equal(hard, 1 - membership))
         # and exactly the balanced-assignment optimum on the same cost
-        from otclu.clustering import compute_cost, compute_prototypes
         trace = enc.forward(params, cloud.points)
-        protos = compute_prototypes(cloud.points, trace.features, trace.scores)
-        cost = compute_cost(cloud.points, trace.features, protos, 1.0)
+        protos = compute_prototypes(trace.block, trace.scores)
+        cost = compute_cost(trace.block, protos, 1.0)
         np.testing.assert_array_equal(hard, balanced_hard_assign(cost))
 
     def test_column_sums_meet_quota(self, rng):
@@ -209,6 +210,74 @@ class TestMStep:
             tracemalloc.stop()
         assert result.buffers is None
         assert peak - kept < 1.5 * result.gamma.nbytes, (peak - kept) / result.gamma.nbytes
+
+    def test_a_nan_score_reaches_the_non_finite_loss_error(self, rng):
+        # The log-loss refuses a score <= 0 but lets a NaN through, so that
+        # the step names the non-finite loss it makes.
+        config = toy_config()
+        state = TrainState.initial(config)
+        result = e_step(state.params, pc.normalize(ball_cloud(rng, 8)), config.solver)
+        result.trace.scores[3, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"^non-finite loss at step 0, epoch 0: "
+                                                 r"l_soft=nan "):
+            cloud_gradients(state, result)
+        result.trace.scores[3, 1] = 0.0
+        with pytest.raises(NumericalError, match="strictly positive"):
+            cloud_gradients(state, result)
+
+    def test_paper_shape_gradient_matches_the_unfactored_route(self, rng):
+        # One cloud's gradient at the paper's shape by the unfactored route:
+        # a forward with each bias added on its own, dL/dS = -gamma / (N s)
+        # plus the prototype chain's score term, the softmax Jacobian, and a
+        # layer-by-layer backward with explicit column sums for the biases.
+        # The trainer's buffered step matches it to 1e-12 relative.
+        config = TrainConfig()
+        state = TrainState.initial(config)
+        cloud = pc.normalize(ball_cloud(rng, 2048))
+        result = e_step(state.params, cloud, config.solver,
+                        out=StepBuffers.empty(2048, config.encoder))
+        gamma = result.gamma.copy()
+        t, x = state.params.tensors, cloud.points
+
+        layers = len(config.encoder.hidden_sizes) + 1
+        acts, a = [], x
+        for i in range(layers):
+            z = a @ t[f"mlp{i}.w"] + t[f"mlp{i}.b"]
+            a = np.maximum(z, 0.0) if i < layers - 1 else z
+            acts.append(a)
+        f = a
+        n, d = f.shape
+        rows = f.argmax(axis=0)
+        pooled = f[rows, np.arange(d)]
+        logits = f @ t["head.w"][:d] + pooled @ t["head.w"][d:] + t["head.b"]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        s = e / e.sum(axis=1, keepdims=True)
+
+        mass = s.sum(axis=0)
+        geo, feat = (s.T @ x) / mass[:, None], (s.T @ f) / mass[:, None]
+        _, d_geo, d_feat = losses.orth_loss(Prototypes(geo=geo, feat=feat))
+        per_geo = losses.ORTH_WEIGHT * d_geo / mass[:, None]
+        per_feat = losses.ORTH_WEIGHT * d_feat / mass[:, None]
+        d_s = (-gamma / (n * s) + x @ per_geo.T + f @ per_feat.T
+               - ((geo * per_geo).sum(axis=1) + (feat * per_feat).sum(axis=1)))
+        dz = s * (d_s - (d_s * s).sum(axis=1, keepdims=True))
+
+        ref = {"head.w": np.vstack([f.T @ dz, np.outer(pooled, dz.sum(axis=0))]),
+               "head.b": dz.sum(axis=0)}
+        d_head_in = dz @ t["head.w"].T
+        d_a = d_head_in[:, :d] + s @ per_feat
+        d_a[rows, np.arange(d)] += d_head_in[:, d:].sum(axis=0)
+        for i in reversed(range(layers)):
+            d_z = d_a if i == layers - 1 else d_a * (acts[i] > 0.0)
+            ref[f"mlp{i}.w"] = (x if i == 0 else acts[i - 1]).T @ d_z
+            ref[f"mlp{i}.b"] = d_z.sum(axis=0)
+            d_a = d_z @ t[f"mlp{i}.w"].T
+
+        _, grads = cloud_gradients(state, result)
+        assert grads.keys() == ref.keys()
+        for name, g in ref.items():
+            assert grads[name].shape == g.shape, name
+            assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
     def test_nonfinite_loss_aborts(self, rng):
         config = toy_config()
@@ -451,6 +520,39 @@ class TestPretrain:
             tracemalloc.stop()
         assert all(b < 1.5 * 2**20 for b in above[1:]), [f"{b / 2**20:.2f} MiB" for b in above]
 
+    def test_every_ones_column_reads_one_after_each_step(self, rng, monkeypatch, tmp_path):
+        # The ones columns carry every bias and per-cluster constant, so no
+        # step may write them: not a buffered pretrain step, which spends
+        # its trace, and not `otclu cluster`'s unbuffered E-step.
+        def ones_columns(trace):
+            return [a[:, -1] for a in (trace.block, *trace.acts)]
+
+        seen = []
+
+        def step(state, result):
+            out = cloud_gradients(state, result)
+            seen.append(all(np.all(c == 1.0) for c in ones_columns(result.trace)))
+            return out
+
+        monkeypatch.setattr(trainer, "cloud_gradients", step)
+        clouds = [pc.normalize(ball_cloud(rng, 256)) for _ in range(3)]
+        pretrain(clouds, TrainConfig(epochs=2, batch_size=2))
+        assert seen == [True] * 6
+
+        def cluster_e_step(*args, **kwargs):
+            result = e_step(*args, **kwargs)
+            seen.append(result.buffers is None
+                        and all(np.all(c == 1.0) for c in ones_columns(result.trace)))
+            return result
+
+        monkeypatch.setattr(cli, "e_step", cluster_e_step)
+        ckpt, src = tmp_path / "p.otck", tmp_path / "c.xyz"
+        enc.save_checkpoint(enc.init_params(enc.EncoderConfig(), seed=0), ckpt)
+        write_cloud(ball_cloud(rng, 300).points, src)
+        assert cli.main(["cluster", str(ckpt), str(src), str(tmp_path / "x.ply"),
+                         "--points", "256"]) == 0
+        assert seen == [True] * 7
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             pretrain([], toy_config())
@@ -491,13 +593,17 @@ def step_inputs(rng, num_clusters=5):
     state = TrainState.initial(config)
     cloud = pc.normalize(ball_cloud(rng, 64))
     trace = enc.forward(state.params, cloud.points)
-    protos = compute_prototypes(trace.inputs, trace.features, trace.scores)
-    cost = compute_cost(trace.inputs, trace.features, protos, config.solver.lam)
+    protos = compute_prototypes(trace.block, trace.scores)
+    cost = compute_cost(trace.block, protos, config.solver.lam)
     plan = sinkhorn(cost, config.solver.epsilon)
     gamma = assign_soft_labels(plan)
     psi = plan.potential + rng.normal(scale=config.solver.epsilon, size=plan.potential.shape)
-    _, d_scores, d_geo, d_feat = total_loss(gamma, trace.scores, protos)
-    return config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat
+    _, d_geo, d_feat = total_loss(gamma, trace.scores, protos)
+    term, p = prototypes_backward(trace.block, protos, d_geo, d_feat)
+    d_logits = logit_gradient(gamma, trace.scores, term.copy(order="F"))
+    return SimpleNamespace(config=config, state=state, cloud=cloud, trace=trace, protos=protos,
+                           cost=cost, plan=plan, gamma=gamma, psi=psi, d_geo=d_geo,
+                           d_feat=d_feat, term=term, p=p, d_logits=d_logits)
 
 
 def stale(*shapes):
@@ -506,41 +612,59 @@ def stale(*shapes):
     return tuple(np.full(shape, np.nan, order="F") for shape in shapes)
 
 
+def stale_trace(params, n, rng):
+    """A trace of another cloud whose every entry but its ones columns is
+    NaN: what a step may find in the trace it refills."""
+    trace = enc.forward(params, rng.normal(size=(n, 3)))
+    for a in (trace.block, *trace.acts):
+        a[:, :-1] = np.nan
+    trace.pair[:] = np.nan
+    return trace
+
+
 def out_calls(rng, num_clusters):
     """(function, arguments, keywords, spent) of every step function that
-    takes `out`, with NaN-filled buffers as `out`; `spent` is what the call
-    overwrites: its `out` and, for `encoder.backward`, the activations and
-    scores of the trace it differentiates."""
-    config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
-        step_inputs(rng, num_clusters)
-    params, solver, nj, jd = state.params, config.solver, (64, num_clusters), (num_clusters, 8)
-    own = enc.forward(params, cloud.points)  # a trace of its own for the backward to spend
+    takes `out` or `spend`, with NaN-filled buffers as `out`; `spent` is
+    what the call overwrites: its `out`, the score term `logit_gradient`
+    is handed, and the trace `encoder.backward` spends."""
+    x = step_inputs(rng, num_clusters)
+    params, solver, trace, nj = x.state.params, x.config.solver, x.trace, (64, num_clusters)
+    own = enc.forward(params, x.cloud.points)  # a trace of its own for the backward to spend
+    term = x.term.copy(order="F")
     calls = [
-        (compute_cost, (trace.inputs, trace.features, protos, solver.lam),
-         {"out": stale(nj, nj)}),
-        (sinkhorn, (cost, solver.epsilon), {"out": stale(nj)[0]}),
-        (sinkhorn, (cost, solver.epsilon, solver.iters, solver.tol, psi), {"out": stale(nj)[0]}),
-        (assign_soft_labels, (plan,), {"out": stale(nj)[0]}),
-        (soft_ce_loss, (gamma, trace.scores), {"out": stale(nj)[0]}),
-        (total_loss, (gamma, trace.scores, protos), {"out": stale(nj)[0]}),
-        (prototypes_backward, (trace.inputs, trace.features, trace.scores, protos, d_geo,
-                               d_feat, d_scores), {"out": stale(nj, nj)}),
-        (enc.backward, (own, params, d_scores, rng.normal(size=jd)), {"out": stale(nj)[0]}),
-        (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj))}),
-        (e_step, (params, cloud, solver), {"out": StepBuffers(*stale(nj, nj)), "potential": psi}),
-    ]
-    return [(fn, args, kwargs, [kwargs["out"], *(own.acts + [own.scores]
-                                                  if fn is enc.backward else [])])
-            for fn, args, kwargs in calls]
+        (compute_cost, (trace.block, x.protos, solver.lam), {"out": stale(nj)[0]}, []),
+        (sinkhorn, (x.cost, solver.epsilon), {"out": stale(nj)[0]}, []),
+        (sinkhorn, (x.cost, solver.epsilon, solver.iters, solver.tol, x.psi),
+         {"out": stale(nj)[0]}, []),
+        (assign_soft_labels, (x.plan,), {"out": stale(nj)[0]}, []),
+        (soft_ce_loss, (x.gamma, trace.scores), {"out": stale(nj)[0]}, []),
+        (total_loss, (x.gamma, trace.scores, x.protos), {"out": stale(nj)[0]}, []),
+        (prototypes_backward, (trace.block, x.protos, x.d_geo, x.d_feat),
+         {"out": stale(nj)[0]}, []),
+        (logit_gradient, (x.gamma, trace.scores, term), {"out": stale(nj)[0]}, [term]),
+        (enc.backward, (own, params, x.d_logits, x.p), {"spend": True},
+         [own.block, *own.acts]),
+    ] + [(e_step, (params, x.cloud, solver),
+          {"out": StepBuffers(cost=stale(nj)[0], trace=stale_trace(params, 64, rng)),
+           **potential}, [])
+         for potential in ({}, {"potential": x.psi})]
+    return [(fn, args, kwargs, [kwargs.get("out"), *spent]) for fn, args, kwargs, spent in calls]
+
+
+def fresh(args, spent):
+    """args with a copy of each array a call overwrites, so that each call sees the same."""
+    ids = {id(a) for a in spent}
+    return tuple(np.copy(a, order="K") if id(a) in ids else a for a in args)
 
 
 @pytest.mark.parametrize("num_clusters", [5, 12])  # J below and above d = 8
 def test_out_buffers_change_no_result_bit(rng, num_clusters):
-    # Given arrays to overwrite, each step function returns the bytes it
-    # returns without them and builds its results in them.
+    # Given arrays to overwrite, or a trace to spend, each step function
+    # returns the bytes it returns without them and builds its results in them.
     for fn, args, kwargs, spent in out_calls(rng, num_clusters):
-        ref = fn(*args, **{k: v for k, v in kwargs.items() if k != "out"})
-        got = fn(*args, **kwargs)
+        ref = fn(*fresh(args, spent), **{k: v for k, v in kwargs.items()
+                                         if k not in ("out", "spend")})
+        got = fn(*fresh(args, spent), **kwargs)
         if fn is e_step:  # the result records the buffers it was built in
             assert got.buffers is kwargs["out"]
             got = replace(got, buffers=None)
@@ -550,20 +674,19 @@ def test_out_buffers_change_no_result_bit(rng, num_clusters):
 
 def test_step_arrays_are_column_major(rng):
     # Every (N, k) float array of a step is column-major (see StepBuffers):
-    # the step buffers, and the arrays the step functions build when handed
-    # no `out`, from a C-ordered cost too; the backward's scratch, the first
-    # columns of the spent features and scores, is column-major.
-    config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
-        step_inputs(rng)
-    buffers = StepBuffers.empty(64, config.encoder)
-    arrays = [buffers.cost, buffers.plan, *trace.acts, trace.scores, cost,
-              plan.matrix, sinkhorn(np.ascontiguousarray(cost), config.solver.epsilon).matrix,
-              e_step(state.params, cloud, config.solver).gamma, d_scores,
-              prototypes_backward(trace.inputs, trace.features, trace.scores, protos,
-                                  d_geo, d_feat, d_scores)[0]]
+    # the step buffers, the trace's arrays, and the arrays the step
+    # functions build when handed no `out`, from a C-ordered cost too; the
+    # backward's scratch, the first columns of the spent features and
+    # activations, is column-major.
+    x = step_inputs(rng)
+    trace = x.trace
+    arrays = [StepBuffers.empty(64, x.config.encoder).cost, *trace.acts, trace.block,
+              trace.pair, trace.scores, trace.features, x.cost, x.plan.matrix,
+              sinkhorn(np.ascontiguousarray(x.cost), x.config.solver.epsilon).matrix,
+              e_step(x.state.params, x.cloud, x.config.solver).gamma, x.term, x.d_logits]
     assert all(a.ndim == 2 and a.flags.f_contiguous for a in arrays)
-    h, j = trace.acts[-2].shape[1], trace.scores.shape[1]
-    for buffer, width in ((trace.features, h), (trace.scores, min(j, h))):
+    h = trace.acts[-1].shape[1] - 1
+    for buffer, width in ((trace.block, h), (trace.acts[0], trace.acts[0].shape[1] - 1)):
         lent = buffer[:, :width]
         assert lent.flags.f_contiguous and np.shares_memory(lent, buffer)
 
@@ -572,29 +695,27 @@ def test_no_step_function_writes_its_arguments(rng):
     # The step functions fill buffers they own, or the buffers they are
     # handed to spend, in place; none may write any other array it was
     # handed as an argument, however deep in a trace, params or state it sits.
-    config, state, cloud, trace, protos, cost, plan, gamma, psi, d_scores, d_geo, d_feat = \
-        step_inputs(rng)
-    params = state.params
-    p = rng.normal(size=(trace.scores.shape[1], trace.features.shape[1]))
-    buffered = e_step(params, cloud, config.solver, out=StepBuffers.empty(64, config.encoder))
+    x = step_inputs(rng)
+    params, trace, solver = x.state.params, x.trace, x.config.solver
+    buffered = e_step(params, x.cloud, solver, out=StepBuffers.empty(64, x.config.encoder))
     out = buffered.buffers
     calls = [
-        (enc.forward, params, cloud.points),
-        (enc.backward, trace, params, d_scores, p),
-        (soft_ce_loss, gamma, trace.scores),
-        (total_loss, gamma, trace.scores, protos),
-        (compute_cost, trace.inputs, trace.features, protos, config.solver.lam),
-        (sinkhorn, cost, config.solver.epsilon),
-        (sinkhorn, cost, config.solver.epsilon, config.solver.iters, config.solver.tol, psi),
-        (prototypes_backward, trace.inputs, trace.features, trace.scores, protos,
-         d_geo, d_feat, d_scores),
-        (e_step, params, cloud, config.solver),
-        (e_step, params, cloud, config.solver, None, psi),
-        (cloud_gradients, state, e_step(params, cloud, config.solver)),
+        (enc.forward, params, x.cloud.points),
+        (enc.backward, trace, params, x.d_logits, x.p),
+        (soft_ce_loss, x.gamma, trace.scores),
+        (total_loss, x.gamma, trace.scores, x.protos),
+        (compute_prototypes, trace.block, trace.scores),
+        (compute_cost, trace.block, x.protos, solver.lam),
+        (sinkhorn, x.cost, solver.epsilon),
+        (sinkhorn, x.cost, solver.epsilon, solver.iters, solver.tol, x.psi),
+        (prototypes_backward, trace.block, x.protos, x.d_geo, x.d_feat),
+        (e_step, params, x.cloud, solver),
+        (e_step, params, x.cloud, solver, None, x.psi),
+        (cloud_gradients, x.state, e_step(params, x.cloud, solver)),
     ]
     calls = [(fn, args, {}, []) for fn, *args in calls] + [
-        (cloud_gradients, (state, buffered), {},
-         [out.cost, out.plan, *out.trace.acts, out.trace.scores]),
+        (cloud_gradients, (x.state, buffered), {},
+         [out.cost, out.trace.block, out.trace.pair, *out.trace.acts, buffered.gamma]),
     ] + out_calls(rng, 5)
     for fn, args, kwargs, spent in calls:
         spent_ids = {id(a) for a in reachable_arrays(spent)}
