@@ -6,7 +6,8 @@ Commands:
   verify                                         run the self-check suite
 
 `cluster` solves with the settings `pretrain` stores in each checkpoint's
-meta as "solver"; a checkpoint without them gets the SolverConfig defaults.
+meta as "solver", less the "iters" and "tol" that older checkpoints store
+there; a checkpoint without them gets the SolverConfig defaults.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 data error, 4 numerical abort, 5 checkpoint/config mismatch.
@@ -103,8 +104,9 @@ def load_config(path) -> tuple[TrainConfig, dict]:
 
 def solver_config(section) -> SolverConfig:
     """The SolverConfig of a solver section as `resolved_config_dict` writes
-    it, which names `lam` "lambda"."""
-    keys = dict(section)
+    it, which names `lam` "lambda". The `iters` and `tol` of checkpoints
+    from when these were settings are ignored; `load_config` refuses them."""
+    keys = {key: value for key, value in dict(section).items() if key not in ("iters", "tol")}
     if "lambda" in keys:
         keys["lam"] = keys.pop("lambda")
     return SolverConfig(**keys)
@@ -213,8 +215,6 @@ def cmd_cluster(args) -> int:
         "num_clusters": head_width,
         "epsilon": solver.epsilon,
         "lambda": solver.lam,
-        "iters": solver.iters,
-        "tol": solver.tol,
         "cluster_counts": counts.tolist(),
         "mean_confidence": float(result.gamma.max(axis=1).mean()),
         "marginal_residual": result.marginal_residual,

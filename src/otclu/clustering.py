@@ -29,6 +29,8 @@ import numpy as np
 from .errors import NumericalError, ShapeError, check_int, check_real
 
 EMPTY_CLUSTER_EPS = 1e-12
+MAX_ITERS = 1000           # cap on a solve's Sinkhorn iterations and Newton steps together
+TOL = 1e-6                 # marginal residual a solve stops within (see `sinkhorn`)
 NEWTON_SWITCH = 1e-4       # Sinkhorn's row residual at which Newton steps take over
 LINE_SEARCH_HALVINGS = 10  # a Newton step cut below 2**-10 hands the solve back to Sinkhorn
 ARMIJO = 1e-4              # share of the gain in F the slope predicts that a step must make
@@ -36,25 +38,17 @@ ARMIJO = 1e-4              # share of the gain in F the slope predicts that a st
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Assignment solver settings."""
+    """The assignment problem's settings; when a solve stops is the
+    solver's own rule, `MAX_ITERS` and `TOL`."""
 
     epsilon: float = 1e-3
-    iters: int = 1000   # cap; the solver stops earlier once it reaches tol
-    tol: float = 1e-6
     lam: float = 0.5
     num_clusters: int = 64
 
     def __post_init__(self):
-        _check_solver_args(self.epsilon, self.iters, self.tol)
+        check_real("epsilon", self.epsilon, 0.0, strict=True)
         check_real("lambda", self.lam, 0.0, 1.0)
         check_int("num_clusters", self.num_clusters, 2)
-
-
-def _check_solver_args(epsilon, iters, tol) -> None:
-    """Raise ConfigError unless epsilon and tol are positive and finite and iters >= 1."""
-    check_real("epsilon", epsilon, 0.0, strict=True)
-    check_real("tol", tol, 0.0, strict=True)
-    check_int("iters", iters, 1)
 
 
 @dataclass
@@ -162,9 +156,8 @@ def _cost_matrix(cost) -> np.ndarray:
     return d
 
 
-def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverConfig.iters,
-             tol: float = SolverConfig.tol, potential=None,
-             out: np.ndarray | None = None) -> TransportPlan:
+def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS,
+             tol: float = TOL, potential=None, out: np.ndarray | None = None) -> TransportPlan:
     """Entropically regularized balanced transport: Sinkhorn scaling, then
     Newton steps on the J column potentials.
 
@@ -183,7 +176,8 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     near-hard plans, the solve goes back to Sinkhorn iterations until the
     row residual is below `tol`. `iters` caps Sinkhorn iterations and Newton
     steps together and the plan's `iterations` counts both: a solve that
-    reaches the cap returns its plan with the residual it reached.
+    reaches the cap returns its plan with the residual it reached. Every
+    E-step solves at the defaults, `MAX_ITERS` and `TOL`.
 
     The plan carries its column potential psi_j = g_j + eps * log v_j, which
     does not depend on the shifts (ibid., ch. 4). Given a finite `potential`
@@ -202,7 +196,9 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = SolverCon
     once the cost spread is of the order of 1e4 * epsilon.
     """
     d = _cost_matrix(cost)
-    _check_solver_args(epsilon, iters, tol)
+    check_real("epsilon", epsilon, 0.0, strict=True)
+    check_real("tol", tol, 0.0, strict=True)
+    check_int("iters", iters, 1)
     if out is None:
         out = np.empty(d.shape, order="F")
     if potential is not None:

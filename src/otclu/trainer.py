@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder as enc
-from .clustering import (SolverConfig, Prototypes, assign_soft_labels,
+from .clustering import (TOL, SolverConfig, Prototypes, assign_soft_labels,
                          compute_cost, compute_prototypes, prototypes_backward, sinkhorn)
 from .encoder import EncoderConfig, EncoderParams, ForwardTrace
 from .errors import ConfigError, NumericalError, check_int, check_real
@@ -147,8 +147,8 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig,
     trace = buffers.trace = enc.forward(params, cloud.points, out=buffers.trace)
     protos = compute_prototypes(trace.block, trace.scores)
     cost = compute_cost(trace.block, protos, solver.lam, out=buffers.cost)
-    plan = sinkhorn(cost, epsilon=solver.epsilon, iters=solver.iters, tol=solver.tol,
-                    potential=potential, out=trace.pair[:, :trace.scores.shape[1]])
+    plan = sinkhorn(cost, epsilon=solver.epsilon, potential=potential,
+                    out=trace.pair[:, :trace.scores.shape[1]])
     del cost
     residual = plan.marginal_residual()  # before the labels overwrite the plan
     gamma = assign_soft_labels(plan, out=plan.matrix)
@@ -213,7 +213,7 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
 
     Each cloud's Sinkhorn solve starts from the column potential of that
     cloud's previous solve in the call (its first solve starts cold), so
-    the labels differ from cold solves within the solver's `tol` and the
+    the labels differ from cold solves within `clustering.TOL` and the
     history stays bit-reproducible for a fixed seed.
 
     `on_epoch` is called with the metrics dict after each epoch. The call
@@ -260,8 +260,8 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
             "max_marginal_residual": float(max(residuals)),
             "sinkhorn_iters_median": float(np.median(iterations)),
             "sinkhorn_iters_max": max(iterations),
-            # a solve can end above tol only by reaching the iteration cap
-            "capped_solves": sum(r >= config.solver.tol for r in residuals),
+            # a solve can end above TOL only by reaching the iteration cap
+            "capped_solves": sum(r >= TOL for r in residuals),
         }
         state.history.append(metrics)
         if on_epoch is not None:

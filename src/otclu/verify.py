@@ -21,7 +21,7 @@ import numpy as np
 from . import cloud as pc
 from . import encoder as enc
 from . import oracle
-from .clustering import (Prototypes, SolverConfig, assign_l2_labels, assign_soft_labels,
+from .clustering import (TOL, Prototypes, SolverConfig, assign_l2_labels, assign_soft_labels,
                          compute_cost, compute_prototypes, point_block, sinkhorn)
 from .losses import total_loss
 from .trainer import StepBuffers, TrainConfig, TrainState, cloud_gradients, e_step, pretrain
@@ -109,7 +109,7 @@ def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8)
     cloud = pc.normalize(pc.PointCloud(raw))
     config = TrainConfig(
         seed=seed,
-        solver=SolverConfig(num_clusters=num_clusters, epsilon=1e-2, iters=200, tol=1e-9),
+        solver=SolverConfig(num_clusters=num_clusters, epsilon=1e-2),
         encoder=enc.EncoderConfig(hidden_sizes=(12,), feature_dim=dim,
                                   num_clusters=num_clusters))
     state = TrainState.initial(config)
@@ -205,7 +205,7 @@ def check_blob_purity() -> tuple[bool, str]:
         cloud = pc.normalize(cloud)
         cfg = enc.EncoderConfig(hidden_sizes=(8,), feature_dim=8, num_clusters=j)
         params = enc.init_params(cfg, 50 + j)
-        solver = SolverConfig(lam=1.0, iters=500, tol=1e-9)
+        solver = SolverConfig(lam=1.0)
         hard = e_step(params, cloud, solver).gamma.argmax(axis=1)
         p = purity(hard, membership)
         trace = enc.forward(params, cloud.points)
@@ -236,7 +236,7 @@ def check_learning_signal() -> tuple[bool, str]:
     return ok, (f"l_total {first['l_total']:.4f} -> {last['l_total']:.4f} "
                 f"({100 * reduction:.1f}% >= 30%), l_orth {first['l_orth']:.3f} -> "
                 f"{last['l_orth']:.3f}; {capped} of {len(clouds) * config.epochs} solves "
-                f"stopped at the cap above tol {config.solver.tol:g}")
+                f"stopped at the cap above tol {TOL:g}")
 
 
 def check_ablation_mechanics() -> tuple[bool, str]:

@@ -4,15 +4,16 @@ import math
 import re
 import struct
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otclu import cli, verify
+from otclu import cli, trainer, verify
 from otclu import cloud as pc
 from otclu.cloud import CLOUD_SUFFIXES, PointCloud, load_cloud
-from otclu.clustering import SolverConfig
+from otclu.clustering import MAX_ITERS, SolverConfig, sinkhorn
 from otclu.encoder import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from otclu.errors import CheckpointError, ConfigError, NumericalError, ParseError, ShapeError
 from otclu.trainer import TrainConfig, TrainState
@@ -28,6 +29,13 @@ def with_offset(checkpoint: bytes, name: str, offset: int) -> bytes:
         if entry["name"] == name:
             entry["offset"] = offset
     return join_checkpoint(checkpoint, header, data)
+
+
+def readme_names(after: str, until: str) -> list[str]:
+    """The backticked names in README.md from the first `after` to the next
+    `until`, line breaks read as spaces."""
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    return re.findall(r"`(\w+)`", text.split(after, 1)[1].split(until, 1)[0])
 
 
 def write_config(path, **overrides):
@@ -116,7 +124,8 @@ class TestPretrainCommand:
         [cloud] = seen
         assert cloud.points.tobytes() == pc.normalize(load_cloud(data / "a.xyz")).points.tobytes()
 
-    def test_numerical_abort_leaves_the_manifest_and_metrics(self, tmp_path, rng, capsys):
+    def test_numerical_abort_leaves_the_manifest_and_metrics(self, tmp_path, rng, capsys,
+                                                              monkeypatch):
         # At epsilon 1e-9 and a 20000-iteration cap the scaling vectors of
         # the first solve overflow (see test_trainer's
         # test_numerical_abort_propagates): no epoch completes, so the run
@@ -126,8 +135,9 @@ class TestPretrainCommand:
         write_cloud(verify.ball_cloud(rng, 16).points, data / "ball.xyz")
         config = write_config(tmp_path / "config.json",
                               train={"seed": 21},
-                              solver={"epsilon": 1e-9, "iters": 20_000},
+                              solver={"epsilon": 1e-9},
                               data={"num_points": 16})
+        monkeypatch.setattr(trainer, "sinkhorn", partial(sinkhorn, iters=20_000))
         out = tmp_path / "out"
         assert cli.main(["pretrain", str(config), str(data), str(out)]) == 4
         assert re.fullmatch(r"numerical abort: transport plan became non-finite after \d+ "
@@ -186,6 +196,9 @@ class TestPretrainCommand:
                          ({"train": {"decay_every": 20}}, "decay_every"),
                          ({"train": {"eta": 0.01}}, "eta"),
                          ({"train": {"checkpoint_every": 2}}, "checkpoint_every"),
+                         # when a solve stops is the solver's rule, not a setting
+                         ({"solver": {"iters": 1000}}, "iters"),
+                         ({"solver": {"tol": 1e-6}}, "tol"),
                          ({"data": {"normalize": True}}, "normalize")):
             config.write_text(json.dumps(raw))
             assert cli.main(["pretrain", str(config), str(blob_dataset), str(tmp_path / "o")]) == 2
@@ -195,8 +208,7 @@ class TestPretrainCommand:
         # one value per key, none of them its default
         written = {
             "train": {"epochs": 3, "batch_size": 5, "lr": 0.002, "seed": 4},
-            "solver": {"epsilon": 0.002, "iters": 50, "tol": 1e-5, "lambda": 0.25,
-                       "num_clusters": 5},
+            "solver": {"epsilon": 0.002, "lambda": 0.25, "num_clusters": 5},
             "encoder": {"hidden_sizes": [7, 9], "feature_dim": 6, "num_clusters": 5},
             "data": {"num_points": 100},
         }
@@ -216,10 +228,14 @@ class TestPretrainCommand:
         path.write_text(block)
         assert cli.load_config(path) == (TrainConfig(), cli._DATA_DEFAULTS)
 
+    def test_readme_lists_the_metrics_keys(self, trained_run):
+        out_dir, _ = trained_run
+        record = json.loads((out_dir / "metrics.jsonl").read_text().splitlines()[0])
+        assert readme_names("one JSON line per epoch to `metrics.jsonl` (", ")") == list(record)
+
     def test_invalid_value_exits_2(self, tmp_path, blob_dataset, capsys):
         for section, keys in (("train", {"lr": -1.0}),
-                              ("solver", {"tol": None}), ("solver", {"tol": -1e-6}),
-                              ("solver", {"iters": 2.5}),
+                              ("solver", {"epsilon": None}), ("solver", {"epsilon": -1e-6}),
                               ("data", {"num_points": "abc"}), ("data", {"num_points": 2.5}),
                               ("data", {"num_points": True}), ("data", {"num_points": 0}),
                               ("train", {"seed": -1}), ("train", {"seed": 1.5}),
@@ -249,15 +265,23 @@ class TestClusterCommand:
         assert sidecar["epsilon"] == 2e-3  # the training run's, from the checkpoint
         assert sidecar["cluster_counts"] == [12, 12]
         assert sidecar["marginal_residual"] < 1e-5
-        assert 1 <= sidecar["iterations"] <= SolverConfig().iters
+        assert 1 <= sidecar["iterations"] <= MAX_ITERS
         assert 0.0 <= sidecar["mean_confidence"] <= 1.0
         back = load_cloud(out_ply)
         assert back.n_points == 24
 
+    def test_readme_lists_the_sidecar_keys(self, trained_run, tmp_path):
+        out_dir, _ = trained_run
+        src = write_cloud([[0, 0, 0], [1, 1, 1], [2, 0, 1], [1, 2, 0]], tmp_path / "c.xyz")
+        assert cli.main(["cluster", str(out_dir / "checkpoint_final.otck"), str(src),
+                         str(tmp_path / "x.ply")]) == 0
+        sidecar = json.loads((tmp_path / "x.json").read_text())
+        assert readme_names("a JSON sidecar with the keys", ":") == list(sidecar)
+
     @pytest.mark.parametrize("stored, expected", [
         (None, SolverConfig(num_clusters=2)),  # a library-written checkpoint: the defaults
-        ({"epsilon": 0.004, "iters": 7, "tol": 1e-4, "lambda": 0.25, "num_clusters": 2},
-         SolverConfig(epsilon=0.004, iters=7, tol=1e-4, lam=0.25, num_clusters=2)),
+        ({"epsilon": 0.004, "lambda": 0.25, "num_clusters": 2},
+         SolverConfig(epsilon=0.004, lam=0.25, num_clusters=2)),
     ], ids=["none", "stored"])
     def test_solves_with_the_stored_solver(self, tmp_path, stored, expected):
         ckpt = tmp_path / "p.otck"
@@ -268,10 +292,26 @@ class TestClusterCommand:
         src.write_text("0 0 0\n1 1 1\n2 0 1\n1 2 0\n")
         assert cli.main(["cluster", str(ckpt), str(src), str(tmp_path / "x.ply")]) == 0
         sidecar = json.loads((tmp_path / "x.json").read_text())
-        assert {key: sidecar[key] for key in ("epsilon", "lambda", "iters", "tol")} == \
-            {"epsilon": expected.epsilon, "lambda": expected.lam, "iters": expected.iters,
-             "tol": expected.tol}
-        assert sidecar["iterations"] <= expected.iters
+        assert (sidecar["epsilon"], sidecar["lambda"]) == (expected.epsilon, expected.lam)
+        assert sidecar["iterations"] <= MAX_ITERS
+
+    def test_a_stored_cap_and_tol_are_ignored(self, tmp_path, rng):
+        # Checkpoints written while the cap and tol were settings store them
+        # in their meta's solver section; they cluster as if the two were absent.
+        params = init_params(EncoderConfig(hidden_sizes=(4,), feature_dim=4, num_clusters=2),
+                             seed=0)
+        src = write_cloud(two_blob_points(rng, 8)[0], tmp_path / "c.xyz")
+        solver = {"epsilon": 0.004, "lambda": 0.25, "num_clusters": 2}
+        outputs = []
+        for name, stored in (("old", {**solver, "iters": 7, "tol": 1e-4}), ("new", solver)):
+            ckpt = tmp_path / f"{name}.otck"
+            save_checkpoint(params, ckpt, meta={"solver": stored})
+            out = tmp_path / f"{name}.ply"
+            assert cli.main(["cluster", str(ckpt), str(src), str(out)]) == 0
+            sidecar = json.loads(out.with_suffix(".json").read_text())
+            assert (sidecar["epsilon"], sidecar["lambda"]) == (0.004, 0.25)
+            outputs.append((out.read_bytes(), sidecar["iterations"]))
+        assert outputs[0] == outputs[1]
 
     def test_a_cluster_without_score_mass_exits_4_before_writing(self, tmp_path, capsys):
         # a head bias of -1e4 makes cluster 1's softmax column exactly 0

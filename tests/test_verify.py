@@ -2,8 +2,8 @@ import dataclasses
 
 import numpy as np
 
+from otclu import clustering, trainer
 from otclu import encoder as enc
-from otclu import trainer
 from otclu.clustering import SolverConfig
 from otclu.trainer import TrainConfig
 from otclu.verify import purity
@@ -11,10 +11,12 @@ from otclu.verify import purity
 
 class TestDefaults:
     def test_solver_defaults(self):
+        # when a solve stops is the solver's own rule, not a setting
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "epsilon", "lam", "num_clusters"]
+        assert (clustering.MAX_ITERS, clustering.TOL) == (1000, 1e-6)
         solver = SolverConfig()
         assert solver.epsilon == 1e-3
-        assert solver.iters == 1000
-        assert solver.tol == 1e-6
         assert solver.lam == 0.5
         assert solver.num_clusters == 64
 
