@@ -25,7 +25,7 @@ class PointCloud:
 
     def __post_init__(self):
         # Input points stay C order, while a step's (N, k) arrays are column-major
-        # (see trainer.StepBuffers): float results downstream depend on the layout
+        # (see trainer.EStepResult): float results downstream depend on the layout
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ShapeError(f"points must have shape (N, 3) with N >= 1, got {pts.shape}")

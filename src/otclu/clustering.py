@@ -14,9 +14,9 @@ finish it quadratically (see `sinkhorn`).
 
 Every function here fills buffers it owns and never writes its arguments,
 with one exception: arrays handed in as `out` are overwritten, as each
-function's docstring says (`trainer.StepBuffers` gives the plan of which
-buffer holds what in a training step, and the column-major layout of every
-(N, k) array, buffered or fresh). A `potential` handed to `sinkhorn` is
+function's docstring says (`trainer.EStepResult` gives the plan of which
+array holds what in a training step, and the column-major layout of every
+(N, k) array, refilled or fresh). A `potential` handed to `sinkhorn` is
 only read.
 """
 
@@ -193,7 +193,9 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
 
     Raises NumericalError if the plan is not finite, naming the cause: NaN or
     infinite cost entries, or scaling vectors that overflowed, which they do
-    once the cost spread is of the order of 1e4 * epsilon.
+    once the cost spread is of the order of 1e4 * epsilon; that message
+    gives the widest row's spread, max_i (max_j C_ij - min_j C_ij), over
+    epsilon.
     """
     d = _cost_matrix(cost)
     check_real("epsilon", epsilon, 0.0, strict=True)
@@ -219,9 +221,11 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
         if bad:
             raise NumericalError(f"cost matrix has {bad} non-finite entries (NaN or "
                                  f"infinity) of {d.size}; the transport plan is not finite")
+        spread = (d.max(axis=1) - d.min(axis=1)).max() / epsilon
         raise NumericalError(
             f"transport plan became non-finite after {plan.iterations} iterations (Sinkhorn "
-            f"iterations and Newton steps); epsilon {epsilon:g} is too small for the cost spread")
+            f"iterations and Newton steps); epsilon {epsilon:g} is too small for the cost "
+            f"spread: the widest row spans {spread:.4g} times epsilon")
     return plan
 
 

@@ -11,11 +11,11 @@ and the gradient at the features in factored form, scores @ P for a
 without building an (N, d) array.
 
 Every function here fills buffers it owns and never writes its arguments,
-with one exception: `forward` refills the arrays of an `out` trace, and
-`backward` with `spend` spends the trace it differentiates (see each
-function; `trainer.StepBuffers` gives the plan of which buffer holds what
-in a training step, and the column-major layout of every (N, k) array,
-buffered or fresh).
+with two exceptions: `forward` refills the arrays of an `out` trace, and
+`backward` spends the trace it differentiates (see each function;
+`trainer.EStepResult` gives the plan of which array holds what in a
+training step, and the column-major layout of every (N, k) array,
+refilled or fresh).
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class ForwardTrace:
     features sit in the point block [F | X | 1], whose last four columns are
     the first layer's input; the E-step reads coordinates, features and a
     ones column from it (see `clustering.point_block`). The scores are the
-    right half of `pair`, whose left half is free for d_logits (see
-    `backward`). Every array here is column-major.
+    right half of `pair`, whose left half holds the plan, the labels and
+    then d_logits (see `backward`). Every array here is column-major.
     """
 
     acts: list                         # per hidden layer: (N, h + 1), [ReLU output | 1]
@@ -182,54 +182,46 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     return ForwardTrace(acts=acts, block=block, pooled=pooled, pool_rows=pool_rows, pair=pair)
 
 
-def backward(trace: ForwardTrace, params: EncoderParams, d_logits: np.ndarray,
-             d_features_per_score: np.ndarray, spend: bool = False) -> dict[str, np.ndarray]:
+def backward(trace: ForwardTrace, params: EncoderParams,
+             d_features_per_score: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
-    d_logits (N, J) is the loss gradient at the logits (`losses.logit_gradient`
-    builds it). The gradient at the feature matrix comes in factored form,
-    as the (J, d) matrix d_features_per_score P whose product
-    trace.scores @ P it is (see `clustering.prototypes_backward`). The
-    max-pool subgradient routes each pooled dimension's gradient to the
-    argmax row recorded in the trace. The pooled term of the logits is
-    shared by every point, so its gradients need only the column sums of
-    d_logits.
+    The loss gradient at the logits, d_logits (N, J), is read from the
+    left half of the trace's `pair`, where `losses.logit_gradient` builds
+    it. The gradient at the feature matrix comes in factored form, as the
+    (J, d) matrix d_features_per_score P whose product trace.scores @ P it
+    is (see `clustering.prototypes_backward`). The max-pool subgradient
+    routes each pooled dimension's gradient to the argmax row recorded in
+    the trace. The pooled term of the logits is shared by every point, so
+    its gradients need only the column sums of d_logits.
 
     The last MLP layer and the head are both linear, so no (N, d) array is
     built: with `a` the last layer's input and its ones column, [W; b] its
     weights over its bias and Wh the head's point block, the gradient at
     the features is d_logits Wh^T + scores P + (pool rows), and with
-    D = [d_logits | scores], one (N, 2J) array,
+    D = [d_logits | scores], the trace's (N, 2J) pair,
       a^T D holds a^T d_logits and a^T scores, its ones row the column sums,
       dWh     = [W; b]^T (a^T d_logits),
       d[W; b] = (a^T D) [Wh^T; P] + (pool rows),
       the gradient at a = D [(W Wh)^T; (W P^T)^T] + (pool rows).
     Each hidden layer's weight gradient [a | 1]^T d_z holds its bias
-    gradient in its last row. D is the trace's `pair` when d_logits is its
-    left half, as a training step builds it, and a fresh copy otherwise.
+    gradient in its last row.
 
-    With `spend`, the trace is spent so that no (N, k) array is allocated:
-    the features, which are never read, hold the gradient at `a`; the
-    bytes of d_logits, after its last read, hold each hidden layer's
-    boolean ReLU mask; and each hidden activation, after its last read,
-    holds the gradient at the layer below. The ones columns are never
+    The trace is spent, so that no (N, k) array is allocated: the
+    features, which are never read, hold the gradient at `a`; the bytes of
+    d_logits, after its last read, hold each hidden layer's boolean ReLU
+    mask; and each hidden activation, after its last read, holds the
+    gradient at the layer below. The ones columns and the scores are never
     written. An array too small for its role is replaced by a fresh one.
     """
     t = params.tensors
-    s = trace.scores
-    n, j = s.shape
+    pair = trace.pair
+    n, j = trace.scores.shape
     d = trace.block.shape[1] - 4
-    if d_logits.shape != s.shape:
-        raise ShapeError(f"d_logits shape {d_logits.shape} != scores shape {s.shape}")
     p = d_features_per_score
     if p.shape != (j, d):
         raise ShapeError(f"d_features_per_score shape {p.shape} != (clusters, feature dim) "
                          f"{(j, d)}")
-    pair = trace.pair
-    if d_logits.ctypes.data != pair.ctypes.data or d_logits.strides != pair.strides:
-        pair = np.empty_like(pair)  # [d_logits | scores], as the trace's would hold them
-        pair[:, :j] = d_logits
-        pair[:, j:] = s
 
     last = len(trace.acts)
     a = trace.block[:, d:] if last == 0 else trace.acts[-1]
@@ -257,8 +249,8 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_logits: np.ndarray,
 
     def spent(buffer, width):
         """An (N, width) array to overwrite: the first columns of a spent
-        buffer of the trace, or a fresh array without `spend`."""
-        if not spend or buffer.shape[1] < width:
+        buffer of the trace, or a fresh array where that is too narrow."""
+        if buffer.shape[1] < width:
             return np.empty((n, width), order="F")
         return buffer[:, :width]
 
@@ -271,9 +263,8 @@ def backward(trace: ForwardTrace, params: EncoderParams, d_logits: np.ndarray,
     for i in reversed(range(last)):
         # the activation > 0 exactly where the ReLU's input was > 0
         act = trace.acts[i][:, :-1]
-        fits = spend and act.size <= flags.size
         mask = np.greater(act, 0.0, out=flags[:act.size].reshape(act.shape, order="F")
-                          if fits else None)
+                          if act.size <= flags.size else None)
         np.multiply(d_z, mask, out=d_z)
         below = trace.block[:, d:] if i == 0 else trace.acts[i - 1]
         d_wb = below.T @ d_z

@@ -2,16 +2,19 @@
 
 The primary objective is the cross-entropy between the transport-derived
 soft labels (treated as constants) and the predicted score matrix. A small
-orthogonality penalty on the normalized prototypes, weighted by the constant
-`ORTH_WEIGHT`, keeps clusters from collapsing onto a single centroid. The
-gradient reaches the encoder at its logits, in closed form
+orthogonality penalty on the normalized prototypes is added, weighted by
+the constant `ORTH_WEIGHT`. It is not what keeps clusters from collapsing
+onto one centroid: the labels' equipartition already rules that out. Its
+measured role is the solver's work: its geometric half is what keeps the
+transport solves of a default 20-epoch run cheap (README gives the
+measurement). The gradient reaches the encoder at its logits, in closed form
 (`logit_gradient`), with no gradient at the scores built on the way.
 
 Every function here fills buffers it owns and never writes its arguments,
 with two exceptions: `soft_ce_loss` and `total_loss` build the log buffer in
 an `out` array handed in to be overwritten, and `logit_gradient` builds
 dL/dlogits in its `out`, which may be the labels, and spends the score
-term it is handed (`trainer.StepBuffers` gives the plan of which buffer
+term it is handed (`trainer.EStepResult` gives the plan of which array
 holds what in a training step, and the column-major layout of every (N, k)
 array; the arrays built here take the layout of the scores).
 """

@@ -46,70 +46,56 @@ class TrainConfig:
 
 
 @dataclass
-class StepBuffers:
-    """The arrays one cloud step overwrites, and the one account of what each
-    holds when. `e_step` builds its result in them and the result records
-    them; `cloud_gradients` then builds the gradient in them, which spends
-    the result. A field left None is a fresh array at each use. Each
+class EStepResult:
+    """Everything one E-step produces for a single cloud, and the arrays
+    its gradient spends: `cloud_gradients` builds the gradient in them, and
+    a later `e_step` handed the spent result as `out` refills them. Each
     array's last read comes before its next write:
 
     - trace: the forward trace (see `encoder.ForwardTrace`). `encoder.forward`
       refills its activations, the features and points of its point block
       and the scores, the right half of its (N, 2J) `pair`. The left half
       of the pair is the plan buffer (N, J): the Sinkhorn kernel, the plan
-      and the labels (`clustering.sinkhorn`, `assign_soft_labels`); then
-      d_logits, built over the labels (`losses.logit_gradient`), so that
-      the pair is [d_logits | scores] for `encoder.backward`. The backward
-      then holds the gradient at the last layer's input in the features,
-      which it never reads, each hidden layer's boolean ReLU mask in the
-      bytes of d_logits, and the gradient at the layer below a hidden
-      activation in that activation (each while large enough; otherwise
-      in a fresh array). The ones columns of the activations and of the
-      point block are written once, when the trace is made.
-    - cost (N, J): the cost (`clustering.compute_cost`); then the loss's
-      log buffer (`losses.total_loss`); then the prototype chain's score
-      term (`clustering.prototypes_backward`), which `logit_gradient`
-      spends.
+      and the labels, `gamma` (`clustering.sinkhorn`, `assign_soft_labels`);
+      then d_logits (`losses.logit_gradient`), so that the pair is
+      [d_logits | scores] for `encoder.backward`. The backward then holds
+      the gradient at the last layer's input in the features, which it
+      never reads, each hidden layer's boolean ReLU mask in the bytes of
+      d_logits, and the gradient at the layer below a hidden activation in
+      that activation (each while large enough; otherwise in a fresh
+      array). The ones columns of the activations and of the point block
+      are written once, when the trace is made.
+    - cost (N, J): the cost (`clustering.compute_cost`), free once the
+      solve is done; then the loss's log buffer (`losses.total_loss`); then
+      the prototype chain's score term (`clustering.prototypes_backward`),
+      which `logit_gradient` spends.
 
-    No buffer is (N, d) wide but the trace's: the prototype chain's
-    feature gradient stays in factored form, a (J, d) matrix that
-    `encoder.backward` takes.
+    No array is (N, d) wide but the trace's: the prototype chain's feature
+    gradient stays in factored form, a (J, d) matrix that `encoder.backward`
+    takes.
 
     The kernel is never built in `cost`: Sinkhorn's cold restart and its
     non-finite-cost message read the cost again after the kernel is built.
 
     Every (N, k) float array of a step is column-major (Fortran order):
-    these buffers, the trace's arrays, and the arrays the step functions
-    build when handed no `out` (products and the Sinkhorn kernel are
-    allocated so; elementwise results take the layout of their inputs,
-    which in a step is this one). Then the per-point and per-channel loops
-    of numpy's broadcasts and reductions (softmax and Sinkhorn row and
-    column sums, the pool's argmax) each run along N in contiguous memory,
-    and `matmul` fills such an array through BLAS by swapping its
-    operands. Buffered and fresh arrays share this one layout because
-    float results (reduction order, BLAS kernels) follow the layout an
-    array is built in.
+    the cost, the trace's arrays, and the arrays the step functions build
+    when handed no `out` (products and the Sinkhorn kernel are allocated
+    so; elementwise results take the layout of their inputs, which in a
+    step is this one). Then the per-point and per-channel loops of numpy's
+    broadcasts and reductions (softmax and Sinkhorn row and column sums,
+    the pool's argmax) each run along N in contiguous memory, and `matmul`
+    fills such an array through BLAS by swapping its operands. Refilled
+    and fresh arrays share this one layout because float results
+    (reduction order, BLAS kernels) follow the layout an array is built in.
     """
-
-    cost: np.ndarray | None = None
-    trace: ForwardTrace | None = None
-
-    @classmethod
-    def empty(cls, n: int, config: EncoderConfig) -> "StepBuffers":
-        return cls(cost=np.empty((n, config.num_clusters), order="F"))
-
-
-@dataclass
-class EStepResult:
-    """Everything one E-step produces for a single cloud."""
 
     trace: ForwardTrace
     protos: Prototypes
     gamma: np.ndarray    # soft labels (N, J): N times the transport plan
+    cost: np.ndarray     # (N, J): the cost the labels were solved on, spent by the gradient
     marginal_residual: float
     iterations: int      # Sinkhorn iterations and Newton steps the solve took
     potential: np.ndarray  # the plan's column potential (J,), to warm-start the next solve
-    buffers: StepBuffers | None = None  # what the result was built in, for the gradient to spend
 
 
 @dataclass
@@ -129,42 +115,34 @@ class TrainState:
 
 
 def e_step(params: EncoderParams, cloud, solver: SolverConfig,
-           out: StepBuffers | None = None, potential=None) -> EStepResult:
+           out: EStepResult | None = None, potential=None) -> EStepResult:
     """Forward pass, prototypes, cost, and balanced soft-label assignment.
 
     The cost matrix handed to the transport solver is a constant: the
-    returned labels carry no gradient information. The result is built in
-    `out`, spent arrays to overwrite (see `StepBuffers`), and records it;
-    `out.trace` then holds this cloud's trace. `potential` is a column
-    potential the solve starts from (see `sinkhorn`).
+    returned labels carry no gradient information. `out` is a spent result
+    of a cloud with the same N, whose trace and cost are refilled (see
+    `EStepResult`); without it each array is allocated where it is built.
+    `potential` is a column potential the solve starts from (see `sinkhorn`).
     """
-    # Without `out`, each array is allocated where it is built, as `otclu
-    # cluster` runs it: allocating StepBuffers.empty up front instead raised
-    # a request's minor page faults from a median of 19 to about 1,830 and
-    # its median latency from 34-38 to 39-41 ms (the benchmark's
-    # cluster-files requests at seed 5, 2-vCPU Linux VM, glibc).
-    buffers = StepBuffers() if out is None else out
-    trace = buffers.trace = enc.forward(params, cloud.points, out=buffers.trace)
+    trace = enc.forward(params, cloud.points, out=None if out is None else out.trace)
     protos = compute_prototypes(trace.block, trace.scores)
-    cost = compute_cost(trace.block, protos, solver.lam, out=buffers.cost)
+    cost = compute_cost(trace.block, protos, solver.lam, out=None if out is None else out.cost)
     plan = sinkhorn(cost, epsilon=solver.epsilon, potential=potential,
                     out=trace.pair[:, :trace.scores.shape[1]])
-    del cost
     residual = plan.marginal_residual()  # before the labels overwrite the plan
     gamma = assign_soft_labels(plan, out=plan.matrix)
-    return EStepResult(trace=trace, protos=protos, gamma=gamma, marginal_residual=residual,
-                       iterations=plan.iterations, potential=plan.potential, buffers=out)
+    return EStepResult(trace=trace, protos=protos, gamma=gamma, cost=cost,
+                       marginal_residual=residual, iterations=plan.iterations,
+                       potential=plan.potential)
 
 
 def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport, dict]:
     """The loss on one cloud's E-step labels and its exact parameter gradient.
 
-    A result built in `StepBuffers` is spent: the gradient's (N, ·) arrays
-    are built in its buffers and its trace (see `StepBuffers`). An
-    unbuffered result is only read.
+    The result is spent: the gradient's (N, ·) arrays are built in its cost
+    and its trace (see `EStepResult`).
     """
-    trace, buffers = result.trace, result.buffers
-    cost = None if buffers is None else buffers.cost
+    trace, cost = result.trace, result.cost
     report, d_geo, d_feat = total_loss(result.gamma, trace.scores, result.protos, out=cost)
     if not np.isfinite(report.l_total):
         raise NumericalError(
@@ -172,10 +150,9 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
             f"l_soft={report.l_soft} l_orth={report.l_orth}")
     score_term, d_features_per_score = prototypes_backward(trace.block, result.protos, d_geo,
                                                            d_feat, out=cost)
-    d_logits = logit_gradient(result.gamma, trace.scores, score_term,
-                              out=None if buffers is None else result.gamma)
-    return report, enc.backward(trace, state.params, d_logits, d_features_per_score,
-                                spend=buffers is not None)
+    logit_gradient(result.gamma, trace.scores, score_term,
+                   out=trace.pair[:, :trace.scores.shape[1]])
+    return report, enc.backward(trace, state.params, d_features_per_score)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
@@ -206,10 +183,10 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
     of gradients is kept, so memory does not grow with `batch_size`. The
     run is bit-reproducible for a fixed seed.
 
-    It keeps one `StepBuffers` for every cloud of the call with the same
-    number of points, and a cloud of another size gets fresh ones; each
-    cloud's E-step is handed them and its gradient spends them. A cloud's
-    result and gradients are released before the next cloud's E-step.
+    It keeps the last cloud's spent E-step result and hands it to the next
+    cloud's E-step to refill when that cloud has the same number of
+    points; a cloud of another size gets fresh arrays. A cloud's gradients
+    are released before the next cloud's E-step.
 
     Each cloud's Sinkhorn solve starts from the column potential of that
     cloud's previous solve in the call (its first solve starts cold), so
@@ -223,7 +200,7 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
         raise ValueError("pretrain needs at least one cloud")
     state = TrainState.initial(config)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    buffers = None  # the last cloud's step arrays, free for the next cloud of its N
+    result = None  # the last cloud's spent E-step, free for the next cloud of its N
     potentials = [None] * len(clouds)  # each cloud's last column potential
 
     for epoch in range(config.epochs):
@@ -236,10 +213,9 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
             scale = 1.0 / len(chunk)
             grads = state.params.zeros_like()
             for i in chunk:
-                n = clouds[i].points.shape[0]
-                if buffers is None or buffers.cost.shape[0] != n:
-                    buffers = StepBuffers.empty(n, config.encoder)
-                result = e_step(state.params, clouds[i], config.solver, out=buffers,
+                if result is not None and result.cost.shape[0] != clouds[i].points.shape[0]:
+                    result = None
+                result = e_step(state.params, clouds[i], config.solver, out=result,
                                 potential=potentials[i])
                 residuals.append(result.marginal_residual)
                 iterations.append(result.iterations)
@@ -248,7 +224,7 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
                 reports.append(report)
                 for name, g in cloud_grads.items():
                     grads[name] += scale * g
-                del result, cloud_grads
+                del cloud_grads
             m_step(state, grads)
 
         metrics = {

@@ -24,7 +24,7 @@ from . import oracle
 from .clustering import (TOL, Prototypes, SolverConfig, assign_l2_labels, assign_soft_labels,
                          compute_cost, compute_prototypes, point_block, sinkhorn)
 from .losses import total_loss
-from .trainer import StepBuffers, TrainConfig, TrainState, cloud_gradients, e_step, pretrain
+from .trainer import TrainConfig, TrainState, cloud_gradients, e_step, pretrain
 
 
 @dataclass
@@ -103,7 +103,7 @@ def misses_detail(plans: list) -> str:
 
 def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8):
     """A seeded cloud, a fresh training state, and its E-step for gradient
-    checks, built in step buffers as `pretrain` builds it."""
+    checks."""
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, 3))
     cloud = pc.normalize(pc.PointCloud(raw))
@@ -113,8 +113,7 @@ def toy_problem(seed: int = 7, n: int = 16, num_clusters: int = 4, dim: int = 8)
         encoder=enc.EncoderConfig(hidden_sizes=(12,), feature_dim=dim,
                                   num_clusters=num_clusters))
     state = TrainState.initial(config)
-    return cloud, state, e_step(state.params, cloud, config.solver,
-                                out=StepBuffers.empty(n, config.encoder))
+    return cloud, state, e_step(state.params, cloud, config.solver)
 
 
 def total_loss_of_params(params: enc.EncoderParams, points: np.ndarray, gamma) -> float:
@@ -166,8 +165,8 @@ def check_lp_gap() -> tuple[bool, str]:
 
 
 def check_gradients() -> tuple[bool, str]:
-    # The analytic side is the trainer's own per-cloud gradient chain, on
-    # the buffered E-step that pretrain runs; the gradient spends the labels.
+    # The analytic side is the trainer's own per-cloud gradient chain, which
+    # pretrain runs; the gradient spends the labels.
     cloud, state, result = toy_problem()
     gamma = result.gamma.copy()
     _, grads = cloud_gradients(state, result)

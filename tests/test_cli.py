@@ -1,4 +1,6 @@
 import argparse
+import importlib
+import inspect
 import json
 import math
 import re
@@ -36,6 +38,25 @@ def readme_names(after: str, until: str) -> list[str]:
     `until`, line breaks read as spaces."""
     text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
     return re.findall(r"`(\w+)`", text.split(after, 1)[1].split(until, 1)[0])
+
+
+def tour_mismatches(readme: str) -> tuple[int, list[str]]:
+    """How many backticked `name(arg, ...)` calls README's "Library tour"
+    table holds, and each one that does not name a function of its row's
+    module whose leading parameters are those arguments, in order."""
+    table = readme.split("## Library tour\n", 1)[1].split("\n\n", 1)[0].strip()
+    count, wrong = 0, []
+    for row in table.splitlines()[2:]:
+        module_name, contents = re.fullmatch(r"\| `([\w.]+)` \| (.*) \|", row).groups()
+        module = importlib.import_module(module_name)
+        for name, arglist in re.findall(r"`([A-Za-z_]\w*)\(([^`]*)\)`", contents):
+            count += 1
+            args = [a.split("=")[0].strip() for a in arglist.split(",") if a.strip()]
+            fn = getattr(module, name, None)
+            params = list(inspect.signature(fn).parameters) if callable(fn) else None
+            if params is None or params[:len(args)] != args:
+                wrong.append(f"{module_name}.{name}({arglist}): {params}")
+    return count, wrong
 
 
 def write_config(path, **overrides):
@@ -142,7 +163,8 @@ class TestPretrainCommand:
         assert cli.main(["pretrain", str(config), str(data), str(out)]) == 4
         assert re.fullmatch(r"numerical abort: transport plan became non-finite after \d+ "
                             r"iterations \(Sinkhorn iterations and Newton steps\); epsilon "
-                            r"1e-09 is too small for the cost spread\n", capsys.readouterr().err)
+                            r"1e-09 is too small for the cost spread: the widest row spans "
+                            r"\S+ times epsilon\n", capsys.readouterr().err)
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "metrics.jsonl"]
         assert json.loads((out / "manifest.json").read_text())["finished_at"] is None
         assert (out / "metrics.jsonl").read_text() == ""
@@ -600,6 +622,19 @@ class TestCommands:
         code = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
         in_readme = [line.split()[1] for line in code.splitlines() if line.startswith("otclu ")]
         assert documented == list(registered) == in_readme
+
+    def test_library_tour_calls_match_signatures(self):
+        # Each `name(arg, ...)` in README's "Library tour" names a function of
+        # its row's module, with arguments leading its signature; a stale
+        # signature, such as backward's before it read d_logits from the
+        # trace, is caught.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        count, wrong = tour_mismatches(readme)
+        assert count >= 8 and wrong == []
+        stale = readme.replace("`backward(trace, params, d_features_per_score)`",
+                               "`backward(trace, params, d_logits, d_features_per_score)`")
+        assert stale != readme
+        assert len(tour_mismatches(stale)[1]) == 1
 
     def test_export_is_an_argument_error(self, tmp_path, capsys):
         # converting cloud files is not a command; `cluster` writes the one output format

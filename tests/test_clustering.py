@@ -243,6 +243,16 @@ class TestSinkhorn:
         assert plan.iterations == 1000
         assert plan.marginal_residual() >= 1e-6
 
+    def test_overflow_names_the_widest_row_spread(self):
+        # Three rows can reach only column 0 inside the kernel's range, so
+        # the balanced plan has no support there and the scaling vectors
+        # overflow. The message gives row 0's spread, 1.5, over epsilon.
+        cost = np.array([[0.0, 1.5], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match=r"epsilon 0\.001 is too small for the cost "
+                                                 r"spread: the widest row spans 1500 times "
+                                                 r"epsilon$"):
+            sinkhorn(cost, 1e-3, iters=10**5)
+
     def test_paper_shape_builds_the_plan_in_the_kernel(self):
         block, _, protos = paper_shape_inputs()
         cost = compute_cost(block, protos, 0.5)

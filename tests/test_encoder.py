@@ -93,7 +93,8 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(7, 3)))
-        grads = backward(trace, params, np.zeros_like(trace.scores), np.zeros((3, 4)))
+        trace.pair[:, :3] = 0.0
+        grads = backward(trace, params, np.zeros((3, 4)))
         for name, g in grads.items():
             assert not np.asarray(g).any(), name
 
@@ -108,7 +109,8 @@ class TestBackward:
         p = rng.normal(size=(2, 1))  # the feature gradient is scores @ p
 
         trace = forward(params, x)
-        grads = backward(trace, params, dz[None, :], p)
+        trace.pair[:, :2] = dz
+        grads = backward(trace, params, p)
 
         w0 = params.tensors["mlp0.w"]          # (3, 1)
         wh = params.tensors["head.w"]          # (2, 2): point row, pooled row
@@ -147,7 +149,8 @@ class TestBackward:
             assert (set(trace.pool_rows.tolist()) == {4}) == shared
             s = trace.scores
             b = s @ p  # fixed weights on features
-            grads = backward(trace, params, s * (a - (a * s).sum(axis=1, keepdims=True)), p)
+            trace.pair[:, :3] = s * (a - (a * s).sum(axis=1, keepdims=True))
+            grads = backward(trace, params, p)
 
             def loss(tensors):
                 t = forward(EncoderParams(cfg, tensors), x)
@@ -175,7 +178,8 @@ class TestBackward:
         assert trace.pool_rows.tolist() == [0]
 
         dz = rng.normal(size=(3, 2))
-        grads = backward(trace, params, dz, np.zeros((2, 1)))
+        trace.pair[:, :2] = dz
+        grads = backward(trace, params, np.zeros((2, 1)))
 
         d_head_in = dz @ wh.T
         d_feat = d_head_in[:, :1].copy()
@@ -189,26 +193,8 @@ class TestBackward:
     def test_shape_mismatch(self, rng):
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(4, 3)))
-        with pytest.raises(ShapeError):
-            backward(trace, params, np.zeros((4, 2)), np.zeros((3, 4)))
         with pytest.raises(ShapeError, match="d_features_per_score"):
-            backward(trace, params, np.zeros((4, 3)), np.zeros((4, 4)))
-
-    def test_d_logits_beside_the_scores_is_read_in_place(self, rng):
-        # backward reads [d_logits | scores] as one array: the trace's pair
-        # when d_logits is its left half, and a copy otherwise, even of a
-        # d_logits that overlaps the scores. Either way the same bits come
-        # out, and an unspent trace is not written.
-        params = init_params(SMALL, seed=0)
-        trace = forward(params, rng.normal(size=(4, 3)))
-        p = rng.normal(size=(3, 4))
-        trace.pair[:, :3] = rng.normal(size=(4, 3))
-        before = [a.copy() for a in (*trace_arrays(trace), trace.pair)]
-        for d_logits in (trace.pair[:, :3], trace.pair[:, 1:4], trace.scores):
-            ref = backward(trace, params, np.array(d_logits, order="F"), p)
-            got = backward(trace, params, d_logits, p)
-            assert_bytes_equal(list(got.values()), list(ref.values()))
-        assert_bytes_equal([*trace_arrays(trace), trace.pair], before)
+            backward(trace, params, np.zeros((4, 4)))
 
 
 def concatenated_head_reference(params, x, d_logits, d_features):
@@ -255,7 +241,8 @@ class TestPaperShapeHead:
             p = rng.normal(size=(64, 128))
 
             trace = forward(params, x)
-            grads = backward(trace, params, d_logits, p)
+            trace.pair[:, :64] = d_logits
+            grads = backward(trace, params, p)
             ref_scores, ref_grads = concatenated_head_reference(params, x, d_logits,
                                                                 trace.scores @ p)
 
@@ -284,7 +271,8 @@ class TestPaperShapeHead:
 
 
 def trace_arrays(trace):
-    """What a trace holds; the left half of its pair is room for d_logits."""
+    """What a trace holds; the left half of its pair is room for d_logits,
+    which backward spends."""
     return [trace.block, *trace.acts, trace.pooled, trace.pool_rows, trace.scores]
 
 
@@ -328,7 +316,7 @@ class TestOutTrace:
         # spent as in pretrain: another cloud's trace, overwritten by its backward
         spent = forward(params, other)
         spent.pair[:, :j] = d_logits
-        backward(spent, params, spent.pair[:, :j], p, spend=True)
+        backward(spent, params, p)
         buffers = [*spent.acts, spent.block, spent.pair]
 
         ref = forward(params, x)
@@ -336,16 +324,17 @@ class TestOutTrace:
         assert_bytes_equal(trace_arrays(got), trace_arrays(ref))
         assert all(a is b for a, b in zip([*got.acts, got.block, got.pair], buffers))
 
-        ref_grads = backward(ref, params, d_logits, p)
+        ref.pair[:, :j] = d_logits
+        ref_grads = backward(ref, params, p)
         got.pair[:, :j] = d_logits
-        got_grads = backward(got, params, got.pair[:, :j], p, spend=True)
+        got_grads = backward(got, params, p)
         assert list(got_grads) == list(ref_grads)
         assert_bytes_equal(list(got_grads.values()), list(ref_grads.values()))
 
     def test_mismatched_trace_is_refused(self, rng):
         # A trace is refilled exactly as handed: one of another N, or of
         # another architecture, is refused, and pretrain gives a cloud of
-        # another size fresh step buffers instead.
+        # another size fresh arrays instead.
         params = init_params(SMALL, seed=5)
         x = rng.normal(size=(20, 3))
         other_n = forward(params, rng.normal(size=(30, 3)))

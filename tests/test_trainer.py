@@ -16,7 +16,7 @@ from otclu.clustering import (MAX_ITERS, TOL, Prototypes, SolverConfig, assign_s
 from otclu.errors import ConfigError, NumericalError
 from otclu.losses import logit_gradient, soft_ce_loss, total_loss
 from otclu.oracle import balanced_hard_assign
-from otclu.trainer import (WEIGHT_DECAY, StepBuffers, TrainConfig, TrainState,
+from otclu.trainer import (WEIGHT_DECAY, TrainConfig, TrainState,
                            cloud_gradients, e_step, lr_at_epoch, m_step, pretrain)
 from otclu.verify import ball_cloud
 
@@ -157,15 +157,17 @@ class TestMStep:
         assert losses[-1] <= 0.7 * losses[0]
 
     def test_spending_the_result_changes_no_bit(self, rng):
-        # With StepBuffers every (N, J) and (N, d) array of the step is built
-        # in a buffer handed in; the same float operations run.
+        # An E-step handed another cloud's spent result builds every (N, J)
+        # and (N, d) array of the step in that result's cost and trace; the
+        # same float operations run as on fresh arrays.
         config = toy_config(num_clusters=4)
         state = TrainState.initial(config)
         cloud = pc.normalize(ball_cloud(rng, 64))
         report, grads = cloud_gradients(state, e_step(state.params, cloud, config.solver))
-        out = StepBuffers.empty(64, config.encoder)
+        out = e_step(state.params, pc.normalize(ball_cloud(rng, 64)), config.solver)
+        cloud_gradients(state, out)
         spent = e_step(state.params, cloud, config.solver, out=out)
-        assert spent.buffers is out
+        assert spent.cost is out.cost and spent.trace.pair is out.trace.pair
         spent_report, spent_grads = cloud_gradients(state, spent)
         assert spent_report == report
         assert spent_grads.keys() == grads.keys()
@@ -179,8 +181,8 @@ class TestMStep:
         config = TrainConfig()
         state = TrainState.initial(config)
         cloud = pc.normalize(ball_cloud(rng, 2048))
-        out = StepBuffers.empty(2048, config.encoder)
-        cloud_gradients(state, e_step(state.params, cloud, config.solver, out=out))
+        out = e_step(state.params, cloud, config.solver)
+        cloud_gradients(state, out)
         tracemalloc.start()
         try:
             result = e_step(state.params, cloud, config.solver, out=out)
@@ -194,10 +196,10 @@ class TestMStep:
         assert max(e_peak, grad_peak) < out.cost.nbytes, (e_peak, grad_peak)
 
     def test_an_unbuffered_e_step_allocates_each_array_where_it_is_built(self, rng):
-        # `otclu cluster` runs e_step without buffers. Each array is then
+        # `otclu cluster` runs e_step without `out`. Each array is then
         # allocated where it is built, so at the paper's shape the E-step
         # peaks less than 1.5 (N, J) arrays above what its result keeps;
-        # allocating every step buffer up front would add the (N, d) one.
+        # allocating an (N, d) array up front would add 2 (N, J) ones.
         config = TrainConfig()
         params = enc.init_params(config.encoder, 0)
         cloud = pc.normalize(ball_cloud(rng, 2048))
@@ -208,7 +210,6 @@ class TestMStep:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.buffers is None
         assert peak - kept < 1.5 * result.gamma.nbytes, (peak - kept) / result.gamma.nbytes
 
     def test_a_nan_score_reaches_the_non_finite_loss_error(self, rng):
@@ -230,12 +231,11 @@ class TestMStep:
         # a forward with each bias added on its own, dL/dS = -gamma / (N s)
         # plus the prototype chain's score term, the softmax Jacobian, and a
         # layer-by-layer backward with explicit column sums for the biases.
-        # The trainer's buffered step matches it to 1e-12 relative.
+        # The trainer's step matches it to 1e-12 relative.
         config = TrainConfig()
         state = TrainState.initial(config)
         cloud = pc.normalize(ball_cloud(rng, 2048))
-        result = e_step(state.params, cloud, config.solver,
-                        out=StepBuffers.empty(2048, config.encoder))
+        result = e_step(state.params, cloud, config.solver)
         gamma = result.gamma.copy()
         t, x = state.params.tensors, cloud.points
 
@@ -397,10 +397,10 @@ class TestPretrain:
         assert peaks[8] <= 1.25 * peaks[1]
 
     def test_reused_traces_equal_a_loop_of_default_steps(self, rng):
-        # pretrain refills one set of step buffers and its trace in every
+        # pretrain refills the last cloud's spent E-step result in every
         # step of a cloud of the same size; a cloud of another size must get
-        # fresh buffers and no cloud may read a stale one. The reference loop
-        # passes no buffers anywhere, only each cloud's last column potential.
+        # fresh arrays and no cloud may read a stale one. The reference loop
+        # passes no `out` anywhere, only each cloud's last column potential.
         clouds = [pc.normalize(ball_cloud(rng, n)) for n in (512, 300, 512, 300, 512)]
         config = TrainConfig(epochs=2, batch_size=2)
         state = pretrain(clouds, config)
@@ -486,8 +486,9 @@ class TestPretrain:
 
     @pytest.mark.parametrize("batch_size", [32, 1])
     def test_paper_shape_peak_memory(self, rng, batch_size):
-        # Every (N, J) and (N, d) array of a step lives in the call's step
-        # buffers and trace, and the only (N, d) arrays are the trace's. A
+        # Every (N, J) and (N, d) array of a step lives in the cost and trace
+        # of the E-step result the call refills, and the only (N, d) arrays
+        # are the trace's. A
         # step takes 10.1 MiB; the score gradient of the prototype chain, or
         # the loss gradient, in a fresh array adds 1 MiB, and an (N, d)
         # feature gradient 2 MiB.
@@ -502,9 +503,9 @@ class TestPretrain:
         assert peak <= 10.75 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_epochs_after_the_first_allocate_no_step_array(self, rng):
-        # Once the first epoch has made the step buffers, an epoch's peak
+        # Once the first epoch has made an E-step result, an epoch's peak
         # sits less than one (N, d) array above what stays allocated: each
-        # step fills the buffers and allocates only small or boolean arrays.
+        # step refills that result and allocates only small or boolean arrays.
         clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(4)]
         above = []
 
@@ -522,8 +523,8 @@ class TestPretrain:
 
     def test_every_ones_column_reads_one_after_each_step(self, rng, monkeypatch, tmp_path):
         # The ones columns carry every bias and per-cluster constant, so no
-        # step may write them: not a buffered pretrain step, which spends
-        # its trace, and not `otclu cluster`'s unbuffered E-step.
+        # step may write them: not a pretrain step, which spends its trace
+        # and refills it, and not `otclu cluster`'s E-step on fresh arrays.
         def ones_columns(trace):
             return [a[:, -1] for a in (trace.block, *trace.acts)]
 
@@ -541,8 +542,7 @@ class TestPretrain:
 
         def cluster_e_step(*args, **kwargs):
             result = e_step(*args, **kwargs)
-            seen.append(result.buffers is None
-                        and all(np.all(c == 1.0) for c in ones_columns(result.trace)))
+            seen.append(all(np.all(c == 1.0) for c in ones_columns(result.trace)))
             return result
 
         monkeypatch.setattr(cli, "e_step", cluster_e_step)
@@ -608,7 +608,7 @@ def step_inputs(rng, num_clusters=5):
 
 def stale(*shapes):
     """NaN-filled arrays to hand in as `out`: a read before a write shows.
-    They are column-major, the layout `StepBuffers.empty` makes."""
+    They are column-major, the layout of every step array."""
     return tuple(np.full(shape, np.nan, order="F") for shape in shapes)
 
 
@@ -624,13 +624,13 @@ def stale_trace(params, n, rng):
 
 def out_calls(rng, num_clusters):
     """(function, arguments, keywords, spent) of every step function that
-    takes `out` or `spend`, with NaN-filled buffers as `out`; `spent` is
-    what the call overwrites: its `out`, the score term `logit_gradient`
-    is handed, and the trace `encoder.backward` spends."""
+    takes `out`, with NaN-filled buffers as `out`; `spent` is what the
+    call overwrites: its `out` and the score term `logit_gradient` is
+    handed."""
     x = step_inputs(rng, num_clusters)
     params, solver, trace, nj = x.state.params, x.config.solver, x.trace, (64, num_clusters)
-    own = enc.forward(params, x.cloud.points)  # a trace of its own for the backward to spend
     term = x.term.copy(order="F")
+    other = e_step(params, pc.normalize(ball_cloud(rng, 64)), solver)  # refilled as `out`
     calls = [
         (compute_cost, (trace.block, x.protos, solver.lam), {"out": stale(nj)[0]}, []),
         (sinkhorn, (x.cost, solver.epsilon), {"out": stale(nj)[0]}, []),
@@ -642,10 +642,8 @@ def out_calls(rng, num_clusters):
         (prototypes_backward, (trace.block, x.protos, x.d_geo, x.d_feat),
          {"out": stale(nj)[0]}, []),
         (logit_gradient, (x.gamma, trace.scores, term), {"out": stale(nj)[0]}, [term]),
-        (enc.backward, (own, params, x.d_logits, x.p), {"spend": True},
-         [own.block, *own.acts]),
     ] + [(e_step, (params, x.cloud, solver),
-          {"out": StepBuffers(cost=stale(nj)[0], trace=stale_trace(params, 64, rng)),
+          {"out": replace(other, cost=stale(nj)[0], trace=stale_trace(params, 64, rng)),
            **potential}, [])
          for potential in ({}, {"potential": x.psi})]
     return [(fn, args, kwargs, [kwargs.get("out"), *spent]) for fn, args, kwargs, spent in calls]
@@ -659,31 +657,31 @@ def fresh(args, spent):
 
 @pytest.mark.parametrize("num_clusters", [5, 12])  # J below and above d = 8
 def test_out_buffers_change_no_result_bit(rng, num_clusters):
-    # Given arrays to overwrite, or a trace to spend, each step function
-    # returns the bytes it returns without them and builds its results in them.
+    # Given arrays to overwrite, each step function returns the bytes it
+    # returns without them and builds its results in them.
     for fn, args, kwargs, spent in out_calls(rng, num_clusters):
-        ref = fn(*fresh(args, spent), **{k: v for k, v in kwargs.items()
-                                         if k not in ("out", "spend")})
+        ref = fn(*fresh(args, spent), **{k: v for k, v in kwargs.items() if k != "out"})
         got = fn(*fresh(args, spent), **kwargs)
-        if fn is e_step:  # the result records the buffers it was built in
-            assert got.buffers is kwargs["out"]
-            got = replace(got, buffers=None)
+        if fn is e_step:  # the result is built in the spent result's cost and trace
+            out = kwargs["out"]
+            assert got.cost is out.cost and got.trace.pair is out.trace.pair
         assert leaves(got) == leaves(ref), fn.__name__
         assert not any(np.isnan(a).any() for a in reachable_arrays(spent)), fn.__name__
 
 
 def test_step_arrays_are_column_major(rng):
-    # Every (N, k) float array of a step is column-major (see StepBuffers):
-    # the step buffers, the trace's arrays, and the arrays the step
-    # functions build when handed no `out`, from a C-ordered cost too; the
-    # backward's scratch, the first columns of the spent features and
-    # activations, is column-major.
+    # Every (N, k) float array of a step is column-major (see EStepResult):
+    # the trace's arrays, and the arrays the step functions build when
+    # handed no `out`, from a C-ordered cost too; the backward's scratch,
+    # the first columns of the spent features and activations, is
+    # column-major.
     x = step_inputs(rng)
     trace = x.trace
-    arrays = [StepBuffers.empty(64, x.config.encoder).cost, *trace.acts, trace.block,
-              trace.pair, trace.scores, trace.features, x.cost, x.plan.matrix,
+    result = e_step(x.state.params, x.cloud, x.config.solver)
+    arrays = [*trace.acts, trace.block, trace.pair, trace.scores, trace.features, x.cost,
+              x.plan.matrix,
               sinkhorn(np.ascontiguousarray(x.cost), x.config.solver.epsilon).matrix,
-              e_step(x.state.params, x.cloud, x.config.solver).gamma, x.term, x.d_logits]
+              result.gamma, result.cost, x.term, x.d_logits]
     assert all(a.ndim == 2 and a.flags.f_contiguous for a in arrays)
     h = trace.acts[-1].shape[1] - 1
     for buffer, width in ((trace.block, h), (trace.acts[0], trace.acts[0].shape[1] - 1)):
@@ -697,11 +695,11 @@ def test_no_step_function_writes_its_arguments(rng):
     # handed as an argument, however deep in a trace, params or state it sits.
     x = step_inputs(rng)
     params, trace, solver = x.state.params, x.trace, x.config.solver
-    buffered = e_step(params, x.cloud, solver, out=StepBuffers.empty(64, x.config.encoder))
-    out = buffered.buffers
+    result = e_step(params, x.cloud, solver)
+    own = enc.forward(params, x.cloud.points)  # a trace of its own for the backward to spend
+    own.pair[:, :x.gamma.shape[1]] = x.d_logits
     calls = [
         (enc.forward, params, x.cloud.points),
-        (enc.backward, trace, params, x.d_logits, x.p),
         (soft_ce_loss, x.gamma, trace.scores),
         (total_loss, x.gamma, trace.scores, x.protos),
         (compute_prototypes, trace.block, trace.scores),
@@ -711,11 +709,12 @@ def test_no_step_function_writes_its_arguments(rng):
         (prototypes_backward, trace.block, x.protos, x.d_geo, x.d_feat),
         (e_step, params, x.cloud, solver),
         (e_step, params, x.cloud, solver, None, x.psi),
-        (cloud_gradients, x.state, e_step(params, x.cloud, solver)),
     ]
     calls = [(fn, args, {}, []) for fn, *args in calls] + [
-        (cloud_gradients, (x.state, buffered), {},
-         [out.cost, out.trace.block, out.trace.pair, *out.trace.acts, buffered.gamma]),
+        (enc.backward, (own, params, x.p), {}, [own.block, own.pair, *own.acts]),
+        (cloud_gradients, (x.state, result), {},
+         [result.cost, result.trace.block, result.trace.pair, *result.trace.acts,
+          result.gamma]),
     ] + out_calls(rng, 5)
     for fn, args, kwargs, spent in calls:
         spent_ids = {id(a) for a in reachable_arrays(spent)}
