@@ -371,29 +371,22 @@ def assign_l2_labels(cost, temperature: float) -> np.ndarray:
 
 
 def prototypes_backward(block: np.ndarray, protos: Prototypes, d_geo: np.ndarray,
-                        d_feat: np.ndarray, out: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain loss gradients at the prototypes back to scores and features.
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Chain a loss gradient at the geometric prototypes back to the scores.
 
-    For a weighted centroid c_j = sum_i s_ij x_i / w_j of mass w_j = sum_i s_ij:
-      dL/ds_ij = dL/dc_j . (x_i - c_j) / w_j
-      dL/df_i  = s_ij * dL/dc_j / w_j          (feature prototypes only)
-    Returns the score term, (N, J), one matmul of the point block
-    [F | X | 1] (see `point_block`) whose ones column subtracts the
-    dL/dc_j . c_j / w_j, and the feature term in factored form: a (J, d)
-    matrix P whose product scores @ P is the feature gradient
-    (`encoder.backward` takes P so). `protos` carry the masses w_j that
+    For a weighted centroid c_j = sum_i s_ij x_i / w_j of mass w_j = sum_i s_ij,
+      dL/ds_ij = dL/dc_j . (x_i - c_j) / w_j,
+    an (N, J) score term: one matmul of the [X | 1] columns of the point
+    block (see `point_block`) by a (4, J) factor whose ones row subtracts
+    the dL/dc_j . c_j / w_j. `protos` carry the masses w_j that
     `compute_prototypes` has already checked against `EMPTY_CLUSTER_EPS`.
 
     The score term is built in `out` when given, an (N, J) array to overwrite.
     """
-    d, j = protos.feat.shape[1], protos.feat.shape[0]
+    j = protos.geo.shape[0]
     per_geo = d_geo / protos.mass[:, None]
-    per_feat = d_feat / protos.mass[:, None]
-    factor = np.empty((d + 4, j))
-    factor[:d] = per_feat.T
-    factor[d:-1] = per_geo.T
-    factor[-1] = -((protos.geo * per_geo).sum(axis=1) + (protos.feat * per_feat).sum(axis=1))
-    term = np.matmul(block, factor, out=np.empty((block.shape[0], j), order="F")
+    factor = np.empty((4, j))
+    factor[:-1] = per_geo.T
+    factor[-1] = -(protos.geo * per_geo).sum(axis=1)
+    return np.matmul(block[:, -4:], factor, out=np.empty((block.shape[0], j), order="F")
                      if out is None else out)
-    return term, per_feat

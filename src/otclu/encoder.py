@@ -6,9 +6,8 @@ feature and produces per-cluster logits. Forward keeps what the analytic
 backward pass reads; no autodiff framework is involved, which keeps
 gradients exact and runs bit-reproducible. Biases ride in ones columns,
 so each layer is one matmul. Backward takes the gradient at the logits
-and the gradient at the features in factored form, scores @ P for a
-(J, d) matrix P, and carries them through the linear last layer and head
-without building an (N, d) array.
+and carries it through the linear last layer and head without building
+an (N, d) array.
 
 Every function here fills buffers it owns and never writes its arguments,
 with two exceptions: `forward` refills the arrays of an `out` trace, and
@@ -85,24 +84,21 @@ class ForwardTrace:
     layer: the points as [X | 1], a hidden layer's output as [a | 1]. The
     features sit in the point block [F | X | 1], whose last four columns are
     the first layer's input; the E-step reads coordinates, features and a
-    ones column from it (see `clustering.point_block`). The scores are the
-    right half of `pair`, whose left half holds the plan, the labels and
-    then d_logits (see `backward`). Every array here is column-major.
+    ones column from it (see `clustering.point_block`). `labels` is room
+    for the plan, the labels and then d_logits, which `backward` reads.
+    Every array here is column-major.
     """
 
     acts: list                         # per hidden layer: (N, h + 1), [ReLU output | 1]
     block: np.ndarray                  # (N, d + 4): [features | points | 1]
     pooled: np.ndarray                 # (d,) max over points
     pool_rows: np.ndarray              # argmax row per feature dim
-    pair: np.ndarray                   # (N, 2J): [room for d_logits | scores]
+    scores: np.ndarray                 # (N, J), rows sum to 1
+    labels: np.ndarray                 # (N, J): room for the labels, then d_logits
 
     @property
     def features(self) -> np.ndarray:  # (N, d)
         return self.block[:, :-4]
-
-    @property
-    def scores(self) -> np.ndarray:    # (N, J), rows sum to 1
-        return self.pair[:, self.pair.shape[1] // 2:]
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
@@ -153,12 +149,13 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     j = config.num_clusters
     if out is None:
         acts = [_with_ones(n, h) for h in hidden]
-        block, pair = _with_ones(n, d + 3), np.empty((n, 2 * j), order="F")
+        block = _with_ones(n, d + 3)
+        scores, labels = np.empty((n, j), order="F"), np.empty((n, j), order="F")
     elif len(out.acts) != len(hidden):
         raise ValueError(f"a trace of {len(out.acts)} hidden layers cannot hold one of "
                          f"{len(hidden)}")
     else:
-        acts, block, pair = out.acts, out.block, out.pair
+        acts, block, scores, labels = out.acts, out.block, out.scores, out.labels
     block[:, d:-1] = x
 
     a = block[:, d:]
@@ -175,35 +172,31 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     head[:d] = w[:d]
     head[-1] = pooled @ w[d:] + t["head.b"]
     # the logits, turned into a row softmax in place
-    scores = np.matmul(block, head, out=pair[:, j:])
+    np.matmul(block, head, out=scores)
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
     scores *= 1.0 / scores.sum(axis=1, keepdims=True)
-    return ForwardTrace(acts=acts, block=block, pooled=pooled, pool_rows=pool_rows, pair=pair)
+    return ForwardTrace(acts=acts, block=block, pooled=pooled, pool_rows=pool_rows,
+                        scores=scores, labels=labels)
 
 
-def backward(trace: ForwardTrace, params: EncoderParams,
-             d_features_per_score: np.ndarray) -> dict[str, np.ndarray]:
+def backward(trace: ForwardTrace, params: EncoderParams) -> dict[str, np.ndarray]:
     """Exact gradients of a scalar loss w.r.t. every parameter.
 
     The loss gradient at the logits, d_logits (N, J), is read from the
-    left half of the trace's `pair`, where `losses.logit_gradient` builds
-    it. The gradient at the feature matrix comes in factored form, as the
-    (J, d) matrix d_features_per_score P whose product trace.scores @ P it
-    is (see `clustering.prototypes_backward`). The max-pool subgradient
-    routes each pooled dimension's gradient to the argmax row recorded in
-    the trace. The pooled term of the logits is shared by every point, so
-    its gradients need only the column sums of d_logits.
+    trace's `labels`, where `losses.logit_gradient` builds it. The max-pool
+    subgradient routes each pooled dimension's gradient to the argmax row
+    recorded in the trace. The pooled term of the logits is shared by
+    every point, so its gradients need only the column sums of d_logits.
 
     The last MLP layer and the head are both linear, so no (N, d) array is
     built: with `a` the last layer's input and its ones column, [W; b] its
     weights over its bias and Wh the head's point block, the gradient at
-    the features is d_logits Wh^T + scores P + (pool rows), and with
-    D = [d_logits | scores], the trace's (N, 2J) pair,
-      a^T D holds a^T d_logits and a^T scores, its ones row the column sums,
+    the features is d_logits Wh^T + (pool rows), and
+      a^T d_logits holds the weight products, its ones row the column sums,
       dWh     = [W; b]^T (a^T d_logits),
-      d[W; b] = (a^T D) [Wh^T; P] + (pool rows),
-      the gradient at a = D [(W Wh)^T; (W P^T)^T] + (pool rows).
+      d[W; b] = (a^T d_logits) Wh^T + (pool rows),
+      the gradient at a = d_logits (W Wh)^T + (pool rows).
     Each hidden layer's weight gradient [a | 1]^T d_z holds its bias
     gradient in its last row.
 
@@ -215,29 +208,24 @@ def backward(trace: ForwardTrace, params: EncoderParams,
     written. An array too small for its role is replaced by a fresh one.
     """
     t = params.tensors
-    pair = trace.pair
-    n, j = trace.scores.shape
+    d_logits = trace.labels
+    n = d_logits.shape[0]
     d = trace.block.shape[1] - 4
-    p = d_features_per_score
-    if p.shape != (j, d):
-        raise ShapeError(f"d_features_per_score shape {p.shape} != (clusters, feature dim) "
-                         f"{(j, d)}")
 
     last = len(trace.acts)
     a = trace.block[:, d:] if last == 0 else trace.acts[-1]
     w_last = t[f"mlp{last}.w"]
     w = t["head.w"]
     w_point = w[:d]
-    a_pair = a.T @ pair
-    d_logits_sum = a_pair[-1, :j].copy()
+    a_d = a.T @ d_logits
+    d_logits_sum = a_d[-1].copy()
     pool_grad = w[d:] @ d_logits_sum  # (d,): lands on row pool_rows[k] of column k
     d_head_w = np.empty_like(w)
-    np.matmul(w_last.T, a_pair[:-1, :j], out=d_head_w[:d])
+    np.matmul(w_last.T, a_d[:-1], out=d_head_w[:d])
     d_head_w[:d] += np.outer(t[f"mlp{last}.b"], d_logits_sum)
     np.outer(trace.pooled, d_logits_sum, out=d_head_w[d:])
-    right = np.hstack((w_point, p.T))  # (d, 2J): the feature gradient is D right^T
-    d_wb_last = a_pair @ right.T
-    del a_pair
+    d_wb_last = a_d @ w_point.T
+    del a_d
     pool_in = a[trace.pool_rows]  # (d, h + 1): the input row each pooled dimension came from
     pool_in *= pool_grad[:, None]
     d_wb_last += pool_in.T
@@ -255,11 +243,10 @@ def backward(trace: ForwardTrace, params: EncoderParams,
         return buffer[:, :width]
 
     h = a.shape[1] - 1
-    d_z = np.matmul(pair, (w_last @ right).T, out=spent(trace.features, h))
-    del right
+    d_z = np.matmul(d_logits, (w_last @ w_point).T, out=spent(trace.features, h))
     np.add.at(d_z, trace.pool_rows, (w_last * pool_grad).T)
     # d_logits is read for the last time: its bytes hold the boolean ReLU masks
-    flags = pair[:, :j].reshape(-1, order="F").view(np.bool_)
+    flags = d_logits.reshape(-1, order="F").view(np.bool_)
     for i in reversed(range(last)):
         # the activation > 0 exactly where the ReLU's input was > 0
         act = trace.acts[i][:, :-1]

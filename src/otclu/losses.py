@@ -2,13 +2,16 @@
 
 The primary objective is the cross-entropy between the transport-derived
 soft labels (treated as constants) and the predicted score matrix. A small
-orthogonality penalty on the normalized prototypes is added, weighted by
-the constant `ORTH_WEIGHT`. It is not what keeps clusters from collapsing
-onto one centroid: the labels' equipartition already rules that out. Its
-measured role is the solver's work: its geometric half is what keeps the
-transport solves of a default 20-epoch run cheap (README gives the
-measurement). The gradient reaches the encoder at its logits, in closed form
-(`logit_gradient`), with no gradient at the scores built on the way.
+orthogonality penalty on the normalized geometric prototypes is added,
+weighted by the constant `ORTH_WEIGHT`. It is not what keeps clusters from
+collapsing onto one centroid: the labels' equipartition already rules that
+out. Its measured role is the solver's work: it keeps the transport solves
+of a default 20-epoch run cheap (README gives the measurement). The
+feature prototypes carry no penalty: on that run one sat near its ceiling
+throughout, the normalized feature prototypes being nearly parallel, and
+made no difference to the solves. The gradient reaches the encoder at its
+logits, in closed form (`logit_gradient`), with no gradient at the scores
+built on the way.
 
 Every function here fills buffers it owns and never writes its arguments,
 with two exceptions: `soft_ce_loss` and `total_loss` build the log buffer in
@@ -86,16 +89,19 @@ def logit_gradient(gamma, scores: np.ndarray, score_term: np.ndarray,
     return d_logits
 
 
-def _orth_one(protos: np.ndarray) -> tuple[float, np.ndarray]:
-    """Frobenius distance of the normalized Gram matrix from identity.
+def orth_loss(protos: Prototypes) -> tuple[float, np.ndarray]:
+    """Frobenius distance of the normalized Gram matrix of the geometric
+    prototypes from identity, and its gradient at them.
 
     Rows with tiny norm are left out of the Gram matrix (their unit row is
     zero, and so is their diagonal entry of the identity) and get zero
     gradient; at the exact orthonormal optimum the (subgradient) is zero.
+    The feature prototypes are not read.
     """
-    norms = np.sqrt(np.einsum("jk,jk->j", protos, protos))
+    geo = np.asarray(protos.geo, dtype=np.float64)
+    norms = np.sqrt(np.einsum("jk,jk->j", geo, geo))
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms >= ZERO_NORM_EPS)
-    unit = protos * inv[:, None]
+    unit = geo * inv[:, None]
     gram_err = unit @ unit.T
     gram_err.flat[::inv.size + 1] -= inv > 0.0
     loss = float(np.sqrt(np.vdot(gram_err, gram_err)))
@@ -107,26 +113,18 @@ def _orth_one(protos: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, d_unit
 
 
-def orth_loss(protos: Prototypes) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sum of the geometric- and feature-space orthogonality penalties."""
-    loss_geo, d_geo = _orth_one(np.asarray(protos.geo, dtype=np.float64))
-    loss_feat, d_feat = _orth_one(np.asarray(protos.feat, dtype=np.float64))
-    return loss_geo + loss_feat, d_geo, d_feat
-
-
 def total_loss(gamma, scores: np.ndarray, protos: Prototypes, out: np.ndarray | None = None
-               ) -> tuple[LossReport, np.ndarray, np.ndarray]:
-    """Combined objective l_soft + ORTH_WEIGHT * l_orth with its gradients
-    at the prototypes.
+               ) -> tuple[LossReport, np.ndarray]:
+    """Combined objective l_soft + ORTH_WEIGHT * l_orth with its gradient
+    at the geometric prototypes.
 
-    Returns (report, dL/dC_geo, dL/dC_feat); the prototype gradients are
-    already scaled by ORTH_WEIGHT and still need chaining through the
-    weighted centroids: `clustering.prototypes_backward` turns them into a
-    score term for `logit_gradient` and a (J, d) feature factor for
-    `encoder.backward`. The log buffer is built in `out` when given (see
+    Returns (report, dL/dC_geo); the prototype gradient is already scaled
+    by ORTH_WEIGHT and still needs chaining through the weighted centroids:
+    `clustering.prototypes_backward` turns it into a score term for
+    `logit_gradient`. The log buffer is built in `out` when given (see
     `soft_ce_loss`).
     """
     l_soft = soft_ce_loss(gamma, scores, out=out)
-    l_orth, d_geo, d_feat = orth_loss(protos)
+    l_orth, d_geo = orth_loss(protos)
     report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + ORTH_WEIGHT * l_orth)
-    return report, ORTH_WEIGHT * d_geo, ORTH_WEIGHT * d_feat
+    return report, ORTH_WEIGHT * d_geo

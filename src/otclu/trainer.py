@@ -54,25 +54,22 @@ class EStepResult:
 
     - trace: the forward trace (see `encoder.ForwardTrace`). `encoder.forward`
       refills its activations, the features and points of its point block
-      and the scores, the right half of its (N, 2J) `pair`. The left half
-      of the pair is the plan buffer (N, J): the Sinkhorn kernel, the plan
-      and the labels, `gamma` (`clustering.sinkhorn`, `assign_soft_labels`);
-      then d_logits (`losses.logit_gradient`), so that the pair is
-      [d_logits | scores] for `encoder.backward`. The backward then holds
-      the gradient at the last layer's input in the features, which it
-      never reads, each hidden layer's boolean ReLU mask in the bytes of
-      d_logits, and the gradient at the layer below a hidden activation in
-      that activation (each while large enough; otherwise in a fresh
-      array). The ones columns of the activations and of the point block
-      are written once, when the trace is made.
+      and its scores. Its `labels` (N, J) is the plan buffer: the Sinkhorn
+      kernel, the plan and the labels, `gamma` (`clustering.sinkhorn`,
+      `assign_soft_labels`); then d_logits (`losses.logit_gradient`), which
+      `encoder.backward` reads. The backward then holds the gradient at the
+      last layer's input in the features, which it never reads, each hidden
+      layer's boolean ReLU mask in the bytes of d_logits, and the gradient
+      at the layer below a hidden activation in that activation (each while
+      large enough; otherwise in a fresh array). The ones columns of the
+      activations and of the point block are written once, when the trace
+      is made.
     - cost (N, J): the cost (`clustering.compute_cost`), free once the
       solve is done; then the loss's log buffer (`losses.total_loss`); then
       the prototype chain's score term (`clustering.prototypes_backward`),
       which `logit_gradient` spends.
 
-    No array is (N, d) wide but the trace's: the prototype chain's feature
-    gradient stays in factored form, a (J, d) matrix that `encoder.backward`
-    takes.
+    No array is (N, d) wide but the trace's.
 
     The kernel is never built in `cost`: Sinkhorn's cold restart and its
     non-finite-cost message read the cost again after the kernel is built.
@@ -127,8 +124,7 @@ def e_step(params: EncoderParams, cloud, solver: SolverConfig,
     trace = enc.forward(params, cloud.points, out=None if out is None else out.trace)
     protos = compute_prototypes(trace.block, trace.scores)
     cost = compute_cost(trace.block, protos, solver.lam, out=None if out is None else out.cost)
-    plan = sinkhorn(cost, epsilon=solver.epsilon, potential=potential,
-                    out=trace.pair[:, :trace.scores.shape[1]])
+    plan = sinkhorn(cost, epsilon=solver.epsilon, potential=potential, out=trace.labels)
     residual = plan.marginal_residual()  # before the labels overwrite the plan
     gamma = assign_soft_labels(plan, out=plan.matrix)
     return EStepResult(trace=trace, protos=protos, gamma=gamma, cost=cost,
@@ -143,16 +139,12 @@ def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport,
     and its trace (see `EStepResult`).
     """
     trace, cost = result.trace, result.cost
-    report, d_geo, d_feat = total_loss(result.gamma, trace.scores, result.protos, out=cost)
+    report, d_geo = total_loss(result.gamma, trace.scores, result.protos, out=cost)
     if not np.isfinite(report.l_total):
-        raise NumericalError(
-            f"non-finite loss at step {state.step}, epoch {state.epoch}: "
-            f"l_soft={report.l_soft} l_orth={report.l_orth}")
-    score_term, d_features_per_score = prototypes_backward(trace.block, result.protos, d_geo,
-                                                           d_feat, out=cost)
-    logit_gradient(result.gamma, trace.scores, score_term,
-                   out=trace.pair[:, :trace.scores.shape[1]])
-    return report, enc.backward(trace, state.params, d_features_per_score)
+        raise NumericalError(f"non-finite loss: l_soft={report.l_soft} l_orth={report.l_orth}")
+    score_term = prototypes_backward(trace.block, result.protos, d_geo, out=cost)
+    logit_gradient(result.gamma, trace.scores, score_term, out=trace.labels)
+    return report, enc.backward(trace, state.params)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
@@ -193,6 +185,11 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
     the labels differ from cold solves within `clustering.TOL` and the
     history stays bit-reproducible for a fixed seed.
 
+    A `NumericalError` raised by a cloud's E-step or gradient ends the
+    call, its message prefixed with "epoch E, M-step S, cloud i: ": the
+    epoch (0-indexed, as in the metrics), the M-steps taken before it and
+    the cloud's index in `clouds`.
+
     `on_epoch` is called with the metrics dict after each epoch. The call
     writes no files: the caller saves what it keeps of the returned state.
     """
@@ -215,11 +212,15 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
             for i in chunk:
                 if result is not None and result.cost.shape[0] != clouds[i].points.shape[0]:
                     result = None
-                result = e_step(state.params, clouds[i], config.solver, out=result,
-                                potential=potentials[i])
+                try:
+                    result = e_step(state.params, clouds[i], config.solver, out=result,
+                                    potential=potentials[i])
+                    report, cloud_grads = cloud_gradients(state, result)
+                except NumericalError as exc:
+                    raise NumericalError(f"epoch {epoch}, M-step {state.step}, cloud {i}: "
+                                         f"{exc}") from exc
                 residuals.append(result.marginal_residual)
                 iterations.append(result.iterations)
-                report, cloud_grads = cloud_gradients(state, result)
                 potentials[i] = result.potential
                 reports.append(report)
                 for name, g in cloud_grads.items():

@@ -161,7 +161,8 @@ class TestPretrainCommand:
         monkeypatch.setattr(trainer, "sinkhorn", partial(sinkhorn, iters=20_000))
         out = tmp_path / "out"
         assert cli.main(["pretrain", str(config), str(data), str(out)]) == 4
-        assert re.fullmatch(r"numerical abort: transport plan became non-finite after \d+ "
+        assert re.fullmatch(r"numerical abort: epoch 0, M-step 0, cloud 0: transport plan "
+                            r"became non-finite after \d+ "
                             r"iterations \(Sinkhorn iterations and Newton steps\); epsilon "
                             r"1e-09 is too small for the cost spread: the widest row spans "
                             r"\S+ times epsilon\n", capsys.readouterr().err)
@@ -626,13 +627,13 @@ class TestCommands:
     def test_library_tour_calls_match_signatures(self):
         # Each `name(arg, ...)` in README's "Library tour" names a function of
         # its row's module, with arguments leading its signature; a stale
-        # signature, such as backward's before it read d_logits from the
-        # trace, is caught.
+        # signature, such as backward's before it dropped its feature
+        # gradient factor, is caught.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         count, wrong = tour_mismatches(readme)
         assert count >= 8 and wrong == []
-        stale = readme.replace("`backward(trace, params, d_features_per_score)`",
-                               "`backward(trace, params, d_logits, d_features_per_score)`")
+        stale = readme.replace("`backward(trace, params)`",
+                               "`backward(trace, params, d_features_per_score)`")
         assert stale != readme
         assert len(tour_mismatches(stale)[1]) == 1
 

@@ -400,43 +400,34 @@ class TestPrototypesBackward:
         feats = rng.normal(size=(n, d))
         scores = rng.dirichlet(np.ones(j), size=n)
         w_geo = rng.normal(size=(j, 3))
-        w_feat = rng.normal(size=(j, d))
 
-        def loss(scores_arr, feats_arr):
-            protos = compute_prototypes(point_block(pts, feats_arr), scores_arr)
-            return float((w_geo * protos.geo).sum() + (w_feat * protos.feat).sum())
+        def loss(scores_arr):
+            protos = compute_prototypes(point_block(pts, feats), scores_arr)
+            return float((w_geo * protos.geo).sum())
 
         block = point_block(pts, feats)
         protos = compute_prototypes(block, scores)
-        d_scores, p = prototypes_backward(block, protos, w_geo, w_feat)
-        d_feats = scores @ p
+        d_scores = prototypes_backward(block, protos, w_geo)
 
         h = 1e-6
-        for arr, grad in ((scores, d_scores), (feats, d_feats)):
-            for k in range(arr.size):
-                orig = arr.flat[k]
-                arr.flat[k] = orig + h
-                plus = loss(scores, feats)
-                arr.flat[k] = orig - h
-                minus = loss(scores, feats)
-                arr.flat[k] = orig
-                fd = (plus - minus) / (2 * h)
-                assert grad.flat[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
+        for k in range(scores.size):
+            orig = scores.flat[k]
+            scores.flat[k] = orig + h
+            plus = loss(scores)
+            scores.flat[k] = orig - h
+            minus = loss(scores)
+            scores.flat[k] = orig
+            fd = (plus - minus) / (2 * h)
+            assert d_scores.flat[k] == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
     def test_matches_einsum_at_paper_shape(self):
         block, scores, protos = paper_shape_inputs()
-        points, feats = block[:, -4:-1], block[:, :-4]
+        points = block[:, -4:-1]
         rng = np.random.default_rng(5)
         d_geo = rng.normal(size=protos.geo.shape)
-        d_feat = rng.normal(size=protos.feat.shape)
-        d_scores, p = prototypes_backward(block, protos, d_geo, d_feat)
+        d_scores = prototypes_backward(block, protos, d_geo)
 
         weights = scores.sum(axis=0)
-        geo_term = (np.einsum("ik,jk->ij", points, d_geo)
-                    - np.einsum("jk,jk->j", protos.geo, d_geo)[None, :])
-        feat_term = (np.einsum("ik,jk->ij", feats, d_feat)
-                     - np.einsum("jk,jk->j", protos.feat, d_feat)[None, :])
-        ref_scores = (geo_term + feat_term) / weights[None, :]
-        ref_feats = np.einsum("ij,jk->ik", scores, d_feat / weights[:, None])
-        for got, ref in ((d_scores, ref_scores), (scores @ p, ref_feats)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = ((np.einsum("ik,jk->ij", points, d_geo)
+                - np.einsum("jk,jk->j", protos.geo, d_geo)[None, :]) / weights[None, :])
+        assert np.abs(d_scores - ref).max() <= 1e-12 * np.abs(ref).max()

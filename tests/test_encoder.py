@@ -93,8 +93,8 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(7, 3)))
-        trace.pair[:, :3] = 0.0
-        grads = backward(trace, params, np.zeros((3, 4)))
+        trace.labels[:] = 0.0
+        grads = backward(trace, params)
         for name, g in grads.items():
             assert not np.asarray(g).any(), name
 
@@ -106,11 +106,10 @@ class TestBackward:
         params = init_params(cfg, seed=5)
         x = rng.normal(size=(1, 3))
         dz = rng.normal(size=2)  # the gradient at the logits
-        p = rng.normal(size=(2, 1))  # the feature gradient is scores @ p
 
         trace = forward(params, x)
-        trace.pair[:, :2] = dz
-        grads = backward(trace, params, p)
+        trace.labels[:] = dz
+        grads = backward(trace, params)
 
         w0 = params.tensors["mlp0.w"]          # (3, 1)
         wh = params.tensors["head.w"]          # (2, 2): point row, pooled row
@@ -120,7 +119,7 @@ class TestBackward:
         s = e / e.sum()
         d_wh = np.stack([f * dz, f * dz])
         d_bh = dz
-        df = float(dz @ (wh[0] + wh[1])) + float(s @ p[:, 0])
+        df = float(dz @ (wh[0] + wh[1]))
         d_w0 = x[0] * df
         d_b0 = df
 
@@ -143,18 +142,15 @@ class TestBackward:
                 params.tensors["mlp1.w"] = np.abs(params.tensors["mlp1.w"])
                 x[4] = np.abs(x[4]) + 3.0
             a = rng.normal(size=(9, 3))  # fixed weights on scores
-            p = rng.normal(size=(3, 4))  # fixed feature gradient per score
 
             trace = forward(params, x)
             assert (set(trace.pool_rows.tolist()) == {4}) == shared
             s = trace.scores
-            b = s @ p  # fixed weights on features
-            trace.pair[:, :3] = s * (a - (a * s).sum(axis=1, keepdims=True))
-            grads = backward(trace, params, p)
+            trace.labels[:] = s * (a - (a * s).sum(axis=1, keepdims=True))
+            grads = backward(trace, params)
 
             def loss(tensors):
-                t = forward(EncoderParams(cfg, tensors), x)
-                return float((a * t.scores).sum() + (b * t.features).sum())
+                return float((a * forward(EncoderParams(cfg, tensors), x).scores).sum())
 
             report = grad_check(loss, params.tensors, grads, h=1e-5, rel_tol=1e-4)
             assert report.passed, f"{hidden}, {shared}: {report.worst_param}: " \
@@ -178,8 +174,8 @@ class TestBackward:
         assert trace.pool_rows.tolist() == [0]
 
         dz = rng.normal(size=(3, 2))
-        trace.pair[:, :2] = dz
-        grads = backward(trace, params, np.zeros((2, 1)))
+        trace.labels[:] = dz
+        grads = backward(trace, params)
 
         d_head_in = dz @ wh.T
         d_feat = d_head_in[:, :1].copy()
@@ -190,14 +186,8 @@ class TestBackward:
         routed_to_row1[1, 0] += d_head_in[:, 1].sum()
         assert not np.allclose(grads["mlp0.w"], x.T @ routed_to_row1)
 
-    def test_shape_mismatch(self, rng):
-        params = init_params(SMALL, seed=0)
-        trace = forward(params, rng.normal(size=(4, 3)))
-        with pytest.raises(ShapeError, match="d_features_per_score"):
-            backward(trace, params, np.zeros((4, 4)))
 
-
-def concatenated_head_reference(params, x, d_logits, d_features):
+def concatenated_head_reference(params, x, d_logits):
     """Scores and gradients with the head input built as the (N, 2d) matrix
     [F, pooled repeated N times] and every bias added and summed on its own,
     independent of forward/backward."""
@@ -219,7 +209,7 @@ def concatenated_head_reference(params, x, d_logits, d_features):
     dz = d_logits
     grads = {"head.w": head_input.T @ dz, "head.b": dz.sum(axis=0)}
     d_head_input = dz @ t["head.w"].T
-    d_a = d_head_input[:, :d] + d_features
+    d_a = d_head_input[:, :d].copy()
     d_a[rows, np.arange(d)] += d_head_input[:, d:].sum(axis=0)
     for i in reversed(range(n_layers)):
         d_z = d_a if i == n_layers - 1 else d_a * (pre[i] > 0.0)
@@ -238,13 +228,11 @@ class TestPaperShapeHead:
             params = init_params(config, seed=4)
             x = rng.uniform(-1.0, 1.0, size=(2048, 3))
             d_logits = rng.normal(size=(2048, 64))
-            p = rng.normal(size=(64, 128))
 
             trace = forward(params, x)
-            trace.pair[:, :64] = d_logits
-            grads = backward(trace, params, p)
-            ref_scores, ref_grads = concatenated_head_reference(params, x, d_logits,
-                                                                trace.scores @ p)
+            trace.labels[:] = d_logits
+            grads = backward(trace, params)
+            ref_scores, ref_grads = concatenated_head_reference(params, x, d_logits)
 
             def rel(a, b):
                 return np.abs(a - b).max() / np.abs(b).max()
@@ -271,8 +259,8 @@ class TestPaperShapeHead:
 
 
 def trace_arrays(trace):
-    """What a trace holds; the left half of its pair is room for d_logits,
-    which backward spends."""
+    """What a trace holds; its labels are room for d_logits, which backward
+    spends."""
     return [trace.block, *trace.acts, trace.pooled, trace.pool_rows, trace.scores]
 
 
@@ -310,24 +298,24 @@ class TestOutTrace:
             params, x = tie_case(rng, 64)
             _, other = tie_case(rng, 64)
             assert (x[:, 0] == x[:, 0].max()).sum() > 1
-        n, d, j = x.shape[0], params.config.feature_dim, params.config.num_clusters
+        n, j = x.shape[0], params.config.num_clusters
         d_logits = rng.normal(size=(n, j))
-        p = rng.normal(size=(j, d))
         # spent as in pretrain: another cloud's trace, overwritten by its backward
         spent = forward(params, other)
-        spent.pair[:, :j] = d_logits
-        backward(spent, params, p)
-        buffers = [*spent.acts, spent.block, spent.pair]
+        spent.labels[:] = d_logits
+        backward(spent, params)
+        buffers = [*spent.acts, spent.block, spent.scores, spent.labels]
 
         ref = forward(params, x)
         got = forward(params, x, out=spent)
         assert_bytes_equal(trace_arrays(got), trace_arrays(ref))
-        assert all(a is b for a, b in zip([*got.acts, got.block, got.pair], buffers))
+        assert all(a is b for a, b in zip([*got.acts, got.block, got.scores, got.labels],
+                                          buffers))
 
-        ref.pair[:, :j] = d_logits
-        ref_grads = backward(ref, params, p)
-        got.pair[:, :j] = d_logits
-        got_grads = backward(got, params, p)
+        ref.labels[:] = d_logits
+        ref_grads = backward(ref, params)
+        got.labels[:] = d_logits
+        got_grads = backward(got, params)
         assert list(got_grads) == list(ref_grads)
         assert_bytes_equal(list(got_grads.values()), list(ref_grads.values()))
 

@@ -89,44 +89,43 @@ class TestSoftCeLoss:
 
 
 class TestOrthLoss:
-    def test_orthonormal_prototypes_zero(self):
-        eye = np.eye(3)[:2]
-        loss, d_geo, d_feat = orth_loss(Prototypes(geo=eye.copy(), feat=eye.copy()))
+    def test_orthonormal_prototypes_zero(self, rng):
+        loss, d_geo = orth_loss(Prototypes(geo=np.eye(3)[:2], feat=rng.normal(size=(2, 4))))
         assert loss == 0.0
-        assert not d_geo.any() and not d_feat.any()
+        assert not d_geo.any()
 
     def test_identical_unit_prototypes(self):
-        # Both prototypes equal and unit-norm in both spaces: each Gram
-        # matrix is all-ones, so each term is |[[0,1],[1,0]]|_F = sqrt(2).
+        # Both prototypes equal and unit-norm: the Gram matrix is all-ones,
+        # so the penalty is |[[0,1],[1,0]]|_F = sqrt(2).
         v = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        loss, _, _ = orth_loss(Prototypes(geo=v.copy(), feat=v.copy()))
-        assert loss == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        loss, _ = orth_loss(Prototypes(geo=v, feat=np.eye(2)))
+        assert loss == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_zero_norm_rows_guarded(self, rng):
         geo = rng.normal(size=(3, 3))
         geo[1] = 0.0
-        loss, d_geo, _ = orth_loss(Prototypes(geo=geo, feat=rng.normal(size=(3, 4))))
+        loss, d_geo = orth_loss(Prototypes(geo=geo, feat=rng.normal(size=(3, 4))))
         assert np.isfinite(loss)
         assert not d_geo[1].any()
 
     def test_all_zero_rows(self):
-        loss, d_geo, d_feat = orth_loss(Prototypes(geo=np.zeros((2, 3)),
-                                                   feat=np.zeros((2, 4))))
+        loss, d_geo = orth_loss(Prototypes(geo=np.zeros((2, 3)), feat=np.zeros((2, 4))))
         assert loss == 0.0
+        assert not d_geo.any()
 
     def test_gradients_match_finite_differences(self, rng):
         geo = rng.normal(size=(4, 3))
         feat = rng.normal(size=(4, 8))
-        _, d_geo, d_feat = orth_loss(Prototypes(geo=geo, feat=feat))
-        report = grad_check(lambda p: orth_loss(Prototypes(**p))[0],
-                            {"geo": geo, "feat": feat}, {"geo": d_geo, "feat": d_feat},
-                            h=1e-6, rel_tol=1e-5)
+        _, d_geo = orth_loss(Prototypes(geo=geo, feat=feat))
+        report = grad_check(lambda p: orth_loss(Prototypes(geo=p["geo"], feat=feat))[0],
+                            {"geo": geo}, {"geo": d_geo}, h=1e-6, rel_tol=1e-5)
         assert report.passed, f"{report.worst_param}: {report.max_rel_error}"
 
     def test_scale_invariance_of_normalized_gram(self, rng):
-        protos = rng.normal(size=(3, 5))
-        a, _, _ = orth_loss(Prototypes(geo=np.eye(3), feat=protos))
-        b, _, _ = orth_loss(Prototypes(geo=np.eye(3), feat=protos * 7.5))
+        geo = rng.normal(size=(4, 3))
+        feat = rng.normal(size=(4, 5))
+        a, _ = orth_loss(Prototypes(geo=geo, feat=feat))
+        b, _ = orth_loss(Prototypes(geo=geo * 7.5, feat=feat))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -134,19 +133,31 @@ class TestTotalLoss:
     def test_orthonormal_prototypes_reduce_to_soft(self, rng):
         gamma = rng.dirichlet(np.ones(3), size=5)
         scores = rng.dirichlet(np.ones(3), size=5)
-        protos = Prototypes(geo=np.eye(3), feat=np.eye(4)[:3])
-        report, _, _ = total_loss(gamma, scores, protos)
+        protos = Prototypes(geo=np.eye(3), feat=rng.normal(size=(3, 4)))
+        report, _ = total_loss(gamma, scores, protos)
         assert report.l_total == report.l_soft
 
     def test_components_recomputed_independently(self, rng):
         gamma = rng.dirichlet(np.ones(4), size=6)
         scores = rng.dirichlet(np.ones(4), size=6)
         protos = Prototypes(geo=rng.normal(size=(4, 3)), feat=rng.normal(size=(4, 5)))
-        report, d_geo, d_feat = total_loss(gamma, scores, protos)
+        report, d_geo = total_loss(gamma, scores, protos)
         l_soft = soft_ce_loss(gamma, scores)
-        l_orth, d_geo_ref, d_feat_ref = orth_loss(protos)
+        l_orth, d_geo_ref = orth_loss(protos)
         assert report.l_soft == l_soft
         assert report.l_total == pytest.approx(l_soft + ORTH_WEIGHT * l_orth, abs=1e-12)
         assert report.l_total == report.l_soft + ORTH_WEIGHT * report.l_orth
         np.testing.assert_allclose(d_geo, ORTH_WEIGHT * d_geo_ref, atol=1e-15)
-        np.testing.assert_allclose(d_feat, ORTH_WEIGHT * d_feat_ref, atol=1e-15)
+
+    def test_feature_prototypes_are_not_read(self, rng):
+        # The penalty is on the geometric prototypes only: random feature
+        # prototypes change no bit of the report or the gradient.
+        gamma = rng.dirichlet(np.ones(4), size=6)
+        scores = rng.dirichlet(np.ones(4), size=6)
+        protos = Prototypes(geo=rng.normal(size=(4, 3)), feat=rng.normal(size=(4, 5)))
+        report, d_geo = total_loss(gamma, scores, protos)
+        for _ in range(3):
+            other = Prototypes(geo=protos.geo, feat=rng.normal(scale=10.0, size=(4, 5)))
+            other_report, other_d_geo = total_loss(gamma, scores, other)
+            assert other_report == report
+            assert other_d_geo.tobytes() == d_geo.tobytes()

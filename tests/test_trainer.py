@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
@@ -167,7 +168,7 @@ class TestMStep:
         out = e_step(state.params, pc.normalize(ball_cloud(rng, 64)), config.solver)
         cloud_gradients(state, out)
         spent = e_step(state.params, cloud, config.solver, out=out)
-        assert spent.cost is out.cost and spent.trace.pair is out.trace.pair
+        assert spent.cost is out.cost and spent.trace.labels is out.trace.labels
         spent_report, spent_grads = cloud_gradients(state, spent)
         assert spent_report == report
         assert spent_grads.keys() == grads.keys()
@@ -219,8 +220,7 @@ class TestMStep:
         state = TrainState.initial(config)
         result = e_step(state.params, pc.normalize(ball_cloud(rng, 8)), config.solver)
         result.trace.scores[3, 1] = np.nan
-        with pytest.raises(NumericalError, match=r"^non-finite loss at step 0, epoch 0: "
-                                                 r"l_soft=nan "):
+        with pytest.raises(NumericalError, match=r"^non-finite loss: l_soft=nan "):
             cloud_gradients(state, result)
         result.trace.scores[3, 1] = 0.0
         with pytest.raises(NumericalError, match="strictly positive"):
@@ -255,17 +255,15 @@ class TestMStep:
 
         mass = s.sum(axis=0)
         geo, feat = (s.T @ x) / mass[:, None], (s.T @ f) / mass[:, None]
-        _, d_geo, d_feat = losses.orth_loss(Prototypes(geo=geo, feat=feat))
+        _, d_geo = losses.orth_loss(Prototypes(geo=geo, feat=feat))
         per_geo = losses.ORTH_WEIGHT * d_geo / mass[:, None]
-        per_feat = losses.ORTH_WEIGHT * d_feat / mass[:, None]
-        d_s = (-gamma / (n * s) + x @ per_geo.T + f @ per_feat.T
-               - ((geo * per_geo).sum(axis=1) + (feat * per_feat).sum(axis=1)))
+        d_s = -gamma / (n * s) + x @ per_geo.T - (geo * per_geo).sum(axis=1)
         dz = s * (d_s - (d_s * s).sum(axis=1, keepdims=True))
 
         ref = {"head.w": np.vstack([f.T @ dz, np.outer(pooled, dz.sum(axis=0))]),
                "head.b": dz.sum(axis=0)}
         d_head_in = dz @ t["head.w"].T
-        d_a = d_head_in[:, :d] + s @ per_feat
+        d_a = d_head_in[:, :d].copy()
         d_a[rows, np.arange(d)] += d_head_in[:, d:].sum(axis=0)
         for i in reversed(range(layers)):
             d_z = d_a if i == layers - 1 else d_a * (acts[i] > 0.0)
@@ -279,16 +277,26 @@ class TestMStep:
             assert grads[name].shape == g.shape, name
             assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
-    def test_nonfinite_loss_aborts(self, rng):
-        config = toy_config()
-        state = TrainState.initial(config)
-        cloud = pc.normalize(ball_cloud(rng, 8))
-        result = e_step(state.params, cloud, config.solver)
-        bad = replace(result, gamma=result.gamma * np.inf,
-                      marginal_residual=0.0)
-        state.step, state.epoch = 5, 2
-        with pytest.raises(NumericalError, match="at step 5, epoch 2"):
-            cloud_gradients(state, bad)
+    def test_nonfinite_loss_aborts(self, rng, monkeypatch):
+        # Infinite labels at the tenth E-step, the second cloud of the last
+        # M-step of epoch 2: pretrain names the epoch, the M-steps taken
+        # and the cloud's index in its list.
+        clouds = [pc.normalize(ball_cloud(rng, 8)) for _ in range(4)]
+        seen = []
+
+        def poisoned(params, cloud, *args, **kwargs):
+            result = e_step(params, cloud, *args, **kwargs)
+            seen.append(next(i for i, c in enumerate(clouds) if c is cloud))
+            if len(seen) == 10:
+                return replace(result, gamma=result.gamma * np.inf)
+            return result
+
+        monkeypatch.setattr(trainer, "e_step", poisoned)
+        with pytest.raises(NumericalError) as info:
+            pretrain(clouds, toy_config(epochs=3, batch_size=2))
+        assert len(seen) == 10
+        assert re.fullmatch(rf"epoch 2, M-step 4, cloud {seen[-1]}: non-finite loss: "
+                            r"l_soft=inf l_orth=\S+", str(info.value))
 
 
 class TestSchedule:
@@ -363,7 +371,8 @@ class TestPretrain:
         assert all(m["capped_solves"] == 1 for m in history)
         assert all(m["sinkhorn_iters_max"] == MAX_ITERS for m in history)
         monkeypatch.setattr(trainer, "sinkhorn", partial(sinkhorn, iters=20_000))
-        with pytest.raises(NumericalError, match="non-finite"):
+        with pytest.raises(NumericalError, match=r"^epoch 0, M-step 0, cloud 0: transport "
+                                                 r"plan became non-finite"):
             pretrain(clouds, toy_config(epsilon=1e-9))
 
     def test_default_solver_trains_fifty_steps(self, rng):
@@ -488,10 +497,9 @@ class TestPretrain:
     def test_paper_shape_peak_memory(self, rng, batch_size):
         # Every (N, J) and (N, d) array of a step lives in the cost and trace
         # of the E-step result the call refills, and the only (N, d) arrays
-        # are the trace's. A
-        # step takes 10.1 MiB; the score gradient of the prototype chain, or
-        # the loss gradient, in a fresh array adds 1 MiB, and an (N, d)
-        # feature gradient 2 MiB.
+        # are the trace's. A step takes 10.0 MiB; the score gradient of the
+        # prototype chain, or the loss gradient, in a fresh array adds 1 MiB,
+        # and an (N, d) feature gradient 2 MiB.
         clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(4)]
         config = TrainConfig(epochs=2, batch_size=batch_size)
         tracemalloc.start()
@@ -598,12 +606,12 @@ def step_inputs(rng, num_clusters=5):
     plan = sinkhorn(cost, config.solver.epsilon)
     gamma = assign_soft_labels(plan)
     psi = plan.potential + rng.normal(scale=config.solver.epsilon, size=plan.potential.shape)
-    _, d_geo, d_feat = total_loss(gamma, trace.scores, protos)
-    term, p = prototypes_backward(trace.block, protos, d_geo, d_feat)
+    _, d_geo = total_loss(gamma, trace.scores, protos)
+    term = prototypes_backward(trace.block, protos, d_geo)
     d_logits = logit_gradient(gamma, trace.scores, term.copy(order="F"))
     return SimpleNamespace(config=config, state=state, cloud=cloud, trace=trace, protos=protos,
                            cost=cost, plan=plan, gamma=gamma, psi=psi, d_geo=d_geo,
-                           d_feat=d_feat, term=term, p=p, d_logits=d_logits)
+                           term=term, d_logits=d_logits)
 
 
 def stale(*shapes):
@@ -618,7 +626,8 @@ def stale_trace(params, n, rng):
     trace = enc.forward(params, rng.normal(size=(n, 3)))
     for a in (trace.block, *trace.acts):
         a[:, :-1] = np.nan
-    trace.pair[:] = np.nan
+    trace.scores[:] = np.nan
+    trace.labels[:] = np.nan
     return trace
 
 
@@ -639,8 +648,7 @@ def out_calls(rng, num_clusters):
         (assign_soft_labels, (x.plan,), {"out": stale(nj)[0]}, []),
         (soft_ce_loss, (x.gamma, trace.scores), {"out": stale(nj)[0]}, []),
         (total_loss, (x.gamma, trace.scores, x.protos), {"out": stale(nj)[0]}, []),
-        (prototypes_backward, (trace.block, x.protos, x.d_geo, x.d_feat),
-         {"out": stale(nj)[0]}, []),
+        (prototypes_backward, (trace.block, x.protos, x.d_geo), {"out": stale(nj)[0]}, []),
         (logit_gradient, (x.gamma, trace.scores, term), {"out": stale(nj)[0]}, [term]),
     ] + [(e_step, (params, x.cloud, solver),
           {"out": replace(other, cost=stale(nj)[0], trace=stale_trace(params, 64, rng)),
@@ -664,7 +672,7 @@ def test_out_buffers_change_no_result_bit(rng, num_clusters):
         got = fn(*fresh(args, spent), **kwargs)
         if fn is e_step:  # the result is built in the spent result's cost and trace
             out = kwargs["out"]
-            assert got.cost is out.cost and got.trace.pair is out.trace.pair
+            assert got.cost is out.cost and got.trace.labels is out.trace.labels
         assert leaves(got) == leaves(ref), fn.__name__
         assert not any(np.isnan(a).any() for a in reachable_arrays(spent)), fn.__name__
 
@@ -678,7 +686,7 @@ def test_step_arrays_are_column_major(rng):
     x = step_inputs(rng)
     trace = x.trace
     result = e_step(x.state.params, x.cloud, x.config.solver)
-    arrays = [*trace.acts, trace.block, trace.pair, trace.scores, trace.features, x.cost,
+    arrays = [*trace.acts, trace.block, trace.scores, trace.labels, trace.features, x.cost,
               x.plan.matrix,
               sinkhorn(np.ascontiguousarray(x.cost), x.config.solver.epsilon).matrix,
               result.gamma, result.cost, x.term, x.d_logits]
@@ -697,7 +705,7 @@ def test_no_step_function_writes_its_arguments(rng):
     params, trace, solver = x.state.params, x.trace, x.config.solver
     result = e_step(params, x.cloud, solver)
     own = enc.forward(params, x.cloud.points)  # a trace of its own for the backward to spend
-    own.pair[:, :x.gamma.shape[1]] = x.d_logits
+    own.labels[:] = x.d_logits
     calls = [
         (enc.forward, params, x.cloud.points),
         (soft_ce_loss, x.gamma, trace.scores),
@@ -706,15 +714,14 @@ def test_no_step_function_writes_its_arguments(rng):
         (compute_cost, trace.block, x.protos, solver.lam),
         (sinkhorn, x.cost, solver.epsilon),
         (sinkhorn, x.cost, solver.epsilon, MAX_ITERS, TOL, x.psi),
-        (prototypes_backward, trace.block, x.protos, x.d_geo, x.d_feat),
+        (prototypes_backward, trace.block, x.protos, x.d_geo),
         (e_step, params, x.cloud, solver),
         (e_step, params, x.cloud, solver, None, x.psi),
     ]
     calls = [(fn, args, {}, []) for fn, *args in calls] + [
-        (enc.backward, (own, params, x.p), {}, [own.block, own.pair, *own.acts]),
+        (enc.backward, (own, params), {}, [own.block, own.labels, *own.acts]),
         (cloud_gradients, (x.state, result), {},
-         [result.cost, result.trace.block, result.trace.pair, *result.trace.acts,
-          result.gamma]),
+         [result.cost, result.trace.block, result.trace.labels, *result.trace.acts]),
     ] + out_calls(rng, 5)
     for fn, args, kwargs, spent in calls:
         spent_ids = {id(a) for a in reachable_arrays(spent)}
