@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import time
@@ -123,6 +122,8 @@ def resolved_config_dict(config: TrainConfig, data: dict) -> dict:
 
 
 def config_hash(resolved: dict) -> str:
+    import hashlib  # only `pretrain` hashes; `cluster` and `verify` start without OpenSSL
+
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

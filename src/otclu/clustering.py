@@ -170,14 +170,15 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
     max |u * (K v) - 1/N| is below `NEWTON_SWITCH` or `tol`. Newton steps on
     log v then hold the rows exact and take the column residual
     max |c - 1/J| down quadratically (Brauer, Clason, Lorenz & Wirth, "A
-    Sinkhorn-Newton method for entropic optimal transport", 2017); the solve
-    ends after the first step that starts within `tol`, so the plan lands
-    one quadratic step past it. Where the steps stall, as they do on
-    near-hard plans, the solve goes back to Sinkhorn iterations until the
-    row residual is below `tol`. `iters` caps Sinkhorn iterations and Newton
-    steps together and the plan's `iterations` counts both: a solve that
-    reaches the cap returns its plan with the residual it reached. Every
-    E-step solves at the defaults, `MAX_ITERS` and `TOL`.
+    Sinkhorn-Newton method for entropic optimal transport", 2017). The first
+    step that starts within `tol` lands the solve, and one more step on that
+    step's Hessian takes the plan to the float64 floor, about 1e-15 at the
+    paper's shape. Where the steps stall, as they do on near-hard plans,
+    the solve goes back to Sinkhorn iterations until the row residual is
+    below `tol`. `iters` caps Sinkhorn iterations and Newton steps together
+    and the plan's `iterations` counts both: a solve that reaches the cap
+    returns its plan with the residual it reached. Every E-step solves at
+    the defaults, `MAX_ITERS` and `TOL`.
 
     The plan carries its column potential psi_j = g_j + eps * log v_j, which
     does not depend on the shifts (ibid., ch. 4). Given a finite `potential`
@@ -288,46 +289,50 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
     x_J alone. Each step is a backtracking (Armijo) line search on F.
 
     A fresh H is built for the first step, for a step after one that did
-    not halve the residual max |c - b|, and for the step that starts within
-    `tol`, which is the last; the other steps reuse it. Building H scales
-    the rows of `kernel` in place by u, so that K^T K is
+    not halve the residual max |c - b|, and for the landing step, the first
+    that starts within `tol`; the other steps reuse it. One polishing step
+    on the landing step's H, with no rebuild, ends the solve. Building H
+    scales the rows of `kernel` in place by u, so that K^T K is
     diag(v)^-1 P^T P diag(v)^-1; the K v passed in and out is always that
     of the kernel as it stands.
 
-    Returns the count, v, K v and whether the solve is done (within `tol`,
-    or at `iters`). False hands it back to Sinkhorn iterations: after a
-    failed line search, a singular or non-finite H, or two steps in a row
-    that did not halve the residual.
+    Returns the count, v, K v and whether the solve is done (landed, or at
+    `iters`). A polishing step whose solve, slope or line search fails, as
+    it may at the float64 floor, is not taken or counted: the landed v is
+    returned as done. Before landing, False hands the solve back to
+    Sinkhorn iterations: after a failed line search, a singular or
+    non-finite H, or two steps in a row that did not halve the residual.
     """
     n, m = kernel.shape
     a, b = 1.0 / n, 1.0 / m
-    hessian, previous, slow = None, np.inf, False
+    hessian, previous, slow, landed = None, np.inf, False, False
     while iterations < iters:
         u = a / kv
         col = v * (u @ kernel)
         grad = b - col
         residual = np.abs(grad).max()
         last = residual < tol
-        if not (last or residual < 0.5 * previous):
-            if slow:
-                return iterations, v, kv, False
-            hessian, slow = None, True
-        else:
-            slow = False
-        if hessian is None or last:
-            kernel *= u[:, None]
-            kv = kv * u
-            hessian = kernel.T @ kernel
-            hessian *= -n * v[:, None]
-            hessian *= v
-            hessian.flat[::m + 1] += col
+        if not landed:  # the polishing step reuses the landing step's H
+            if not (last or residual < 0.5 * previous):
+                if slow:
+                    return iterations, v, kv, False
+                hessian, slow = None, True
+            else:
+                slow = False
+            if hessian is None or last:
+                kernel *= u[:, None]
+                kv = kv * u
+                hessian = kernel.T @ kernel
+                hessian *= -n * v[:, None]
+                hessian *= v
+                hessian.flat[::m + 1] += col
         try:
             delta = np.append(np.linalg.solve(hessian[:-1, :-1], grad[:-1]), 0.0)
         except np.linalg.LinAlgError:
-            return iterations, v, kv, False
+            return iterations, v, kv, landed
         slope = grad @ delta
         if not slope > 0.0:  # a NaN too
-            return iterations, v, kv, False
+            return iterations, v, kv, landed
         for halving in range(LINE_SEARCH_HALVINGS + 1):
             t = 0.5 ** halving
             w = v * np.expm1(t * delta)  # the step in v, to full precision
@@ -339,11 +344,12 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
             if ARMIJO * t * slope <= gain < np.inf and stepped.min() > 0.0:
                 break
         else:
-            return iterations, v, kv, False
+            return iterations, v, kv, landed
         iterations += 1
         v, kv, previous = stepped, kv + dk, residual
-        if last:
+        if landed:
             return iterations, v, kv, True
+        landed = last
     return iterations, v, kv, True
 
 

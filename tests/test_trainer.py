@@ -77,6 +77,18 @@ class TestEStep:
             assert np.abs(g.sum(axis=0) - 16.0).max() < 64 * TOL
             np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=64 * TOL)
 
+    def test_paper_shape_plans_land_at_the_float64_floor(self, rng):
+        # A Newton-finished solve takes one polishing step past the one that
+        # lands within TOL, so at the paper's shape a cold solve and a warm
+        # one from its own potential meet both quotas to rounding.
+        config = TrainConfig()
+        params = enc.init_params(config.encoder, 0)
+        cloud = pc.normalize(ball_cloud(rng, 2048))
+        cold = e_step(params, cloud, config.solver)
+        warm = e_step(params, cloud, config.solver, potential=cold.potential)
+        assert cold.marginal_residual < 1e-14
+        assert warm.marginal_residual < 1e-14
+
     def test_deterministic(self, rng):
         config = toy_config()
         params = enc.init_params(config.encoder, 5)
