@@ -32,7 +32,7 @@ EMPTY_CLUSTER_EPS = 1e-12
 MAX_ITERS = 1000           # cap on a solve's Sinkhorn iterations and Newton steps together
 TOL = 1e-6                 # marginal residual a solve stops within (see `sinkhorn`)
 NEWTON_SWITCH = 1e-4       # Sinkhorn's row residual at which Newton steps take over
-LINE_SEARCH_HALVINGS = 10  # a Newton step cut below 2**-10 hands the solve back to Sinkhorn
+LINE_SEARCH_HALVINGS = 10  # a Newton step cut below 2**-10 fails (see `_newton_steps`)
 ARMIJO = 1e-4              # share of the gain in F the slope predicts that a step must make
 
 
@@ -297,11 +297,12 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
     of the kernel as it stands.
 
     Returns the count, v, K v and whether the solve is done (landed, or at
-    `iters`). A polishing step whose solve, slope or line search fails, as
-    it may at the float64 floor, is not taken or counted: the landed v is
-    returned as done. Before landing, False hands the solve back to
-    Sinkhorn iterations: after a failed line search, a singular or
-    non-finite H, or two steps in a row that did not halve the residual.
+    `iters`). A step whose solve, slope or line search fails (a singular or
+    non-finite H, a slope that is not positive, no Armijo gain), as it may
+    at the float64 floor, is not taken or counted. If it started within
+    `tol` (a landing or a polishing step), the v it started from is
+    returned as done; otherwise False hands the solve back to Sinkhorn
+    iterations, as do two steps in a row that did not halve the residual.
     """
     n, m = kernel.shape
     a, b = 1.0 / n, 1.0 / m
@@ -329,10 +330,10 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
         try:
             delta = np.append(np.linalg.solve(hessian[:-1, :-1], grad[:-1]), 0.0)
         except np.linalg.LinAlgError:
-            return iterations, v, kv, landed
+            return iterations, v, kv, landed or last
         slope = grad @ delta
         if not slope > 0.0:  # a NaN too
-            return iterations, v, kv, landed
+            return iterations, v, kv, landed or last
         for halving in range(LINE_SEARCH_HALVINGS + 1):
             t = 0.5 ** halving
             w = v * np.expm1(t * delta)  # the step in v, to full precision
@@ -344,7 +345,7 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
             if ARMIJO * t * slope <= gain < np.inf and stepped.min() > 0.0:
                 break
         else:
-            return iterations, v, kv, landed
+            return iterations, v, kv, landed or last
         iterations += 1
         v, kv, previous = stepped, kv + dk, residual
         if landed:

@@ -200,12 +200,12 @@ def backward(trace: ForwardTrace, params: EncoderParams) -> dict[str, np.ndarray
     Each hidden layer's weight gradient [a | 1]^T d_z holds its bias
     gradient in its last row.
 
-    The trace is spent, so that no (N, k) array is allocated: the
-    features, which are never read, hold the gradient at `a`; the bytes of
-    d_logits, after its last read, hold each hidden layer's boolean ReLU
-    mask; and each hidden activation, after its last read, holds the
-    gradient at the layer below. The ones columns and the scores are never
-    written. An array too small for its role is replaced by a fresh one.
+    The trace is spent, so that no (N, k) float array is allocated: the
+    features, which are never read, hold the gradient at `a`, and each
+    hidden activation, after its last read, holds the gradient at the
+    layer below. An array too narrow for its role is replaced by a fresh
+    one. Each hidden layer's ReLU mask is a fresh boolean array. The
+    ones columns, the scores and d_logits are never written.
     """
     t = params.tensors
     d_logits = trace.labels
@@ -245,14 +245,9 @@ def backward(trace: ForwardTrace, params: EncoderParams) -> dict[str, np.ndarray
     h = a.shape[1] - 1
     d_z = np.matmul(d_logits, (w_last @ w_point).T, out=spent(trace.features, h))
     np.add.at(d_z, trace.pool_rows, (w_last * pool_grad).T)
-    # d_logits is read for the last time: its bytes hold the boolean ReLU masks
-    flags = d_logits.reshape(-1, order="F").view(np.bool_)
     for i in reversed(range(last)):
-        # the activation > 0 exactly where the ReLU's input was > 0
         act = trace.acts[i][:, :-1]
-        mask = np.greater(act, 0.0, out=flags[:act.size].reshape(act.shape, order="F")
-                          if act.size <= flags.size else None)
-        np.multiply(d_z, mask, out=d_z)
+        d_z *= act > 0.0  # the activation > 0 exactly where the ReLU's input was > 0
         below = trace.block[:, d:] if i == 0 else trace.acts[i - 1]
         d_wb = below.T @ d_z
         grads[f"mlp{i}.w"], grads[f"mlp{i}.b"] = d_wb[:-1], d_wb[-1]

@@ -58,12 +58,11 @@ class EStepResult:
       kernel, the plan and the labels, `gamma` (`clustering.sinkhorn`,
       `assign_soft_labels`); then d_logits (`losses.logit_gradient`), which
       `encoder.backward` reads. The backward then holds the gradient at the
-      last layer's input in the features, which it never reads, each hidden
-      layer's boolean ReLU mask in the bytes of d_logits, and the gradient
-      at the layer below a hidden activation in that activation (each while
-      large enough; otherwise in a fresh array). The ones columns of the
-      activations and of the point block are written once, when the trace
-      is made.
+      last layer's input in the features, which it never reads, and the
+      gradient at the layer below a hidden activation in that activation
+      (each while wide enough; otherwise in a fresh array). The ones
+      columns of the activations and of the point block are written once,
+      when the trace is made.
     - cost (N, J): the cost (`clustering.compute_cost`), free once the
       solve is done; then the loss's log buffer (`losses.total_loss`); then
       the prototype chain's score term (`clustering.prototypes_backward`),

@@ -8,6 +8,7 @@ import pytest
 from otclu.encoder import (EncoderConfig, EncoderParams, backward, forward,
                            init_params, load_checkpoint, save_checkpoint)
 from otclu.errors import CheckpointError, ConfigError, ShapeError
+from otclu.losses import logit_gradient
 from otclu.oracle import grad_check
 
 from conftest import join_checkpoint, split_checkpoint, with_tensors
@@ -97,6 +98,17 @@ class TestBackward:
         grads = backward(trace, params)
         for name, g in grads.items():
             assert not np.asarray(g).any(), name
+
+    def test_leaves_d_logits_as_it_was(self, rng):
+        # backward reads d_logits where the training step builds it and
+        # writes nothing there: its ReLU masks are arrays of their own
+        params = init_params(EncoderConfig(), seed=3)
+        trace = forward(params, rng.uniform(-1.0, 1.0, size=(256, 3)))
+        gamma = rng.dirichlet(np.ones(64), size=256)
+        logit_gradient(gamma, trace.scores, rng.normal(size=(256, 64)), out=trace.labels)
+        before = trace.labels.tobytes()
+        backward(trace, params)
+        assert trace.labels.tobytes() == before
 
     def test_single_point_linear_encoder_hand_chain(self, rng):
         # One point, one linear layer (3 -> 1), head 2 -> 2: with N=1 the
@@ -260,7 +272,7 @@ class TestPaperShapeHead:
 
 def trace_arrays(trace):
     """What a trace holds; its labels are room for d_logits, which backward
-    spends."""
+    reads."""
     return [trace.block, *trace.acts, trace.pooled, trace.pool_rows, trace.scores]
 
 
