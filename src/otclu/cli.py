@@ -10,7 +10,7 @@ meta as "solver", less the "iters" and "tol" that older checkpoints store
 there; a checkpoint without them gets the SolverConfig defaults.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
-3 data error, 4 numerical abort, 5 checkpoint/config mismatch.
+3 data error, 4 numerical abort, 5 checkpoint error.
 
 Commands only raise. `main` maps each failure to its code through
 `EXIT_CODES`, the one table of that policy, and prints "<prefix>: <cause>":

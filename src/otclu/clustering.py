@@ -12,12 +12,9 @@ constant per row (see `compute_cost`). The transport problem is solved by
 Sinkhorn scaling and then by Newton steps on the J column potentials, which
 finish it quadratically (see `sinkhorn`).
 
-Every function here fills buffers it owns and never writes its arguments,
-with one exception: arrays handed in as `out` are overwritten, as each
-function's docstring says (`trainer.EStepResult` gives the plan of which
-array holds what in a training step, and the column-major layout of every
-(N, k) array, refilled or fresh). A `potential` handed to `sinkhorn` is
-only read.
+Every function here allocates the arrays it builds and never writes its
+arguments. The (N, k) arrays a training step builds here are column-major
+(see `trainer.EStepResult`).
 """
 
 from __future__ import annotations
@@ -123,8 +120,7 @@ def compute_prototypes(block: np.ndarray, scores: np.ndarray) -> Prototypes:
     return Prototypes(geo=centroids[:, -3:], feat=centroids[:, :-3], mass=weights)
 
 
-def compute_cost(block: np.ndarray, protos: Prototypes, lam: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def compute_cost(block: np.ndarray, protos: Prototypes, lam: float) -> np.ndarray:
     """The blend lam*|x_i - c_j|^2 + (1-lam)*|f_i - c'_j|^2 up to per-row constants, (N, J).
 
     Expanding each squared distance leaves the row norms lam*|x_i|^2 +
@@ -135,8 +131,6 @@ def compute_cost(block: np.ndarray, protos: Prototypes, lam: float,
     matmul of the point block [F | X | 1] (see `point_block`) whose ones
     column adds the last term, with no (N, J, d) difference tensor. Entries
     may be negative.
-
-    The cost is built in `out` when given, an (N, J) array to overwrite.
     """
     check_real("lambda", lam, 0.0, 1.0)
     d, j = protos.feat.shape[1], protos.feat.shape[0]
@@ -145,8 +139,7 @@ def compute_cost(block: np.ndarray, protos: Prototypes, lam: float,
     np.multiply(-2.0 * lam, protos.geo.T, out=factor[d:-1])
     factor[-1] = (lam * np.einsum("jk,jk->j", protos.geo, protos.geo)
                   + (1.0 - lam) * np.einsum("jk,jk->j", protos.feat, protos.feat))
-    return np.matmul(block, factor, out=np.empty((block.shape[0], j), order="F")
-                     if out is None else out)
+    return np.matmul(block, factor, out=np.empty((block.shape[0], j), order="F"))
 
 
 def _cost_matrix(cost) -> np.ndarray:
@@ -157,7 +150,7 @@ def _cost_matrix(cost) -> np.ndarray:
 
 
 def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS,
-             tol: float = TOL, potential=None, out: np.ndarray | None = None) -> TransportPlan:
+             tol: float = TOL, potential=None) -> TransportPlan:
     """Entropically regularized balanced transport: Sinkhorn scaling, then
     Newton steps on the J column potentials.
 
@@ -188,10 +181,6 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
     finite, the cost is solved again from v = 1, and that plan, equal byte
     for byte to a solve without `potential`, is returned.
 
-    The kernel, and so the plan, is built in `out` when given, an (N, J)
-    array to overwrite that must not overlap the cost: a restart and the
-    error message read the cost again, as callers may after the solve.
-
     Raises NumericalError if the plan is not finite, naming the cause: NaN or
     infinite cost entries, or scaling vectors that overflowed, which they do
     once the cost spread is of the order of 1e4 * epsilon; that message
@@ -202,8 +191,6 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
     check_real("epsilon", epsilon, 0.0, strict=True)
     check_real("tol", tol, 0.0, strict=True)
     check_int("iters", iters, 1)
-    if out is None:
-        out = np.empty(d.shape, order="F")
     if potential is not None:
         potential = np.asarray(potential, dtype=np.float64)
         if potential.shape != d.shape[1:]:
@@ -212,10 +199,10 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
         if not np.all(np.isfinite(potential)):
             potential = None
 
-    plan = _scale(d, epsilon, iters, tol, potential, out)
+    plan = _scale(d, epsilon, iters, tol, potential)
     finite = np.all(np.isfinite(plan.matrix))
     if not finite and potential is not None and np.all(np.isfinite(d)):
-        plan = _scale(d, epsilon, iters, tol, None, out)  # the warm start overflowed
+        plan = _scale(d, epsilon, iters, tol, None)  # the warm start overflowed
         finite = np.all(np.isfinite(plan.matrix))
     if not finite:
         bad = d.size - np.count_nonzero(np.isfinite(d))
@@ -231,13 +218,13 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
 
 
 def _scale(d: np.ndarray, epsilon: float, iters: int, tol: float,
-           potential: np.ndarray | None, out: np.ndarray) -> TransportPlan:
-    """One solve of `sinkhorn`, from v = 1 or from a finite column potential,
-    with the kernel and plan built in `out`."""
+           potential: np.ndarray | None) -> TransportPlan:
+    """One solve of `sinkhorn`, from v = 1 or from a finite column potential;
+    the plan is built in the kernel's array."""
     n, m = d.shape
     switch = max(NEWTON_SWITCH, tol)
     with np.errstate(all="ignore"):  # a NaN or an overflow must reach sinkhorn's check
-        shifted = np.subtract(d, d.min(axis=1, keepdims=True), out=out)
+        shifted = np.subtract(d, d.min(axis=1, keepdims=True), order="F")
         g = shifted.min(axis=0)
         shifted -= g
         shifted /= -epsilon
@@ -354,13 +341,9 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
     return iterations, v, kv, True
 
 
-def assign_soft_labels(plan: TransportPlan, out: np.ndarray | None = None) -> np.ndarray:
-    """Scale a transport plan to per-point distributions: labels (N, J) = N * plan.
-
-    The labels are built in `out` when given, which may be the plan's own
-    matrix once nothing reads the plan again.
-    """
-    return np.multiply(float(plan.matrix.shape[0]), plan.matrix, out=out)
+def assign_soft_labels(plan: TransportPlan) -> np.ndarray:
+    """Scale a transport plan to per-point distributions: labels (N, J) = N * plan."""
+    return float(plan.matrix.shape[0]) * plan.matrix
 
 
 def assign_l2_labels(cost, temperature: float) -> np.ndarray:
@@ -377,8 +360,7 @@ def assign_l2_labels(cost, temperature: float) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def prototypes_backward(block: np.ndarray, protos: Prototypes, d_geo: np.ndarray,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def prototypes_backward(block: np.ndarray, protos: Prototypes, d_geo: np.ndarray) -> np.ndarray:
     """Chain a loss gradient at the geometric prototypes back to the scores.
 
     For a weighted centroid c_j = sum_i s_ij x_i / w_j of mass w_j = sum_i s_ij,
@@ -387,13 +369,10 @@ def prototypes_backward(block: np.ndarray, protos: Prototypes, d_geo: np.ndarray
     block (see `point_block`) by a (4, J) factor whose ones row subtracts
     the dL/dc_j . c_j / w_j. `protos` carry the masses w_j that
     `compute_prototypes` has already checked against `EMPTY_CLUSTER_EPS`.
-
-    The score term is built in `out` when given, an (N, J) array to overwrite.
     """
     j = protos.geo.shape[0]
     per_geo = d_geo / protos.mass[:, None]
     factor = np.empty((4, j))
     factor[:-1] = per_geo.T
     factor[-1] = -(protos.geo * per_geo).sum(axis=1)
-    return np.matmul(block[:, -4:], factor, out=np.empty((block.shape[0], j), order="F")
-                     if out is None else out)
+    return np.matmul(block[:, -4:], factor, out=np.empty((block.shape[0], j), order="F"))

@@ -9,12 +9,10 @@ so each layer is one matmul. Backward takes the gradient at the logits
 and carries it through the linear last layer and head without building
 an (N, d) array.
 
-Every function here fills buffers it owns and never writes its arguments,
-with two exceptions: `forward` refills the arrays of an `out` trace, and
-`backward` spends the trace it differentiates (see each function;
-`trainer.EStepResult` gives the plan of which array holds what in a
-training step, and the column-major layout of every (N, k) array,
-refilled or fresh).
+Every function here allocates the arrays it builds and never writes its
+arguments, with one exception: `backward` spends the trace it
+differentiates (see its docstring). Every (N, k) array here is
+column-major (see `trainer.EStepResult`).
 """
 
 from __future__ import annotations
@@ -84,9 +82,17 @@ class ForwardTrace:
     layer: the points as [X | 1], a hidden layer's output as [a | 1]. The
     features sit in the point block [F | X | 1], whose last four columns are
     the first layer's input; the E-step reads coordinates, features and a
-    ones column from it (see `clustering.point_block`). `labels` is room
-    for the plan, the labels and then d_logits, which `backward` reads.
-    Every array here is column-major.
+    ones column from it (see `clustering.point_block`).
+
+    The activations, the point block and the scores are column blocks of
+    one column-major array, allocated at once. Its size is what glibc's
+    malloc reads: freeing an mmapped chunk raises the mmap threshold to
+    that chunk's size and the trim threshold to twice that. Once the first
+    trace is freed, a training step's arrays come from the heap and the
+    next step reuses them. Built as separate arrays, of which the 2 MiB
+    point block is the largest, a step's 10 MiB is above the trim
+    threshold, and the heap's top is trimmed and faulted back in at every
+    step (README gives the measurement).
     """
 
     acts: list                         # per hidden layer: (N, h + 1), [ReLU output | 1]
@@ -94,7 +100,6 @@ class ForwardTrace:
     pooled: np.ndarray                 # (d,) max over points
     pool_rows: np.ndarray              # argmax row per feature dim
     scores: np.ndarray                 # (N, J), rows sum to 1
-    labels: np.ndarray                 # (N, J): room for the labels, then d_logits
 
     @property
     def features(self) -> np.ndarray:  # (N, d)
@@ -112,19 +117,12 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return EncoderParams(config=config, tensors=tensors)
 
 
-def _with_ones(n: int, width: int) -> np.ndarray:
-    """A column-major (N, width + 1) array whose last column is 1."""
-    a = np.empty((n, width + 1), order="F")
-    a[:, -1] = 1.0
-    return a
-
-
 def _stacked(t: dict, i: int) -> np.ndarray:
     """Layer i's weights over its bias, [W; b]: (fan_in + 1, fan_out)."""
     return np.vstack((t[f"mlp{i}.w"], t[f"mlp{i}.b"]))
 
 
-def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> ForwardTrace:
+def forward(params: EncoderParams, points) -> ForwardTrace:
     """Run the encoder and head on a non-empty (N, 3) array; returns scores
     with rows summing to 1.
 
@@ -135,27 +133,17 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     ones column: the logits are [F | X | 1] times [W[:d]; 0; p·W[d:] + b].
     Ties at the max resolve to the lowest row index when gradients are
     routed back.
-
-    Each layer and the logits are built in the matching array of `out`, a
-    spent trace of the same N and architecture whose arrays are
-    overwritten but for their ones columns, which no step writes; numpy
-    refuses one of another shape.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != IN_DIM or x.shape[0] == 0:
         raise ShapeError(f"expected a non-empty (N, {IN_DIM}) input, got shape {x.shape}")
     t, config = params.tensors, params.config
     n, hidden, d = x.shape[0], config.hidden_sizes, config.feature_dim
-    j = config.num_clusters
-    if out is None:
-        acts = [_with_ones(n, h) for h in hidden]
-        block = _with_ones(n, d + 3)
-        scores, labels = np.empty((n, j), order="F"), np.empty((n, j), order="F")
-    elif len(out.acts) != len(hidden):
-        raise ValueError(f"a trace of {len(out.acts)} hidden layers cannot hold one of "
-                         f"{len(hidden)}")
-    else:
-        acts, block, scores, labels = out.acts, out.block, out.scores, out.labels
+    widths = [*(h + 1 for h in hidden), d + 4, config.num_clusters]
+    whole = np.empty((n, sum(widths)), order="F")
+    *acts, block, scores = np.split(whole, np.cumsum(widths[:-1]), axis=1)
+    for part in (*acts, block):
+        part[:, -1] = 1.0
     block[:, d:-1] = x
 
     a = block[:, d:]
@@ -168,7 +156,7 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     pool_rows = features.argmax(axis=0)
     pooled = features[pool_rows, np.arange(d)]
     w = t["head.w"]
-    head = np.zeros((d + 4, j))
+    head = np.zeros((d + 4, scores.shape[1]))
     head[:d] = w[:d]
     head[-1] = pooled @ w[d:] + t["head.b"]
     # the logits, turned into a row softmax in place
@@ -177,17 +165,18 @@ def forward(params: EncoderParams, points, out: ForwardTrace | None = None) -> F
     np.exp(scores, out=scores)
     scores *= 1.0 / scores.sum(axis=1, keepdims=True)
     return ForwardTrace(acts=acts, block=block, pooled=pooled, pool_rows=pool_rows,
-                        scores=scores, labels=labels)
+                        scores=scores)
 
 
-def backward(trace: ForwardTrace, params: EncoderParams) -> dict[str, np.ndarray]:
-    """Exact gradients of a scalar loss w.r.t. every parameter.
+def backward(trace: ForwardTrace, params: EncoderParams,
+             d_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact gradients of a scalar loss w.r.t. every parameter, from its
+    gradient at the logits, d_logits (N, J).
 
-    The loss gradient at the logits, d_logits (N, J), is read from the
-    trace's `labels`, where `losses.logit_gradient` builds it. The max-pool
-    subgradient routes each pooled dimension's gradient to the argmax row
-    recorded in the trace. The pooled term of the logits is shared by
-    every point, so its gradients need only the column sums of d_logits.
+    The max-pool subgradient routes each pooled dimension's gradient to
+    the argmax row recorded in the trace. The pooled term of the logits is
+    shared by every point, so its gradients need only the column sums of
+    d_logits.
 
     The last MLP layer and the head are both linear, so no (N, d) array is
     built: with `a` the last layer's input and its ones column, [W; b] its
@@ -205,10 +194,12 @@ def backward(trace: ForwardTrace, params: EncoderParams) -> dict[str, np.ndarray
     hidden activation, after its last read, holds the gradient at the
     layer below. An array too narrow for its role is replaced by a fresh
     one. Each hidden layer's ReLU mask is a fresh boolean array. The
-    ones columns, the scores and d_logits are never written.
+    ones columns, the scores and d_logits are never written. Fresh
+    scratch in their place raises a training step's `tracemalloc` peak
+    from 10.53 to 12.83 MiB at the paper's shape (README gives its cost
+    in page faults and time).
     """
     t = params.tensors
-    d_logits = trace.labels
     n = d_logits.shape[0]
     d = trace.block.shape[1] - 4
 

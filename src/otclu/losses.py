@@ -13,13 +13,10 @@ made no difference to the solves. The gradient reaches the encoder at its
 logits, in closed form (`logit_gradient`), with no gradient at the scores
 built on the way.
 
-Every function here fills buffers it owns and never writes its arguments,
-with two exceptions: `soft_ce_loss` and `total_loss` build the log buffer in
-an `out` array handed in to be overwritten, and `logit_gradient` builds
-dL/dlogits in its `out`, which may be the labels, and spends the score
-term it is handed (`trainer.EStepResult` gives the plan of which array
-holds what in a training step, and the column-major layout of every (N, k)
-array; the arrays built here take the layout of the scores).
+Every function here allocates the arrays it builds and never writes its
+arguments, with one exception: `logit_gradient` spends the score term it
+is handed. The (N, J) arrays built here take the layout of the scores
+(see `trainer.EStepResult`).
 """
 
 from __future__ import annotations
@@ -42,12 +39,11 @@ class LossReport:
     l_total: float
 
 
-def soft_ce_loss(gamma, scores: np.ndarray, out: np.ndarray | None = None) -> float:
+def soft_ce_loss(gamma, scores: np.ndarray) -> float:
     """Mean cross-entropy -(1/N) sum_ij gamma_ij log s_ij.
 
-    gamma is a constant target: no gradient flows into it. The log buffer
-    is built in `out` when given, an (N, J) array to overwrite that is
-    neither gamma nor the scores. A NaN score passes to a NaN loss.
+    gamma is a constant target: no gradient flows into it. A NaN score
+    passes to a NaN loss.
     """
     g = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
@@ -55,14 +51,13 @@ def soft_ce_loss(gamma, scores: np.ndarray, out: np.ndarray | None = None) -> fl
         raise ShapeError(f"soft labels {g.shape} and scores {s.shape} must match")
     if s.min() <= 0.0:
         raise NumericalError("scores must be strictly positive for log-loss")
-    log_s = np.log(s, out=out)
+    log_s = np.log(s)
     if g.flags.f_contiguous and log_s.flags.f_contiguous:
         g, log_s = g.T, log_s.T  # C-contiguous, as vdot reads without a copy
     return float(-np.vdot(g, log_s) / s.shape[0])
 
 
-def logit_gradient(gamma, scores: np.ndarray, score_term: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def logit_gradient(gamma, scores: np.ndarray, score_term: np.ndarray) -> np.ndarray:
     """dL/dlogits, (N, J), of l_soft plus a loss whose gradient at the
     scores is score_term T, where scores are the row softmax of the logits.
 
@@ -70,8 +65,7 @@ def logit_gradient(gamma, scores: np.ndarray, score_term: np.ndarray,
     s * (dL/dS - rowsum(s * dL/dS)), which is, in closed form,
       s * (T + rowsum(gamma) / N - rowsum(s * T)) - gamma / N,
     so no gradient at the scores is built and no score is divided by.
-    It is built in `out` when given, an (N, J) array to overwrite that may
-    be gamma itself but not the scores; score_term is overwritten.
+    score_term is overwritten.
     """
     g = np.asarray(gamma, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
@@ -84,7 +78,7 @@ def logit_gradient(gamma, scores: np.ndarray, score_term: np.ndarray,
     shift -= np.einsum("ij,ij->i", s, t)
     t += shift[:, None]
     t *= s
-    d_logits = np.multiply(g, -1.0 / n, out=out)
+    d_logits = g * (-1.0 / n)
     d_logits += t
     return d_logits
 
@@ -113,18 +107,16 @@ def orth_loss(protos: Prototypes) -> tuple[float, np.ndarray]:
     return loss, d_unit
 
 
-def total_loss(gamma, scores: np.ndarray, protos: Prototypes, out: np.ndarray | None = None
-               ) -> tuple[LossReport, np.ndarray]:
+def total_loss(gamma, scores: np.ndarray, protos: Prototypes) -> tuple[LossReport, np.ndarray]:
     """Combined objective l_soft + ORTH_WEIGHT * l_orth with its gradient
     at the geometric prototypes.
 
     Returns (report, dL/dC_geo); the prototype gradient is already scaled
     by ORTH_WEIGHT and still needs chaining through the weighted centroids:
     `clustering.prototypes_backward` turns it into a score term for
-    `logit_gradient`. The log buffer is built in `out` when given (see
-    `soft_ce_loss`).
+    `logit_gradient`.
     """
-    l_soft = soft_ce_loss(gamma, scores, out=out)
+    l_soft = soft_ce_loss(gamma, scores)
     l_orth, d_geo = orth_loss(protos)
     report = LossReport(l_soft=l_soft, l_orth=l_orth, l_total=l_soft + ORTH_WEIGHT * l_orth)
     return report, ORTH_WEIGHT * d_geo

@@ -47,48 +47,23 @@ class TrainConfig:
 
 @dataclass
 class EStepResult:
-    """Everything one E-step produces for a single cloud, and the arrays
-    its gradient spends: `cloud_gradients` builds the gradient in them, and
-    a later `e_step` handed the spent result as `out` refills them. Each
-    array's last read comes before its next write:
-
-    - trace: the forward trace (see `encoder.ForwardTrace`). `encoder.forward`
-      refills its activations, the features and points of its point block
-      and its scores. Its `labels` (N, J) is the plan buffer: the Sinkhorn
-      kernel, the plan and the labels, `gamma` (`clustering.sinkhorn`,
-      `assign_soft_labels`); then d_logits (`losses.logit_gradient`), which
-      `encoder.backward` reads. The backward then holds the gradient at the
-      last layer's input in the features, which it never reads, and the
-      gradient at the layer below a hidden activation in that activation
-      (each while wide enough; otherwise in a fresh array). The ones
-      columns of the activations and of the point block are written once,
-      when the trace is made.
-    - cost (N, J): the cost (`clustering.compute_cost`), free once the
-      solve is done; then the loss's log buffer (`losses.total_loss`); then
-      the prototype chain's score term (`clustering.prototypes_backward`),
-      which `logit_gradient` spends.
-
-    No array is (N, d) wide but the trace's.
-
-    The kernel is never built in `cost`: Sinkhorn's cold restart and its
-    non-finite-cost message read the cost again after the kernel is built.
+    """Everything one E-step produces for a single cloud. `cloud_gradients`
+    spends its trace (see `encoder.backward`).
 
     Every (N, k) float array of a step is column-major (Fortran order):
-    the cost, the trace's arrays, and the arrays the step functions build
-    when handed no `out` (products and the Sinkhorn kernel are allocated
-    so; elementwise results take the layout of their inputs, which in a
-    step is this one). Then the per-point and per-channel loops of numpy's
-    broadcasts and reductions (softmax and Sinkhorn row and column sums,
-    the pool's argmax) each run along N in contiguous memory, and `matmul`
-    fills such an array through BLAS by swapping its operands. Refilled
-    and fresh arrays share this one layout because float results
-    (reduction order, BLAS kernels) follow the layout an array is built in.
+    products and the Sinkhorn kernel are allocated so, and elementwise
+    results take the layout of their inputs, which in a step is this one.
+    Then the per-point and per-channel loops of numpy's broadcasts and
+    reductions (softmax and Sinkhorn row and column sums, the pool's
+    argmax) each run along N in contiguous memory, and `matmul` fills such
+    an array through BLAS by swapping its operands. Float results
+    (reduction order, BLAS kernels) follow the layout an array is built
+    in, so the one layout also fixes a step's bits.
     """
 
     trace: ForwardTrace
     protos: Prototypes
     gamma: np.ndarray    # soft labels (N, J): N times the transport plan
-    cost: np.ndarray     # (N, J): the cost the labels were solved on, spent by the gradient
     marginal_residual: float
     iterations: int      # Sinkhorn iterations and Newton steps the solve took
     potential: np.ndarray  # the plan's column potential (J,), to warm-start the next solve
@@ -110,40 +85,35 @@ class TrainState:
         return cls(params=params, m=params.zeros_like(), v=params.zeros_like(), lr=config.lr)
 
 
-def e_step(params: EncoderParams, cloud, solver: SolverConfig,
-           out: EStepResult | None = None, potential=None) -> EStepResult:
+def e_step(params: EncoderParams, cloud, solver: SolverConfig, potential=None) -> EStepResult:
     """Forward pass, prototypes, cost, and balanced soft-label assignment.
 
     The cost matrix handed to the transport solver is a constant: the
-    returned labels carry no gradient information. `out` is a spent result
-    of a cloud with the same N, whose trace and cost are refilled (see
-    `EStepResult`); without it each array is allocated where it is built.
-    `potential` is a column potential the solve starts from (see `sinkhorn`).
+    returned labels carry no gradient information, and the cost is
+    released once they are solved. `potential` is a column potential the
+    solve starts from (see `sinkhorn`).
     """
-    trace = enc.forward(params, cloud.points, out=None if out is None else out.trace)
+    trace = enc.forward(params, cloud.points)
     protos = compute_prototypes(trace.block, trace.scores)
-    cost = compute_cost(trace.block, protos, solver.lam, out=None if out is None else out.cost)
-    plan = sinkhorn(cost, epsilon=solver.epsilon, potential=potential, out=trace.labels)
-    residual = plan.marginal_residual()  # before the labels overwrite the plan
-    gamma = assign_soft_labels(plan, out=plan.matrix)
-    return EStepResult(trace=trace, protos=protos, gamma=gamma, cost=cost,
-                       marginal_residual=residual, iterations=plan.iterations,
-                       potential=plan.potential)
+    plan = sinkhorn(compute_cost(trace.block, protos, solver.lam), epsilon=solver.epsilon,
+                    potential=potential)
+    return EStepResult(trace=trace, protos=protos, gamma=assign_soft_labels(plan),
+                       marginal_residual=plan.marginal_residual(),
+                       iterations=plan.iterations, potential=plan.potential)
 
 
 def cloud_gradients(state: TrainState, result: EStepResult) -> tuple[LossReport, dict]:
     """The loss on one cloud's E-step labels and its exact parameter gradient.
 
-    The result is spent: the gradient's (N, ·) arrays are built in its cost
-    and its trace (see `EStepResult`).
+    The result's trace is spent (see `encoder.backward`).
     """
-    trace, cost = result.trace, result.cost
-    report, d_geo = total_loss(result.gamma, trace.scores, result.protos, out=cost)
+    trace = result.trace
+    report, d_geo = total_loss(result.gamma, trace.scores, result.protos)
     if not np.isfinite(report.l_total):
         raise NumericalError(f"non-finite loss: l_soft={report.l_soft} l_orth={report.l_orth}")
-    score_term = prototypes_backward(trace.block, result.protos, d_geo, out=cost)
-    logit_gradient(result.gamma, trace.scores, score_term, out=trace.labels)
-    return report, enc.backward(trace, state.params)
+    d_logits = logit_gradient(result.gamma, trace.scores,
+                              prototypes_backward(trace.block, result.protos, d_geo))
+    return report, enc.backward(trace, state.params, d_logits)
 
 
 def m_step(state: TrainState, grads: dict) -> TrainState:
@@ -172,12 +142,8 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
     Clouds are shuffled every epoch under the run seed. Each cloud of a
     batch runs its E-step and then its backward, and only the running sum
     of gradients is kept, so memory does not grow with `batch_size`. The
-    run is bit-reproducible for a fixed seed.
-
-    It keeps the last cloud's spent E-step result and hands it to the next
-    cloud's E-step to refill when that cloud has the same number of
-    points; a cloud of another size gets fresh arrays. A cloud's gradients
-    are released before the next cloud's E-step.
+    run is bit-reproducible for a fixed seed. A cloud's E-step result and
+    gradients are released before the next cloud's E-step.
 
     Each cloud's Sinkhorn solve starts from the column potential of that
     cloud's previous solve in the call (its first solve starts cold), so
@@ -196,7 +162,6 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
         raise ValueError("pretrain needs at least one cloud")
     state = TrainState.initial(config)
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    result = None  # the last cloud's spent E-step, free for the next cloud of its N
     potentials = [None] * len(clouds)  # each cloud's last column potential
 
     for epoch in range(config.epochs):
@@ -209,10 +174,8 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
             scale = 1.0 / len(chunk)
             grads = state.params.zeros_like()
             for i in chunk:
-                if result is not None and result.cost.shape[0] != clouds[i].points.shape[0]:
-                    result = None
                 try:
-                    result = e_step(state.params, clouds[i], config.solver, out=result,
+                    result = e_step(state.params, clouds[i], config.solver,
                                     potential=potentials[i])
                     report, cloud_grads = cloud_gradients(state, result)
                 except NumericalError as exc:
@@ -224,7 +187,7 @@ def pretrain(clouds: list, config: TrainConfig, on_epoch=None) -> TrainState:
                 reports.append(report)
                 for name, g in cloud_grads.items():
                     grads[name] += scale * g
-                del cloud_grads
+                del result, cloud_grads
             m_step(state, grads)
 
         metrics = {

@@ -632,7 +632,7 @@ class TestCommands:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         count, wrong = tour_mismatches(readme)
         assert count >= 8 and wrong == []
-        stale = readme.replace("`backward(trace, params)`",
+        stale = readme.replace("`backward(trace, params, d_logits)`",
                                "`backward(trace, params, d_features_per_score)`")
         assert stale != readme
         assert len(tour_mismatches(stale)[1]) == 1

@@ -268,26 +268,21 @@ class TestSinkhorn:
         # Started from this potential the second column's scaling underflows
         # to 0 and the first iteration's plan is not finite; the solve
         # restarts from v = 1 and returns the cold plan byte for byte.
-        # A buffer handed in as `out` holds the overflowed plan, then the cold one.
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         cold = sinkhorn(cost, 1e-3)
         for potential in ([0.0, -1.0], [np.nan, 0.0], [0.0, np.inf]):
-            for out in (None, np.full((2, 2), np.nan)):
-                plan = sinkhorn(cost, 1e-3, potential=potential, out=out)
-                assert plan.matrix.tobytes() == cold.matrix.tobytes()
-                assert plan.potential.tobytes() == cold.potential.tobytes()
-                assert plan.iterations == cold.iterations
-                assert out is None or plan.matrix is out
+            plan = sinkhorn(cost, 1e-3, potential=potential)
+            assert plan.matrix.tobytes() == cold.matrix.tobytes()
+            assert plan.potential.tobytes() == cold.potential.tobytes()
+            assert plan.iterations == cold.iterations
         assert cost.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_warm_start_keeps_the_non_finite_cost_error(self):
-        # The message counts the cost's entries, which a buffer handed in as
-        # `out` leaves as they were.
+        # The message counts the cost's entries, which the solve leaves as they were.
         cost = np.array([[0.0, 1.0], [1.0, np.nan], [0.5, 0.5], [1.0, 0.0]])
         for potential in (None, [0.0, 0.0]):
-            for out in (None, np.zeros((4, 2))):
-                with pytest.raises(NumericalError, match="cost matrix has 1 non-finite"):
-                    sinkhorn(cost, 1e-3, potential=potential, out=out)
+            with pytest.raises(NumericalError, match="cost matrix has 1 non-finite"):
+                sinkhorn(cost, 1e-3, potential=potential)
 
     def test_warm_start_from_its_own_potential(self, rng):
         # One Sinkhorn iteration starts within tol. The cold plan is at the

@@ -94,21 +94,20 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
         params = init_params(SMALL, seed=0)
         trace = forward(params, rng.normal(size=(7, 3)))
-        trace.labels[:] = 0.0
-        grads = backward(trace, params)
+        grads = backward(trace, params, np.zeros((7, 3)))
         for name, g in grads.items():
             assert not np.asarray(g).any(), name
 
     def test_leaves_d_logits_as_it_was(self, rng):
-        # backward reads d_logits where the training step builds it and
-        # writes nothing there: its ReLU masks are arrays of their own
+        # backward spends its trace but writes nothing in the d_logits it
+        # is handed: its ReLU masks are arrays of their own
         params = init_params(EncoderConfig(), seed=3)
         trace = forward(params, rng.uniform(-1.0, 1.0, size=(256, 3)))
         gamma = rng.dirichlet(np.ones(64), size=256)
-        logit_gradient(gamma, trace.scores, rng.normal(size=(256, 64)), out=trace.labels)
-        before = trace.labels.tobytes()
-        backward(trace, params)
-        assert trace.labels.tobytes() == before
+        d_logits = logit_gradient(gamma, trace.scores, rng.normal(size=(256, 64)))
+        before = d_logits.tobytes()
+        backward(trace, params, d_logits)
+        assert d_logits.tobytes() == before
 
     def test_single_point_linear_encoder_hand_chain(self, rng):
         # One point, one linear layer (3 -> 1), head 2 -> 2: with N=1 the
@@ -120,8 +119,7 @@ class TestBackward:
         dz = rng.normal(size=2)  # the gradient at the logits
 
         trace = forward(params, x)
-        trace.labels[:] = dz
-        grads = backward(trace, params)
+        grads = backward(trace, params, dz[None])
 
         w0 = params.tensors["mlp0.w"]          # (3, 1)
         wh = params.tensors["head.w"]          # (2, 2): point row, pooled row
@@ -158,8 +156,7 @@ class TestBackward:
             trace = forward(params, x)
             assert (set(trace.pool_rows.tolist()) == {4}) == shared
             s = trace.scores
-            trace.labels[:] = s * (a - (a * s).sum(axis=1, keepdims=True))
-            grads = backward(trace, params)
+            grads = backward(trace, params, s * (a - (a * s).sum(axis=1, keepdims=True)))
 
             def loss(tensors):
                 return float((a * forward(EncoderParams(cfg, tensors), x).scores).sum())
@@ -186,8 +183,7 @@ class TestBackward:
         assert trace.pool_rows.tolist() == [0]
 
         dz = rng.normal(size=(3, 2))
-        trace.labels[:] = dz
-        grads = backward(trace, params)
+        grads = backward(trace, params, dz)
 
         d_head_in = dz @ wh.T
         d_feat = d_head_in[:, :1].copy()
@@ -242,8 +238,7 @@ class TestPaperShapeHead:
             d_logits = rng.normal(size=(2048, 64))
 
             trace = forward(params, x)
-            trace.labels[:] = d_logits
-            grads = backward(trace, params)
+            grads = backward(trace, params, d_logits)
             ref_scores, ref_grads = concatenated_head_reference(params, x, d_logits)
 
             def rel(a, b):
@@ -266,83 +261,11 @@ class TestPaperShapeHead:
             tracemalloc.stop()
         assert trace.scores.shape == (2048, 64)
         assert held <= 8 * 2**20, f"{held / 2**20:.1f} MiB"
-        # every layer and the logits are built in the buffer the trace keeps
+        # every layer and the logits are built in the one array the trace keeps
         assert peak <= 1.05 * held, f"peak {peak / held:.2f} x held"
-
-
-def trace_arrays(trace):
-    """What a trace holds; its labels are room for d_logits, which backward
-    reads."""
-    return [trace.block, *trace.acts, trace.pooled, trace.pool_rows, trace.scores]
-
-
-def assert_bytes_equal(got, ref):
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-
-
-def tie_case(rng, n):
-    """The max-pool tie case: one feature equal to x, on integer x values
-    so that many rows tie at the pooled maximum."""
-    params = init_params(EncoderConfig(hidden_sizes=(), feature_dim=1, num_clusters=2), seed=2)
-    params.tensors["mlp0.w"] = np.array([[1.0], [0.0], [0.0]])
-    x = rng.normal(size=(n, 3))
-    x[:, 0] = rng.integers(-2, 3, size=n)
-    return params, x
-
-
-class TestOutTrace:
-    """A spent trace handed in as `out` is refilled with the default calls' bits."""
-
-    # paper: the last layer's second product lands in the spent features;
-    # narrow: a hidden layer wider than the features gets a fresh array
-    @pytest.mark.parametrize("case", ["paper", "tie", "narrow"])
-    def test_out_equals_default(self, rng, case):
-        if case == "paper":
-            params = init_params(EncoderConfig(), seed=4)
-            x, other = rng.uniform(-1.0, 1.0, size=(2, 2048, 3))
-        elif case == "narrow":
-            params = init_params(SMALL, seed=4)
-            x, other = rng.normal(size=(2, 50, 3))
-        else:
-            params, x = tie_case(rng, 64)
-            _, other = tie_case(rng, 64)
-            assert (x[:, 0] == x[:, 0].max()).sum() > 1
-        n, j = x.shape[0], params.config.num_clusters
-        d_logits = rng.normal(size=(n, j))
-        # spent as in pretrain: another cloud's trace, overwritten by its backward
-        spent = forward(params, other)
-        spent.labels[:] = d_logits
-        backward(spent, params)
-        buffers = [*spent.acts, spent.block, spent.scores, spent.labels]
-
-        ref = forward(params, x)
-        got = forward(params, x, out=spent)
-        assert_bytes_equal(trace_arrays(got), trace_arrays(ref))
-        assert all(a is b for a, b in zip([*got.acts, got.block, got.scores, got.labels],
-                                          buffers))
-
-        ref.labels[:] = d_logits
-        ref_grads = backward(ref, params)
-        got.labels[:] = d_logits
-        got_grads = backward(got, params)
-        assert list(got_grads) == list(ref_grads)
-        assert_bytes_equal(list(got_grads.values()), list(ref_grads.values()))
-
-    def test_mismatched_trace_is_refused(self, rng):
-        # A trace is refilled exactly as handed: one of another N, or of
-        # another architecture, is refused, and pretrain gives a cloud of
-        # another size fresh arrays instead.
-        params = init_params(SMALL, seed=5)
-        x = rng.normal(size=(20, 3))
-        other_n = forward(params, rng.normal(size=(30, 3)))
-        other_arch = forward(init_params(EncoderConfig(hidden_sizes=(6, 6), feature_dim=4,
-                                                       num_clusters=3), seed=5), x)
-        for other in (other_n, other_arch):
-            with pytest.raises(ValueError):
-                forward(params, x, out=other)
+        whole = trace.block.base
+        assert whole.nbytes > 0.75 * held
+        assert all(a.base is whole for a in (*trace.acts, trace.scores))
 
 
 class TestCheckpoint:

@@ -169,48 +169,9 @@ class TestMStep:
             losses.append(report.l_soft)
         assert losses[-1] <= 0.7 * losses[0]
 
-    def test_spending_the_result_changes_no_bit(self, rng):
-        # An E-step handed another cloud's spent result builds every (N, J)
-        # and (N, d) array of the step in that result's cost and trace; the
-        # same float operations run as on fresh arrays.
-        config = toy_config(num_clusters=4)
-        state = TrainState.initial(config)
-        cloud = pc.normalize(ball_cloud(rng, 64))
-        report, grads = cloud_gradients(state, e_step(state.params, cloud, config.solver))
-        out = e_step(state.params, pc.normalize(ball_cloud(rng, 64)), config.solver)
-        cloud_gradients(state, out)
-        spent = e_step(state.params, cloud, config.solver, out=out)
-        assert spent.cost is out.cost and spent.trace.labels is out.trace.labels
-        spent_report, spent_grads = cloud_gradients(state, spent)
-        assert spent_report == report
-        assert spent_grads.keys() == grads.keys()
-        for name, g in grads.items():
-            assert spent_grads[name].tobytes() == g.tobytes(), name
-
-    def test_a_buffered_step_allocates_no_step_array(self, rng):
-        # At the paper's shape, once the trace exists, an E-step and a
-        # gradient each allocate less than one (N, J) array above what they
-        # keep: every (N, J) and (N, d) array they build lands in a buffer.
-        config = TrainConfig()
-        state = TrainState.initial(config)
-        cloud = pc.normalize(ball_cloud(rng, 2048))
-        out = e_step(state.params, cloud, config.solver)
-        cloud_gradients(state, out)
-        tracemalloc.start()
-        try:
-            result = e_step(state.params, cloud, config.solver, out=out)
-            e_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            kept = tracemalloc.get_traced_memory()[0]
-            cloud_gradients(state, result)
-            grad_peak = tracemalloc.get_traced_memory()[1] - kept
-        finally:
-            tracemalloc.stop()
-        assert max(e_peak, grad_peak) < out.cost.nbytes, (e_peak, grad_peak)
-
     def test_an_unbuffered_e_step_allocates_each_array_where_it_is_built(self, rng):
-        # `otclu cluster` runs e_step without `out`. Each array is then
-        # allocated where it is built, so at the paper's shape the E-step
+        # Each array is allocated where it is built and the cost is released
+        # once the labels are solved, so at the paper's shape the E-step
         # peaks less than 1.5 (N, J) arrays above what its result keeps;
         # allocating an (N, d) array up front would add 2 (N, J) ones.
         config = TrainConfig()
@@ -248,7 +209,7 @@ class TestMStep:
         state = TrainState.initial(config)
         cloud = pc.normalize(ball_cloud(rng, 2048))
         result = e_step(state.params, cloud, config.solver)
-        gamma = result.gamma.copy()
+        gamma = result.gamma
         t, x = state.params.tensors, cloud.points
 
         layers = len(config.encoder.hidden_sizes) + 1
@@ -418,17 +379,16 @@ class TestPretrain:
         assert peaks[8] <= 1.25 * peaks[1]
 
     def test_reused_traces_equal_a_loop_of_default_steps(self, rng):
-        # pretrain refills the last cloud's spent E-step result in every
-        # step of a cloud of the same size; a cloud of another size must get
-        # fresh arrays and no cloud may read a stale one. The reference loop
-        # passes no `out` anywhere, only each cloud's last column potential.
+        # pretrain on clouds of two sizes equals a loop of default steps that
+        # carries only each cloud's last column potential from one step to
+        # the next.
         clouds = [pc.normalize(ball_cloud(rng, n)) for n in (512, 300, 512, 300, 512)]
         config = TrainConfig(epochs=2, batch_size=2)
         state = pretrain(clouds, config)
 
         ref = TrainState.initial(config)
         shuffle_rng = np.random.default_rng([config.seed, 1])
-        sizes, potentials = [], [None] * len(clouds)
+        potentials = [None] * len(clouds)
         for epoch in range(config.epochs):
             ref.epoch, ref.lr = epoch, lr_at_epoch(config, epoch)
             order = shuffle_rng.permutation(len(clouds))
@@ -437,7 +397,6 @@ class TestPretrain:
                 chunk = order[start:start + config.batch_size]
                 grads = ref.params.zeros_like()
                 for i in chunk:
-                    sizes.append(clouds[i].points.shape[0])
                     result = e_step(ref.params, clouds[i], config.solver,
                                     potential=potentials[i])
                     potentials[i] = result.potential
@@ -459,9 +418,6 @@ class TestPretrain:
                 "sinkhorn_iters_max": max(iterations),
                 "capped_solves": sum(r >= TOL for r in residuals),
             })
-        steps = set(zip(sizes, sizes[1:]))
-        assert {(512, 512), (512, 300), (300, 512)} <= steps  # reuse and both fallbacks
-
         assert state.history == ref.history
         assert state.step == ref.step
         for name, tensor in ref.params.tensors.items():
@@ -507,11 +463,11 @@ class TestPretrain:
 
     @pytest.mark.parametrize("batch_size", [32, 1])
     def test_paper_shape_peak_memory(self, rng, batch_size):
-        # Every (N, J) and (N, d) array of a step lives in the cost and trace
-        # of the E-step result the call refills, and the only (N, d) arrays
-        # are the trace's. A step takes 10.0 MiB; the score gradient of the
-        # prototype chain, or the loss gradient, in a fresh array adds 1 MiB,
-        # and an (N, d) feature gradient 2 MiB.
+        # A step takes 10.5 MiB, at its height in `logit_gradient`: the
+        # trace, the labels, the prototype chain's score term and the loss
+        # gradient. The only (N, d) arrays are the trace's, which the
+        # backward spends as scratch; an (N, d) feature gradient of its own
+        # would add 2 MiB.
         clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(4)]
         config = TrainConfig(epochs=2, batch_size=batch_size)
         tracemalloc.start()
@@ -522,29 +478,25 @@ class TestPretrain:
             tracemalloc.stop()
         assert peak <= 10.75 * 2**20, f"{peak / 2**20:.2f} MiB"
 
-    def test_epochs_after_the_first_allocate_no_step_array(self, rng):
-        # Once the first epoch has made an E-step result, an epoch's peak
-        # sits less than one (N, d) array above what stays allocated: each
-        # step refills that result and allocates only small or boolean arrays.
+    def test_memory_does_not_grow_with_epochs(self, rng):
+        # Each cloud's E-step result and gradients are released before the
+        # next cloud's E-step, so a 3-epoch call peaks no higher than a
+        # 1-epoch call, but for its two more history records.
         clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(4)]
-        above = []
-
-        def on_epoch(metrics):
-            current, peak = tracemalloc.get_traced_memory()
-            above.append(peak - current)
-            tracemalloc.reset_peak()
-
-        tracemalloc.start()
-        try:
-            pretrain(clouds, TrainConfig(epochs=3), on_epoch=on_epoch)
-        finally:
-            tracemalloc.stop()
-        assert all(b < 1.5 * 2**20 for b in above[1:]), [f"{b / 2**20:.2f} MiB" for b in above]
+        peaks = {}
+        for epochs in (1, 3):
+            tracemalloc.start()
+            try:
+                pretrain(clouds, TrainConfig(epochs=epochs))
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= peaks[1] + 2**16, peaks
 
     def test_every_ones_column_reads_one_after_each_step(self, rng, monkeypatch, tmp_path):
         # The ones columns carry every bias and per-cluster constant, so no
-        # step may write them: not a pretrain step, which spends its trace
-        # and refills it, and not `otclu cluster`'s E-step on fresh arrays.
+        # step may write them: not a pretrain step, which spends its trace,
+        # and not `otclu cluster`'s E-step.
         def ones_columns(trace):
             return [a[:, -1] for a in (trace.block, *trace.acts)]
 
@@ -593,20 +545,6 @@ def reachable_arrays(obj):
             yield from reachable_arrays(value)
 
 
-def leaves(obj):
-    """The shape and bytes of every array, and every other value, reachable
-    from obj through dataclass fields, dicts, lists and tuples, in order."""
-    if isinstance(obj, np.ndarray):
-        return [(obj.shape, obj.tobytes())]
-    if is_dataclass(obj):
-        return [x for f in fields(obj) for x in leaves(getattr(obj, f.name))]
-    if isinstance(obj, dict):
-        return [x for key, value in obj.items() for x in [key, *leaves(value)]]
-    if isinstance(obj, (list, tuple)):
-        return [x for value in obj for x in leaves(value)]
-    return [obj]
-
-
 def step_inputs(rng, num_clusters=5):
     """A toy config (d = 8) and every input of one cloud step on 64 points."""
     config = toy_config(num_clusters=num_clusters)
@@ -626,82 +564,17 @@ def step_inputs(rng, num_clusters=5):
                            term=term, d_logits=d_logits)
 
 
-def stale(*shapes):
-    """NaN-filled arrays to hand in as `out`: a read before a write shows.
-    They are column-major, the layout of every step array."""
-    return tuple(np.full(shape, np.nan, order="F") for shape in shapes)
-
-
-def stale_trace(params, n, rng):
-    """A trace of another cloud whose every entry but its ones columns is
-    NaN: what a step may find in the trace it refills."""
-    trace = enc.forward(params, rng.normal(size=(n, 3)))
-    for a in (trace.block, *trace.acts):
-        a[:, :-1] = np.nan
-    trace.scores[:] = np.nan
-    trace.labels[:] = np.nan
-    return trace
-
-
-def out_calls(rng, num_clusters):
-    """(function, arguments, keywords, spent) of every step function that
-    takes `out`, with NaN-filled buffers as `out`; `spent` is what the
-    call overwrites: its `out` and the score term `logit_gradient` is
-    handed."""
-    x = step_inputs(rng, num_clusters)
-    params, solver, trace, nj = x.state.params, x.config.solver, x.trace, (64, num_clusters)
-    term = x.term.copy(order="F")
-    other = e_step(params, pc.normalize(ball_cloud(rng, 64)), solver)  # refilled as `out`
-    calls = [
-        (compute_cost, (trace.block, x.protos, solver.lam), {"out": stale(nj)[0]}, []),
-        (sinkhorn, (x.cost, solver.epsilon), {"out": stale(nj)[0]}, []),
-        (sinkhorn, (x.cost, solver.epsilon, MAX_ITERS, TOL, x.psi),
-         {"out": stale(nj)[0]}, []),
-        (assign_soft_labels, (x.plan,), {"out": stale(nj)[0]}, []),
-        (soft_ce_loss, (x.gamma, trace.scores), {"out": stale(nj)[0]}, []),
-        (total_loss, (x.gamma, trace.scores, x.protos), {"out": stale(nj)[0]}, []),
-        (prototypes_backward, (trace.block, x.protos, x.d_geo), {"out": stale(nj)[0]}, []),
-        (logit_gradient, (x.gamma, trace.scores, term), {"out": stale(nj)[0]}, [term]),
-    ] + [(e_step, (params, x.cloud, solver),
-          {"out": replace(other, cost=stale(nj)[0], trace=stale_trace(params, 64, rng)),
-           **potential}, [])
-         for potential in ({}, {"potential": x.psi})]
-    return [(fn, args, kwargs, [kwargs.get("out"), *spent]) for fn, args, kwargs, spent in calls]
-
-
-def fresh(args, spent):
-    """args with a copy of each array a call overwrites, so that each call sees the same."""
-    ids = {id(a) for a in spent}
-    return tuple(np.copy(a, order="K") if id(a) in ids else a for a in args)
-
-
-@pytest.mark.parametrize("num_clusters", [5, 12])  # J below and above d = 8
-def test_out_buffers_change_no_result_bit(rng, num_clusters):
-    # Given arrays to overwrite, each step function returns the bytes it
-    # returns without them and builds its results in them.
-    for fn, args, kwargs, spent in out_calls(rng, num_clusters):
-        ref = fn(*fresh(args, spent), **{k: v for k, v in kwargs.items() if k != "out"})
-        got = fn(*fresh(args, spent), **kwargs)
-        if fn is e_step:  # the result is built in the spent result's cost and trace
-            out = kwargs["out"]
-            assert got.cost is out.cost and got.trace.labels is out.trace.labels
-        assert leaves(got) == leaves(ref), fn.__name__
-        assert not any(np.isnan(a).any() for a in reachable_arrays(spent)), fn.__name__
-
-
 def test_step_arrays_are_column_major(rng):
     # Every (N, k) float array of a step is column-major (see EStepResult):
-    # the trace's arrays, and the arrays the step functions build when
-    # handed no `out`, from a C-ordered cost too; the backward's scratch,
-    # the first columns of the spent features and activations, is
-    # column-major.
+    # the trace's arrays and the arrays the step functions build, from a
+    # C-ordered cost too; the backward's scratch, the first columns of the
+    # spent features and activations, is column-major.
     x = step_inputs(rng)
     trace = x.trace
     result = e_step(x.state.params, x.cloud, x.config.solver)
-    arrays = [*trace.acts, trace.block, trace.scores, trace.labels, trace.features, x.cost,
-              x.plan.matrix,
+    arrays = [*trace.acts, trace.block, trace.scores, trace.features, x.cost, x.plan.matrix,
               sinkhorn(np.ascontiguousarray(x.cost), x.config.solver.epsilon).matrix,
-              result.gamma, result.cost, x.term, x.d_logits]
+              x.gamma, result.gamma, x.term, x.d_logits]
     assert all(a.ndim == 2 and a.flags.f_contiguous for a in arrays)
     h = trace.acts[-1].shape[1] - 1
     for buffer, width in ((trace.block, h), (trace.acts[0], trace.acts[0].shape[1] - 1)):
@@ -710,14 +583,15 @@ def test_step_arrays_are_column_major(rng):
 
 
 def test_no_step_function_writes_its_arguments(rng):
-    # The step functions fill buffers they own, or the buffers they are
-    # handed to spend, in place; none may write any other array it was
-    # handed as an argument, however deep in a trace, params or state it sits.
+    # The step functions build their results in arrays of their own; only
+    # the backward's trace and logit_gradient's score term are spent. None
+    # may write any other array it was handed as an argument, however deep
+    # in a trace, params or state it sits.
     x = step_inputs(rng)
     params, trace, solver = x.state.params, x.trace, x.config.solver
     result = e_step(params, x.cloud, solver)
     own = enc.forward(params, x.cloud.points)  # a trace of its own for the backward to spend
-    own.labels[:] = x.d_logits
+    term = x.term.copy(order="F")  # logit_gradient spends it
     calls = [
         (enc.forward, params, x.cloud.points),
         (soft_ce_loss, x.gamma, trace.scores),
@@ -726,19 +600,20 @@ def test_no_step_function_writes_its_arguments(rng):
         (compute_cost, trace.block, x.protos, solver.lam),
         (sinkhorn, x.cost, solver.epsilon),
         (sinkhorn, x.cost, solver.epsilon, MAX_ITERS, TOL, x.psi),
+        (assign_soft_labels, x.plan),
         (prototypes_backward, trace.block, x.protos, x.d_geo),
         (e_step, params, x.cloud, solver),
-        (e_step, params, x.cloud, solver, None, x.psi),
+        (e_step, params, x.cloud, solver, x.psi),
     ]
-    calls = [(fn, args, {}, []) for fn, *args in calls] + [
-        (enc.backward, (own, params), {}, [own.block, own.labels, *own.acts]),
-        (cloud_gradients, (x.state, result), {},
-         [result.cost, result.trace.block, result.trace.labels, *result.trace.acts]),
-    ] + out_calls(rng, 5)
-    for fn, args, kwargs, spent in calls:
+    calls = [(fn, args, []) for fn, *args in calls] + [
+        (logit_gradient, (x.gamma, trace.scores, term), [term]),
+        (enc.backward, (own, params, x.d_logits), [own.block, *own.acts]),
+        (cloud_gradients, (x.state, result), [result.trace.block, *result.trace.acts]),
+    ]
+    for fn, args, spent in calls:
         spent_ids = {id(a) for a in reachable_arrays(spent)}
         before = [a.copy() for a in reachable_arrays(args) if id(a) not in spent_ids]
-        fn(*args, **kwargs)
+        fn(*args)
         after = [a for a in reachable_arrays(args) if id(a) not in spent_ids]
         assert len(after) == len(before), fn.__name__
         for old, new in zip(before, after):
