@@ -128,6 +128,18 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def environment() -> dict:
+    """numpy's version and the name and version of the BLAS it was built
+    with, as `np.show_config(mode="dicts")` reports them, "unknown" where
+    it does not: with the CPU, they decide a run's bits."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no "dicts" mode
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
+            "blas_version": blas.get("version", "unknown")}
+
+
 def _prepared_cloud(path, points: int | None, seed: int) -> pc.PointCloud:
     """Load a cloud, resample it with `seed` to `points` points unless it
     already has that many, and normalize the kept points with the center and
@@ -167,6 +179,7 @@ def cmd_pretrain(args) -> int:
         "config_hash": digest,
         "seed": config.seed,
         "inputs": [str(p) for p in files],
+        "environment": environment(),
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "finished_at": None,
     }
@@ -221,6 +234,7 @@ def cmd_cluster(args) -> int:
         "marginal_residual": result.marginal_residual,
         "iterations": result.iterations,
         "checkpoint_meta": meta,
+        "environment": environment(),
     }
     sidecar_path = out_ply.with_suffix(".json")
     sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")

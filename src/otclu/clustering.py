@@ -109,7 +109,8 @@ def compute_prototypes(block: np.ndarray, scores: np.ndarray) -> Prototypes:
     if scores.shape[0] != block.shape[0]:
         raise ShapeError(f"point block ({block.shape[0]}) and scores ({scores.shape[0]}) "
                          f"must agree on N")
-    sums = scores.T @ block  # (J, d + 4)
+    # (J, d + 4); as scores^T block, OpenBLAS's bits would change with its thread count
+    sums = (block.T @ scores).T
     weights = sums[:, -1]
     empty = np.flatnonzero(weights < EMPTY_CLUSTER_EPS)
     if empty.size:
@@ -164,14 +165,15 @@ def sinkhorn(cost, epsilon: float = SolverConfig.epsilon, iters: int = MAX_ITERS
     log v then hold the rows exact and take the column residual
     max |c - 1/J| down quadratically (Brauer, Clason, Lorenz & Wirth, "A
     Sinkhorn-Newton method for entropic optimal transport", 2017). The first
-    step that starts within `tol` lands the solve, and one more step on that
-    step's Hessian takes the plan to the float64 floor, about 1e-15 at the
-    paper's shape. Where the steps stall, as they do on near-hard plans,
-    the solve goes back to Sinkhorn iterations until the row residual is
-    below `tol`. `iters` caps Sinkhorn iterations and Newton steps together
-    and the plan's `iterations` counts both: a solve that reaches the cap
-    returns its plan with the residual it reached. Every E-step solves at
-    the defaults, `MAX_ITERS` and `TOL`.
+    step that starts within `tol` lands the solve, and two more steps on
+    that step's Hessian take the plan to the float64 floor: at the paper's
+    shape, column residuals below 3e-16, and rows at 4e-18 or below. Where
+    the steps stall, as they do on near-hard plans, the solve goes back to
+    Sinkhorn iterations until the row residual is below `tol`. `iters` caps
+    Sinkhorn iterations and Newton steps together and the plan's
+    `iterations` counts both: a solve that reaches the cap returns its plan
+    with the residual it reached. Every E-step solves at the defaults,
+    `MAX_ITERS` and `TOL`.
 
     The plan carries its column potential psi_j = g_j + eps * log v_j, which
     does not depend on the shifts (ibid., ch. 4). Given a finite `potential`
@@ -277,11 +279,12 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
 
     A fresh H is built for the first step, for a step after one that did
     not halve the residual max |c - b|, and for the landing step, the first
-    that starts within `tol`; the other steps reuse it. One polishing step
-    on the landing step's H, with no rebuild, ends the solve. Building H
-    scales the rows of `kernel` in place by u, so that K^T K is
-    diag(v)^-1 P^T P diag(v)^-1; the K v passed in and out is always that
-    of the kernel as it stands.
+    that starts within `tol`; the other steps reuse it. Two polishing steps
+    on the landing step's H, with no rebuild, end the solve: at the
+    paper's shape the first leaves column residuals of up to 1.6e-15, and
+    the second takes them below 3e-16. Building H scales the rows of
+    `kernel` in place by u, so that K^T K is diag(v)^-1 P^T P diag(v)^-1;
+    the K v passed in and out is always that of the kernel as it stands.
 
     Returns the count, v, K v and whether the solve is done (landed, or at
     `iters`). A step whose solve, slope or line search fails (a singular or
@@ -293,14 +296,15 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
     """
     n, m = kernel.shape
     a, b = 1.0 / n, 1.0 / m
-    hessian, previous, slow, landed = None, np.inf, False, False
+    hessian, previous, slow = None, np.inf, False
+    landed = 0  # steps taken on the landing step's H: the landing step, then two polishing
     while iterations < iters:
         u = a / kv
         col = v * (u @ kernel)
         grad = b - col
         residual = np.abs(grad).max()
         last = residual < tol
-        if not landed:  # the polishing step reuses the landing step's H
+        if not landed:  # the polishing steps reuse the landing step's H
             if not (last or residual < 0.5 * previous):
                 if slow:
                     return iterations, v, kv, False
@@ -317,10 +321,10 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
         try:
             delta = np.append(np.linalg.solve(hessian[:-1, :-1], grad[:-1]), 0.0)
         except np.linalg.LinAlgError:
-            return iterations, v, kv, landed or last
+            return iterations, v, kv, landed > 0 or last
         slope = grad @ delta
         if not slope > 0.0:  # a NaN too
-            return iterations, v, kv, landed or last
+            return iterations, v, kv, landed > 0 or last
         for halving in range(LINE_SEARCH_HALVINGS + 1):
             t = 0.5 ** halving
             w = v * np.expm1(t * delta)  # the step in v, to full precision
@@ -332,12 +336,13 @@ def _newton_steps(kernel, v, kv, tol, iterations, iters):
             if ARMIJO * t * slope <= gain < np.inf and stepped.min() > 0.0:
                 break
         else:
-            return iterations, v, kv, landed or last
+            return iterations, v, kv, landed > 0 or last
         iterations += 1
         v, kv, previous = stepped, kv + dk, residual
-        if landed:
-            return iterations, v, kv, True
-        landed = last
+        if landed or last:
+            landed += 1
+            if landed == 3:
+                return iterations, v, kv, True
     return iterations, v, kv, True
 
 

@@ -51,10 +51,8 @@ def soft_ce_loss(gamma, scores: np.ndarray) -> float:
         raise ShapeError(f"soft labels {g.shape} and scores {s.shape} must match")
     if s.min() <= 0.0:
         raise NumericalError("scores must be strictly positive for log-loss")
-    log_s = np.log(s)
-    if g.flags.f_contiguous and log_s.flags.f_contiguous:
-        g, log_s = g.T, log_s.T  # C-contiguous, as vdot reads without a copy
-    return float(-np.vdot(g, log_s) / s.shape[0])
+    # einsum, not vdot: OpenBLAS splits a long ddot by its thread count, and so its bits
+    return float(-np.einsum("ij,ij->", g, np.log(s)) / s.shape[0])
 
 
 def logit_gradient(gamma, scores: np.ndarray, score_term: np.ndarray) -> np.ndarray:

@@ -114,6 +114,23 @@ class TestPretrainCommand:
         # the last epoch of two, after two M-steps an epoch (6 clouds in batches of 4)
         assert (meta["epoch"], meta["step"]) == (1, 2 * 2)
 
+    def test_manifest_and_sidecar_record_numpy_and_blas(self, trained_run, tmp_path):
+        out_dir, _ = trained_run
+        src = write_cloud([[0, 0, 0], [1, 1, 1], [2, 0, 1], [1, 2, 0]], tmp_path / "c.xyz")
+        assert cli.main(["cluster", str(out_dir / "checkpoint_final.otck"), str(src),
+                         str(tmp_path / "x.ply")]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        sidecar = json.loads((tmp_path / "x.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        expected = {"numpy": np.__version__, "blas": blas["name"],
+                    "blas_version": blas["version"]}
+        assert manifest["environment"] == sidecar["environment"] == expected
+
+    def test_environment_without_a_blas_record_reads_unknown(self, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda mode: {"Build Dependencies": {}})
+        assert cli.environment() == {"numpy": np.__version__, "blas": "unknown",
+                                     "blas_version": "unknown"}
+
     def test_manifest_config_reloads_to_the_run_config(self, trained_run, tmp_path):
         out_dir, config_path = trained_run
         manifest = json.loads((out_dir / "manifest.json").read_text())

@@ -285,19 +285,20 @@ class TestSinkhorn:
                 sinkhorn(cost, 1e-3, potential=potential)
 
     def test_warm_start_from_its_own_potential(self, rng):
-        # One Sinkhorn iteration starts within tol. The cold plan is at the
-        # float64 floor, so the landing Newton step cannot raise F: its line
-        # search fails, is not counted, and the plan it started from, already
-        # within tol, is returned as done.
+        # One Sinkhorn iteration starts within tol, and the landing Newton
+        # step is taken. The cold plan is at the float64 floor, so the first
+        # polishing step cannot raise F: its line search fails, is not
+        # counted, and the landed plan is returned as done.
         cost = rng.uniform(0, 0.02, size=(32, 8))
         cold = sinkhorn(cost, 1e-3)
         assert cold.iterations > 10
         warm = sinkhorn(cost, 1e-3, potential=cold.potential)
-        assert warm.iterations == 1
+        assert warm.iterations == 2
         assert warm.marginal_residual() < 1e-9
         assert np.abs(warm.matrix - cold.matrix).max() < 1e-6
         # the potential does not depend on the shifts: a shifted cost starts as
-        # well, and there the landing step and the polishing step are taken
+        # well, and there the landing step and the first polishing step are
+        # taken; the second, the last, fails and returns the once-polished plan
         shifted = sinkhorn(cost + 5.0, 1e-3, potential=cold.potential)
         assert shifted.iterations == 3
         assert shifted.marginal_residual() < 1e-9
@@ -311,28 +312,34 @@ class TestSinkhorn:
         np.testing.assert_allclose(plan.matrix.sum(axis=1), 1 / 2048, rtol=1e-14, atol=0)
 
     def test_a_failed_polishing_step_returns_the_landed_plan(self, monkeypatch):
-        # The last linear solve of a solve is its polishing step's. Where it
-        # fails, the landed plan is returned as done: the step is not
-        # counted, and the solve is not handed back to Sinkhorn.
+        # The last two linear solves of a solve are its two polishing steps'.
+        # Where one fails, the plan it started from is returned as done: the
+        # step is not counted, and the solve is not handed back to Sinkhorn.
         block, _, protos = paper_shape_inputs()
         cost = compute_cost(block, protos, 0.5)
         solve, calls = np.linalg.solve, []
 
-        def solve_unless_last(h, g):
+        def solve_unless_failing(h, g):
             calls.append(None)
-            if len(calls) == last:
+            if len(calls) == failing:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(h, g)
 
-        last = 0
-        monkeypatch.setattr(np.linalg, "solve", solve_unless_last)
+        failing = 0
+        monkeypatch.setattr(np.linalg, "solve", solve_unless_failing)
         polished = sinkhorn(cost)
-        last, calls[:] = len(calls), []
-        landed = sinkhorn(cost)
-        assert landed.iterations == polished.iterations - 1
-        assert polished.marginal_residual() < 1e-14 < landed.marginal_residual() < 1e-9
-        # the plan still ends on a row scaling, not on Sinkhorn's column one
-        np.testing.assert_allclose(landed.matrix.sum(axis=1), 1 / 2048, rtol=1e-14, atol=0)
+        plans, last = [], len(calls)
+        for failing in (last, last - 1):  # the second polishing step's, then the first's
+            calls[:] = []
+            plans.append(sinkhorn(cost))
+        once, landed = plans
+        assert once.iterations == polished.iterations - 1
+        assert landed.iterations == polished.iterations - 2
+        assert (polished.marginal_residual() < once.marginal_residual() < 1e-14
+                < landed.marginal_residual() < 1e-9)
+        # the plans still end on a row scaling, not on Sinkhorn's column one
+        for plan in plans:
+            np.testing.assert_allclose(plan.matrix.sum(axis=1), 1 / 2048, rtol=1e-14, atol=0)
 
     def test_newton_steps_hand_back_to_sinkhorn(self, monkeypatch):
         # spread/epsilon near 1000 on 16 points: the plan is near-hard and the

@@ -1,8 +1,14 @@
+import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +28,42 @@ from otclu.trainer import (WEIGHT_DECAY, TrainConfig, TrainState,
 from otclu.verify import ball_cloud
 
 from conftest import two_blob_points, write_cloud
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# A default `pretrain` call on paper-shape clouds, run by `fresh_run` in its
+# own interpreter: prints the sha256 of the history and the final params and,
+# for each epoch, the process's minor page faults when it ends.
+PAPER_SHAPE_RUN = """
+import hashlib, json, resource, sys
+import numpy as np
+from otclu import cloud as pc
+from otclu.trainer import TrainConfig, pretrain
+from otclu.verify import ball_cloud
+
+num_clouds, epochs = map(int, sys.argv[1:])
+rng = np.random.default_rng(5)
+clouds = [pc.normalize(ball_cloud(rng, 2048)) for _ in range(num_clouds)]
+faults = []
+state = pretrain(clouds, TrainConfig(epochs=epochs), on_epoch=lambda metrics: faults.append(
+    resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+digest = hashlib.sha256(json.dumps(state.history).encode())
+for name in sorted(state.params.tensors):
+    digest.update(state.params.tensors[name].tobytes())
+print(json.dumps({"sha256": digest.hexdigest(), "faults": faults}))
+"""
+
+
+def fresh_run(num_clouds, epochs, **env):
+    """`PAPER_SHAPE_RUN` in a new interpreter with `env` added to its
+    environment; returns its printed record."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PAPER_SHAPE_RUN, str(num_clouds), str(epochs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def toy_config(num_clusters=2, epsilon=2e-3, **overrides):
@@ -78,7 +120,7 @@ class TestEStep:
             np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=64 * TOL)
 
     def test_paper_shape_plans_land_at_the_float64_floor(self, rng):
-        # A Newton-finished solve takes one polishing step past the one that
+        # A Newton-finished solve takes two polishing steps past the one that
         # lands within TOL, so at the paper's shape a cold solve and a warm
         # one from its own potential meet both quotas to rounding.
         config = TrainConfig()
@@ -323,6 +365,29 @@ class TestPretrain:
         for k in s1.params.tensors:
             assert s1.params.tensors[k].tobytes() == s2.params.tensors[k].tobytes()
         assert s1.history == s2.history
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits some products (a long ddot, some GEMMs) by its
+        # thread count, and the partial sums then round differently; the step
+        # avoids those forms. With `scores.T @ block` in `compute_prototypes`
+        # and `np.vdot` in `soft_ce_loss`, the two runs here hash differently.
+        runs = [fresh_run(2, 2, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+                for threads in (1, 2)]
+        assert runs[0]["sha256"] == runs[1]["sha256"]
+
+    @pytest.mark.skipif(not (sys.platform.startswith("linux")
+                             and platform.libc_ver()[0] == "glibc"),
+                        reason="the fault counts are glibc malloc's: its dynamic mmap and "
+                               "trim thresholds decide whether a step reuses its pages")
+    def test_steps_after_epoch_1_reuse_their_pages(self):
+        # A step reuses the pages the last one freed only while its arrays
+        # stay below glibc's trim threshold, which the trace's array sets;
+        # past it, every step maps its pages afresh (about 1,070 minor
+        # faults a step with one more 6 MiB array alive through it). Epoch 1
+        # may still grow the heap, so epochs 2 and 3 are bounded.
+        faults = fresh_run(8, 4)["faults"]
+        per_step = [(after - before) / 8 for before, after in zip(faults[1:], faults[2:])]
+        assert max(per_step) <= 200, per_step
 
     def test_loss_trend_down(self, rng):
         data_rng = np.random.default_rng(7)
