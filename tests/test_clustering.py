@@ -341,6 +341,38 @@ class TestSinkhorn:
         for plan in plans:
             np.testing.assert_allclose(plan.matrix.sum(axis=1), 1 / 2048, rtol=1e-14, atol=0)
 
+    def test_a_direction_that_does_not_ascend_is_never_taken(self, monkeypatch):
+        # The semi-dual is concave, so no length of the negated Newton
+        # direction raises it: at each of the solve's Newton steps, that
+        # direction ends the step exactly as a linear solve that raises does.
+        block, _, protos = paper_shape_inputs()
+        cost = compute_cost(block, protos, 0.5)
+        solve, calls = np.linalg.solve, []
+
+        def solve_or_fail(h, g):
+            calls.append(None)
+            x = solve(h, g)
+            if len(calls) != failing:
+                return x
+            if negated:
+                return -x
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        failing, negated = 0, False
+        monkeypatch.setattr(np.linalg, "solve", solve_or_fail)
+        polished = sinkhorn(cost)
+        assert len(calls) == 5
+        for failing in range(1, 6):
+            plans = []
+            for negated in (False, True):
+                calls[:] = []
+                plans.append(sinkhorn(cost))
+            raised, turned = plans
+            assert raised.matrix.tobytes() != polished.matrix.tobytes()
+            assert turned.iterations == raised.iterations
+            assert turned.matrix.tobytes() == raised.matrix.tobytes()
+            assert turned.potential.tobytes() == raised.potential.tobytes()
+
     def test_newton_steps_hand_back_to_sinkhorn(self, monkeypatch):
         # spread/epsilon near 1000 on 16 points: the plan is near-hard and the
         # Newton step's line search fails, so Sinkhorn iterations finish the
